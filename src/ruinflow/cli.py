@@ -44,6 +44,7 @@ from .heavy_tails import (
 )
 from .montecarlo import (
     SimConfig,
+    _write_rows,
     empirical_entrance,
     empirical_entrance_time,
     single_big_jump_check,
@@ -420,21 +421,6 @@ def _mode_lines(model: ModelSpec, horizon: float) -> list[str]:
     return lines
 
 
-def _write_rows(rows: list[dict], cols: list[str], path: Path, fmt: str) -> None:
-    import csv as _csv
-
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
-        return
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow(["" if row[c] is None else row[c] for c in cols])
-
-
 def run(config_path, overrides: dict | None = None) -> int:
     """Execute the experiment described by the config file.
 
@@ -518,9 +504,8 @@ def run(config_path, overrides: dict | None = None) -> int:
             weights = cfg["big_jump"]["weights"]
             table = single_big_jump_check(spec.claim, spec.rare_set, weights,
                                           sim.x_grid, sim)
-            rows = table.rows()
-            _write_rows(rows, ["x", "sum_p", "marginal_p_total", "ratio",
-                               "sum_count", "ci_lo", "ci_hi"], table_path, fmt)
+            _write_rows(table.rows(), ["x", "sum_p", "marginal_p_total", "ratio",
+                                       "sum_count", "ci_lo", "ci_hi"], table_path, fmt)
             report_lines.append(f"weights: {list(weights)}")
             code = 0
         else:  # pragma: no cover - schema forbids

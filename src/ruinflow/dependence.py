@@ -255,11 +255,6 @@ class ClaimModel:
         return self.claims_from_uniforms(u)[:n]
 
 
-def sample_sequence(model: ClaimModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Functional alias for :meth:`ClaimModel.sample_sequence`."""
-    return model.sample_sequence(n, rng)
-
-
 def fgm_conditional_inverse(theta: float, v1, v2, v3, w):
     """Invert the conditional survival transform of the fourth FGM variable.
 

@@ -21,6 +21,18 @@ The per-path uniform block is laid out as::
 
 with all widths fixed by the model, so the layout itself is part of the
 reproducibility contract.
+
+Per-path statistics
+-------------------
+One chunk runner serves every experiment.  A chunk's paths reach the
+experiments as one view: arrival epochs, the inside-horizon mask, the
+discounted claim terms, and the endpoint and running sums, each computed on
+first use.  A statistic is a module-level function of that view, bound to
+its parameters with :func:`functools.partial` so that it pickles to worker
+processes, and returns a dict of int64 counts; the chunk runner merges every
+key by addition in chunk order.  Entrance, entrance time and ruin (the
+entrance of the net claim process into the mapped set, read on the same
+paths) are three such statistics.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -89,9 +102,13 @@ class SimConfig:
             raise ValueError("need at least one worker")
         if not 0 < self.ci_level < 1:
             raise ValueError("confidence level must be in (0, 1)")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive or math.inf")
         xg = tuple(float(v) for v in self.x_grid)
-        if any(v <= 0 for v in xg) or list(xg) != sorted(xg):
-            raise ValueError("x grid must be positive and increasing")
+        if any(not 0 < v < math.inf for v in xg) or list(xg) != sorted(xg):
+            raise ValueError("x grid must be finite, positive and increasing")
         object.__setattr__(self, "x_grid", xg)
 
 
@@ -141,17 +158,24 @@ class EstimateTable:
         return out
 
     def to_csv(self, path) -> None:
-        cols = list(self.COLUMNS) + list(self.extra)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row in self.rows():
-                w.writerow(["" if row[c] is None else row[c] for c in cols])
+        _write_rows(self.rows(), list(self.COLUMNS) + list(self.extra), path, "csv")
 
     def to_json(self, path) -> None:
+        _write_rows(self.rows(), list(self.COLUMNS) + list(self.extra), path, "json")
+
+
+def _write_rows(rows: list[dict], cols: list[str], path, fmt: str) -> None:
+    """Write result rows as JSON, or as CSV with ``cols`` as the header."""
+    if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(self.rows(), fh, indent=1)
+            json.dump(rows, fh, indent=1)
             fh.write("\n")
+        return
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for row in rows:
+            w.writerow(["" if row[c] is None else row[c] for c in cols])
 
 
 def _finish_table(x_grid, counts, n, level, asymptotic, extra=None, meta=None) -> EstimateTable:
@@ -206,7 +230,6 @@ def _chunk_uniforms(seed: int, start_path: int, n: int, budget: int) -> np.ndarr
 @dataclass(frozen=True)
 class _AggregateTask:
     claim: ClaimModel
-    rare_set: RareSet
     renewal: RenewalSpec
     ret: ReturnProcess
     horizon: float
@@ -214,12 +237,30 @@ class _AggregateTask:
     start: int
     count: int
     layout: _Layout
-    x_grid: tuple[float, ...]
-    want_entrance: bool = True
-    want_sums: bool = False
-    entrance_time_x: float | None = None
-    t_grid: tuple[float, ...] | None = None
-    ruin: dict | None = None
+    stats: tuple
+
+
+@dataclass
+class _ChunkPaths:
+    """One chunk's paths as the statistics read them.
+
+    ``tau`` holds the arrival epochs, ``mask`` marks those inside the horizon
+    and ``terms`` the discounted claims (zero outside the horizon), one row
+    per path and one column per arrival slot.  ``final`` (``D`` at the
+    horizon) and ``running`` (``D`` at every slot) are computed on first use.
+    """
+
+    tau: np.ndarray
+    mask: np.ndarray
+    terms: np.ndarray
+
+    @cached_property
+    def final(self) -> np.ndarray:
+        return self.terms.sum(axis=1)
+
+    @cached_property
+    def running(self) -> np.ndarray:
+        return np.cumsum(self.terms, axis=1)
 
 
 def _even_trim(n_cap: int, max_count: int) -> int:
@@ -250,45 +291,62 @@ def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
     cu = buf[:, c0: c0 + k * lay.claim_u].reshape(task.count * k, lay.claim_u)
     claims = task.claim.claims_from_uniforms(cu).reshape(task.count, k, task.claim.d)
     weight = np.where(mask_k, np.exp(-xi), 0.0)
-    terms = claims * weight[:, :, None]
-
-    out: dict = {"paths": task.count}
-    if task.want_entrance or task.ruin is not None:
-        final = terms.sum(axis=1)
-        z_final = np.atleast_1d(z_index_signed(task.rare_set, final))
-        if task.want_entrance:
-            xg = np.asarray(task.x_grid)
-            out["entrance_counts"] = (z_final[:, None] > xg[None, :]).sum(axis=0).astype(np.int64)
-    if task.want_sums:
-        out["component_sums"] = terms.sum(axis=(0, 1))
-        out["arrival_count_sum"] = int(counts.sum())
-        out["arrival_count_sumsq"] = int((counts.astype(np.int64) ** 2).sum())
-    if task.entrance_time_x is not None or task.ruin is not None:
-        running = np.cumsum(terms, axis=1)
-    if task.entrance_time_x is not None:
-        x0 = task.entrance_time_x
-        z_run = z_index_signed(task.rare_set, running.reshape(-1, task.claim.d))
-        z_run = z_run.reshape(task.count, k)
-        hit = z_run > x0
-        entered = hit[:, -1]
-        first = np.argmax(hit, axis=1)
-        t_entry = np.where(entered, tau_k[np.arange(task.count), first], np.inf)
-        tg = np.asarray(task.t_grid)
-        out["entered"] = int(entered.sum())
-        out["entry_time_counts"] = (t_entry[:, None] <= tg[None, :]).sum(axis=0).astype(np.int64)
-    if task.ruin is not None:
-        spec = task.ruin
-        net = running
-        if spec["premium_rates"] is not None:
-            prem = _discounted_premium_at(
-                tau_k, spec["premium_breaks"], spec["premium_rates"], spec["rate"])
-            net = running - prem
-        z_net = z_index_signed(spec["mapped_set"], net.reshape(-1, task.claim.d))
-        z_net = z_net.reshape(task.count, k)
-        stat = np.where(mask_k, z_net, -np.inf).max(axis=1)
-        xg = np.asarray(task.x_grid)
-        out["ruin_counts"] = (stat[:, None] > xg[None, :]).sum(axis=0).astype(np.int64)
+    paths = _ChunkPaths(tau_k, mask_k, claims * weight[:, :, None])
+    out: dict = {}
+    for stat in task.stats:
+        out.update(stat(paths))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-path statistics: ``stat(paths) -> {key: int64 counts}``
+
+
+def _exceedances(z: np.ndarray, x_grid) -> np.ndarray:
+    """Per threshold, the number of rows of ``z`` (over the first axis) above it."""
+    return (z[..., None] > np.asarray(x_grid)).sum(axis=0).astype(np.int64)
+
+
+def _z_running(rare_set: RareSet, running: np.ndarray) -> np.ndarray:
+    """The scalarization at every slot of a (paths, slots, d) array."""
+    z = z_index_signed(rare_set, running.reshape(-1, running.shape[2]))
+    return z.reshape(running.shape[:2])
+
+
+def _entrance_counts(paths: _ChunkPaths, rare_set: RareSet, x_grid) -> dict:
+    """Paths whose ``D(horizon)`` lies in ``x*A``, per threshold ``x``."""
+    return {"entrance_counts": _exceedances(z_index_signed(rare_set, paths.final), x_grid)}
+
+
+def _entrance_times(paths: _ChunkPaths, rare_set: RareSet, x: float, t_grid) -> dict:
+    """Paths that enter ``x*A`` by the horizon, and those that enter by each ``t``.
+
+    Entrance can only happen at arrival epochs (claims are nonnegative jumps
+    and the target set is increasing), so first passage is read off the
+    running sums.
+    """
+    hit = _z_running(rare_set, paths.running) > x
+    entered = hit[:, -1]
+    first = np.argmax(hit, axis=1)
+    t_entry = np.where(entered, paths.tau[np.arange(len(first)), first], np.inf)
+    tg = np.asarray(t_grid)
+    return {"entered": np.int64(entered.sum()),
+            "entry_time_counts": (t_entry[:, None] <= tg[None, :]).sum(axis=0).astype(np.int64)}
+
+
+def _ruin_counts(paths: _ChunkPaths, rare_set: RareSet, x_grid, premiums=None,
+                 rate: float = 0.0) -> dict:
+    """Paths whose net claims enter ``x*A`` at some arrival inside the horizon.
+
+    Net claims are the running sums less the premiums (a piecewise-constant
+    schedule with ``breaks`` and ``rates``) discounted at force ``rate``.
+    """
+    net = paths.running
+    if premiums is not None:
+        net = net - _discounted_premium_at(
+            paths.tau, premiums.breaks, np.asarray(premiums.rates), rate)
+    stat = np.where(paths.mask, _z_running(rare_set, net), -np.inf).max(axis=1)
+    return {"ruin_counts": _exceedances(stat, x_grid)}
 
 
 def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
@@ -312,20 +370,9 @@ def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
     return out
 
 
-def _iter_chunks(n_paths: int):
-    start = 0
-    while start < n_paths:
-        yield start, min(CHUNK_PATHS, n_paths - start)
-        start += CHUNK_PATHS
-
-
-_MERGE_KEYS = ("entrance_counts", "component_sums", "arrival_count_sum",
-               "arrival_count_sumsq", "entered", "entry_time_counts",
-               "ruin_counts", "paths")
-
-
 def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
-    tasks = [replace(task_proto, start=s, count=c) for s, c in _iter_chunks(n_paths)]
+    tasks = [replace(task_proto, start=s, count=min(CHUNK_PATHS, n_paths - s))
+             for s in range(0, n_paths, CHUNK_PATHS)]
     if n_workers == 1:
         results = [runner(t) for t in tasks]
     else:
@@ -334,9 +381,18 @@ def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
     merged: dict = {}
     for res in results:  # results arrive in chunk order: merge is deterministic
         for key, val in res.items():
-            if key in _MERGE_KEYS:
-                merged[key] = merged.get(key, 0) + val
+            merged[key] = merged.get(key, 0) + val
     return merged
+
+
+def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) -> dict:
+    """Simulate ``sim.n_paths`` paths of ``model`` up to ``horizon`` and sum
+    the statistics' counts over all chunks."""
+    proto = _AggregateTask(
+        claim=model.claim, renewal=model.renewal, ret=model.ret, horizon=horizon,
+        seed=sim.seed, start=0, count=0,
+        layout=_make_layout(model.claim, model.ret, model.renewal, horizon), stats=stats)
+    return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +449,10 @@ def _resolve_horizon_and_asymptotics(model: ModelSpec, sim: SimConfig, unsafe: b
         meta["tail_bound_rel"] = max(e.tail_bound_rel for e in estimates)
         meta["mode"] = "infinite-horizon"
     else:
+        report = resolve_finite_mode(model, sim.horizon)
         if not unsafe:
-            report = resolve_finite_mode(model, sim.horizon).require()
-            meta["mode"] = report.mode
-        else:
-            report = resolve_finite_mode(model, sim.horizon)
-            meta["mode"] = report.mode or "unchecked"
+            report.require()
+        meta["mode"] = report.mode or "unchecked"
         asym = [asymptotic_entrance_finite(model, x, sim.horizon, unsafe=True)
                 for x in sim.x_grid]
         horizon = sim.horizon
@@ -416,12 +470,8 @@ def empirical_entrance(model: ModelSpec, sim: SimConfig, unsafe: bool = False) -
     if not sim.x_grid:
         raise ValueError("x grid must not be empty")
     horizon, asym, meta = _resolve_horizon_and_asymptotics(model, sim, unsafe)
-    layout = _make_layout(model.claim, model.ret, model.renewal, horizon)
-    proto = _AggregateTask(
-        claim=model.claim, rare_set=model.rare_set, renewal=model.renewal,
-        ret=model.ret, horizon=horizon, seed=sim.seed, start=0, count=0,
-        layout=layout, x_grid=sim.x_grid)
-    merged = _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
+    merged = _run_statistics(model, horizon, sim, partial(
+        _entrance_counts, rare_set=model.rare_set, x_grid=sim.x_grid))
     meta.update(n_paths=sim.n_paths, seed=sim.seed)
     return _finish_table(sim.x_grid, merged["entrance_counts"], sim.n_paths,
                          sim.ci_level, asym, meta=meta)
@@ -449,10 +499,8 @@ def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
                             unsafe: bool = False) -> EntranceTimeTable:
     """Estimate ``P[tau(x) <= t | tau(x) <= horizon]`` over the time grid.
 
-    Entrance can only happen at arrival epochs (claims are nonnegative jumps
-    and the target set is increasing), so first passage is read off the
-    running discounted sums at arrivals.  Raises
-    :class:`~ruinflow.dependence.NoExceedanceError` when no path enters.
+    Raises :class:`~ruinflow.dependence.NoExceedanceError` when no path
+    enters.
     """
     t_grid = tuple(float(t) for t in t_grid)
     if not t_grid or list(t_grid) != sorted(t_grid):
@@ -466,13 +514,8 @@ def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
             resolve_finite_mode(model, horizon).require()
     if t_grid[-1] > horizon:
         raise ValueError("time grid extends beyond the simulation horizon")
-    layout = _make_layout(model.claim, model.ret, model.renewal, horizon)
-    proto = _AggregateTask(
-        claim=model.claim, rare_set=model.rare_set, renewal=model.renewal,
-        ret=model.ret, horizon=horizon, seed=sim.seed, start=0, count=0,
-        layout=layout, x_grid=(), want_entrance=False,
-        entrance_time_x=float(x), t_grid=t_grid)
-    merged = _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
+    merged = _run_statistics(model, horizon, sim, partial(
+        _entrance_times, rare_set=model.rare_set, x=float(x), t_grid=t_grid))
     entered = int(merged["entered"])
     if entered == 0:
         raise NoExceedanceError(
@@ -539,11 +582,9 @@ def _big_jump_chunk(task: _BigJumpTask) -> dict:
     z_sum = z_index_signed(task.rare_set, weighted.sum(axis=1))
     z_each = z_index_signed(task.rare_set, vectors.reshape(-1, task.claim.d))
     z_each = z_each.reshape(task.count, n) * w[None, :]
-    xg = np.asarray(task.x_grid)
     return {
-        "paths": task.count,
-        "sum_counts": (z_sum[:, None] > xg[None, :]).sum(axis=0).astype(np.int64),
-        "marginal_counts": (z_each[:, :, None] > xg[None, None, :]).sum(axis=0).astype(np.int64),
+        "sum_counts": _exceedances(z_sum, task.x_grid),
+        "marginal_counts": _exceedances(z_each, task.x_grid),
     }
 
 
@@ -563,19 +604,11 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
     x_grid = tuple(float(v) for v in x_grid)
     proto = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
                          seed=sim.seed, start=0, count=0, x_grid=x_grid)
-
-    tasks = [replace(proto, start=s, count=c) for s, c in _iter_chunks(sim.n_paths)]
-    if sim.n_workers == 1:
-        results = [_big_jump_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=sim.n_workers) as pool:
-            results = list(pool.map(_big_jump_chunk, tasks, chunksize=1))
-    sum_counts = sum(r["sum_counts"] for r in results)
-    marginal_counts = sum(r["marginal_counts"] for r in results)
-
+    merged = _run_chunks(proto, _big_jump_chunk, sim.n_paths, sim.n_workers)
+    sum_counts = merged["sum_counts"]
     n = sim.n_paths
     sum_p = sum_counts / n
-    marg_p = marginal_counts.sum(axis=0) / n
+    marg_p = merged["marginal_counts"].sum(axis=0) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where((sum_counts > 0) & (marg_p > 0), sum_p / marg_p, np.nan)
     lo, hi = wilson_interval(sum_counts, n, sim.ci_level)

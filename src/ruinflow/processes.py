@@ -143,15 +143,17 @@ class RenewalIID:
 
         Bounds each term by ``P[tau_i <= t] <= exp(s t) * L(s)**i`` with
         ``L`` the interarrival Laplace transform, so the tail beyond ``I``
-        is geometric; ``s`` is chosen from a small grid.
+        is geometric; ``s`` is chosen from a small grid.  The bound is
+        compared in log space, since ``exp(s t)`` overflows at long horizons.
         """
         mean = self.interarrival.mean()
         best = None
+        log_tol = math.log(_SERIES_TOL)
         for s in (0.5 / mean, 1.0 / mean, 2.0 / mean, 4.0 / mean, 8.0 / mean):
             q = self.interarrival_laplace(s)
-            prefactor = math.exp(s * t)
+            log_prefactor = s * t - math.log1p(-q)
             i = max(1, int(2 * t / mean))
-            while prefactor * q ** (i + 1) / (1.0 - q) > _SERIES_TOL and i < 1_000_000:
+            while log_prefactor + (i + 1) * math.log(q) > log_tol and i < 1_000_000:
                 i += max(1, i // 4)
             if best is None or i < best:
                 best = i

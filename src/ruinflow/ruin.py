@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,18 +30,17 @@ from .estimators import (
     ModelSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
-    resolve_finite_mode,
-    resolve_infinite_mode,
 )
 from .montecarlo import (
     AggregatePath,
     EstimateTable,
     SimConfig,
-    _AggregateTask,
+    _discounted_premium_at,
+    _entrance_counts,
     _finish_table,
-    _make_layout,
-    _run_chunks,
-    _simulate_aggregate_chunk,
+    _resolve_horizon_and_asymptotics,
+    _ruin_counts,
+    _run_statistics,
 )
 from .processes import Deterministic, RenewalSpec, ReturnProcess
 from .rare_sets import RareSet, RuinSet, from_ruin_set
@@ -153,8 +153,6 @@ def discounted_premium_integral(model: RuinModel, times, rng_path_xi=None,
     if prem.is_zero:
         return np.zeros(times.shape + (model.claim.d,))
     if isinstance(model.ret, Deterministic):
-        from .montecarlo import _discounted_premium_at
-
         return _discounted_premium_at(times[None, :], prem.breaks,
                                       np.asarray(prem.rates), model.ret.rate)[0]
     if rng_path_xi is None:
@@ -200,61 +198,32 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     """Empirical ruin probabilities over the capital grid, with asymptotics.
 
     The result table carries a ``ruin_set`` column naming the event (``or``
-    for any-line ruin, ``sum`` for weighted-total ruin) and, in its metadata,
-    the entrance counts of ``D(T)`` on the same paths for sandwich coupling
-    checks.
+    for any-line ruin, ``sum`` for weighted-total ruin).  Its metadata is
+    that of :func:`~ruinflow.montecarlo.empirical_entrance` on the mapped
+    set, plus the entrance counts of ``D(T)`` on the same paths for sandwich
+    coupling checks.
     """
     sim = replace(sim, x_grid=tuple(float(v) for v in x_grid), horizon=T)
-    entrance = model.entrance_model()
     if not model.premiums.is_zero and not isinstance(model.ret, Deterministic):
         raise NotImplementedError(
             "vectorized ruin with premiums needs deterministic returns; "
             "use surplus_path for stochastic-return premium accrual")
-    if math.isinf(T):
-        horizon, asym_vals, meta = _infinite_ruin_asymptotics(model, entrance, sim, unsafe)
-    else:
-        if not unsafe:
-            resolve_finite_mode(entrance, T).require()
-        _check_premium_finiteness(model, T)
-        asym_vals = np.asarray([
-            asymptotic_entrance_finite(entrance, x, T, unsafe=True) for x in sim.x_grid
-        ])
-        horizon, meta = T, {}
-    rate = model.ret.rate if isinstance(model.ret, Deterministic) else 0.0
-    layout = _make_layout(model.claim, model.ret, model.renewal, horizon)
-    proto = _AggregateTask(
-        claim=model.claim, rare_set=model.mapped_set, renewal=model.renewal,
-        ret=model.ret, horizon=horizon, seed=sim.seed, start=0, count=0,
-        layout=layout, x_grid=sim.x_grid, want_entrance=True,
-        ruin={
-            "mapped_set": model.mapped_set,
-            "premium_breaks": model.premiums.breaks,
-            "premium_rates": None if model.premiums.is_zero else np.asarray(model.premiums.rates),
-            "rate": rate,
-        })
-    merged = _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
+    _check_premium_finiteness(model, T)
+    entrance = model.entrance_model()
+    horizon, asym, meta = _resolve_horizon_and_asymptotics(entrance, sim, unsafe)
+    ruin = partial(_ruin_counts, rare_set=model.mapped_set, x_grid=sim.x_grid)
+    if not model.premiums.is_zero:
+        ruin = partial(ruin, premiums=model.premiums, rate=model.ret.rate)
+    merged = _run_statistics(entrance, horizon, sim, partial(
+        _entrance_counts, rare_set=model.mapped_set, x_grid=sim.x_grid), ruin)
     meta.update(
         n_paths=sim.n_paths, seed=sim.seed,
         entrance_counts=merged["entrance_counts"],
         premium_bound=model.premiums.bound,
     )
     return _finish_table(sim.x_grid, merged["ruin_counts"], sim.n_paths,
-                         sim.ci_level, asym_vals,
+                         sim.ci_level, asym,
                          extra={"ruin_set": model.ruin_set.name}, meta=meta)
-
-
-def _infinite_ruin_asymptotics(model: RuinModel, entrance: ModelSpec,
-                               sim: SimConfig, unsafe: bool):
-    if not unsafe:
-        resolve_infinite_mode(entrance).require()
-    _check_premium_finiteness(model, math.inf)
-    estimates = [asymptotic_entrance_infinite(entrance, x, unsafe=True) for x in sim.x_grid]
-    horizon = max(e.horizon for e in estimates)
-    meta = {
-        "truncation_horizon": horizon,
-        "tail_bound_rel": max(e.tail_bound_rel for e in estimates),
-    }
-    return horizon, np.asarray([e.value for e in estimates]), meta
 
 
 def _check_premium_finiteness(model: RuinModel, T: float) -> None:

@@ -51,7 +51,9 @@ class TestSchema:
         assert run(p) == 3
 
     def test_schema_is_json_serializable(self):
-        json.dumps(CONFIG_SCHEMA)
+        # docs/config_schema.json is a copy of CONFIG_SCHEMA and must stay one
+        copy = Path(__file__).resolve().parent.parent / "docs" / "config_schema.json"
+        assert copy.read_text() == json.dumps(CONFIG_SCHEMA, indent=2) + "\n"
 
 
 class TestEntranceRun:

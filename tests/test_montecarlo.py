@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from ruinflow.heavy_tails import Pareto
 from ruinflow.montecarlo import (
     SimConfig,
     _AggregateTask,
+    _entrance_counts,
     _make_layout,
-    _run_chunks,
+    _run_statistics,
     _simulate_aggregate_chunk,
     empirical_entrance,
     empirical_entrance_time,
@@ -54,6 +56,16 @@ class TestWilson:
         assert 0.93 <= coverage <= 0.97
 
 
+class TestSimConfig:
+    def test_boundary_validation(self):
+        good = {"n_paths": 100, "seed": 1, "horizon": 10.0}
+        for bad in ({"horizon": math.nan}, {"horizon": -1.0},
+                    {"x_grid": (math.nan,)}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                SimConfig(**{**good, **bad})
+        assert math.isinf(SimConfig(**{**good, "horizon": math.inf}).horizon)
+
+
 class TestReproducibility:
     def test_worker_count_invariance(self):
         spec = base_spec()
@@ -72,10 +84,10 @@ class TestReproducibility:
         # over [0, k) and [k, n) computed as separate chunk tasks
         spec = base_spec()
         layout = _make_layout(spec.claim, spec.ret, spec.renewal, 10.0)
-        proto = _AggregateTask(claim=spec.claim, rare_set=spec.rare_set,
-                               renewal=spec.renewal, ret=spec.ret, horizon=10.0,
-                               seed=9, start=0, count=0, layout=layout,
-                               x_grid=(5.0, 50.0))
+        entrance = partial(_entrance_counts, rare_set=spec.rare_set, x_grid=(5.0, 50.0))
+        proto = _AggregateTask(claim=spec.claim, renewal=spec.renewal, ret=spec.ret,
+                               horizon=10.0, seed=9, start=0, count=0, layout=layout,
+                               stats=(entrance,))
         whole = _simulate_aggregate_chunk(replace(proto, start=0, count=5000))
         part1 = _simulate_aggregate_chunk(replace(proto, start=0, count=1701))
         part2 = _simulate_aggregate_chunk(replace(proto, start=1701, count=5000 - 1701))
@@ -90,6 +102,12 @@ class TestReproducibility:
         c = empirical_entrance(spec, replace(cfg, seed=124))
         assert np.array_equal(a.count, b.count)
         assert not np.array_equal(a.count, c.count)
+
+
+def _sums(paths):
+    # per-chunk totals of the discounted claims and the arrival count
+    return {"component_sums": paths.terms.sum(axis=(0, 1)),
+            "arrival_count_sum": np.int64(paths.mask.sum())}
 
 
 class TestSimulateAggregate:
@@ -128,12 +146,7 @@ class TestSimulateAggregate:
         spec = ModelSpec(ClaimModel.iid((Pareto(3.0, 1.0), Pareto(3.0, 1.0))),
                          MaxExceed((1.0, 1.0)), Poisson(1.0), Deterministic(0.0))
         n = 1_000_000
-        layout = _make_layout(spec.claim, spec.ret, spec.renewal, 5.0)
-        proto = _AggregateTask(claim=spec.claim, rare_set=spec.rare_set,
-                               renewal=spec.renewal, ret=spec.ret, horizon=5.0,
-                               seed=17, start=0, count=0, layout=layout,
-                               x_grid=(), want_entrance=False, want_sums=True)
-        merged = _run_chunks(proto, _simulate_aggregate_chunk, n, 1)
+        merged = _run_statistics(spec, 5.0, SimConfig(n, seed=17, horizon=5.0), _sums)
         mean_claim = Pareto(3.0, 1.0).mean()
         want = 5.0 * mean_claim
         # compound-Poisson variance: lam*T*E[X^2]

@@ -6,7 +6,7 @@ import pytest
 from ruinflow.dependence import ClaimModel
 from ruinflow.estimators import asymptotic_entrance_finite, mrv_closed_form
 from ruinflow.heavy_tails import Pareto
-from ruinflow.montecarlo import AggregatePath, SimConfig, simulate_aggregate
+from ruinflow.montecarlo import AggregatePath, SimConfig, empirical_entrance, simulate_aggregate
 from ruinflow.processes import BrownianDrift, Deterministic, Poisson
 from ruinflow.rare_sets import (
     AnyLineNegative,
@@ -143,6 +143,17 @@ class TestEmpiricalRuin:
         # without premiums the running net claims peak at the endpoint:
         # claims only accumulate, so ruin by T equals final entrance
         assert np.array_equal(table.count, table.meta["entrance_counts"])
+
+    def test_meta_matches_entrance_on_mapped_set(self):
+        # ruin is read through the entrance gate, so the table reports the
+        # same asymptotic mode and the same unsafe watermark
+        model = two_line_model(premium=0.0)
+        sim = SimConfig(2_000, seed=47, horizon=10.0, x_grid=(10.0,))
+        entrance = empirical_entrance(model.entrance_model(), sim)
+        for unsafe in (False, True):
+            table = empirical_ruin(model, (10.0,), 10.0, sim, unsafe=unsafe)
+            assert table.meta["mode"] == entrance.meta["mode"]
+            assert table.meta.get("hypotheses_verified", True) is not unsafe
 
     def test_huge_capital_rows_flagged(self):
         model = two_line_model()
