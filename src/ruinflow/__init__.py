@@ -47,7 +47,6 @@ from .heavy_tails import (
 )
 from .montecarlo import (
     BigJumpTable,
-    EngineCapacityError,
     EntranceTimeTable,
     EstimateTable,
     SimConfig,

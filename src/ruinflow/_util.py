@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy import special
 
@@ -38,7 +40,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
 
     Refines until the Richardson error estimate of each panel falls below the
     proportional share of ``rel_tol * |integral|`` (with ``abs_floor`` as an
-    absolute escape hatch for integrals indistinguishable from zero).
+    absolute escape hatch for integrals indistinguishable from zero).  Panels
+    still above their share at ``max_depth`` raise one ``RuntimeWarning``.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
@@ -57,7 +60,10 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         err = (left + right - whole) / 15.0
-        if depth >= max_depth or abs(err) <= tol:
+        if abs(err) <= tol:
+            return left + right + err
+        if depth >= max_depth:
+            unconverged.append(err)
             return left + right + err
         return (recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1)
                 + recurse(xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1))
@@ -75,4 +81,9 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
             return 0.0
         scale = probe
     tol = rel_tol * scale
-    return recurse(a, b, f0, f1, f2, whole, tol, 0)
+    unconverged: list[float] = []
+    total = recurse(a, b, f0, f1, f2, whole, tol, 0)
+    if unconverged:
+        warnings.warn(f"adaptive Simpson unconverged on {len(unconverged)} panel(s) at "
+                      f"max_depth={max_depth}", RuntimeWarning, stacklevel=2)
+    return total

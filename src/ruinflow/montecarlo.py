@@ -4,35 +4,30 @@ Reproducibility contract
 ------------------------
 Every experiment is a pure function of the model parameters, the path count,
 and the seed; worker count and scheduling never change a single bit of the
-output.  This is achieved with a counter-based layout: each path owns a fixed
-block of ``B`` double-precision uniforms at positions ``[path*B, (path+1)*B)``
-of one Philox stream keyed by the seed, and every random quantity a path
-needs is an inverse transform of uniforms from its own block.  Chunks of
-paths are generated by advancing the Philox counter to the chunk's first
-block, so any partition of paths into chunks yields identical numbers.
+output.  Paths are split into chunks of :data:`CHUNK_PATHS` in path order,
+and chunk ``c`` draws every random quantity it needs from its own stream,
+``PCG64DXSM(SeedSequence([seed, c]))``, in an order fixed by the chunk's own
+paths.  Chunks are independent tasks whose int64 counts are merged by
+addition in chunk order, so any assignment of chunks to workers yields the
+same numbers.  The chunk width is therefore part of the layout ("layout
+v2"): changing it, or the draw order below, changes the bit stream.
 
-Arrival counts are capped at a per-model bound whose overflow probability is
-below 1e-16 per path; a path exceeding the cap raises
-:class:`EngineCapacityError` rather than silently truncating.
+A chunk simulates its paths in loop steps of two arrival slots.  Each step
+draws, for the ``m`` paths still inside the horizon, an ``(m, W)`` block of
+uniforms laid out per row as::
 
-The per-path uniform block is laid out as::
+    [ 2 gaps | 2 uniforms per return-process block (0-2) | 2 claim vectors ]
 
-    [ interarrival | return-process blocks (0-2) | claim uniforms (d per arrival) ]
+so the two claim vectors of one step form the pair ``(2j, 2j+1)`` that the
+paired dependence structures couple.  A path leaves the loop at its first
+slot past the horizon; the loop ends when none is left.  Uniforms are drawn
+only for paths still inside the horizon, and each path carries ``O(d)``
+state, so memory does not grow with the horizon and no arrival-count cap
+exists.
 
-with all widths fixed by the model, so the layout itself is part of the
-reproducibility contract.
-
-Per-path statistics
--------------------
-One chunk runner serves every experiment.  A chunk's paths reach the
-experiments as one view: arrival epochs, the inside-horizon mask, the
-discounted claim terms, and the endpoint and running sums, each computed on
-first use.  A statistic is a module-level function of that view, bound to
-its parameters with :func:`functools.partial` so that it pickles to worker
-processes, and returns a dict of int64 counts; the chunk runner merges every
-key by addition in chunk order.  Entrance, entrance time and ruin (the
-entrance of the net claim process into the mapped set, read on the same
-paths) are three such statistics.
+One chunk runner serves every experiment through per-path statistics
+(:class:`_Statistic`): entrance, entrance time and ruin (the entrance of the
+net claim process into the mapped set, read on the same paths).
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
 
 import numpy as np
 
@@ -61,7 +55,6 @@ from .rare_sets import RareSet, z_index_signed
 __all__ = [
     "SimConfig",
     "EstimateTable",
-    "EngineCapacityError",
     "AggregatePath",
     "simulate_aggregate",
     "empirical_entrance",
@@ -72,12 +65,8 @@ __all__ = [
     "wilson_interval",
 ]
 
-#: fixed chunk width; part of the layout, not a tuning knob
+#: paths per chunk; part of the layout (each chunk draws its own stream), not a tuning knob
 CHUNK_PATHS = 16_384
-
-
-class EngineCapacityError(RuntimeError):
-    """A path exhausted its arrival capacity; raise the cap margin."""
 
 
 @dataclass(frozen=True)
@@ -191,40 +180,12 @@ def _finish_table(x_grid, counts, n, level, asymptotic, extra=None, meta=None) -
 
 
 # ---------------------------------------------------------------------------
-# engine layout
-
-
-@dataclass(frozen=True)
-class _Layout:
-    n_cap: int
-    ret_blocks: int
-    claim_u: int
-
-    @property
-    def budget(self) -> int:
-        width = self.n_cap * (1 + self.ret_blocks + self.claim_u)
-        return ((width + 3) // 4) * 4
-
-    def claim_offset(self) -> int:
-        return self.n_cap * (1 + self.ret_blocks)
-
-
-def _make_layout(claim: ClaimModel, ret: ReturnProcess, renewal: RenewalSpec,
-                 horizon: float) -> _Layout:
-    n_cap = renewal.arrival_cap(horizon)
-    n_cap += n_cap % 2  # claim pairing needs an even arrival grid
-    return _Layout(n_cap=n_cap, ret_blocks=ret.uniform_blocks,
-                   claim_u=claim.uniforms_per_vector())
-
-
-def _chunk_uniforms(seed: int, start_path: int, n: int, budget: int) -> np.ndarray:
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start_path * budget // 4)
-    return np.random.Generator(bitgen).random((n, budget))
-
-
-# ---------------------------------------------------------------------------
 # chunk simulation
+
+
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """The random stream of one chunk, keyed by ``(seed, chunk)`` alone."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, chunk])))
 
 
 @dataclass(frozen=True)
@@ -234,119 +195,157 @@ class _AggregateTask:
     ret: ReturnProcess
     horizon: float
     seed: int
-    start: int
+    chunk: int
     count: int
-    layout: _Layout
     stats: tuple
 
 
-@dataclass
-class _ChunkPaths:
-    """One chunk's paths as the statistics read them.
-
-    ``tau`` holds the arrival epochs, ``mask`` marks those inside the horizon
-    and ``terms`` the discounted claims (zero outside the horizon), one row
-    per path and one column per arrival slot.  ``final`` (``D`` at the
-    horizon) and ``running`` (``D`` at every slot) are computed on first use.
-    """
-
-    tau: np.ndarray
-    mask: np.ndarray
-    terms: np.ndarray
-
-    @cached_property
-    def final(self) -> np.ndarray:
-        return self.terms.sum(axis=1)
-
-    @cached_property
-    def running(self) -> np.ndarray:
-        return np.cumsum(self.terms, axis=1)
+def _add_counts(into: dict, counts: dict) -> None:
+    for key, val in counts.items():
+        into[key] = into.get(key, 0) + val
 
 
-def _even_trim(n_cap: int, max_count: int) -> int:
-    k = min(n_cap, max(2, max_count + 1))
-    return k + (k % 2)
+def _walk(start: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """``start`` plus the running sums of the two slot columns of ``inc``."""
+    out = np.empty_like(inc)
+    np.add(start, inc[:, 0], out=out[:, 0])
+    np.add(out[:, 0], inc[:, 1], out=out[:, 1])
+    return out
 
 
 def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
-    lay = task.layout
-    buf = _chunk_uniforms(task.seed, task.start, task.count, lay.budget)
-    gaps = task.renewal.interarrivals_from_uniforms(buf[:, : lay.n_cap])
-    tau = np.cumsum(gaps, axis=1)
-    mask = tau <= task.horizon
-    counts = mask.sum(axis=1)
-    if mask[:, -1].any():
-        raise EngineCapacityError(
-            "a path reached the arrival capacity; the overflow guard failed")
-    k = _even_trim(lay.n_cap, int(counts.max()))
-    tau_k = tau[:, :k]
-    mask_k = mask[:, :k]
-    dtau_k = np.diff(tau_k, prepend=0.0, axis=1)
-    ublocks = tuple(
-        buf[:, lay.n_cap * (1 + i): lay.n_cap * (1 + i) + k]
-        for i in range(lay.ret_blocks)
-    )
-    xi = task.ret.xi_at(tau_k, dtau_k, ublocks)
-    c0 = lay.claim_offset()
-    cu = buf[:, c0: c0 + k * lay.claim_u].reshape(task.count * k, lay.claim_u)
-    claims = task.claim.claims_from_uniforms(cu).reshape(task.count, k, task.claim.d)
-    weight = np.where(mask_k, np.exp(-xi), 0.0)
-    paths = _ChunkPaths(tau_k, mask_k, claims * weight[:, :, None])
+    rng = _chunk_rng(task.seed, task.chunk)
+    d = task.claim.d
+    c0 = 2 * (1 + task.ret.uniform_blocks)
+    width = c0 + 2 * task.claim.uniforms_per_vector()
+    t, xi, D = np.zeros(task.count), np.zeros(task.count), np.zeros((task.count, d))
+    states = [stat.init(task.count) for stat in task.stats]
     out: dict = {}
-    for stat in task.stats:
-        out.update(stat(paths))
+    while t.size:
+        u = rng.random((t.size, width))
+        gaps = task.renewal.interarrivals_from_uniforms(u[:, :2])
+        tau = _walk(t, gaps)
+        ublocks = tuple(u[:, c: c + 2] for c in range(2, c0, 2))
+        xi_s = _walk(xi, task.ret.xi_at(tau, gaps, ublocks))
+        claims = task.claim.claims_from_uniforms(u[:, c0:].reshape(2 * t.size, -1))
+        for k in (0, 1):
+            inside = tau[:, k] <= task.horizon
+            w = np.where(inside, np.exp(-xi_s[:, k]), 0.0)
+            for j in range(d):
+                D[:, j] += claims[k::2, j] * w
+            for stat, state in zip(task.stats, states):
+                stat.step(state, tau[:, k], inside, D)
+        if not inside.all():  # ``inside`` is slot 1's: a path past the horizon is done
+            done = ~inside
+            for stat, state in zip(task.stats, states):
+                _add_counts(out, stat.finish(
+                    tuple(np.compress(done, a, axis=0) for a in state),
+                    np.compress(done, D, axis=0)))
+            tau, xi_s, D = (np.compress(inside, a, axis=0) for a in (tau, xi_s, D))
+            states = [tuple(np.compress(inside, a, axis=0) for a in state) for state in states]
+        t, xi = tau[:, 1], xi_s[:, 1]
     return out
 
 
 # ---------------------------------------------------------------------------
-# per-path statistics: ``stat(paths) -> {key: int64 counts}``
+# per-path statistics
+
+
+class _Statistic:
+    """A per-path statistic, updated arrival slot by arrival slot.
+
+    ``init(n)`` returns the state of ``n`` fresh paths, a tuple of arrays
+    with a leading path axis.  ``step(state, tau, inside, running)`` updates
+    it in place from one slot of the active paths: its epoch, whether that
+    lies within the horizon, and ``D`` after it (a slot past the horizon adds
+    nothing; the array is reused, so keep no reference to it).
+    ``finish(state, final)`` reads the state and ``D`` at the horizon of
+    paths that have left it and returns int64 counts.  The engine drops
+    finished paths from the state, so every path is finished exactly once,
+    and counts are merged by addition.
+    """
+
+    def init(self, n: int) -> tuple:
+        return ()
+
+    def step(self, state: tuple, tau, inside, running) -> None:
+        pass
 
 
 def _exceedances(z: np.ndarray, x_grid) -> np.ndarray:
     """Per threshold, the number of rows of ``z`` (over the first axis) above it."""
-    return (z[..., None] > np.asarray(x_grid)).sum(axis=0).astype(np.int64)
+    counts = np.zeros(z.shape[1:] + (len(x_grid),), dtype=np.int64)
+    for i, x in enumerate(x_grid):  # one pass per threshold beats a broadcast compare
+        counts[..., i] = (z > x).sum(axis=0)
+    return counts
 
 
-def _z_running(rare_set: RareSet, running: np.ndarray) -> np.ndarray:
-    """The scalarization at every slot of a (paths, slots, d) array."""
-    z = z_index_signed(rare_set, running.reshape(-1, running.shape[2]))
-    return z.reshape(running.shape[:2])
-
-
-def _entrance_counts(paths: _ChunkPaths, rare_set: RareSet, x_grid) -> dict:
+@dataclass(frozen=True)
+class _Entrance(_Statistic):
     """Paths whose ``D(horizon)`` lies in ``x*A``, per threshold ``x``."""
-    return {"entrance_counts": _exceedances(z_index_signed(rare_set, paths.final), x_grid)}
+
+    rare_set: RareSet
+    x_grid: tuple
+
+    def finish(self, state, final):
+        return {"entrance_counts": _exceedances(z_index_signed(self.rare_set, final),
+                                                self.x_grid)}
 
 
-def _entrance_times(paths: _ChunkPaths, rare_set: RareSet, x: float, t_grid) -> dict:
+@dataclass(frozen=True)
+class _EntranceTimes(_Statistic):
     """Paths that enter ``x*A`` by the horizon, and those that enter by each ``t``.
 
     Entrance can only happen at arrival epochs (claims are nonnegative jumps
-    and the target set is increasing), so first passage is read off the
-    running sums.
+    and the target set is increasing), so the first entrance time is the
+    first slot inside the horizon whose running sum lies in the set.
     """
-    hit = _z_running(rare_set, paths.running) > x
-    entered = hit[:, -1]
-    first = np.argmax(hit, axis=1)
-    t_entry = np.where(entered, paths.tau[np.arange(len(first)), first], np.inf)
-    tg = np.asarray(t_grid)
-    return {"entered": np.int64(entered.sum()),
-            "entry_time_counts": (t_entry[:, None] <= tg[None, :]).sum(axis=0).astype(np.int64)}
+
+    rare_set: RareSet
+    x: float
+    t_grid: tuple
+
+    def init(self, n):
+        return (np.full(n, np.inf),)
+
+    def step(self, state, tau, inside, running):
+        hit = inside & (z_index_signed(self.rare_set, running) > self.x)
+        np.minimum(state[0], np.where(hit, tau, np.inf), out=state[0])
+
+    def finish(self, state, final):
+        t_entry = state[0]
+        return {"entered": np.int64(np.isfinite(t_entry).sum()),
+                "entry_time_counts": (t_entry[:, None] <= np.asarray(self.t_grid)).sum(
+                    axis=0).astype(np.int64)}
 
 
-def _ruin_counts(paths: _ChunkPaths, rare_set: RareSet, x_grid, premiums=None,
-                 rate: float = 0.0) -> dict:
+@dataclass(frozen=True)
+class _Ruin(_Statistic):
     """Paths whose net claims enter ``x*A`` at some arrival inside the horizon.
 
     Net claims are the running sums less the premiums (a piecewise-constant
-    schedule with ``breaks`` and ``rates``) discounted at force ``rate``.
+    schedule with ``breaks`` and ``rates``) discounted at force ``rate``; the
+    state is each path's largest scalarized net claim so far.
     """
-    net = paths.running
-    if premiums is not None:
-        net = net - _discounted_premium_at(
-            paths.tau, premiums.breaks, np.asarray(premiums.rates), rate)
-    stat = np.where(paths.mask, _z_running(rare_set, net), -np.inf).max(axis=1)
-    return {"ruin_counts": _exceedances(stat, x_grid)}
+
+    rare_set: RareSet
+    x_grid: tuple
+    premiums: object = None
+    rate: float = 0.0
+
+    def init(self, n):
+        return (np.full(n, -np.inf),)
+
+    def step(self, state, tau, inside, running):
+        net = running
+        if self.premiums is not None:
+            net = net - _discounted_premium_at(
+                tau, self.premiums.breaks, np.asarray(self.premiums.rates), self.rate)
+        z = np.where(inside, z_index_signed(self.rare_set, net), -np.inf)
+        np.maximum(state[0], z, out=state[0])
+
+    def finish(self, state, final):
+        return {"ruin_counts": _exceedances(state[0], self.x_grid)}
 
 
 def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
@@ -366,13 +365,13 @@ def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
         else:
             seg = (np.exp(-r * a) - np.exp(-r * upper)) / r
             seg = np.maximum(seg, 0.0)
-        out += seg[:, :, None] * rates[j][None, None, :]
+        out += np.multiply.outer(seg, rates[j])
     return out
 
 
 def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
-    tasks = [replace(task_proto, start=s, count=min(CHUNK_PATHS, n_paths - s))
-             for s in range(0, n_paths, CHUNK_PATHS)]
+    tasks = [replace(task_proto, chunk=c, count=min(CHUNK_PATHS, n_paths - s))
+             for c, s in enumerate(range(0, n_paths, CHUNK_PATHS))]
     if n_workers == 1:
         results = [runner(t) for t in tasks]
     else:
@@ -380,8 +379,7 @@ def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
             results = list(pool.map(runner, tasks, chunksize=1))
     merged: dict = {}
     for res in results:  # results arrive in chunk order: merge is deterministic
-        for key, val in res.items():
-            merged[key] = merged.get(key, 0) + val
+        _add_counts(merged, res)
     return merged
 
 
@@ -390,8 +388,7 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
     the statistics' counts over all chunks."""
     proto = _AggregateTask(
         claim=model.claim, renewal=model.renewal, ret=model.ret, horizon=horizon,
-        seed=sim.seed, start=0, count=0,
-        layout=_make_layout(model.claim, model.ret, model.renewal, horizon), stats=stats)
+        seed=sim.seed, chunk=0, count=0, stats=stats)
     return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
 
 
@@ -470,8 +467,7 @@ def empirical_entrance(model: ModelSpec, sim: SimConfig, unsafe: bool = False) -
     if not sim.x_grid:
         raise ValueError("x grid must not be empty")
     horizon, asym, meta = _resolve_horizon_and_asymptotics(model, sim, unsafe)
-    merged = _run_statistics(model, horizon, sim, partial(
-        _entrance_counts, rare_set=model.rare_set, x_grid=sim.x_grid))
+    merged = _run_statistics(model, horizon, sim, _Entrance(model.rare_set, sim.x_grid))
     meta.update(n_paths=sim.n_paths, seed=sim.seed)
     return _finish_table(sim.x_grid, merged["entrance_counts"], sim.n_paths,
                          sim.ci_level, asym, meta=meta)
@@ -514,8 +510,8 @@ def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
             resolve_finite_mode(model, horizon).require()
     if t_grid[-1] > horizon:
         raise ValueError("time grid extends beyond the simulation horizon")
-    merged = _run_statistics(model, horizon, sim, partial(
-        _entrance_times, rare_set=model.rare_set, x=float(x), t_grid=t_grid))
+    merged = _run_statistics(model, horizon, sim,
+                             _EntranceTimes(model.rare_set, float(x), t_grid))
     entered = int(merged["entered"])
     if entered == 0:
         raise NoExceedanceError(
@@ -535,7 +531,7 @@ class _BigJumpTask:
     rare_set: RareSet
     weights: tuple[float, ...]
     seed: int
-    start: int
+    chunk: int
     count: int
     x_grid: tuple[float, ...]
 
@@ -570,12 +566,10 @@ class BigJumpTable:
 
 def _big_jump_chunk(task: _BigJumpTask) -> dict:
     n = len(task.weights)
-    n_pad = n + (n % 2)
-    d_u = task.claim.uniforms_per_vector()
-    budget = ((n_pad * d_u + 3) // 4) * 4
-    buf = _chunk_uniforms(task.seed, task.start, task.count, budget)
-    cu = buf[:, : n_pad * d_u].reshape(task.count * n_pad, d_u)
-    vectors = task.claim.claims_from_uniforms(cu).reshape(task.count, n_pad, task.claim.d)
+    n_pad = n + (n % 2)  # paired dependence structures need whole pairs
+    u = _chunk_rng(task.seed, task.chunk).random(
+        (task.count * n_pad, task.claim.uniforms_per_vector()))
+    vectors = task.claim.claims_from_uniforms(u).reshape(task.count, n_pad, task.claim.d)
     vectors = vectors[:, :n, :]
     w = np.asarray(task.weights)
     weighted = vectors * w[None, :, None]
@@ -594,7 +588,9 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
 
     The single-big-jump principle makes the ratio tend to one for
     subexponential scalarizations under the supported dependence structures.
-    Weights are deterministic, nonnegative, and at most five.
+    Weights are deterministic, nonnegative, and at most five.  The grid is
+    ``x_grid``; ``sim.x_grid`` must be empty or equal to it.  ``sim.horizon``
+    is unused: the sum has a fixed number of terms.
     """
     weights = tuple(float(w) for w in weights)
     if not 1 <= len(weights) <= 5:
@@ -602,8 +598,11 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
     if any(w < 0 or not math.isfinite(w) for w in weights) or all(w == 0 for w in weights):
         raise ValueError("weights must be nonnegative, finite, and not all zero")
     x_grid = tuple(float(v) for v in x_grid)
+    if sim.x_grid and sim.x_grid != x_grid:
+        raise ValueError("sim.x_grid differs from x_grid; give the grid once")
+    sim = replace(sim, x_grid=x_grid)  # validates the grid like every other
     proto = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
-                         seed=sim.seed, start=0, count=0, x_grid=x_grid)
+                         seed=sim.seed, chunk=0, count=0, x_grid=x_grid)
     merged = _run_chunks(proto, _big_jump_chunk, sim.n_paths, sim.n_workers)
     sum_counts = merged["sum_counts"]
     n = sim.n_paths

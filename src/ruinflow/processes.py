@@ -44,8 +44,6 @@ __all__ = [
     "discount_integral_tail_bound",
 ]
 
-#: single-path probability below which an arrival-count cap is considered safe
-_CAP_EPS = 1e-16
 #: truncation tolerance for renewal-series evaluation
 _SERIES_TOL = 1e-8
 
@@ -74,11 +72,6 @@ class Poisson:
 
     def interarrivals_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-u) / self.rate
-
-    def arrival_cap(self, horizon: float) -> int:
-        mu = self.rate * horizon
-        n = int(stats.poisson.isf(_CAP_EPS, mu)) + 8
-        return max(n, 8)
 
 
 @dataclass(frozen=True)
@@ -128,14 +121,6 @@ class RenewalIID:
 
     def interarrivals_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self.interarrival.from_uniforms(u)
-
-    def arrival_cap(self, horizon: float) -> int:
-        n = max(8, int(math.ceil(2.0 * horizon / self.interarrival.mean())) + 8)
-        while float(self.interarrival.convolution_cdf(n, horizon)) > _CAP_EPS:
-            n *= 2
-            if n > 10_000_000:  # pragma: no cover - defensive
-                raise RuntimeError("arrival cap search diverged")
-        return n
 
     def series_terms(self, t: float) -> int:
         """Number of convolution terms so the neglected renewal-series tail
@@ -235,7 +220,9 @@ class Deterministic:
         return -k * self.rate
 
     def xi_at(self, tau: np.ndarray, dtau: np.ndarray, ublocks: tuple) -> np.ndarray:
-        return self.rate * tau
+        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, from
+        ``uniform_blocks`` arrays of uniforms shaped like ``dtau``."""
+        return self.rate * dtau
 
     def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.rate * np.asarray(times, dtype=float)
@@ -263,8 +250,7 @@ class BrownianDrift:
 
     def xi_at(self, tau, dtau, ublocks):
         z = special.ndtri(ublocks[0])
-        inc = self.mu * dtau + self.sigma * np.sqrt(dtau) * z
-        return np.cumsum(inc, axis=-1)
+        return self.mu * dtau + self.sigma * np.sqrt(dtau) * z
 
     def sample_at(self, times, rng):
         times = np.asarray(times, dtype=float)
@@ -345,8 +331,7 @@ class CompoundPoissonDrift:
 
     def xi_at(self, tau, dtau, ublocks):
         counts = _poisson_from_uniform(ublocks[0], self.jump_rate * dtau)
-        inc = self.drift * dtau + self.jumps.block_sum_from_uniform(counts, ublocks[1])
-        return np.cumsum(inc, axis=-1)
+        return self.drift * dtau + self.jumps.block_sum_from_uniform(counts, ublocks[1])
 
     def sample_at(self, times, rng):
         times = np.asarray(times, dtype=float)

@@ -190,7 +190,8 @@ def z_index_signed(rare_set: RareSet, z) -> np.ndarray | float:
     single = z.ndim <= 1
     zz = np.atleast_2d(z)
     if isinstance(rare_set, MaxExceed):
-        out = (zz / np.asarray(rare_set.b)).max(axis=-1)
+        # column by column: a max over a short last axis is slow in numpy
+        out = np.maximum.reduce([zz[..., j] / b for j, b in enumerate(rare_set.b)])
     elif isinstance(rare_set, HalfSpace):
         out = zz @ np.asarray(rare_set.l) / rare_set.b
     elif isinstance(rare_set, Ray):

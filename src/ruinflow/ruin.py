@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -36,10 +35,10 @@ from .montecarlo import (
     EstimateTable,
     SimConfig,
     _discounted_premium_at,
-    _entrance_counts,
+    _Entrance,
     _finish_table,
     _resolve_horizon_and_asymptotics,
-    _ruin_counts,
+    _Ruin,
     _run_statistics,
 )
 from .processes import Deterministic, RenewalSpec, ReturnProcess
@@ -211,11 +210,11 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     _check_premium_finiteness(model, T)
     entrance = model.entrance_model()
     horizon, asym, meta = _resolve_horizon_and_asymptotics(entrance, sim, unsafe)
-    ruin = partial(_ruin_counts, rare_set=model.mapped_set, x_grid=sim.x_grid)
+    ruin = _Ruin(model.mapped_set, sim.x_grid)
     if not model.premiums.is_zero:
-        ruin = partial(ruin, premiums=model.premiums, rate=model.ret.rate)
-    merged = _run_statistics(entrance, horizon, sim, partial(
-        _entrance_counts, rare_set=model.mapped_set, x_grid=sim.x_grid), ruin)
+        ruin = replace(ruin, premiums=model.premiums, rate=model.ret.rate)
+    merged = _run_statistics(entrance, horizon, sim,
+                             _Entrance(model.mapped_set, sim.x_grid), ruin)
     meta.update(
         n_paths=sim.n_paths, seed=sim.seed,
         entrance_counts=merged["entrance_counts"],

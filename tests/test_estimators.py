@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ruinflow._util import adaptive_simpson
 from ruinflow.dependence import ClaimModel, UnsupportedModelError
 from ruinflow.estimators import (
     HypothesisError,
@@ -121,6 +123,20 @@ class TestSingleClaimEntrance:
                          CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)))
         with pytest.raises(UnsupportedModelError):
             single_claim_entrance(spec, 30.0, 2.0)
+
+
+class TestAdaptiveSimpson:
+    def test_depth_limited_panel_is_signalled(self):
+        # a kink at an irrational point is never resolved in two halvings
+        kink = lambda x: abs(x - 1.0 / math.pi)
+        with pytest.warns(RuntimeWarning, match="unconverged"):
+            adaptive_simpson(kink, 0.0, 1.0, rel_tol=1e-10, max_depth=2)
+
+    def test_converged_integral_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = adaptive_simpson(lambda x: x**3, 0.0, 2.0, rel_tol=1e-10)
+        assert val == pytest.approx(4.0, rel=1e-12)
 
 
 class TestFiniteHorizonIntegral:

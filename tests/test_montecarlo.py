@@ -1,18 +1,20 @@
 import math
-from functools import partial
+import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from ruinflow.dependence import ClaimModel, NoExceedanceError
 from ruinflow.estimators import ModelSpec
 from ruinflow.heavy_tails import Pareto
 from ruinflow.montecarlo import (
+    CHUNK_PATHS,
     SimConfig,
     _AggregateTask,
-    _entrance_counts,
-    _make_layout,
+    _Entrance,
+    _Ruin,
     _run_statistics,
     _simulate_aggregate_chunk,
     empirical_entrance,
@@ -21,8 +23,25 @@ from ruinflow.montecarlo import (
     single_big_jump_check,
     wilson_interval,
 )
-from ruinflow.processes import BrownianDrift, Deterministic, Poisson
-from ruinflow.rare_sets import MaxExceed, Ray, contains, z_index
+from ruinflow.processes import (
+    BrownianDrift,
+    CompoundPoissonDrift,
+    Deterministic,
+    Erlang,
+    ExponentialJumps,
+    Poisson,
+    RenewalIID,
+)
+from ruinflow.rare_sets import (
+    AnyLineNegative,
+    HalfSpace,
+    MaxExceed,
+    Ray,
+    WeightedSumNegative,
+    contains,
+    z_index,
+)
+from ruinflow.ruin import PremiumSchedule, RuinModel
 
 from oracles import pareto1_sum_survival
 
@@ -79,20 +98,20 @@ class TestReproducibility:
             assert np.array_equal(a, b, equal_nan=True), col
 
     def test_chunk_schedule_invariance(self):
-        # per-path substreams: any partition of the path range yields the
-        # same per-path draws, so counts over [0, n) equal the sum of counts
-        # over [0, k) and [k, n) computed as separate chunk tasks
+        # each CHUNK_PATHS-aligned chunk draws from its own (seed, chunk)
+        # stream, so the whole run equals the sum of its chunk tasks run
+        # separately, in any order
         spec = base_spec()
-        layout = _make_layout(spec.claim, spec.ret, spec.renewal, 10.0)
-        entrance = partial(_entrance_counts, rare_set=spec.rare_set, x_grid=(5.0, 50.0))
+        n = 2 * CHUNK_PATHS + 1701
+        entrance = _Entrance(spec.rare_set, (5.0, 50.0))
+        whole = _run_statistics(spec, 10.0, SimConfig(n, seed=9, horizon=10.0), entrance)
         proto = _AggregateTask(claim=spec.claim, renewal=spec.renewal, ret=spec.ret,
-                               horizon=10.0, seed=9, start=0, count=0, layout=layout,
-                               stats=(entrance,))
-        whole = _simulate_aggregate_chunk(replace(proto, start=0, count=5000))
-        part1 = _simulate_aggregate_chunk(replace(proto, start=0, count=1701))
-        part2 = _simulate_aggregate_chunk(replace(proto, start=1701, count=5000 - 1701))
-        assert np.array_equal(whole["entrance_counts"],
-                              part1["entrance_counts"] + part2["entrance_counts"])
+                               horizon=10.0, seed=9, chunk=0, count=0, stats=(entrance,))
+        total = 0
+        for c in reversed(range(3)):
+            task = replace(proto, chunk=c, count=min(CHUNK_PATHS, n - c * CHUNK_PATHS))
+            total = total + _simulate_aggregate_chunk(task)["entrance_counts"]
+        assert np.array_equal(whole["entrance_counts"], total)
 
     def test_same_seed_same_table_different_seed_differs(self):
         spec = base_spec()
@@ -104,10 +123,18 @@ class TestReproducibility:
         assert not np.array_equal(a.count, c.count)
 
 
-def _sums(paths):
-    # per-chunk totals of the discounted claims and the arrival count
-    return {"component_sums": paths.terms.sum(axis=(0, 1)),
-            "arrival_count_sum": np.int64(paths.mask.sum())}
+class _Sums:
+    # totals of the discounted claims and of the arrival counts
+    def init(self, n):
+        return (np.zeros(n, dtype=np.int64),)
+
+    def step(self, state, tau, inside, running):
+        arrivals, = state
+        arrivals += inside
+
+    def finish(self, state, final):
+        return {"component_sums": final.sum(axis=0),
+                "arrival_count_sum": state[0].sum()}
 
 
 class TestSimulateAggregate:
@@ -146,7 +173,7 @@ class TestSimulateAggregate:
         spec = ModelSpec(ClaimModel.iid((Pareto(3.0, 1.0), Pareto(3.0, 1.0))),
                          MaxExceed((1.0, 1.0)), Poisson(1.0), Deterministic(0.0))
         n = 1_000_000
-        merged = _run_statistics(spec, 5.0, SimConfig(n, seed=17, horizon=5.0), _sums)
+        merged = _run_statistics(spec, 5.0, SimConfig(n, seed=17, horizon=5.0), _Sums())
         mean_claim = Pareto(3.0, 1.0).mean()
         want = 5.0 * mean_claim
         # compound-Poisson variance: lam*T*E[X^2]
@@ -280,6 +307,23 @@ class TestBigJump:
                                    SimConfig(50_000, seed=33, horizon=1.0))
         assert np.array_equal(t1.sum_count, t2.sum_count)
 
+    def test_grid_checked_against_config(self):
+        # the grid is validated like every other, and a different grid in
+        # the config is an error rather than silently dropped
+        claim = ClaimModel.iid((Pareto(1.0, 1.0),))
+        sim = SimConfig(100, seed=1, horizon=1.0)
+        with pytest.raises(ValueError):
+            single_big_jump_check(claim, Ray(1.0), (1.0,), (10.0,),
+                                  replace(sim, x_grid=(20.0,)))
+        for bad in ((20.0, 10.0), (math.nan,), (-1.0,)):
+            with pytest.raises(ValueError):
+                single_big_jump_check(claim, Ray(1.0), (1.0,), bad, sim)
+        same = single_big_jump_check(claim, Ray(1.0), (1.0,), (10.0,),
+                                     replace(sim, x_grid=(10.0,)))
+        assert np.array_equal(same.sum_count,
+                              single_big_jump_check(claim, Ray(1.0), (1.0,), (10.0,),
+                                                    sim).sum_count)
+
     def test_validation(self):
         claim = ClaimModel.iid((Pareto(1.0, 1.0),))
         sim = SimConfig(100, seed=1, horizon=1.0)
@@ -289,10 +333,96 @@ class TestBigJump:
             single_big_jump_check(claim, Ray(1.0), (0.0,), (10.0,), sim)
 
 
-class TestCapacityGuard:
-    def test_layout_cap_scales_with_horizon(self):
-        spec = base_spec()
-        small = _make_layout(spec.claim, spec.ret, spec.renewal, 1.0)
-        large = _make_layout(spec.claim, spec.ret, spec.renewal, 100.0)
-        assert large.n_cap > small.n_cap
-        assert small.budget % 4 == 0
+class TestMemory:
+    def test_chunk_peak_flat_in_horizon(self):
+        # a path carries O(d) state and draws only while inside the horizon,
+        # so the peak memory of one chunk does not grow with the horizon
+        spec = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0), Poisson(1.0),
+                         Deterministic(0.05))
+        peaks = []
+        for horizon in (80.0, 400.0, 2000.0):
+            task = _AggregateTask(claim=spec.claim, renewal=spec.renewal, ret=spec.ret,
+                                  horizon=horizon, seed=3, chunk=0, count=1024,
+                                  stats=(_Entrance(spec.rare_set, (10.0, 100.0)),))
+            tracemalloc.start()
+            try:
+                _simulate_aggregate_chunk(task)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.5 * peaks[0], peaks
+
+
+@st.composite
+def small_models(draw):
+    """A random model with d <= 2 (an FGM chain when d = 2 and drawn so)."""
+    d = draw(st.integers(1, 2))
+    margin = Pareto(draw(st.floats(1.1, 3.0)), 1.0)
+    if d == 2 and draw(st.booleans()):
+        claim = ClaimModel.fgm_chain(draw(st.floats(-1.0, 1.0)), margin)
+    else:
+        claim = ClaimModel.iid((margin,) * d)
+    rare_set = draw(st.sampled_from(
+        [MaxExceed((1.0, 2.0)), HalfSpace((0.3, 0.7), 1.0)] if d == 2 else [Ray(1.5)]))
+    rate = draw(st.floats(0.3, 2.0))
+    renewal = draw(st.sampled_from([Poisson(rate), RenewalIID(Erlang(2, 2.0 * rate))]))
+    ret = draw(st.sampled_from([
+        Deterministic(draw(st.floats(0.0, 0.1))),
+        BrownianDrift(draw(st.floats(-0.05, 0.1)), draw(st.floats(0.0, 0.3))),
+        CompoundPoissonDrift(0.02, draw(st.floats(0.1, 1.0)), ExponentialJumps(0.05)),
+    ]))
+    return ModelSpec(claim, rare_set, renewal, ret), draw(st.floats(0.5, 8.0))
+
+
+GRID = (0.5, 2.0, 5.0, 20.0, 100.0)
+
+
+class TestEngineProperties:
+    @given(small_models(), st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_counts_non_increasing_in_x(self, model_horizon, seed):
+        spec, horizon = model_horizon
+        merged = _run_statistics(spec, horizon, SimConfig(3_000, seed, horizon),
+                                 _Entrance(spec.rare_set, GRID), _Ruin(spec.rare_set, GRID))
+        for key in ("entrance_counts", "ruin_counts"):
+            assert np.all(np.diff(merged[key]) <= 0), key
+        # without premiums the running sums peak at the horizon
+        assert np.array_equal(merged["entrance_counts"], merged["ruin_counts"])
+
+    @given(st.integers(1, 2), st.sampled_from([AnyLineNegative(), WeightedSumNegative()]),
+           st.floats(0.0, 2.0), st.floats(0.0, 0.1), st.floats(0.5, 8.0),
+           st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_ruin_sandwiched_by_entrance(self, d, ruin_set, premium, r, horizon, seed):
+        # entrance(x) >= ruin(x) >= entrance(x + u) on shared paths, with u
+        # the scalarized bound p*T on the discounted premiums
+        alloc = (1.0,) if d == 1 else (0.4, 0.6)
+        model = RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),) * d), renewal=Poisson(1.0),
+                          ret=Deterministic(r), alloc=alloc, ruin_set=ruin_set,
+                          premiums=PremiumSchedule.constant((premium,) * d))
+        shift = float(z_index(model.mapped_set, np.full(d, premium * horizon)))
+        grid = tuple(sorted(set(GRID) | {x + shift for x in GRID}))
+        merged = _run_statistics(
+            model.entrance_model(), horizon, SimConfig(3_000, seed, horizon),
+            _Entrance(model.mapped_set, grid),
+            _Ruin(model.mapped_set, grid, model.premiums, r))
+        entrance, ruin = merged["entrance_counts"], merged["ruin_counts"]
+        for x in GRID:
+            i, j = grid.index(x), grid.index(x + shift)
+            assert entrance[i] >= ruin[i] >= entrance[j]
+
+    @given(small_models(), st.integers(0, 2**32), st.permutations(range(3)))
+    @settings(max_examples=8, deadline=None)
+    def test_chunk_order_does_not_matter(self, model_horizon, seed, order):
+        spec, horizon = model_horizon
+        n = 2 * CHUNK_PATHS + 100
+        entrance = _Entrance(spec.rare_set, GRID)
+        whole = _run_statistics(spec, horizon, SimConfig(n, seed, horizon), entrance)
+        proto = _AggregateTask(claim=spec.claim, renewal=spec.renewal, ret=spec.ret,
+                               horizon=horizon, seed=seed, chunk=0, count=0,
+                               stats=(entrance,))
+        total = 0
+        for c in order:
+            task = replace(proto, chunk=c, count=min(CHUNK_PATHS, n - c * CHUNK_PATHS))
+            total = total + _simulate_aggregate_chunk(task)["entrance_counts"]
+        assert np.array_equal(whole["entrance_counts"], total)
