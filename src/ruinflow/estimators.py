@@ -38,9 +38,6 @@ from ._util import adaptive_simpson
 from .dependence import ClaimModel, UnsupportedModelError, scalarized_survival
 from .heavy_tails import Pareto, TailDistribution
 from .processes import (
-    BrownianDrift,
-    CompoundPoissonDrift,
-    Deterministic,
     Poisson,
     RenewalSpec,
     ReturnProcess,
@@ -60,7 +57,6 @@ __all__ = [
     "resolve_finite_mode",
     "resolve_infinite_mode",
     "single_claim_entrance",
-    "single_claim_entrance_detail",
     "asymptotic_entrance_finite",
     "asymptotic_entrance_infinite",
     "InfiniteHorizonEstimate",
@@ -69,10 +65,6 @@ __all__ = [
     "derive_mrv",
     "entrance_time_cdf",
 ]
-
-GH_NODES = 64
-INNER_MC_DRAWS = 100_000
-
 
 class HypothesisError(ValueError):
     """A theorem-mode hypothesis failed; carries the named violations."""
@@ -257,65 +249,16 @@ def resolve_infinite_mode(model: ModelSpec,
 # single-claim entrance expectation
 
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_hermite(n: int):
-    if n not in _GH_CACHE:
-        x, w = np.polynomial.hermite.hermgauss(n)
-        _GH_CACHE[n] = (x, w / math.sqrt(math.pi))
-    return _GH_CACHE[n]
-
-
-def single_claim_entrance_detail(model: ModelSpec, x: float, s: float,
-                                 rng: np.random.Generator | None = None,
-                                 mc_draws: int = INNER_MC_DRAWS):
-    """``E[ S_A(x exp(xi(s))) ]`` with the standard error of the estimate.
-
-    ``S_A`` is the scalarized single-vector survival.  Deterministic returns
-    evaluate directly, Brownian returns by Gauss-Hermite quadrature over the
-    Gaussian log-return (zero standard error), anything else by inner Monte
-    Carlo over ``mc_draws`` return samples.
-    """
+def single_claim_entrance(model: ModelSpec, x: float, s: float) -> float:
+    """Entrance probability ``E[ S_A(x exp(xi(s))) ]`` of a single discounted
+    claim at lag ``s``: the scalarized single-vector survival ``S_A`` summed
+    over the return process's quadrature rule for ``xi(s)``."""
     if x <= 0:
         raise ValueError("threshold must be positive")
     if s < 0:
         raise ValueError("time must be nonnegative")
-    sf = lambda v: scalarized_survival(model.claim, model.rare_set, v)
-    ret = model.ret
-    if s == 0:
-        return float(sf(x)), 0.0
-    if isinstance(ret, Deterministic):
-        return float(sf(x * math.exp(ret.rate * s))), 0.0
-    if isinstance(ret, BrownianDrift):
-        if ret.sigma == 0:
-            return float(sf(x * math.exp(ret.mu * s))), 0.0
-        nodes, weights = _gauss_hermite(GH_NODES)
-        xi = ret.mu * s + ret.sigma * math.sqrt(2.0 * s) * nodes
-        vals = sf(x * np.exp(xi))
-        return float(np.dot(weights, vals)), 0.0
-    if rng is None:
-        raise UnsupportedModelError(
-            "no quadrature for this return process; pass an rng to enable inner Monte Carlo")
-    xi = _sample_xi_single_time(ret, s, mc_draws, rng)
-    vals = np.asarray(sf(x * np.exp(xi)))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
-
-
-def _sample_xi_single_time(ret: ReturnProcess, s: float, n: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    if isinstance(ret, CompoundPoissonDrift):
-        counts = rng.poisson(ret.jump_rate * s, n)
-        sums = ret.jumps.block_sum_from_uniform(counts.astype(float), rng.random(n))
-        return ret.drift * s + sums
-    raise UnsupportedModelError(
-        f"no sampler for return process {type(ret).__name__}")
-
-
-def single_claim_entrance(model: ModelSpec, x: float, s: float,
-                          rng: np.random.Generator | None = None) -> float:
-    """Entrance probability of a single discounted claim at lag ``s``."""
-    return single_claim_entrance_detail(model, x, s, rng)[0]
+    nodes, weights = model.ret.xi_rule(s)
+    return float(weights @ scalarized_survival(model.claim, model.rare_set, x * np.exp(nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +266,7 @@ def single_claim_entrance(model: ModelSpec, x: float, s: float,
 
 
 def asymptotic_entrance_finite(model: ModelSpec, x: float, T: float,
-                               rel_tol: float = 1e-4, unsafe: bool = False,
-                               rng: np.random.Generator | None = None) -> float:
+                               rel_tol: float = 1e-4, unsafe: bool = False) -> float:
     """First-order entrance approximation over a finite horizon.
 
     Adaptive Simpson integration of the single-claim entrance probability
@@ -337,7 +279,7 @@ def asymptotic_entrance_finite(model: ModelSpec, x: float, T: float,
         resolve_finite_mode(model, T).require()
     dens = (lambda s: model.renewal.rate) if isinstance(model.renewal, Poisson) \
         else (lambda s: renewal_density(model.renewal, s, horizon=T))
-    f = lambda s: single_claim_entrance(model, x, s, rng) * dens(s)
+    f = lambda s: single_claim_entrance(model, x, s) * dens(s)
     return adaptive_simpson(f, 0.0, T, rel_tol=rel_tol)
 
 

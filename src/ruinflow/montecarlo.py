@@ -498,9 +498,11 @@ def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
     Raises :class:`~ruinflow.dependence.NoExceedanceError` when no path
     enters.
     """
+    if not 0 < x < math.inf:
+        raise ValueError("threshold must be finite and positive")
     t_grid = tuple(float(t) for t in t_grid)
-    if not t_grid or list(t_grid) != sorted(t_grid):
-        raise ValueError("time grid must be nonempty and increasing")
+    if not t_grid or any(not 0 <= t < math.inf for t in t_grid) or list(t_grid) != sorted(t_grid):
+        raise ValueError("time grid must be nonempty, finite, nonnegative and increasing")
     if math.isinf(sim.horizon):
         sim = replace(sim, x_grid=(x,))
         horizon, _, _ = _resolve_horizon_and_asymptotics(model, sim, unsafe)

@@ -5,7 +5,9 @@ with Erlang interarrivals (analytic convolution powers); the return side
 covers a deterministic force of interest, Brownian motion with drift, and a
 compound Poisson process with drift.  Each return process exposes its exact
 Laplace exponent ``phi(k) = log E[exp(-k * xi(1))]``, which drives both the
-hypothesis checkers and the infinite-horizon truncation rule.
+hypothesis checkers and the infinite-horizon truncation rule, and the law of
+``xi(s)`` at one time as a finite quadrature rule (``xi_rule``), which drives
+the asymptotic estimators.
 
 Returns are only ever sampled at claim-arrival epochs: the discounted
 aggregate vector depends on the paths solely through those values, and the
@@ -15,11 +17,12 @@ inter-arrival gap), so there is no discretization error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import linalg, special, stats
 
 __all__ = [
     "Poisson",
@@ -46,6 +49,11 @@ __all__ = [
 
 #: truncation tolerance for renewal-series evaluation
 _SERIES_TOL = 1e-8
+#: quadrature for ``xi(s)``: Gauss-Hermite nodes, Gauss nodes per jump count of an
+#: exponential jump sum, and the Poisson cut of ``CompoundPoissonDrift.xi_rule``
+GH_NODES = 64
+LAGUERRE_NODES = 32
+POISSON_TAIL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +232,10 @@ class Deterministic:
         ``uniform_blocks`` arrays of uniforms shaped like ``dtau``."""
         return self.rate * dtau
 
+    def xi_rule(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Law of ``xi(s)`` as a quadrature rule ``(nodes, weights)``."""
+        return np.array([self.rate * s]), np.ones(1)
+
     def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.rate * np.asarray(times, dtype=float)
 
@@ -251,6 +263,10 @@ class BrownianDrift:
     def xi_at(self, tau, dtau, ublocks):
         z = special.ndtri(ublocks[0])
         return self.mu * dtau + self.sigma * np.sqrt(dtau) * z
+
+    def xi_rule(self, s):
+        nodes, weights = _gauss_hermite()
+        return self.mu * s + self.sigma * math.sqrt(2.0 * s) * nodes, weights
 
     def sample_at(self, times, rng):
         times = np.asarray(times, dtype=float)
@@ -284,8 +300,10 @@ class ExponentialJumps:
         out[m] = special.gammaincinv(counts[m], u[m]) * self.mean
         return out
 
-    def sample_sum(self, count: int, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean, count).sum())
+    def sum_rule(self, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss rules of the Gamma(k, mean) laws of ``J_1 + ... + J_k``, one row per ``k <= k_max``."""
+        nodes, weights = _gamma_rules(1 << max(k_max - 1, 0).bit_length())  # few cached tables
+        return self.mean * nodes[:k_max], weights[:k_max]
 
 
 @dataclass(frozen=True)
@@ -304,8 +322,8 @@ class FixedJumps:
     def block_sum_from_uniform(self, counts, u):
         return self.size * counts
 
-    def sample_sum(self, count: int, rng) -> float:
-        return self.size * count
+    def sum_rule(self, k_max):
+        return self.size * np.arange(1.0, k_max + 1)[:, None], np.ones((k_max, 1))
 
 
 @dataclass(frozen=True)
@@ -333,13 +351,24 @@ class CompoundPoissonDrift:
         counts = _poisson_from_uniform(ublocks[0], self.jump_rate * dtau)
         return self.drift * dtau + self.jumps.block_sum_from_uniform(counts, ublocks[1])
 
+    def xi_rule(self, s):
+        """Poisson mixture of the rules for ``drift*s + J_1 + ... + J_k``, cut at the
+        first ``K`` with ``P(N > K) <= POISSON_TAIL * P(N = 0)``.  As ``0 <= S_A <= 1``,
+        the cut moves ``E[S_A(x exp(xi(s)))]`` by at most that mass; for nonnegative
+        jumps (``S_A`` falls as ``xi`` grows) by at most ``POISSON_TAIL`` times the k = 0 term."""
+        mean = self.jump_rate * s
+        k = np.arange(int(4.0 * mean) + 64)  # by the Chernoff bound, K < 4 mean + 64
+        k = k[:np.argmax(special.pdtrc(k, mean) <= POISSON_TAIL * math.exp(-mean)) + 1]
+        pois = np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
+        sums, weights = self.jumps.sum_rule(k.size - 1)
+        nodes = self.drift * s + np.concatenate(([0.0], sums.ravel()))
+        return nodes, np.concatenate((pois[:1], (pois[1:, None] * weights).ravel()))
+
     def sample_at(self, times, rng):
         times = np.asarray(times, dtype=float)
         dtau = np.diff(times, prepend=0.0)
-        flat = dtau.reshape(-1)
-        counts = rng.poisson(self.jump_rate * flat)
-        sums = np.array([self.jumps.sample_sum(int(c), rng) for c in counts])
-        inc = self.drift * dtau + sums.reshape(dtau.shape)
+        counts = rng.poisson(self.jump_rate * dtau)
+        inc = self.drift * dtau + self.jumps.block_sum_from_uniform(counts, rng.random(dtau.shape))
         return np.cumsum(inc, axis=-1)
 
 
@@ -363,6 +392,28 @@ def _poisson_from_uniform(u: np.ndarray, mean: np.ndarray, max_iter: int = 4096)
         counts[open_cells] += 1
         pmf = pmf * (mean / k)
         cdf = cdf + pmf
+
+
+@functools.cache
+def _gauss_hermite():
+    nodes, weights = np.polynomial.hermite.hermgauss(GH_NODES)
+    weights = weights / math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
+
+
+@functools.cache
+def _gamma_rules(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rules of the Gamma(k, 1) laws, one row per ``k = 1..k_max``
+    (generalized Gauss-Laguerre with parameter ``k - 1``, by Golub-Welsch)."""
+    i = np.arange(LAGUERRE_NODES)
+    nodes = np.empty((k_max, LAGUERRE_NODES))
+    weights = np.empty_like(nodes)
+    for k in range(1, k_max + 1):
+        nodes[k - 1], vecs = linalg.eigh_tridiagonal(2.0 * i + k, np.sqrt(i[1:] * (i[1:] + k - 1.0)))
+        weights[k - 1] = vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
 
 
 def laplace_exponent(proc: ReturnProcess, k: float) -> float:

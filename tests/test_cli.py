@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ruinflow.cli import CONFIG_SCHEMA, main, run
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.json"))
 
 
 def base_config(out: Path, **kw):
@@ -216,3 +220,13 @@ class TestOtherExperiments:
         cfg["sim"]["n_paths"] = 2000
         assert run(write(tmp_path, cfg)) == 0
         assert "truncation horizon" in out.with_suffix(".report.txt").read_text()
+
+
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.name)
+def test_demo_config_runs(config, tmp_path):
+    # every shipped config runs, cut to 2,000 paths on one worker; the
+    # assumption report's gates fail by design and exit 2
+    cfg = json.loads(config.read_text())
+    cfg["sim"]["n_paths"] = 2000
+    code = run(write(tmp_path, cfg), {"threads": 1, "out": str(tmp_path / config.stem)})
+    assert code == (2 if config.name == "assumption_report.json" else 0)

@@ -19,7 +19,6 @@ from ruinflow.estimators import (
     resolve_finite_mode,
     resolve_infinite_mode,
     single_claim_entrance,
-    single_claim_entrance_detail,
 )
 from ruinflow.heavy_tails import HeavyWeibull, Pareto
 from ruinflow.processes import (
@@ -28,6 +27,7 @@ from ruinflow.processes import (
     Deterministic,
     Erlang,
     ExponentialJumps,
+    FixedJumps,
     Poisson,
     RenewalIID,
 )
@@ -111,18 +111,31 @@ class TestSingleClaimEntrance:
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(got - vals.mean()) < 3 * se
 
-    def test_inner_monte_carlo_reports_stderr(self):
-        spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0), Poisson(1.0),
-                         CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)))
-        rng = np.random.default_rng(32)
-        val, se = single_claim_entrance_detail(spec, 30.0, 2.0, rng=rng, mc_draws=50_000)
-        assert 0 < val < 1 and se > 0
+    def test_xi_rule_matches_laplace_transform(self):
+        procs = (Deterministic(0.05), BrownianDrift(0.1, 0.2),
+                 CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)),
+                 CompoundPoissonDrift(0.02, 1.0, FixedJumps(-0.2)))
+        for proc in procs:
+            for s in (0.5, 4.0, 40.0):
+                nodes, weights = proc.xi_rule(s)
+                for k in (0.5, 1.0, 2.0):
+                    want = math.exp(s * proc.laplace_exponent(k))
+                    assert weights @ np.exp(-k * nodes) == pytest.approx(want, rel=1e-10), \
+                        (proc, s, k)
 
-    def test_inner_monte_carlo_needs_rng(self):
-        spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0), Poisson(1.0),
-                         CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)))
-        with pytest.raises(UnsupportedModelError):
-            single_claim_entrance(spec, 30.0, 2.0)
+    def test_compound_poisson_matches_monte_carlo(self):
+        x, s, n = 30.0, 4.0, 1_000_000
+        for jumps in (ExponentialJumps(0.3), FixedJumps(0.1), FixedJumps(-0.2)):
+            ret = CompoundPoissonDrift(0.02, 1.0, jumps)
+            spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0), Poisson(1.0), ret)
+            got = single_claim_entrance(spec, x, s)
+            rng = np.random.default_rng(32)
+            counts = rng.poisson(ret.jump_rate * s, n)
+            sums = rng.gamma(counts, jumps.mean) if isinstance(jumps, ExponentialJumps) \
+                else jumps.size * counts
+            vals = np.asarray(Pareto(1.5).survival(x * np.exp(ret.drift * s + sums)))
+            se = vals.std(ddof=1) / math.sqrt(n)
+            assert abs(got - vals.mean()) < 3 * se, (jumps, got, vals.mean(), se)
 
 
 class TestAdaptiveSimpson:
@@ -175,8 +188,7 @@ class TestFiniteHorizonIntegral:
                          Poisson(1.0), BrownianDrift(0.1, 0.2))
         with pytest.raises(HypothesisError):
             asymptotic_entrance_finite(spec, 30.0, 5.0)
-        rng = np.random.default_rng(33)
-        val = asymptotic_entrance_finite(spec, 30.0, 5.0, unsafe=True, rng=rng)
+        val = asymptotic_entrance_finite(spec, 30.0, 5.0, unsafe=True)
         assert 0 < val < 1
 
     def test_erlang_renewal_density_route(self):

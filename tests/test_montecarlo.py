@@ -41,7 +41,7 @@ from ruinflow.rare_sets import (
     contains,
     z_index,
 )
-from ruinflow.ruin import PremiumSchedule, RuinModel
+from ruinflow.ruin import PremiumSchedule, RuinModel, empirical_ruin
 
 from oracles import pareto1_sum_survival
 
@@ -271,6 +271,44 @@ class TestEntranceTime:
         sim = SimConfig(1_000, seed=30, horizon=10.0, x_grid=())
         with pytest.raises(ValueError):
             empirical_entrance_time(spec, 5.0, [5.0, 50.0], sim)
+
+    def test_bad_inputs_rejected(self):
+        spec = base_spec(alpha=2.0, d=1)
+        sim = SimConfig(2_000, seed=31, horizon=10.0, x_grid=())
+        bad = [(x, [1.0, 5.0]) for x in (-5.0, 0.0, math.nan, math.inf)]
+        bad += [(5.0, t) for t in ([1.0, math.nan], [-1.0, 5.0], [math.nan], [1.0, math.inf])]
+        for x, t_grid in bad:
+            with pytest.raises(ValueError):
+                empirical_entrance_time(spec, x, t_grid, sim)
+
+
+class TestCompoundPoissonEndToEnd:
+    """The compound-Poisson return model runs through every experiment."""
+
+    CLAIM = ClaimModel.iid((Pareto(1.5, 1.0),))
+    RET = CompoundPoissonDrift(0.02, 0.5, ExponentialJumps(0.05))
+
+    def spec(self):
+        return ModelSpec(self.CLAIM, Ray(1.0), Poisson(1.0), self.RET)
+
+    def test_finite_horizon_ratio_approaches_one(self):
+        table = empirical_entrance(self.spec(), SimConfig(200_000, seed=41, horizon=10.0,
+                                                          x_grid=(10.0, 50.0, 250.0)))
+        assert table.meta["mode"] == "consistent-variation"
+        assert np.all(np.diff(np.abs(table.ratio - 1.0)) < 0), table.ratio
+
+    def test_infinite_horizon_ratio_approaches_one(self):
+        table = empirical_entrance(self.spec(), SimConfig(50_000, seed=42, horizon=math.inf,
+                                                          x_grid=(100.0, 400.0)))
+        assert table.meta["tail_bound_rel"] < 1e-3
+        assert abs(table.ratio[1] - 1.0) < abs(table.ratio[0] - 1.0), table.ratio
+
+    def test_ruin_without_premiums_below_entrance(self):
+        model = RuinModel(claim=self.CLAIM, renewal=Poisson(1.0), ret=self.RET,
+                          alloc=(1.0,), ruin_set=AnyLineNegative())
+        table = empirical_ruin(model, (10.0, 50.0), 10.0, SimConfig(20_000, seed=43, horizon=10.0))
+        assert np.all(table.asymptotic > 0)
+        assert np.all(table.meta["entrance_counts"] >= table.count)
 
 
 class TestBigJump:
