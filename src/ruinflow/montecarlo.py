@@ -85,13 +85,17 @@ class SimConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        for name in ("n_paths", "n_workers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
         if self.n_workers < 1:
             raise ValueError("need at least one worker")
         if not 0 < self.ci_level < 1:
             raise ValueError("confidence level must be in (0, 1)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive or math.inf")
@@ -273,11 +277,17 @@ class _Statistic:
 
 
 def _exceedances(z: np.ndarray, x_grid) -> np.ndarray:
-    """Per threshold, the number of rows of ``z`` (over the first axis) above it."""
-    counts = np.zeros(z.shape[1:] + (len(x_grid),), dtype=np.int64)
-    for i, x in enumerate(x_grid):  # one pass per threshold beats a broadcast compare
-        counts[..., i] = (z > x).sum(axis=0)
-    return counts
+    """Per threshold, the number of rows of ``z`` (over the first axis) above it.
+
+    Each column is sorted once and every threshold read with one binary
+    search.  NaN sorts after ``+inf``, so the search position of ``+inf``
+    counts the non-NaN rows, and NaN never exceeds, as with ``z > x``.
+    """
+    cols = z.reshape(len(z), math.prod(z.shape[1:])).T.copy()
+    cols.sort(axis=1)
+    keys = np.concatenate(([np.inf], x_grid))
+    pos = np.array([np.searchsorted(col, keys, side="right") for col in cols], dtype=np.int64)
+    return (pos[:, :1] - pos[:, 1:]).reshape(z.shape[1:] + (len(x_grid),))
 
 
 @dataclass(frozen=True)
@@ -572,15 +582,14 @@ def _big_jump_chunk(task: _BigJumpTask) -> dict:
     u = _chunk_rng(task.seed, task.chunk).random(
         (task.count * n_pad, task.claim.uniforms_per_vector()))
     vectors = task.claim.claims_from_uniforms(u).reshape(task.count, n_pad, task.claim.d)
-    vectors = vectors[:, :n, :]
-    w = np.asarray(task.weights)
-    weighted = vectors * w[None, :, None]
-    z_sum = z_index_signed(task.rare_set, weighted.sum(axis=1))
-    z_each = z_index_signed(task.rare_set, vectors.reshape(-1, task.claim.d))
-    z_each = z_each.reshape(task.count, n) * w[None, :]
+    w = task.weights
+    total = vectors[:, 0] * w[0]  # vector i of every path is the (count, d) view vectors[:, i]
+    for i in range(1, n):  # left to right, the order of a sum over the vector axis
+        total += vectors[:, i] * w[i]
+    z_each = np.stack([z_index_signed(task.rare_set, vectors[:, i]) * w[i] for i in range(n)])
     return {
-        "sum_counts": _exceedances(z_sum, task.x_grid),
-        "marginal_counts": _exceedances(z_each, task.x_grid),
+        "sum_counts": _exceedances(z_index_signed(task.rare_set, total), task.x_grid),
+        "marginal_counts": _exceedances(z_each.T, task.x_grid),
     }
 
 

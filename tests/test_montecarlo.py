@@ -13,8 +13,12 @@ from ruinflow.montecarlo import (
     CHUNK_PATHS,
     SimConfig,
     _AggregateTask,
+    _BigJumpTask,
     _Entrance,
     _Ruin,
+    _big_jump_chunk,
+    _chunk_rng,
+    _exceedances,
     _run_statistics,
     _simulate_aggregate_chunk,
     empirical_entrance,
@@ -36,10 +40,12 @@ from ruinflow.rare_sets import (
     AnyLineNegative,
     HalfSpace,
     MaxExceed,
+    PolyhedralUnion,
     Ray,
     WeightedSumNegative,
     contains,
     z_index,
+    z_index_signed,
 )
 from ruinflow.ruin import PremiumSchedule, RuinModel, empirical_ruin
 
@@ -79,10 +85,16 @@ class TestSimConfig:
     def test_boundary_validation(self):
         good = {"n_paths": 100, "seed": 1, "horizon": 10.0}
         for bad in ({"horizon": math.nan}, {"horizon": -1.0},
-                    {"x_grid": (math.nan,)}, {"seed": -1}):
+                    {"x_grid": (math.nan,)}, {"seed": -1},
+                    {"n_paths": 2.5}, {"n_paths": 100.0}, {"n_paths": True},
+                    {"n_workers": 1.5}, {"n_workers": True}, {"n_workers": "2"},
+                    {"seed": True}, {"seed": 1.0}, {"seed": np.float64(1)}):
             with pytest.raises(ValueError):
                 SimConfig(**{**good, **bad})
         assert math.isinf(SimConfig(**{**good, "horizon": math.inf}).horizon)
+        numpy_ints = SimConfig(n_paths=np.int64(100), seed=np.uint32(1), horizon=10.0,
+                               n_workers=np.int32(2))
+        assert (numpy_ints.n_paths, numpy_ints.seed, numpy_ints.n_workers) == (100, 1, 2)
 
 
 class TestReproducibility:
@@ -369,6 +381,89 @@ class TestBigJump:
             single_big_jump_check(claim, Ray(1.0), (1.0,) * 6, (10.0,), sim)
         with pytest.raises(ValueError):
             single_big_jump_check(claim, Ray(1.0), (0.0,), (10.0,), sim)
+
+
+def _strict_counts(z, x_grid):
+    """Brute force: per threshold, the rows of ``z`` with ``z > x``."""
+    return (z[..., None] > np.asarray(x_grid, dtype=float)).sum(axis=0)
+
+
+class TestExceedances:
+    GRID = (-1.0, 0.0, 1.0, 2.0, 2.5, 10.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (1, 3), (2_000,), (2_000, 3)])
+    def test_matches_strict_compare(self, shape):
+        # values drawn from a small set that contains thresholds, so ties and
+        # repeats abound, with -inf (ruin's path without an arrival inside the
+        # horizon), +inf and NaN rows mixed in
+        rng = np.random.default_rng(len(shape) * 10 + shape[0] % 7)
+        values = np.array([-np.inf, -0.5, 0.0, 1.0, 1.5, 2.0, 2.5, 9.0, 10.0, 11.0,
+                           np.inf, np.nan])
+        z = rng.choice(values, size=shape)
+        got = _exceedances(z, self.GRID)
+        assert got.dtype == np.int64
+        assert got.shape == shape[1:] + (len(self.GRID),)
+        assert np.array_equal(got, _strict_counts(z, self.GRID))
+
+    def test_special_rows(self):
+        z = np.array([[-np.inf, np.inf], [np.nan, 2.0], [2.0, np.nan], [-np.inf, -np.inf]])
+        got = _exceedances(z, self.GRID)
+        assert np.array_equal(got, _strict_counts(z, self.GRID))
+        # 2.0 sits on a threshold: it counts below 2 and not at 2; NaN never counts
+        assert got[0].tolist() == [1, 1, 1, 0, 0, 0]
+        assert got[1].tolist() == [2, 2, 2, 1, 1, 1]
+        for z1 in (np.full(5, np.nan), np.full(5, -np.inf), np.full(5, np.inf), np.array([2.0])):
+            assert np.array_equal(_exceedances(z1, self.GRID), _strict_counts(z1, self.GRID))
+
+    def test_continuous_values(self):
+        z = np.random.default_rng(5).pareto(1.0, (10_001, 2))
+        grid = tuple(np.geomspace(0.01, 1e3, 25))
+        assert np.array_equal(_exceedances(z, grid), _strict_counts(z, grid))
+
+
+def _big_jump_reference(task: _BigJumpTask):
+    """``(z_sum, z_each)`` of one big-jump chunk by the stacked formula: the
+    weighted ``(count, n, d)`` block summed over its vector axis, and every
+    vector scalarized on a reshaped ``(count * n, d)`` copy, from the same
+    chunk stream."""
+    n, d = len(task.weights), task.claim.d
+    n_pad = n + (n % 2)
+    u = _chunk_rng(task.seed, task.chunk).random(
+        (task.count * n_pad, task.claim.uniforms_per_vector()))
+    vectors = task.claim.claims_from_uniforms(u).reshape(task.count, n_pad, d)[:, :n, :]
+    w = np.asarray(task.weights)
+    z_sum = z_index_signed(task.rare_set, (vectors * w[None, :, None]).sum(axis=1))
+    z_each = z_index_signed(task.rare_set, vectors.reshape(-1, d)).reshape(task.count, n) * w
+    return z_sum, z_each
+
+
+FGM_PARETO2 = ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0))
+IID_PAIR = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(2.5, 1.0)))
+
+
+class TestBigJumpChunk:
+    @pytest.mark.parametrize("claim, rare_set, weights", [
+        (ClaimModel.iid((Pareto(1.0, 1.0),)), Ray(2.0), (1.0, 0.5, 2.0)),
+        (FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 1.0, 1.0)),
+        (FGM_PARETO2, HalfSpace((0.3, 0.7), 1.0), (0.5, 0.0, 2.0, 1.0)),
+        (ClaimModel.iid((Pareto(1.0, 1.0),)), Ray(1.5), (2.0,)),
+        (IID_PAIR, HalfSpace((0.5, 0.5), 1.0), (1.0, 0.0, 3.0, 0.7, 1.2)),
+        (IID_PAIR, MaxExceed((1.0, 2.0)), (0.0, 1.0)),
+        (IID_PAIR, PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0))),
+         (1.3, 0.4, 2.0)),
+    ], ids=["iid-ray-odd", "fgm-max-odd", "fgm-halfspace-zero-weight", "iid-ray-single",
+            "iid-halfspace-five", "iid-max-zero-weight", "iid-union"])
+    def test_counts_match_stacked_formula(self, claim, rare_set, weights):
+        task = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
+                            seed=61, chunk=2, count=3001, x_grid=())
+        z_sum, z_each = _big_jump_reference(task)
+        # thresholds at sampled z values and one ulp below them: a one-ulp
+        # change in any sampled path's value changes a count
+        picks = np.concatenate([z_sum[::300], z_each[::300].ravel()])
+        grid = tuple(np.unique(np.concatenate([picks, np.nextafter(picks, -np.inf)])))
+        got = _big_jump_chunk(replace(task, x_grid=grid))
+        assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
+        assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
 
 
 class TestMemory:

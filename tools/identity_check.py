@@ -1,0 +1,124 @@
+"""Write every count and asymptotic column of a ruinflow source tree to one JSON file.
+
+Usage, from the repository root::
+
+    python3 tools/identity_check.py OUT.json [--src DIR]
+
+``--src`` names the ``src`` directory of the ruinflow to import (default:
+this repository's).  The experiments come from this repository whatever
+``--src`` says, so two source trees, say a commit and its parent, run the
+same list and their outputs compare with ``cmp``:
+
+* each workload in ``perfbench/workloads.py`` (imported, never edited) at a
+  little over two chunks of paths on 1 and on 2 workers, plus the big-jump
+  marginal column and an entrance-time table on the same models and seeds;
+* every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
+  worker, recording the exit code and the rows of the result table.
+
+Each workload entry also records whether its 1- and 2-worker columns agree.
+Floats are written with ``repr`` precision, so equal files mean bit-identical
+columns.  The exit code is 1 when some workload's columns depend on the
+worker count, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: paths per demo-config run, as in the CLI smoke test
+CONFIG_PATHS = 2_000
+#: call seed of every workload experiment
+SEED = 20_240
+#: entrance-time grid, as fractions of the horizon (or of a fixed 10 at an infinite one)
+T_FRACTIONS = (0.25, 0.5, 1.0)
+
+
+def _floats(a) -> list:
+    return [float(v) for v in a]
+
+
+def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
+    from ruinflow import montecarlo
+    from ruinflow.montecarlo import SimConfig
+
+    res = w.call(model, n_paths, SEED, workers)
+    out = {"count": res.count.tolist()}
+    if res.entrance_counts is not None:
+        out["entrance_counts"] = res.entrance_counts.tolist()
+    if res.asymptotic is not None:
+        out["asymptotic"] = _floats(res.asymptotic)
+    if w.kind == "big-jump":
+        claim, rare_set = model
+        t = montecarlo.single_big_jump_check(claim, rare_set, w.weights, w.x_grid,
+                                             SimConfig(n_paths, SEED, 1.0, (), workers))
+        out["marginal_p_total"] = _floats(t.marginal_p_total)
+    elif w.kind == "entrance":
+        span = w.horizon if math.isfinite(w.horizon) else 10.0
+        t = montecarlo.empirical_entrance_time(
+            model, w.x_grid[0], tuple(f * span for f in T_FRACTIONS),
+            SimConfig(n_paths, SEED, w.horizon, (), workers))
+        out["entered"] = int(t.entered)
+        out["entry_time_counts"] = t.counts.tolist()
+    return out
+
+
+def workloads() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+    from ruinflow.montecarlo import CHUNK_PATHS
+
+    n_paths = 2 * CHUNK_PATHS + 100  # two whole chunks and part of a third
+    out = {}
+    for name, w in WORKLOADS.items():
+        model = w.build()
+        one, two = (_workload_columns(w, model, n_paths, k) for k in (1, 2))
+        out[name] = {"n_paths": n_paths, "worker_invariant": one == two,
+                     "workers_1": one, "workers_2": two}
+    return out
+
+
+def demo_configs() -> dict:
+    from ruinflow import cli
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "in").mkdir()
+        for path in sorted((ROOT / "demos" / "configs").glob("*.json")):
+            cfg = json.loads(path.read_text())
+            cfg["sim"]["n_paths"] = CONFIG_PATHS
+            cfg_path = Path(tmp) / "in" / path.name
+            cfg_path.write_text(json.dumps(cfg))
+            base = Path(tmp) / path.stem
+            code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": "json"})
+            table = base.with_suffix(".json")
+            rows = json.loads(table.read_text()) if table.exists() else None
+            out[path.name] = {"exit_code": code, "rows": rows}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="ruinflow source directory to import")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import ruinflow
+
+    print(f"ruinflow from {Path(ruinflow.__file__).parent}", file=sys.stderr)
+    result = {"workloads": workloads(), "demo_configs": demo_configs()}
+    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    variant = [k for k, v in result["workloads"].items() if not v["worker_invariant"]]
+    for name in variant:
+        print(f"{name}: columns differ between 1 and 2 workers", file=sys.stderr)
+    return 1 if variant else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
