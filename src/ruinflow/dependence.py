@@ -200,59 +200,57 @@ class ClaimModel:
         cs = np.array([e[0] for e in envs])
         return (_envelope_constant(rare_set, cs, alpha), alpha)
 
-    def uniforms_per_vector(self) -> int:
-        return self.d
-
     def claims_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Transform a ``(m, d)`` block of uniforms into ``m`` claim vectors.
+        """Transform uniforms shaped ``(2, d, ...)`` into claim vectors of that shape.
 
-        Rows pair up as ``(0, 1), (2, 3), ...`` for the paired structures, so
-        ``m`` must be even for those (pad and truncate when sampling an odd
-        count; a truncated pair's first vector keeps its marginal law).
+        ``u[k]`` is slot ``k`` of a pair, with component ``j`` in ``u[k, j]``;
+        the paired structures couple slot 0 with slot 1 entry by entry over
+        the trailing axes (a truncated pair's first vector keeps its
+        marginal law).
         """
         u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != self.d:
-            raise ValueError(f"expected uniforms of shape (m, {self.d})")
+        if u.shape[:2] != (2, self.d):
+            raise ValueError(f"expected uniforms of shape (2, {self.d}, ...)")
         if isinstance(self.inter, IID):
             out = np.empty_like(u)
             for j, m in enumerate(self.margins):
                 out[:, j] = m.from_survival_uniform(u[:, j])
             return out
-        if u.shape[0] % 2:
-            raise ValueError("paired dependence structures need an even row count")
         if isinstance(self.inter, FgmChain):
             g = self.inter.marginal
             # survival transforms of the four coupled components: the first
             # three are independent uniforms, the fourth is conditional with
             # the closed-form FGM quadratic inverse
-            v1 = 1.0 - u[0::2, 0]
-            v2 = 1.0 - u[0::2, 1]
-            v3 = 1.0 - u[1::2, 0]
-            v4 = fgm_conditional_inverse(self.inter.theta, v1, v2, v3, 1.0 - u[1::2, 1])
-            out = np.empty_like(u)
-            out[0::2, 0] = g._qf(v1)
-            out[0::2, 1] = g._qf(v2)
-            out[1::2, 0] = g._qf(v3)
-            out[1::2, 1] = g._qf(v4)
+            v1 = 1.0 - u[0, 0]
+            v2 = 1.0 - u[0, 1]
+            v3 = 1.0 - u[1, 0]
+            v4 = fgm_conditional_inverse(self.inter.theta, v1, v2, v3, 1.0 - u[1, 1])
+            out = np.empty_like(u)  # after the inverse's temporaries are freed: a lower peak
+            out[0, 0] = g._qf(v1)
+            out[0, 1] = g._qf(v2)
+            out[1, 0] = g._qf(v3)
+            out[1, 1] = g._qf(v4)
             return out
         if isinstance(self.inter, CubicPair):
-            cubic = self.margins[0]
-            x = np.empty_like(u)
-            xv = cubic._qf(1.0 - u[0::2, :])
-            x[0::2, :] = xv
+            xv = self.margins[0]._qf(1.0 - u[0])
+            out = np.empty_like(u)
+            out[0] = xv
             # P[Y > y | X = x] = ((1+x^3)/(1+x^3+y))^2, inverted in closed form
-            w = 1.0 - u[1::2, :]
-            x[1::2, :] = (1.0 + xv**3) * (w**-0.5 - 1.0)
-            return x
+            out[1] = (1.0 + xv**3) * ((1.0 - u[1]) ** -0.5 - 1.0)
+            return out
         raise TypeError(f"unknown dependence structure {type(self.inter).__name__}")
 
     def sample_sequence(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` claim vectors as an ``(n, d)`` array."""
+        """Draw ``n`` claim vectors as an ``(n, d)`` array.
+
+        Row ``i`` takes uniforms from row ``i`` of one ``(2*ceil(n/2), d)``
+        draw, and rows ``(2j, 2j+1)`` form a pair.
+        """
         if n < 1:
             raise ValueError("need n >= 1")
-        m = n + (n % 2 if not isinstance(self.inter, IID) else 0)
-        u = rng.random((m, self.uniforms_per_vector()))
-        return self.claims_from_uniforms(u)[:n]
+        half = -(-n // 2)
+        u = rng.random((2 * half, self.d)).reshape(half, 2, self.d).transpose(1, 2, 0)
+        return self.claims_from_uniforms(u).transpose(2, 0, 1).reshape(2 * half, self.d)[:n]
 
 
 def fgm_conditional_inverse(theta: float, v1, v2, v3, w):

@@ -10,20 +10,24 @@ and chunk ``c`` draws every random quantity it needs from its own stream,
 paths.  Chunks are independent tasks whose int64 counts are merged by
 addition in chunk order, so any assignment of chunks to workers yields the
 same numbers.  The chunk width is therefore part of the layout ("layout
-v2"): changing it, or the draw order below, changes the bit stream.
+v3"): changing it, or the draw order below, changes the bit stream.
 
 A chunk simulates its paths in loop steps of two arrival slots.  Each step
-draws, for the ``m`` paths still inside the horizon, an ``(m, W)`` block of
-uniforms laid out per row as::
+draws, for the ``m`` paths still inside the horizon and in slot-major order
+(row ``k`` is slot ``k``, entry ``i`` the ``i``-th such path), in turn::
 
-    [ 2 gaps | 2 uniforms per return-process block (0-2) | 2 claim vectors ]
+    gaps            (2, m)     the renewal's interarrivals
+    returns         (2, m)     whatever the return process's increments need
+    claim uniforms  (2, d, m)  one claim vector per slot
 
 so the two claim vectors of one step form the pair ``(2j, 2j+1)`` that the
-paired dependence structures couple.  A path leaves the loop at its first
-slot past the horizon; the loop ends when none is left.  Uniforms are drawn
-only for paths still inside the horizon, and each path carries ``O(d)``
-state, so memory does not grow with the horizon and no arrival-count cap
-exists.
+paired dependence structures couple.  The variates come from numpy's
+``Generator`` methods (``standard_exponential``, ``standard_gamma``,
+``standard_normal``, ``poisson``, ``random``), so the stream also depends on
+their algorithms.  A path leaves the loop at its first slot past the
+horizon; the loop ends when none is left.  Variates are drawn only for paths
+still inside the horizon, and each path carries ``O(d)`` state, so memory
+does not grow with the horizon and no arrival-count cap exists.
 
 One chunk runner serves every experiment through per-path statistics
 (:class:`_Statistic`): entrance, entrance time and ruin (the entrance of the
@@ -210,44 +214,47 @@ def _add_counts(into: dict, counts: dict) -> None:
 
 
 def _walk(start: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """``start`` plus the running sums of the two slot columns of ``inc``."""
+    """``start`` plus the running sums of the two slot rows of ``inc``."""
     out = np.empty_like(inc)
-    np.add(start, inc[:, 0], out=out[:, 0])
-    np.add(out[:, 0], inc[:, 1], out=out[:, 1])
+    np.add(start, inc[0], out=out[0])
+    np.add(out[0], inc[1], out=out[1])
     return out
 
 
 def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
     rng = _chunk_rng(task.seed, task.chunk)
     d = task.claim.d
-    c0 = 2 * (1 + task.ret.uniform_blocks)
-    width = c0 + 2 * task.claim.uniforms_per_vector()
-    t, xi, D = np.zeros(task.count), np.zeros(task.count), np.zeros((task.count, d))
+    t, xi, D = np.zeros(task.count), np.zeros(task.count), np.zeros((d, task.count))
     states = [stat.init(task.count) for stat in task.stats]
     out: dict = {}
     while t.size:
-        u = rng.random((t.size, width))
-        gaps = task.renewal.interarrivals_from_uniforms(u[:, :2])
+        gaps = task.renewal.interarrivals(rng, (2, t.size))
         tau = _walk(t, gaps)
-        ublocks = tuple(u[:, c: c + 2] for c in range(2, c0, 2))
-        xi_s = _walk(xi, task.ret.xi_at(tau, gaps, ublocks))
-        claims = task.claim.claims_from_uniforms(u[:, c0:].reshape(2 * t.size, -1))
+        xi_s = _walk(xi, task.ret.xi_at(tau, gaps, rng))
+        claims = task.claim.claims_from_uniforms(rng.random((2, d, t.size)))
+        w = np.negative(xi_s)
+        np.exp(w, out=w)
+        inside = tau <= task.horizon
+        # slot 1 is the later one: when all of it is inside, so is slot 0
+        all_inside = inside[1].all()
+        if not all_inside:
+            w[~inside] = 0.0
         for k in (0, 1):
-            inside = tau[:, k] <= task.horizon
-            w = np.where(inside, np.exp(-xi_s[:, k]), 0.0)
-            for j in range(d):
-                D[:, j] += claims[k::2, j] * w
+            claims[k] *= w[k]
+            D += claims[k]
             for stat, state in zip(task.stats, states):
-                stat.step(state, tau[:, k], inside, D)
-        if not inside.all():  # ``inside`` is slot 1's: a path past the horizon is done
-            done = ~inside
+                stat.step(state, tau[k], inside[k], D.T)
+        t, xi = tau[1], xi_s[1]
+        if not all_inside:  # a path whose slot 1 is past the horizon is done
+            keep = inside[1]
+            done = ~keep
             for stat, state in zip(task.stats, states):
                 _add_counts(out, stat.finish(
                     tuple(np.compress(done, a, axis=0) for a in state),
-                    np.compress(done, D, axis=0)))
-            tau, xi_s, D = (np.compress(inside, a, axis=0) for a in (tau, xi_s, D))
-            states = [tuple(np.compress(inside, a, axis=0) for a in state) for state in states]
-        t, xi = tau[:, 1], xi_s[:, 1]
+                    np.compress(done, D, axis=1).T))
+            t, xi = t[keep], xi[keep]
+            D = np.compress(keep, D, axis=1)
+            states = [tuple(np.compress(keep, a, axis=0) for a in state) for state in states]
     return out
 
 
@@ -578,15 +585,15 @@ class BigJumpTable:
 
 def _big_jump_chunk(task: _BigJumpTask) -> dict:
     n = len(task.weights)
-    n_pad = n + (n % 2)  # paired dependence structures need whole pairs
-    u = _chunk_rng(task.seed, task.chunk).random(
-        (task.count * n_pad, task.claim.uniforms_per_vector()))
-    vectors = task.claim.claims_from_uniforms(u).reshape(task.count, n_pad, task.claim.d)
+    # vectors (2j, 2j+1) are the two slots of pair j; an odd n leaves its last pair half used
+    claims = task.claim.claims_from_uniforms(_chunk_rng(task.seed, task.chunk).random(
+        (2, task.claim.d, (n + 1) // 2, task.count)))
+    vectors = [claims[i % 2, :, i // 2].T for i in range(n)]  # (count, d) views of (d, count) blocks
     w = task.weights
-    total = vectors[:, 0] * w[0]  # vector i of every path is the (count, d) view vectors[:, i]
+    total = vectors[0] * w[0]
     for i in range(1, n):  # left to right, the order of a sum over the vector axis
-        total += vectors[:, i] * w[i]
-    z_each = np.stack([z_index_signed(task.rare_set, vectors[:, i]) * w[i] for i in range(n)])
+        total += vectors[i] * w[i]
+    z_each = np.stack([z_index_signed(task.rare_set, v) * wi for v, wi in zip(vectors, w)])
     return {
         "sum_counts": _exceedances(z_index_signed(task.rare_set, total), task.x_grid),
         "marginal_counts": _exceedances(z_each.T, task.x_grid),

@@ -78,8 +78,11 @@ class Poisson:
     def interarrival_mean(self) -> float:
         return 1.0 / self.rate
 
-    def interarrivals_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return -np.log1p(-u) / self.rate
+    def interarrivals(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Interarrival gaps of the given shape, drawn from ``rng``."""
+        gaps = rng.standard_exponential(shape)
+        gaps /= self.rate
+        return gaps
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,6 @@ class Erlang:
     def mean(self) -> float:
         return self.k / self.rate
 
-    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return special.gammaincinv(self.k, u) / self.rate
-
 
 @dataclass(frozen=True)
 class RenewalIID:
@@ -127,8 +127,10 @@ class RenewalIID:
     def interarrival_mean(self) -> float:
         return self.interarrival.mean()
 
-    def interarrivals_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return self.interarrival.from_uniforms(u)
+    def interarrivals(self, rng, shape):
+        gaps = rng.standard_gamma(self.interarrival.k, shape)
+        gaps /= self.interarrival.rate
+        return gaps
 
     def series_terms(self, t: float) -> int:
         """Number of convolution terms so the neglected renewal-series tail
@@ -197,7 +199,7 @@ def sample_arrivals(spec: RenewalSpec, T: float, rng: np.random.Generator) -> np
     t = 0.0
     block = max(16, int(4 * T / spec.interarrival_mean()) + 16)
     while True:
-        gaps = spec.interarrivals_from_uniforms(rng.random(block))
+        gaps = spec.interarrivals(rng, block)
         times = t + np.cumsum(gaps)
         inside = times[times <= T]
         out.append(inside)
@@ -221,15 +223,14 @@ class Deterministic:
         if self.rate < 0:
             raise ValueError("deterministic force of interest must be nonnegative")
 
-    uniform_blocks = 0
     nondecreasing_paths = True
 
     def laplace_exponent(self, k: float) -> float:
         return -k * self.rate
 
-    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, ublocks: tuple) -> np.ndarray:
-        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, from
-        ``uniform_blocks`` arrays of uniforms shaped like ``dtau``."""
+    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, shaped like
+        ``dtau`` and drawn from ``rng`` (a deterministic force draws nothing)."""
         return self.rate * dtau
 
     def xi_rule(self, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +252,6 @@ class BrownianDrift:
         if self.sigma < 0:
             raise ValueError("volatility must be nonnegative")
 
-    uniform_blocks = 1
-
     @property
     def nondecreasing_paths(self) -> bool:
         return self.sigma == 0.0 and self.mu >= 0.0
@@ -260,19 +259,19 @@ class BrownianDrift:
     def laplace_exponent(self, k: float) -> float:
         return -k * self.mu + 0.5 * k * k * self.sigma * self.sigma
 
-    def xi_at(self, tau, dtau, ublocks):
-        z = special.ndtri(ublocks[0])
-        return self.mu * dtau + self.sigma * np.sqrt(dtau) * z
+    def xi_at(self, tau, dtau, rng):
+        inc = rng.standard_normal(dtau.shape)
+        inc *= np.sqrt(dtau)
+        inc *= self.sigma
+        inc += self.mu * dtau
+        return inc
 
     def xi_rule(self, s):
         nodes, weights = _gauss_hermite()
         return self.mu * s + self.sigma * math.sqrt(2.0 * s) * nodes, weights
 
     def sample_at(self, times, rng):
-        times = np.asarray(times, dtype=float)
-        dtau = np.diff(times, prepend=0.0)
-        inc = self.mu * dtau + self.sigma * np.sqrt(dtau) * rng.standard_normal(times.shape)
-        return np.cumsum(inc, axis=-1)
+        return _xi_path(self, times, rng)
 
 
 @dataclass(frozen=True)
@@ -293,12 +292,10 @@ class ExponentialJumps:
             raise ValueError("exponential jump transform diverges at this argument")
         return 1.0 / (1.0 + self.mean * k)
 
-    def block_sum_from_uniform(self, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Sum of ``counts`` i.i.d. jumps via the gamma quantile of one uniform."""
-        out = np.zeros_like(u)
-        m = counts > 0
-        out[m] = special.gammaincinv(counts[m], u[m]) * self.mean
-        return out
+    def block_sum(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Sums of ``counts`` i.i.d. jumps, one Gamma(count, mean) draw per cell; a
+        zero count gives exactly 0 and draws nothing."""
+        return rng.standard_gamma(counts) * self.mean
 
     def sum_rule(self, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss rules of the Gamma(k, mean) laws of ``J_1 + ... + J_k``, one row per ``k <= k_max``."""
@@ -319,7 +316,7 @@ class FixedJumps:
     def mgf_neg(self, k: float) -> float:
         return math.exp(-k * self.size)
 
-    def block_sum_from_uniform(self, counts, u):
+    def block_sum(self, counts, rng):
         return self.size * counts
 
     def sum_rule(self, k_max):
@@ -338,8 +335,6 @@ class CompoundPoissonDrift:
         if self.jump_rate <= 0:
             raise ValueError("jump rate must be positive")
 
-    uniform_blocks = 2
-
     @property
     def nondecreasing_paths(self) -> bool:
         return self.drift >= 0 and self.jumps.nonnegative
@@ -347,9 +342,9 @@ class CompoundPoissonDrift:
     def laplace_exponent(self, k: float) -> float:
         return -k * self.drift + self.jump_rate * (self.jumps.mgf_neg(k) - 1.0)
 
-    def xi_at(self, tau, dtau, ublocks):
-        counts = _poisson_from_uniform(ublocks[0], self.jump_rate * dtau)
-        return self.drift * dtau + self.jumps.block_sum_from_uniform(counts, ublocks[1])
+    def xi_at(self, tau, dtau, rng):
+        counts = rng.poisson(self.jump_rate * dtau)
+        return self.drift * dtau + self.jumps.block_sum(counts, rng)
 
     def xi_rule(self, s):
         """Poisson mixture of the rules for ``drift*s + J_1 + ... + J_k``, cut at the
@@ -365,33 +360,16 @@ class CompoundPoissonDrift:
         return nodes, np.concatenate((pois[:1], (pois[1:, None] * weights).ravel()))
 
     def sample_at(self, times, rng):
-        times = np.asarray(times, dtype=float)
-        dtau = np.diff(times, prepend=0.0)
-        counts = rng.poisson(self.jump_rate * dtau)
-        inc = self.drift * dtau + self.jumps.block_sum_from_uniform(counts, rng.random(dtau.shape))
-        return np.cumsum(inc, axis=-1)
+        return _xi_path(self, times, rng)
 
 
 ReturnProcess = Deterministic | BrownianDrift | CompoundPoissonDrift
 
 
-def _poisson_from_uniform(u: np.ndarray, mean: np.ndarray, max_iter: int = 4096) -> np.ndarray:
-    """Inverse-transform Poisson counts with per-cell means."""
-    mean = np.asarray(mean, dtype=float)
-    pmf = np.exp(-mean)
-    cdf = pmf.copy()
-    counts = np.zeros_like(mean)
-    k = 0
-    while True:
-        open_cells = u >= cdf
-        if not open_cells.any():
-            return counts
-        k += 1
-        if k > max_iter:  # pragma: no cover - defensive
-            raise RuntimeError("Poisson inverse transform failed to settle")
-        counts[open_cells] += 1
-        pmf = pmf * (mean / k)
-        cdf = cdf + pmf
+def _xi_path(proc: ReturnProcess, times, rng: np.random.Generator) -> np.ndarray:
+    """``xi`` at increasing ``times`` (along the last axis), summed from ``xi_at``'s draws."""
+    times = np.asarray(times, dtype=float)
+    return np.cumsum(proc.xi_at(times, np.diff(times, prepend=0.0), rng), axis=-1)
 
 
 @functools.cache

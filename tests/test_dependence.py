@@ -6,7 +6,9 @@ import pytest
 
 from ruinflow.dependence import (
     ClaimModel,
+    CubicPair,
     EmpiricalRatio,
+    FgmChain,
     NoExceedanceError,
     UnsupportedModelError,
     fgm_conditional_inverse,
@@ -15,7 +17,7 @@ from ruinflow.dependence import (
     rd_violation_ratio,
     scalarized_survival,
 )
-from ruinflow.heavy_tails import CubicSurvival, HarmonicSurvival, HeavyWeibull, Pareto
+from ruinflow.heavy_tails import CubicSurvival, HarmonicSurvival, HeavyWeibull, Lognormal, Pareto
 from ruinflow.rare_sets import HalfSpace, MaxExceed, Ray, contains, z_index
 
 from oracles import convolution_survival
@@ -69,6 +71,63 @@ class TestFgmConditionalInverse:
             a = theta * (1 - 2 * v1) * (1 - 2 * v2) * (1 - 2 * v3)
             assert 0.0 <= v <= 1.0
             assert v + a * v * (1 - v) == pytest.approx(w, abs=1e-12)
+
+
+def _row_formula(model: ClaimModel, u: np.ndarray) -> np.ndarray:
+    """The row-wise claim transform: row ``i`` of ``u`` gives claim vector ``i``,
+    and rows ``(2j, 2j+1)`` form a pair."""
+    out = np.empty_like(u)
+    if isinstance(model.inter, CubicPair):
+        xv = CubicSurvival()._qf(1.0 - u[0::2, :])
+        out[0::2, :] = xv
+        out[1::2, :] = (1.0 + xv**3) * ((1.0 - u[1::2, :]) ** -0.5 - 1.0)
+    elif isinstance(model.inter, FgmChain):
+        g = model.inter.marginal
+        v1, v2, v3 = 1.0 - u[0::2, 0], 1.0 - u[0::2, 1], 1.0 - u[1::2, 0]
+        v4 = fgm_conditional_inverse(model.inter.theta, v1, v2, v3, 1.0 - u[1::2, 1])
+        out[0::2, 0] = g._qf(v1)
+        out[0::2, 1] = g._qf(v2)
+        out[1::2, 0] = g._qf(v3)
+        out[1::2, 1] = g._qf(v4)
+    else:
+        for j, m in enumerate(model.margins):
+            out[:, j] = m.from_survival_uniform(u[:, j])
+    return out
+
+
+TRANSFORM_MODELS = [
+    ClaimModel.iid((Pareto(1.5), HeavyWeibull(0.5), Lognormal(0.0, 1.0))),
+    ClaimModel.fgm_chain(0.7, Pareto(2.0)),
+    ClaimModel.cubic_pair(),
+]
+
+
+class TestClaimTransform:
+    @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=["iid-3", "fgm", "cubic"])
+    def test_slot_major_equals_row_formula(self, model):
+        # slot k of pair j in the (2, d, m) form is row 2j + k of the row form
+        u = np.random.default_rng(71).random((2, model.d, 5001))
+        got = model.claims_from_uniforms(u)
+        assert got.shape == u.shape
+        want = _row_formula(model, u.transpose(2, 0, 1).reshape(-1, model.d))
+        assert np.array_equal(got.transpose(2, 0, 1).reshape(-1, model.d), want)
+
+    @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=["iid-3", "fgm", "cubic"])
+    def test_sample_sequence_pairs_consecutive_rows(self, model):
+        for n in (1, 6, 7):
+            got = model.sample_sequence(n, np.random.default_rng(72))
+            u = np.random.default_rng(72).random((n + n % 2, model.d))
+            assert np.array_equal(got, _row_formula(model, u)[:n])
+
+    def test_trailing_axes_and_shape_check(self):
+        model = ClaimModel.fgm_chain(-0.4, Pareto(1.5))
+        u = np.random.default_rng(73).random((2, 2, 3, 40))
+        got = model.claims_from_uniforms(u)
+        for i in range(3):
+            assert np.array_equal(got[:, :, i], model.claims_from_uniforms(u[:, :, i]))
+        for shape in ((2, 3, 10), (4, 2, 10), (1, 2, 10), (2,)):
+            with pytest.raises(ValueError):
+                model.claims_from_uniforms(np.full(shape, 0.5))
 
 
 class TestSampling:

@@ -33,6 +33,7 @@ from ruinflow.processes import (
     Deterministic,
     Erlang,
     ExponentialJumps,
+    FixedJumps,
     Poisson,
     RenewalIID,
 )
@@ -322,6 +323,27 @@ class TestCompoundPoissonEndToEnd:
         assert np.all(table.asymptotic > 0)
         assert np.all(table.meta["entrance_counts"] >= table.count)
 
+    def test_large_jump_mean_per_gap(self):
+        # rare arrivals and frequent small jumps: a gap's jump count has a mean
+        # near 1,000, where exp(-mean) underflows; checked against an in-test
+        # simulation of the same law
+        ret = CompoundPoissonDrift(0.0, 2.0, FixedJumps(0.001))
+        spec = ModelSpec(self.CLAIM, Ray(1.0), Poisson(0.002), ret)
+        grid, n, horizon = (2.0, 10.0), 20_000, 1000.0
+        table = empirical_entrance(spec, SimConfig(n, 1, horizon, grid), unsafe=True)
+        rng = np.random.default_rng(44)
+        m = 200_000
+        gaps = rng.exponential(500.0, (m, 16))
+        tau = np.cumsum(gaps, axis=1)
+        assert tau[:, -1].min() > horizon
+        xi = 0.001 * np.cumsum(rng.poisson(2.0 * gaps), axis=1)
+        claims = 1.0 + rng.pareto(1.5, (m, 16))
+        total = np.where(tau <= horizon, claims * np.exp(-xi), 0.0).sum(axis=1)
+        for i, x in enumerate(grid):
+            p = (total > x).mean()
+            se = math.sqrt(p * (1 - p) / m + table.p_hat[i] * (1 - table.p_hat[i]) / n)
+            assert abs(table.p_hat[i] - p) < 4 * se, (x, table.p_hat[i], p)
+
 
 class TestBigJump:
     def test_single_vector_ratio_is_one(self):
@@ -422,18 +444,21 @@ class TestExceedances:
 
 
 def _big_jump_reference(task: _BigJumpTask):
-    """``(z_sum, z_each)`` of one big-jump chunk by the stacked formula: the
-    weighted ``(count, n, d)`` block summed over its vector axis, and every
-    vector scalarized on a reshaped ``(count * n, d)`` copy, from the same
-    chunk stream."""
+    """``(z_sum, z_each)`` of one big-jump chunk by the stacked formula on the
+    same chunk stream: one ``(2, d, ceil(n/2), count)`` draw, in which vector
+    ``i`` of a path is slot ``i % 2`` of pair ``i // 2``, restacked as an
+    ``(n, d, count)`` copy; the weighted stack is summed over its vector axis.
+    Each value is scalarized on a ``(count, d)`` view of a ``(d, count)``
+    block, the layout the chunk uses, since BLAS may round a weighted sum
+    differently for row- and column-major matrices."""
     n, d = len(task.weights), task.claim.d
-    n_pad = n + (n % 2)
-    u = _chunk_rng(task.seed, task.chunk).random(
-        (task.count * n_pad, task.claim.uniforms_per_vector()))
-    vectors = task.claim.claims_from_uniforms(u).reshape(task.count, n_pad, d)[:, :n, :]
+    half = (n + 1) // 2
+    u = _chunk_rng(task.seed, task.chunk).random((2, d, half, task.count))
+    claims = task.claim.claims_from_uniforms(u)
+    stack = claims.transpose(2, 0, 1, 3).reshape(2 * half, d, task.count)[:n]
     w = np.asarray(task.weights)
-    z_sum = z_index_signed(task.rare_set, (vectors * w[None, :, None]).sum(axis=1))
-    z_each = z_index_signed(task.rare_set, vectors.reshape(-1, d)).reshape(task.count, n) * w
+    z_sum = z_index_signed(task.rare_set, (stack * w[:, None, None]).sum(axis=0).T)
+    z_each = np.stack([z_index_signed(task.rare_set, v.T) for v in stack], axis=1) * w
     return z_sum, z_each
 
 
@@ -488,11 +513,15 @@ class TestMemory:
 
 @st.composite
 def small_models(draw):
-    """A random model with d <= 2 (an FGM chain when d = 2 and drawn so)."""
+    """A random model with d <= 2 (an FGM chain or a cubic pair when d = 2 and
+    drawn so)."""
     d = draw(st.integers(1, 2))
     margin = Pareto(draw(st.floats(1.1, 3.0)), 1.0)
-    if d == 2 and draw(st.booleans()):
+    inter = draw(st.sampled_from(["iid", "fgm", "cubic"])) if d == 2 else "iid"
+    if inter == "fgm":
         claim = ClaimModel.fgm_chain(draw(st.floats(-1.0, 1.0)), margin)
+    elif inter == "cubic":
+        claim = ClaimModel.cubic_pair()
     else:
         claim = ClaimModel.iid((margin,) * d)
     rare_set = draw(st.sampled_from(
@@ -503,6 +532,8 @@ def small_models(draw):
         Deterministic(draw(st.floats(0.0, 0.1))),
         BrownianDrift(draw(st.floats(-0.05, 0.1)), draw(st.floats(0.0, 0.3))),
         CompoundPoissonDrift(0.02, draw(st.floats(0.1, 1.0)), ExponentialJumps(0.05)),
+        # jump counts with means in the thousands per gap
+        CompoundPoissonDrift(0.0, draw(st.floats(1e3, 1e4)), FixedJumps(1e-5)),
     ]))
     return ModelSpec(claim, rare_set, renewal, ret), draw(st.floats(0.5, 8.0))
 

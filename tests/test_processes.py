@@ -91,6 +91,60 @@ class TestArrivalSampling:
         assert t.max() <= 50.0
 
 
+class TestNativeDraws:
+    """The law of each variate the engine draws for one loop step."""
+
+    def test_poisson_gaps_are_exponential(self):
+        gaps = Poisson(2.0).interarrivals(np.random.default_rng(31), (2, 20_000))
+        assert gaps.shape == (2, 20_000)
+        assert stats.kstest(gaps.ravel(), stats.expon(scale=0.5).cdf).pvalue > 1e-3
+
+    def test_erlang_gaps_are_gamma(self):
+        gaps = RenewalIID(Erlang(3, 2.0)).interarrivals(np.random.default_rng(32), (2, 20_000))
+        assert gaps.shape == (2, 20_000)
+        assert stats.kstest(gaps.ravel(), stats.gamma(a=3, scale=0.5).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dt", [0.05, 1.0, 7.0])
+    def test_brownian_increment_moments(self, dt):
+        proc = BrownianDrift(0.1, 0.3)
+        n = 200_000
+        dtau = np.full((2, n // 2), dt)
+        inc = proc.xi_at(np.cumsum(dtau, axis=0), dtau, np.random.default_rng(33)).ravel()
+        var = proc.sigma**2 * dt
+        assert abs(inc.mean() - proc.mu * dt) < 4 * math.sqrt(var / n)
+        # the sample variance of normals has standard error var * sqrt(2 / n)
+        assert abs(inc.var(ddof=1) - var) < 4 * var * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("proc, dt", [
+        (CompoundPoissonDrift(0.02, 1.5, ExponentialJumps(0.4)), 0.7),
+        (CompoundPoissonDrift(0.02, 1.5, ExponentialJumps(0.4)), 5.0),
+        (CompoundPoissonDrift(0.05, 2.0, FixedJumps(0.1)), 1.0),
+        (CompoundPoissonDrift(0.05, 2.0, FixedJumps(-0.05)), 1.0),
+        # a jump mean of 2000 per gap, past where exp(-mean) underflows
+        (CompoundPoissonDrift(0.0, 2000.0, FixedJumps(1e-3)), 1.0),
+    ])
+    def test_compound_poisson_increment_laplace(self, proc, dt):
+        # E[exp(-k dxi)] = exp(dt * phi(k)) for the increment over one gap
+        n = 200_000
+        dtau = np.full((2, n // 2), dt)
+        inc = proc.xi_at(np.cumsum(dtau, axis=0), dtau, np.random.default_rng(34)).ravel()
+        for k in (0.5, 1.5):
+            vals = np.exp(-k * inc)
+            se = vals.std(ddof=1) / math.sqrt(n)
+            assert abs(vals.mean() - math.exp(dt * laplace_exponent(proc, k))) < 3 * se, k
+
+    def test_zero_exponential_jump_count_is_exactly_zero(self):
+        rng = np.random.default_rng(35)
+        counts = np.array([[0, 3, 0], [2, 0, 0]])
+        sums = ExponentialJumps(0.5).block_sum(counts, rng)
+        assert np.all(sums[counts == 0] == 0.0)
+        assert np.all(sums[counts > 0] > 0.0)
+        # a zero count draws nothing: the stream is where two gamma draws leave it
+        ref = np.random.default_rng(35)
+        ref.standard_gamma(np.array([3.0, 2.0]))
+        assert rng.random() == ref.random()
+
+
 class TestLaplaceExponent:
     def test_examples(self):
         assert laplace_exponent(Deterministic(0.05), 2.0) == pytest.approx(-0.1)
