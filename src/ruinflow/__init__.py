@@ -67,7 +67,6 @@ from .processes import (
     RenewalIID,
     check_bounded_below,
     check_discount_summability,
-    laplace_exponent,
     renewal_function,
     sample_arrivals,
     truncation_horizon,

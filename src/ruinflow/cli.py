@@ -77,41 +77,93 @@ _num = {"type": "number"}
 _pos = {"type": "number", "exclusiveMinimum": 0}
 _vec = {"type": "array", "items": _num, "minItems": 1}
 
-_MARGIN_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"properties": {"type": {"const": "pareto"}, "alpha": _pos, "scale": _pos},
-         "required": ["type", "alpha"], "additionalProperties": False},
-        {"properties": {"type": {"const": "heavy_weibull"}, "shape": _pos, "scale": _pos},
-         "required": ["type", "shape"], "additionalProperties": False},
-        {"properties": {"type": {"const": "lognormal"}, "mu": _num, "sigma": _pos},
-         "required": ["type", "mu", "sigma"], "additionalProperties": False},
-        {"properties": {"type": {"const": "cubic_survival"}},
-         "required": ["type"], "additionalProperties": False},
-        {"properties": {"type": {"const": "harmonic_survival"}},
-         "required": ["type"], "additionalProperties": False},
-    ],
-}
 
-_HALF_SPACE_SCHEMA = {
-    "type": "object",
-    "properties": {"type": {"const": "half_space"}, "l": _vec, "b": _pos},
-    "required": ["type", "l", "b"],
-    "additionalProperties": False,
-}
+class ConfigError(ValueError):
+    pass
 
-_SET_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"properties": {"type": {"const": "max_exceed"}, "b": _vec},
-         "required": ["type", "b"], "additionalProperties": False},
-        _HALF_SPACE_SCHEMA,
-        {"properties": {"type": {"const": "ray"}, "b": _pos},
-         "required": ["type", "b"], "additionalProperties": False},
-        {"properties": {"type": {"const": "polyhedral_union"},
-                        "parts": {"type": "array", "items": _HALF_SPACE_SCHEMA, "minItems": 1}},
-         "required": ["type", "parts"], "additionalProperties": False},
-    ],
+
+# One table per model block: config ``type`` name -> (class or builder, parameter
+# schemas, required parameters).  A table generates its block's ``oneOf`` in
+# CONFIG_SCHEMA (``_one_of``) and builds its objects (``_build``), so adding a
+# model piece takes one class and one entry here.
+
+
+def _one_of(table: dict) -> dict:
+    return {"type": "object", "oneOf": [
+        {"properties": {"type": {"const": name}, **params},
+         "required": ["type", *required], "additionalProperties": False}
+        for name, (_, params, required) in table.items()]}
+
+
+def _build(table: dict, spec: dict, **extra):
+    """The object a validated block spec names: its entry called with its parameters."""
+    return table[spec["type"]][0](**{k: v for k, v in spec.items() if k != "type"}, **extra)
+
+
+def _needs_margins(margins):
+    if margins is None:
+        raise ConfigError("claim block needs margins")
+    return margins
+
+
+def _fgm_chain(margins, theta):
+    margins = _needs_margins(margins)
+    if len(margins) != 2 or margins[0] != margins[1]:
+        raise ConfigError("fgm_chain needs two identical margins")
+    return ClaimModel.fgm_chain(theta, margins[0])
+
+
+def _cubic_pair(margins):
+    if margins is not None:
+        raise ConfigError("cubic_pair fixes its margins; remove the margins block")
+    return ClaimModel.cubic_pair()
+
+
+_MARGINS = {
+    "pareto": (Pareto, {"alpha": _pos, "scale": _pos}, ["alpha"]),
+    "heavy_weibull": (HeavyWeibull, {"shape": _pos, "scale": _pos}, ["shape"]),
+    "lognormal": (Lognormal, {"mu": _num, "sigma": _pos}, ["mu", "sigma"]),
+    "cubic_survival": (CubicSurvival, {}, []),
+    "harmonic_survival": (HarmonicSurvival, {}, []),
+}
+#: dependence builders also receive the built margins (None when the block has none)
+_DEPENDENCE = {
+    "iid": (lambda margins: ClaimModel.iid(_needs_margins(margins)), {}, []),
+    "fgm_chain": (_fgm_chain, {"theta": {"type": "number", "minimum": -1, "maximum": 1}},
+                  ["theta"]),
+    "cubic_pair": (_cubic_pair, {}, []),
+}
+_HALF_SPACES = {"half_space": (HalfSpace, {"l": _vec, "b": _pos}, ["l", "b"])}
+_SETS = {
+    "max_exceed": (MaxExceed, {"b": _vec}, ["b"]),
+    **_HALF_SPACES,
+    "ray": (Ray, {"b": _pos}, ["b"]),
+    "polyhedral_union": (
+        lambda parts: PolyhedralUnion(tuple(_build(_HALF_SPACES, p) for p in parts)),
+        {"parts": {"type": "array", "items": _one_of(_HALF_SPACES), "minItems": 1}}, ["parts"]),
+}
+_RUIN_SETS = {
+    "any_line_negative": (AnyLineNegative, {}, []),
+    "weighted_sum_negative": (WeightedSumNegative, {"weights": _vec}, []),
+}
+_RENEWALS = {
+    "poisson": (Poisson, {"rate": _pos}, ["rate"]),
+    "renewal_erlang": (lambda k, rate: RenewalIID(Erlang(k, rate)),
+                       {"k": {"type": "integer", "minimum": 1}, "rate": _pos}, ["k", "rate"]),
+}
+_JUMPS = {
+    "exponential": (ExponentialJumps, {"mean": _pos}, ["mean"]),
+    "fixed": (FixedJumps, {"size": _num}, ["size"]),
+}
+_RETURNS = {
+    "deterministic": (Deterministic, {"rate": {"type": "number", "minimum": 0}}, ["rate"]),
+    "brownian": (BrownianDrift, {"mu": _num, "sigma": {"type": "number", "minimum": 0}},
+                 ["mu", "sigma"]),
+    "compound_poisson": (
+        lambda drift, jump_rate, jumps: CompoundPoissonDrift(drift, jump_rate,
+                                                             _build(_JUMPS, jumps)),
+        {"drift": _num, "jump_rate": _pos, "jumps": _one_of(_JUMPS)},
+        ["drift", "jump_rate", "jumps"]),
 }
 
 CONFIG_SCHEMA = {
@@ -124,37 +176,17 @@ CONFIG_SCHEMA = {
                 "claim": {
                     "type": "object",
                     "properties": {
-                        "dependence": {
-                            "type": "object",
-                            "oneOf": [
-                                {"properties": {"type": {"const": "iid"}},
-                                 "required": ["type"], "additionalProperties": False},
-                                {"properties": {"type": {"const": "fgm_chain"},
-                                                "theta": {"type": "number", "minimum": -1, "maximum": 1}},
-                                 "required": ["type", "theta"], "additionalProperties": False},
-                                {"properties": {"type": {"const": "cubic_pair"}},
-                                 "required": ["type"], "additionalProperties": False},
-                            ],
-                        },
-                        "margins": {"type": "array", "items": _MARGIN_SCHEMA, "minItems": 1},
+                        "dependence": _one_of(_DEPENDENCE),
+                        "margins": {"type": "array", "items": _one_of(_MARGINS), "minItems": 1},
                     },
                     "required": ["dependence"],
                     "additionalProperties": False,
                 },
-                "set": _SET_SCHEMA,
+                "set": _one_of(_SETS),
                 "ruin": {
                     "type": "object",
                     "properties": {
-                        "set": {
-                            "type": "object",
-                            "oneOf": [
-                                {"properties": {"type": {"const": "any_line_negative"}},
-                                 "required": ["type"], "additionalProperties": False},
-                                {"properties": {"type": {"const": "weighted_sum_negative"},
-                                                "weights": _vec},
-                                 "required": ["type"], "additionalProperties": False},
-                            ],
-                        },
+                        "set": _one_of(_RUIN_SETS),
                         "alloc": _vec,
                         "premiums": {
                             "type": "object",
@@ -170,39 +202,8 @@ CONFIG_SCHEMA = {
                     "required": ["set", "alloc"],
                     "additionalProperties": False,
                 },
-                "renewal": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "poisson"}, "rate": _pos},
-                         "required": ["type", "rate"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "renewal_erlang"},
-                                        "k": {"type": "integer", "minimum": 1}, "rate": _pos},
-                         "required": ["type", "k", "rate"], "additionalProperties": False},
-                    ],
-                },
-                "return": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "deterministic"}, "rate": {"type": "number", "minimum": 0}},
-                         "required": ["type", "rate"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "brownian"}, "mu": _num,
-                                        "sigma": {"type": "number", "minimum": 0}},
-                         "required": ["type", "mu", "sigma"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "compound_poisson"}, "drift": _num,
-                                        "jump_rate": _pos,
-                                        "jumps": {
-                                            "type": "object",
-                                            "oneOf": [
-                                                {"properties": {"type": {"const": "exponential"}, "mean": _pos},
-                                                 "required": ["type", "mean"], "additionalProperties": False},
-                                                {"properties": {"type": {"const": "fixed"}, "size": _num},
-                                                 "required": ["type", "size"], "additionalProperties": False},
-                                            ],
-                                        }},
-                         "required": ["type", "drift", "jump_rate", "jumps"],
-                         "additionalProperties": False},
-                    ],
-                },
+                "renewal": _one_of(_RENEWALS),
+                "return": _one_of(_RETURNS),
             },
             "required": ["claim", "renewal", "return"],
             "additionalProperties": False,
@@ -251,86 +252,15 @@ _SIM_DEFAULTS = {"workers": 1, "ci_level": 0.95, "x_grid": []}
 _OUTPUT_DEFAULTS = {"format": "csv"}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config -> model objects
 
 
-def _build_margin(spec: dict):
-    kind = spec["type"]
-    if kind == "pareto":
-        return Pareto(alpha=spec["alpha"], scale=spec.get("scale", 1.0))
-    if kind == "heavy_weibull":
-        return HeavyWeibull(shape=spec["shape"], scale=spec.get("scale", 1.0))
-    if kind == "lognormal":
-        return Lognormal(mu=spec["mu"], sigma=spec["sigma"])
-    if kind == "cubic_survival":
-        return CubicSurvival()
-    if kind == "harmonic_survival":
-        return HarmonicSurvival()
-    raise ConfigError(f"unknown margin type {kind!r}")
-
-
 def _build_claim(spec: dict) -> ClaimModel:
-    dep = spec["dependence"]
-    kind = dep["type"]
-    if kind == "cubic_pair":
-        if "margins" in spec:
-            raise ConfigError("cubic_pair fixes its margins; remove the margins block")
-        return ClaimModel.cubic_pair()
-    if "margins" not in spec:
-        raise ConfigError("claim block needs margins")
-    margins = tuple(_build_margin(m) for m in spec["margins"])
-    if kind == "iid":
-        return ClaimModel.iid(margins)
-    if kind == "fgm_chain":
-        if len(margins) != 2 or margins[0] != margins[1]:
-            raise ConfigError("fgm_chain needs two identical margins")
-        return ClaimModel.fgm_chain(dep["theta"], margins[0])
-    raise ConfigError(f"unknown dependence type {kind!r}")
-
-
-def _build_set(spec: dict):
-    kind = spec["type"]
-    if kind == "max_exceed":
-        return MaxExceed(b=tuple(spec["b"]))
-    if kind == "half_space":
-        return HalfSpace(l=tuple(spec["l"]), b=spec["b"])
-    if kind == "ray":
-        return Ray(b=spec["b"])
-    if kind == "polyhedral_union":
-        return PolyhedralUnion(parts=tuple(_build_set(p) for p in spec["parts"]))
-    raise ConfigError(f"unknown set type {kind!r}")
-
-
-def _build_ruin_set(spec: dict):
-    if spec["type"] == "any_line_negative":
-        return AnyLineNegative()
-    if spec["type"] == "weighted_sum_negative":
-        w = spec.get("weights")
-        return WeightedSumNegative(weights=tuple(w) if w is not None else None)
-    raise ConfigError(f"unknown ruin set type {spec['type']!r}")
-
-
-def _build_renewal(spec: dict):
-    if spec["type"] == "poisson":
-        return Poisson(rate=spec["rate"])
-    return RenewalIID(interarrival=Erlang(k=spec["k"], rate=spec["rate"]))
-
-
-def _build_return(spec: dict):
-    kind = spec["type"]
-    if kind == "deterministic":
-        return Deterministic(rate=spec["rate"])
-    if kind == "brownian":
-        return BrownianDrift(mu=spec["mu"], sigma=spec["sigma"])
-    jumps = spec["jumps"]
-    jl = ExponentialJumps(mean=jumps["mean"]) if jumps["type"] == "exponential" \
-        else FixedJumps(size=jumps["size"])
-    return CompoundPoissonDrift(drift=spec["drift"], jump_rate=spec["jump_rate"], jumps=jl)
+    margins = spec.get("margins")
+    if margins is not None:
+        margins = tuple(_build(_MARGINS, m) for m in margins)
+    return _build(_DEPENDENCE, spec["dependence"], margins=margins)
 
 
 def _resolve_config(raw: dict, overrides: dict) -> dict:
@@ -385,8 +315,8 @@ def _sim_config(cfg: dict) -> SimConfig:
 def _model_spec(cfg: dict):
     model = cfg["model"]
     claim = _build_claim(model["claim"])
-    renewal = _build_renewal(model["renewal"])
-    ret = _build_return(model["return"])
+    renewal = _build(_RENEWALS, model["renewal"])
+    ret = _build(_RETURNS, model["return"])
     if "ruin" in model:
         rblock = model["ruin"]
         premiums = None
@@ -395,12 +325,12 @@ def _model_spec(cfg: dict):
                                        rates=tuple(tuple(r) for r in rblock["premiums"]["rates"]))
         ruin_model = RuinModel(claim=claim, renewal=renewal, ret=ret,
                                alloc=tuple(rblock["alloc"]),
-                               ruin_set=_build_ruin_set(rblock["set"]),
+                               ruin_set=_build(_RUIN_SETS, rblock["set"]),
                                premiums=premiums)
         return ruin_model.entrance_model(), ruin_model
     if "set" not in model:
         raise ConfigError("model needs a set block for this experiment")
-    spec = ModelSpec(claim=claim, rare_set=_build_set(model["set"]),
+    spec = ModelSpec(claim=claim, rare_set=_build(_SETS, model["set"]),
                      renewal=renewal, ret=ret)
     return spec, None
 
@@ -489,7 +419,7 @@ def run(config_path, overrides: dict | None = None) -> int:
             table = empirical_entrance_time(spec, block["x"], block["t_grid"], sim,
                                             unsafe=unsafe)
             rows = table.rows()
-            if _entrance_time_limit_applies(spec):
+            if _entrance_time_limit_applies(cfg, spec):
                 alpha = spec.claim.common_tail_index()
                 for row in rows:
                     row["limit"] = entrance_time_cdf(alpha, spec.ret.rate, row["t"])
@@ -535,9 +465,11 @@ def _gates_pass(spec: ModelSpec, horizon: float) -> bool:
     return report.mode is not None
 
 
-def _entrance_time_limit_applies(spec: ModelSpec) -> bool:
-    return (isinstance(spec.ret, Deterministic) and spec.ret.rate > 0
-            and isinstance(spec.renewal, Poisson)
+def _entrance_time_limit_applies(cfg: dict, spec: ModelSpec) -> bool:
+    """Poisson arrivals, a positive constant force and one regular-variation index."""
+    model = cfg["model"]
+    return (model["return"]["type"] == "deterministic" and spec.ret.rate > 0
+            and model["renewal"]["type"] == "poisson"
             and spec.claim.common_tail_index() is not None)
 
 

@@ -31,15 +31,13 @@ survival functions; every conditional inverse used here is closed form.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import wilson_interval
+from ._util import UnsupportedModelError, wilson_interval
 from .heavy_tails import ClassTags, CubicSurvival, HarmonicSurvival, TailDistribution
-from .rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, RareSet, Ray, z_index
+from .rare_sets import MaxExceed, RareSet, z_index
 
 __all__ = [
     "IID",
@@ -60,21 +58,40 @@ __all__ = [
 RELIABLE_COUNT = 20
 
 
-class UnsupportedModelError(ValueError):
-    """No analytic route exists for the requested (model, set) pair."""
-
-
 class NoExceedanceError(RuntimeError):
     """Empirical ratio undefined: the threshold produced no exceedances."""
 
 
-@dataclass(frozen=True)
-class IID:
-    pass
+class _Dependence:
+    """Defaults of the dependence structures: every vector has the law of the margins.
+
+    Each structure's ``claims(margins, u)`` maps uniforms shaped ``(2, d, ...)``
+    to claim vectors of that shape; ``u[k]`` is slot ``k`` of a pair, with
+    component ``j`` in ``u[k, j]``.
+    """
+
+    identically_distributed = True
+    #: regression dependence of the scalarized exceedance sequence
+    scalarized_rd = True
+
+    def check_margins(self, margins) -> None:
+        pass
+
+    def second_margins(self, margins):
+        return margins
 
 
 @dataclass(frozen=True)
-class FgmChain:
+class IID(_Dependence):
+    def claims(self, margins, u):
+        out = np.empty_like(u)
+        for j, m in enumerate(margins):
+            out[:, j] = m.from_survival_uniform(u[:, j])
+        return out
+
+
+@dataclass(frozen=True)
+class FgmChain(_Dependence):
     theta: float
     marginal: TailDistribution
 
@@ -82,10 +99,46 @@ class FgmChain:
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("FGM coupling parameter must lie in [-1, 1]")
 
+    def check_margins(self, margins):
+        if len(margins) != 2 or any(m != self.marginal for m in margins):
+            raise ValueError("FGM chain couples two components sharing one marginal")
+
+    def claims(self, margins, u):
+        g = self.marginal
+        # survival transforms of the four coupled components: the first
+        # three are independent uniforms, the fourth is conditional with
+        # the closed-form FGM quadratic inverse
+        v1 = 1.0 - u[0, 0]
+        v2 = 1.0 - u[0, 1]
+        v3 = 1.0 - u[1, 0]
+        v4 = fgm_conditional_inverse(self.theta, v1, v2, v3, 1.0 - u[1, 1])
+        out = np.empty_like(u)  # after the inverse's temporaries are freed: a lower peak
+        out[0, 0] = g._qf(v1)
+        out[0, 1] = g._qf(v2)
+        out[1, 0] = g._qf(v3)
+        out[1, 1] = g._qf(v4)
+        return out
+
 
 @dataclass(frozen=True)
-class CubicPair:
-    pass
+class CubicPair(_Dependence):
+    identically_distributed = False
+    scalarized_rd = False
+
+    def check_margins(self, margins):
+        if margins != (CubicSurvival(), CubicSurvival()):
+            raise ValueError("cubic-pair margins are fixed by its joint survival")
+
+    def second_margins(self, margins):
+        return (HarmonicSurvival(), HarmonicSurvival())
+
+    def claims(self, margins, u):
+        xv = margins[0]._qf(1.0 - u[0])
+        out = np.empty_like(u)
+        out[0] = xv
+        # P[Y > y | X = x] = ((1+x^3)/(1+x^3+y))^2, inverted in closed form
+        out[1] = (1.0 + xv**3) * ((1.0 - u[1]) ** -0.5 - 1.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -104,12 +157,7 @@ class ClaimModel:
         margins = tuple(self.margins)
         if not margins:
             raise ValueError("need at least one margin")
-        if isinstance(self.inter, FgmChain):
-            if len(margins) != 2 or any(m != self.inter.marginal for m in margins):
-                raise ValueError("FGM chain couples two components sharing one marginal")
-        if isinstance(self.inter, CubicPair):
-            if margins != (CubicSurvival(), CubicSurvival()):
-                raise ValueError("cubic-pair margins are fixed by its joint survival")
+        self.inter.check_margins(margins)
         object.__setattr__(self, "margins", margins)
 
     @classmethod
@@ -131,12 +179,12 @@ class ClaimModel:
     @property
     def identically_distributed(self) -> bool:
         """Whether all vectors in the sequence share one distribution."""
-        return not isinstance(self.inter, CubicPair)
+        return self.inter.identically_distributed
 
     @property
     def scalarized_rd(self) -> bool:
         """Regression dependence of the scalarized exceedance sequence."""
-        return not isinstance(self.inter, CubicPair)
+        return self.inter.scalarized_rd
 
     @property
     def scalarized_qai(self) -> bool:
@@ -145,9 +193,7 @@ class ClaimModel:
 
     def second_margins(self) -> tuple[TailDistribution, ...]:
         """Margins of the second vector in each block (differs for CubicPair)."""
-        if isinstance(self.inter, CubicPair):
-            return (HarmonicSurvival(), HarmonicSurvival())
-        return self.margins
+        return self.inter.second_margins(self.margins)
 
     def scalarized_tags(self, rare_set: RareSet) -> ClassTags:
         """Curated class tags of the scalarized law ``P[z_index(X) > .]``.
@@ -198,7 +244,7 @@ class ClaimModel:
         if any(e is None for e in envs):
             return None
         cs = np.array([e[0] for e in envs])
-        return (_envelope_constant(rare_set, cs, alpha), alpha)
+        return (rare_set.envelope_constant(cs, alpha), alpha)
 
     def claims_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Transform uniforms shaped ``(2, d, ...)`` into claim vectors of that shape.
@@ -211,34 +257,7 @@ class ClaimModel:
         u = np.asarray(u, dtype=float)
         if u.shape[:2] != (2, self.d):
             raise ValueError(f"expected uniforms of shape (2, {self.d}, ...)")
-        if isinstance(self.inter, IID):
-            out = np.empty_like(u)
-            for j, m in enumerate(self.margins):
-                out[:, j] = m.from_survival_uniform(u[:, j])
-            return out
-        if isinstance(self.inter, FgmChain):
-            g = self.inter.marginal
-            # survival transforms of the four coupled components: the first
-            # three are independent uniforms, the fourth is conditional with
-            # the closed-form FGM quadratic inverse
-            v1 = 1.0 - u[0, 0]
-            v2 = 1.0 - u[0, 1]
-            v3 = 1.0 - u[1, 0]
-            v4 = fgm_conditional_inverse(self.inter.theta, v1, v2, v3, 1.0 - u[1, 1])
-            out = np.empty_like(u)  # after the inverse's temporaries are freed: a lower peak
-            out[0, 0] = g._qf(v1)
-            out[0, 1] = g._qf(v2)
-            out[1, 0] = g._qf(v3)
-            out[1, 1] = g._qf(v4)
-            return out
-        if isinstance(self.inter, CubicPair):
-            xv = self.margins[0]._qf(1.0 - u[0])
-            out = np.empty_like(u)
-            out[0] = xv
-            # P[Y > y | X = x] = ((1+x^3)/(1+x^3+y))^2, inverted in closed form
-            out[1] = (1.0 + xv**3) * ((1.0 - u[1]) ** -0.5 - 1.0)
-            return out
-        raise TypeError(f"unknown dependence structure {type(self.inter).__name__}")
+        return self.inter.claims(self.margins, u)
 
     def sample_sequence(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` claim vectors as an ``(n, d)`` array.
@@ -281,21 +300,6 @@ def fgm_joint_survival(theta: float, marginal: TailDistribution, x1, x2, y1, y2)
     return tail * (1.0 + theta * bump)
 
 
-def _envelope_constant(rare_set: RareSet, cs: np.ndarray, alpha: float) -> float:
-    if isinstance(rare_set, MaxExceed):
-        return float(np.sum(cs * np.asarray(rare_set.b) ** -alpha))
-    if isinstance(rare_set, Ray):
-        return float(cs[0] * rare_set.b**-alpha)
-    if isinstance(rare_set, HalfSpace):
-        l = np.asarray(rare_set.l)
-        active = l > 0
-        k = int(active.sum())
-        return float(np.sum(cs[active] * (k * l[active] / rare_set.b) ** alpha))
-    if isinstance(rare_set, PolyhedralUnion):
-        return float(sum(_envelope_constant(p, cs, alpha) for p in rare_set.parts))
-    raise TypeError(f"unknown rare set {type(rare_set).__name__}")
-
-
 def scalarized_survival(model: ClaimModel, rare_set: RareSet, x):
     """Survival ``P[z_index(X) > x]`` of the scalarized single-vector law.
 
@@ -310,120 +314,11 @@ def scalarized_survival(model: ClaimModel, rare_set: RareSet, x):
         raise UnsupportedModelError(
             "scalarized survival needs identically distributed vectors")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
     xv = np.atleast_1d(x)
     if np.any(xv < 0):
         raise ValueError("threshold must be nonnegative")
-    if isinstance(rare_set, MaxExceed):
-        cdf_prod = np.ones_like(xv)
-        for m, b in zip(model.margins, rare_set.b):
-            cdf_prod = cdf_prod * (1.0 - m.survival(xv * b))
-        out = 1.0 - cdf_prod
-    elif isinstance(rare_set, Ray):
-        out = np.asarray(model.margins[0].survival(xv * rare_set.b))
-    elif isinstance(rare_set, HalfSpace):
-        l = np.asarray(rare_set.l)
-        active = np.flatnonzero(l > 0)
-        if active.size == 1:
-            j = active[0]
-            out = np.asarray(model.margins[j].survival(xv * rare_set.b / l[j]))
-        elif active.size == 2 and model.d == 2:
-            out = _weighted_sum_survival(model.margins, l, rare_set.b * xv)
-        else:
-            raise UnsupportedModelError(
-                "weighted-sum scalarization is analytic only in dimension two; use Monte Carlo")
-    else:
-        raise UnsupportedModelError(
-            f"no analytic scalarized survival for {type(rare_set).__name__}; use Monte Carlo")
-    return float(out[0]) if scalar else out
-
-
-#: tanh-sinh nodes sit at ``k*h`` for ``|k*h| <= _TS_REACH``; the step ``h``
-#: halves at each level, starting from 1/2
-_TS_REACH = 4.0
-_TS_LEVELS = 8
-#: successive levels agreeing to this relative difference end the refinement;
-#: the rule converges quadratically, so the value itself is far closer
-QUAD_REL_TOL = 1e-10
-
-
-def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (as fractions of the interval) and weights new at one level."""
-    h = 2.0 ** -(level + 1)
-    t = (np.arange(-_TS_REACH, _TS_REACH + h / 2, h) if level == 0
-         else np.arange(-_TS_REACH + h, _TS_REACH, 2 * h))
-    q = 0.5 * math.pi * np.sinh(t)
-    # both distances to the ends in closed form, so nodes next to either end
-    # keep full relative precision
-    left = 1.0 / (1.0 + np.exp(-2.0 * q))
-    right = 1.0 / (1.0 + np.exp(2.0 * q))
-    return left, math.pi * np.cosh(t) * left * right * h
-
-
-_TS_RULE = tuple(_tanh_sinh_level(k) for k in range(_TS_LEVELS))
-
-
-def _left_concentrated_quad(g, a: float, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``integral_a^b g(y, s) dy`` for each entry of ``b`` and ``s``, whose mass sits near ``a``.
-
-    The substitution ``y = a + e^u - 1`` equidistributes decades, so a narrow
-    left boundary layer is resolved even when ``b - a`` spans many orders of
-    magnitude; tanh-sinh quadrature in ``u`` absorbs integrable endpoint
-    singularities such as a Weibull density at zero.  ``g`` is evaluated on a
-    whole ``(entries, nodes)`` array at once.  Each value is refined until
-    two levels agree to :data:`QUAD_REL_TOL` relative to itself, so the
-    accuracy does not depend on the size of the value; an entry still
-    unconverged at the finest level raises a ``RuntimeWarning``.
-    """
-    top = np.log1p(np.maximum(b - a, 0.0))
-    total = np.zeros_like(top)
-    live = np.flatnonzero(top > 0)
-    for level, (frac, weight) in enumerate(_TS_RULE):
-        if live.size == 0:
-            break
-        u = top[live, None] * frac[None, :]
-        part = top[live] * ((g(a + np.expm1(u), s[live, None]) * np.exp(u)) @ weight)
-        prev = total[live]
-        total[live] = part if level == 0 else 0.5 * prev + part
-        if level >= 2:
-            live = live[np.abs(total[live] - prev) > QUAD_REL_TOL * np.abs(total[live])]
-    if live.size:
-        warnings.warn(f"convolution quadrature unconverged at {live.size} threshold(s)",
-                      RuntimeWarning, stacklevel=3)
-    return total
-
-
-def _weighted_sum_survival(margins, l, s: np.ndarray) -> np.ndarray:
-    """``P[l1 X1 + l2 X2 > s]`` for independent margins, at each entry of ``s``.
-
-    Splits the event at the half level of each component: one component
-    below its half level pins the other in its tail, and both above is a
-    product.  Inside each pinned piece, the stretch where the other
-    component's floor alone carries the level is a plain survival difference,
-    so the integrands have no interior kink.  The pieces partition the event
-    and each is integrated to a relative tolerance, so the value is exact up
-    to quadrature error at every scale, however small the probability.
-    """
-    m1, m2 = margins
-    l1, l2 = float(l[0]), float(l[1])
-    s = np.asarray(s, dtype=float)
-    out = np.ones_like(s)
-    live = s > l1 * m1.support_min + l2 * m2.support_min
-    s = s[live]
-    x_mid, y_mid = s / (2.0 * l1), s / (2.0 * l2)
-    x_star = (s - l2 * m2.support_min) / l1
-    y_star = (s - l1 * m1.support_min) / l2
-    t1 = _left_concentrated_quad(
-        lambda y, sv: m1.survival((sv - l2 * y) / l1) * m2.pdf(y),
-        m2.support_min, np.minimum(y_mid, y_star), s)
-    t2 = _left_concentrated_quad(
-        lambda x, sv: m2.survival((sv - l1 * x) / l2) * m1.pdf(x),
-        m1.support_min, np.minimum(x_mid, x_star), s)
-    floors = (np.maximum(m2.survival(y_star) - m2.survival(y_mid), 0.0)
-              + np.maximum(m1.survival(x_star) - m1.survival(x_mid), 0.0))
-    cross = m1.survival(x_mid) * m2.survival(y_mid)
-    out[live] = np.minimum(1.0, t1 + t2 + floors + cross)
-    return out
+    out = rare_set.scalarized_survival(model.margins, xv)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +368,7 @@ _CUBIC_SET = MaxExceed(b=(1.0, 1.0))
 def _pair_exceedance(model: ClaimModel, rare_set: RareSet, x: float,
                      n: int | None, rng: np.random.Generator | None):
     """Analytic or empirical joint/marginal exceedance rates for one pair."""
-    if isinstance(model.inter, CubicPair) and rare_set == _CUBIC_SET:
+    if model.inter == CubicPair() and rare_set == _CUBIC_SET:
         joint = _cubic_pair_joint(x, x)
         sf1, sf2 = _cubic_pair_marginals(x)
         return joint, sf1, sf2, None

@@ -38,16 +38,14 @@ from ._util import adaptive_simpson
 from .dependence import ClaimModel, UnsupportedModelError, scalarized_survival
 from .heavy_tails import Pareto, TailDistribution
 from .processes import (
-    Poisson,
     RenewalSpec,
     ReturnProcess,
     check_bounded_below,
     check_discount_summability,
     discount_integral_tail_bound,
-    renewal_density,
     truncation_horizon,
 )
-from .rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, RareSet, Ray
+from .rare_sets import RareSet, z_index
 
 __all__ = [
     "MrvSpec",
@@ -277,9 +275,7 @@ def asymptotic_entrance_finite(model: ModelSpec, x: float, T: float,
         return 0.0
     if not unsafe:
         resolve_finite_mode(model, T).require()
-    dens = (lambda s: model.renewal.rate) if isinstance(model.renewal, Poisson) \
-        else (lambda s: renewal_density(model.renewal, s, horizon=T))
-    f = lambda s: single_claim_entrance(model, x, s) * dens(s)
+    f = lambda s: single_claim_entrance(model, x, s) * model.renewal.renewal_density(s, T)
     return adaptive_simpson(f, 0.0, T, rel_tol=rel_tol)
 
 
@@ -335,10 +331,9 @@ def mrv_mu(tail_weights, alpha: float, rare_set: RareSet) -> float:
     components with the given tail weights.
 
     The limit measure of an independent-component vector concentrates on the
-    coordinate axes, so the mass is a weighted sum of one-dimensional power
-    tails: ``sum_i c_i b_i**-alpha`` for max-type sets,
-    ``sum_i c_i (l_i/b)**alpha`` for weighted-sum sets, ``c_1 b**-alpha`` for
-    rays.
+    coordinate axes (Resnick 2007, *Heavy-Tail Phenomena*), and the axis ray
+    ``t e_i`` enters the set where ``t z_index(A, e_i) > 1``, so the mass is
+    ``sum_i c_i z_index(A, e_i)**alpha`` for every set in the catalog.
     """
     c = np.asarray(tail_weights, dtype=float)
     if np.any(c < 0):
@@ -347,16 +342,7 @@ def mrv_mu(tail_weights, alpha: float, rare_set: RareSet) -> float:
         raise ValueError("tail index must be positive")
     if c.size != rare_set.dim:
         raise ValueError("tail-weight dimension does not match the set")
-    if isinstance(rare_set, MaxExceed):
-        return float(np.sum(c * np.asarray(rare_set.b) ** -alpha))
-    if isinstance(rare_set, Ray):
-        return float(c[0] * rare_set.b**-alpha)
-    if isinstance(rare_set, HalfSpace):
-        return float(np.sum(c * (np.asarray(rare_set.l) / rare_set.b) ** alpha))
-    if isinstance(rare_set, PolyhedralUnion):
-        raise UnsupportedModelError(
-            "limit mass of a polyhedral union is not a sum of member masses; unsupported")
-    raise TypeError(f"unknown rare set {type(rare_set).__name__}")
+    return float(np.sum(c * z_index(rare_set, np.eye(c.size)) ** alpha))
 
 
 def derive_mrv(claim: ClaimModel, rare_set: RareSet) -> MrvSpec:
@@ -396,27 +382,14 @@ def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
         raise ValueError("model carries no regular-variation description")
     if x <= 0:
         raise ValueError("threshold must be positive")
+    if T < 0:
+        raise ValueError("horizon must be nonnegative")
     spec = model.mrv
     phi = model.ret.laplace_exponent(spec.alpha)
-    if math.isinf(T):
-        if phi >= 0:
-            raise ValueError(
-                "infinite-horizon closed form diverges: Laplace exponent is nonnegative")
-        if isinstance(model.renewal, Poisson):
-            integral = model.renewal.rate / (-phi)
-        else:
-            q = model.renewal.interarrival_laplace(-phi)
-            integral = q / (1.0 - q)
-    else:
-        if T < 0:
-            raise ValueError("horizon must be nonnegative")
-        if isinstance(model.renewal, Poisson):
-            lam = model.renewal.rate
-            integral = lam * T if phi == 0 else lam * (1.0 - math.exp(T * phi)) / (-phi)
-        else:
-            integral = adaptive_simpson(
-                lambda s: math.exp(s * phi) * renewal_density(model.renewal, s, horizon=T),
-                0.0, T, rel_tol=1e-6)
+    if math.isinf(T) and phi >= 0:
+        raise ValueError(
+            "infinite-horizon closed form diverges: Laplace exponent is nonnegative")
+    integral = model.renewal.discounted_integral(phi, T)
     return spec.mu_of_a * float(spec.reference_tail.survival(x)) * integral
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, special, stats
 
+from ._util import adaptive_simpson
+
 __all__ = [
     "Poisson",
     "Erlang",
@@ -40,7 +42,6 @@ __all__ = [
     "renewal_function",
     "renewal_density",
     "sample_arrivals",
-    "laplace_exponent",
     "check_bounded_below",
     "check_discount_summability",
     "truncation_horizon",
@@ -83,6 +84,22 @@ class Poisson:
         gaps = rng.standard_exponential(shape)
         gaps /= self.rate
         return gaps
+
+    def renewal_function(self, t: float) -> float:
+        return self.rate * t
+
+    def renewal_density(self, t: float, horizon: float | None = None) -> float:
+        return self.rate
+
+    def discounted_integral(self, phi: float, T: float) -> float:
+        """``integral_0^T exp(s phi) d(renewal measure)``; ``T = inf`` needs ``phi < 0``."""
+        if math.isinf(T):
+            return self.rate / (-phi)
+        return self.rate * T if phi == 0 else self.rate * (1.0 - math.exp(T * phi)) / (-phi)
+
+    def discounted_tail_bound(self, phi: float, T: float) -> float:
+        """Bound on ``integral_T^inf exp(s phi) d(renewal measure)`` for ``phi < 0`` (exact here)."""
+        return self.rate * math.exp(T * phi) / (-phi)
 
 
 @dataclass(frozen=True)
@@ -132,6 +149,38 @@ class RenewalIID:
         gaps /= self.interarrival.rate
         return gaps
 
+    def renewal_function(self, t):
+        """The convolution series, summed until a Chernoff bound puts the
+        neglected tail below the evaluation tolerance."""
+        n_terms = self.series_terms(t)
+        i = np.arange(1, n_terms + 1)
+        total = float(special.gammainc(i * self.interarrival.k, self.interarrival.rate * t).sum())
+        if not math.isfinite(total):
+            raise ArithmeticError("renewal series did not evaluate to a finite value")
+        return total
+
+    def renewal_density(self, t, horizon=None):
+        """The series of Erlang densities, with as many terms as ``horizon`` (default ``t``) needs."""
+        if t <= 0:
+            return 0.0
+        n_terms = self.series_terms(horizon if horizon is not None else t)
+        i = np.arange(1, n_terms + 1)
+        return float(stats.gamma.pdf(t, a=i * self.interarrival.k,
+                                     scale=1.0 / self.interarrival.rate).sum())
+
+    def discounted_integral(self, phi, T):
+        if math.isinf(T):
+            q = self.interarrival_laplace(-phi)
+            return q / (1.0 - q)
+        return adaptive_simpson(lambda s: math.exp(s * phi) * self.renewal_density(s, T),
+                                0.0, T, rel_tol=1e-6)
+
+    def discounted_tail_bound(self, phi, T):
+        """A Cauchy-Schwarz split of each renewal term gives
+        ``exp(phi T / 2) * q / (1 - q)`` with ``q = E[exp(tau_1 phi / 2)]``."""
+        q = self.interarrival_laplace(-phi / 2.0)
+        return math.exp(phi * T / 2.0) * q / (1.0 - q)
+
     def series_terms(self, t: float) -> int:
         """Number of convolution terms so the neglected renewal-series tail
         is below the evaluation tolerance.
@@ -169,26 +218,12 @@ def renewal_function(spec: RenewalSpec, t: float) -> float:
         raise ValueError("time must be nonnegative")
     if t == 0:
         return 0.0
-    if isinstance(spec, Poisson):
-        return spec.rate * t
-    n_terms = spec.series_terms(t)
-    i = np.arange(1, n_terms + 1)
-    vals = special.gammainc(i * spec.interarrival.k, spec.interarrival.rate * t)
-    total = float(vals.sum())
-    if not math.isfinite(total):
-        raise ArithmeticError("renewal series did not evaluate to a finite value")
-    return total
+    return spec.renewal_function(t)
 
 
 def renewal_density(spec: RenewalSpec, t: float, horizon: float | None = None) -> float:
     """Density of the renewal measure at ``t`` (``rate`` for Poisson)."""
-    if isinstance(spec, Poisson):
-        return spec.rate
-    if t <= 0:
-        return 0.0
-    n_terms = spec.series_terms(horizon if horizon is not None else t)
-    i = np.arange(1, n_terms + 1)
-    return float(stats.gamma.pdf(t, a=i * spec.interarrival.k, scale=1.0 / spec.interarrival.rate).sum())
+    return spec.renewal_density(t, horizon)
 
 
 def sample_arrivals(spec: RenewalSpec, T: float, rng: np.random.Generator) -> np.ndarray:
@@ -237,6 +272,10 @@ class Deterministic:
         """Law of ``xi(s)`` as a quadrature rule ``(nodes, weights)``."""
         return np.array([self.rate * s]), np.ones(1)
 
+    def bounded_below(self, T: float) -> "BoundedBelowResult":
+        """Whether ``inf_{t <= T} xi(t) >= -K`` almost surely, and the floor ``K``."""
+        return BoundedBelowResult(True, 0.0)
+
     def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.rate * np.asarray(times, dtype=float)
 
@@ -269,6 +308,11 @@ class BrownianDrift:
     def xi_rule(self, s):
         nodes, weights = _gauss_hermite()
         return self.mu * s + self.sigma * math.sqrt(2.0 * s) * nodes, weights
+
+    def bounded_below(self, T):
+        if self.sigma > 0:  # Brownian paths are unbounded below on every interval
+            return BoundedBelowResult(False, None)
+        return BoundedBelowResult(True, max(0.0, -self.mu * T))
 
     def sample_at(self, times, rng):
         return _xi_path(self, times, rng)
@@ -359,6 +403,11 @@ class CompoundPoissonDrift:
         nodes = self.drift * s + np.concatenate(([0.0], sums.ravel()))
         return nodes, np.concatenate((pois[:1], (pois[1:, None] * weights).ravel()))
 
+    def bounded_below(self, T):
+        if not self.jumps.nonnegative:
+            return BoundedBelowResult(False, None)
+        return BoundedBelowResult(True, max(0.0, -self.drift * T))
+
     def sample_at(self, times, rng):
         return _xi_path(self, times, rng)
 
@@ -394,11 +443,6 @@ def _gamma_rules(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def laplace_exponent(proc: ReturnProcess, k: float) -> float:
-    """``log E[exp(-k xi(1))]``; raises outside the finiteness domain."""
-    return proc.laplace_exponent(k)
-
-
 @dataclass(frozen=True)
 class BoundedBelowResult:
     """Whether the return process stays above a deterministic floor on [0, T]."""
@@ -419,17 +463,7 @@ def check_bounded_below(proc: ReturnProcess, T: float) -> BoundedBelowResult:
     """
     if not math.isfinite(T) or T < 0:
         raise ValueError("need a finite nonnegative horizon")
-    if isinstance(proc, Deterministic):
-        return BoundedBelowResult(True, 0.0)
-    if isinstance(proc, BrownianDrift):
-        if proc.sigma > 0:
-            return BoundedBelowResult(False, None)
-        return BoundedBelowResult(True, max(0.0, -proc.mu * T))
-    if isinstance(proc, CompoundPoissonDrift):
-        if not proc.jumps.nonnegative:
-            return BoundedBelowResult(False, None)
-        return BoundedBelowResult(True, max(0.0, -proc.drift * T))
-    raise TypeError(f"unknown return process {type(proc).__name__}")
+    return proc.bounded_below(T)
 
 
 @dataclass(frozen=True)
@@ -482,17 +516,13 @@ def discount_integral_tail_bound(proc: ReturnProcess, renewal: RenewalSpec,
                                  alpha: float, T: float) -> float:
     """Upper bound on ``integral_T^inf E[exp(-alpha xi(s))] d(renewal measure)``.
 
-    Exact for Poisson arrivals; otherwise a Cauchy-Schwarz split of each
-    renewal term gives ``exp(phi T / 2) * q / (1 - q)`` with
-    ``q = E[exp(tau_1 phi / 2)]``.  Requires ``phi(alpha) < 0``.
+    The integrand is ``exp(s phi(alpha))``, so the renewal process bounds it
+    (exactly for Poisson arrivals).  Requires ``phi(alpha) < 0``.
     """
     phi = proc.laplace_exponent(alpha)
     if phi >= 0:
         raise ValueError("discounted integral diverges: Laplace exponent is nonnegative")
-    if isinstance(renewal, Poisson):
-        return renewal.rate * math.exp(T * phi) / (-phi)
-    q = renewal.interarrival_laplace(-phi / 2.0)
-    return math.exp(phi * T / 2.0) * q / (1.0 - q)
+    return renewal.discounted_tail_bound(phi, T)
 
 
 def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float,
@@ -502,7 +532,7 @@ def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float,
     phi = proc.laplace_exponent(alpha)
     if phi >= 0:
         raise ValueError("no finite truncation horizon: Laplace exponent is nonnegative")
-    total = _discount_integral_total(proc, renewal, alpha)
+    total = renewal.discounted_integral(phi, math.inf)
     T = max(1.0, -math.log(2.0) / phi)
     for _ in range(200):
         tail = discount_integral_tail_bound(proc, renewal, alpha, T)
@@ -510,13 +540,3 @@ def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float,
             return T
         T *= 1.25
     raise RuntimeError("truncation horizon search did not converge")  # pragma: no cover
-
-
-def _discount_integral_total(proc: ReturnProcess, renewal: RenewalSpec, alpha: float) -> float:
-    """``integral_0^inf E[exp(-alpha xi(s))] d(renewal measure)`` exactly.
-
-    Equals the geometric sum of interarrival transforms at ``-phi(alpha)``.
-    """
-    phi = proc.laplace_exponent(alpha)
-    q = renewal.interarrival_laplace(-phi)
-    return q / (1.0 - q)

@@ -12,6 +12,14 @@ scalarizations is supported:
 * :class:`Ray`        -- the one-dimensional exceedance set ``(b, inf)``
 * :class:`PolyhedralUnion` -- a finite union of half-space sets
 
+Each set class carries everything that depends on its shape: the
+scalarization (``_scalarize``), the membership test from the definition
+(``_contains``), the constant of its polynomial envelope
+(``envelope_constant``) and the survival of the scalarized claim vector for
+independent margins (``scalarized_survival``).  The module functions check
+their arguments and call through.  Weighted sums add the columns left to
+right, so a value does not depend on the memory order of the batch.
+
 Ruin sets (open, decreasing, scale-insensitive sets touching the origin) map
 onto this catalog through :func:`from_ruin_set`.
 """
@@ -21,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._util import UnsupportedModelError, _weighted_sum_survival
 
 __all__ = [
     "MaxExceed",
@@ -59,6 +69,22 @@ class MaxExceed:
     def dim(self) -> int:
         return len(self.b)
 
+    def _scalarize(self, z):
+        # column by column: a max over a short last axis is slow in numpy
+        return np.maximum.reduce([z[..., j] / b for j, b in enumerate(self.b)])
+
+    def _contains(self, x, z):
+        return (z > x * np.asarray(self.b)).any(axis=-1)
+
+    def envelope_constant(self, cs, alpha):
+        return float(np.sum(cs * np.asarray(self.b) ** -alpha))
+
+    def scalarized_survival(self, margins, x):
+        cdf_prod = np.ones_like(x)
+        for m, b in zip(margins, self.b):
+            cdf_prod = cdf_prod * (1.0 - m.survival(x * b))
+        return 1.0 - cdf_prod
+
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -82,6 +108,39 @@ class HalfSpace:
     def dim(self) -> int:
         return len(self.l)
 
+    def _weighted(self, z):
+        # columns added left to right: unlike a BLAS product, the rounding
+        # cannot depend on the memory order of ``z``
+        out = z[..., 0] * self.l[0]
+        for j in range(1, self.dim):
+            out += z[..., j] * self.l[j]
+        return out
+
+    def _scalarize(self, z):
+        out = self._weighted(z)
+        out /= self.b
+        return out
+
+    def _contains(self, x, z):
+        return self._weighted(z) > x * self.b
+
+    def envelope_constant(self, cs, alpha):
+        l = np.asarray(self.l)
+        active = l > 0
+        k = int(active.sum())
+        return float(np.sum(cs[active] * (k * l[active] / self.b) ** alpha))
+
+    def scalarized_survival(self, margins, x):
+        l = np.asarray(self.l)
+        active = np.flatnonzero(l > 0)
+        if active.size == 1:
+            j = active[0]
+            return np.asarray(margins[j].survival(x * self.b / l[j]))
+        if active.size == 2 and self.dim == 2:
+            return _weighted_sum_survival(margins, l, self.b * x)
+        raise UnsupportedModelError(
+            "weighted-sum scalarization is analytic only in dimension two; use Monte Carlo")
+
 
 @dataclass(frozen=True)
 class Ray:
@@ -97,6 +156,18 @@ class Ray:
     @property
     def dim(self) -> int:
         return 1
+
+    def _scalarize(self, z):
+        return z[..., 0] / self.b
+
+    def _contains(self, x, z):
+        return z[..., 0] > x * self.b
+
+    def envelope_constant(self, cs, alpha):
+        return float(cs[0] * self.b**-alpha)
+
+    def scalarized_survival(self, margins, x):
+        return np.asarray(margins[0].survival(x * self.b))
 
 
 @dataclass(frozen=True)
@@ -125,6 +196,19 @@ class PolyhedralUnion:
     def dim(self) -> int:
         return self.parts[0].dim
 
+    def _scalarize(self, z):
+        return np.maximum.reduce([p._scalarize(z) for p in self.parts])
+
+    def _contains(self, x, z):
+        return np.logical_or.reduce([p._contains(x, z) for p in self.parts])
+
+    def envelope_constant(self, cs, alpha):
+        return float(sum(p.envelope_constant(cs, alpha) for p in self.parts))
+
+    def scalarized_survival(self, margins, x):
+        raise UnsupportedModelError(
+            "no analytic scalarized survival for PolyhedralUnion; use Monte Carlo")
+
 
 RareSet = MaxExceed | HalfSpace | Ray | PolyhedralUnion
 
@@ -136,6 +220,11 @@ class AnyLineNegative:
     @property
     def name(self) -> str:
         return "or"
+
+    def entrance_set(self, alloc: np.ndarray) -> "RareSet":
+        if alloc.size == 1:
+            return Ray(b=float(alloc[0]))
+        return MaxExceed(b=tuple(alloc))
 
 
 @dataclass(frozen=True)
@@ -160,6 +249,12 @@ class WeightedSumNegative:
     @property
     def name(self) -> str:
         return "sum"
+
+    def entrance_set(self, alloc: np.ndarray) -> "RareSet":
+        w = np.asarray(self.weights, dtype=float) if self.weights is not None else alloc
+        if w.size != alloc.size:
+            raise ValueError("ruin-set weights and allocation dimensions differ")
+        return HalfSpace(l=tuple(w), b=float(w @ alloc))
 
 
 RuinSet = AnyLineNegative | WeightedSumNegative
@@ -187,22 +282,8 @@ def z_index_signed(rare_set: RareSet, z) -> np.ndarray | float:
     holds for every ``x > 0``.
     """
     z = _check_vectors(rare_set, z, require_nonneg=False)
-    single = z.ndim <= 1
-    zz = np.atleast_2d(z)
-    if isinstance(rare_set, MaxExceed):
-        # column by column: a max over a short last axis is slow in numpy
-        out = np.maximum.reduce([zz[..., j] / b for j, b in enumerate(rare_set.b)])
-    elif isinstance(rare_set, HalfSpace):
-        out = zz @ np.asarray(rare_set.l) / rare_set.b
-    elif isinstance(rare_set, Ray):
-        out = zz[..., 0] / rare_set.b
-    elif isinstance(rare_set, PolyhedralUnion):
-        out = np.max(
-            [zz @ np.asarray(p.l) / p.b for p in rare_set.parts], axis=0
-        )
-    else:  # pragma: no cover - exhaustive over the catalog
-        raise TypeError(f"unknown rare set {type(rare_set).__name__}")
-    return float(out[0]) if single else out
+    out = rare_set._scalarize(np.atleast_2d(z))
+    return float(out[0]) if z.ndim <= 1 else out
 
 
 def z_index(rare_set: RareSet, z) -> np.ndarray | float:
@@ -232,21 +313,8 @@ def contains(rare_set: RareSet, x: float, z) -> np.ndarray | bool:
     if x <= 0:
         raise ValueError("scale x must be positive")
     z = _check_vectors(rare_set, z, require_nonneg=True)
-    single = z.ndim <= 1
-    zz = np.atleast_2d(z)
-    if isinstance(rare_set, MaxExceed):
-        out = (zz > x * np.asarray(rare_set.b)).any(axis=-1)
-    elif isinstance(rare_set, HalfSpace):
-        out = zz @ np.asarray(rare_set.l) > x * rare_set.b
-    elif isinstance(rare_set, Ray):
-        out = zz[..., 0] > x * rare_set.b
-    elif isinstance(rare_set, PolyhedralUnion):
-        out = np.any(
-            [zz @ np.asarray(p.l) > x * p.b for p in rare_set.parts], axis=0
-        )
-    else:  # pragma: no cover
-        raise TypeError(f"unknown rare set {type(rare_set).__name__}")
-    return bool(out[0]) if single else out
+    out = rare_set._contains(x, np.atleast_2d(z))
+    return bool(out[0]) if z.ndim <= 1 else out
 
 
 def from_ruin_set(ruin_set: RuinSet, alloc) -> RareSet:
@@ -267,13 +335,4 @@ def from_ruin_set(ruin_set: RuinSet, alloc) -> RareSet:
         raise ValueError("allocation entries must be strictly positive")
     if abs(alloc.sum() - 1.0) > _ALLOC_TOL:
         raise ValueError("allocation must sum to 1")
-    if isinstance(ruin_set, AnyLineNegative):
-        if alloc.size == 1:
-            return Ray(b=float(alloc[0]))
-        return MaxExceed(b=tuple(alloc))
-    if isinstance(ruin_set, WeightedSumNegative):
-        w = np.asarray(ruin_set.weights, dtype=float) if ruin_set.weights is not None else alloc
-        if w.size != alloc.size:
-            raise ValueError("ruin-set weights and allocation dimensions differ")
-        return HalfSpace(l=tuple(w), b=float(w @ alloc))
-    raise TypeError(f"unknown ruin set {type(ruin_set).__name__}")
+    return ruin_set.entrance_set(alloc)

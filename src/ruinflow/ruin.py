@@ -229,21 +229,11 @@ def _check_premium_finiteness(model: RuinModel, T: float) -> None:
     """Discounted premium integrals must be finite (a.s.) on the horizon.
 
     Automatic for zero premiums or any finite horizon with bounded
-    densities; over an infinite horizon it holds for a positive constant
-    force of interest and, for stochastic returns, whenever the discount
+    densities; over an infinite horizon it holds whenever the discount
     moment ``E[e^{-xi(s)}]`` decays geometrically (negative Laplace exponent
-    at one).
+    at one), which for a constant force of interest means a positive rate.
     """
-    if model.premiums.is_zero or not math.isinf(T):
-        return
-    ret = model.ret
-    if isinstance(ret, Deterministic):
-        if ret.rate > 0:
-            return
-        raise HypothesisError([
-            "discounted premiums: infinite-horizon premiums diverge without "
-            "a positive force of interest"])
-    if ret.laplace_exponent(1.0) < 0:
+    if model.premiums.is_zero or not math.isinf(T) or model.ret.laplace_exponent(1.0) < 0:
         return
     raise HypothesisError([
         "discounted premiums: not verifiably finite over an infinite horizon "

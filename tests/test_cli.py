@@ -1,9 +1,31 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
+from ruinflow import cli
 from ruinflow.cli import CONFIG_SCHEMA, main, run
+from ruinflow.dependence import ClaimModel
+from ruinflow.heavy_tails import CubicSurvival, HarmonicSurvival, HeavyWeibull, Lognormal, Pareto
+from ruinflow.processes import (
+    BrownianDrift,
+    CompoundPoissonDrift,
+    Deterministic,
+    Erlang,
+    ExponentialJumps,
+    FixedJumps,
+    Poisson,
+    RenewalIID,
+)
+from ruinflow.rare_sets import (
+    AnyLineNegative,
+    HalfSpace,
+    MaxExceed,
+    PolyhedralUnion,
+    Ray,
+    WeightedSumNegative,
+)
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.json"))
 
@@ -58,6 +80,99 @@ class TestSchema:
         # docs/config_schema.json is a copy of CONFIG_SCHEMA and must stay one
         copy = Path(__file__).resolve().parent.parent / "docs" / "config_schema.json"
         assert copy.read_text() == json.dumps(CONFIG_SCHEMA, indent=2) + "\n"
+
+
+def _place_margin(model, spec):
+    model["claim"]["margins"] = [spec, spec]
+
+
+def _place_dependence(model, spec):
+    model["claim"]["dependence"] = spec
+    if spec["type"] == "cubic_pair":
+        del model["claim"]["margins"]
+
+
+def _place_set(model, spec):
+    model["set"] = spec
+    if spec["type"] == "ray":
+        model["claim"]["margins"] = model["claim"]["margins"][:1]
+
+
+def _place_ruin_set(model, spec):
+    del model["set"]
+    model["ruin"] = {"set": spec, "alloc": [0.5, 0.5]}
+
+
+def _place_jumps(model, spec):
+    model["return"] = {"type": "compound_poisson", "drift": 0.02, "jump_rate": 0.5, "jumps": spec}
+
+
+PAIR = (Pareto(1.5, 1.0), Pareto(1.5, 1.0))
+
+#: block -> (registry table, where the spec goes in base_config's model, what it builds,
+#: and per registered type a minimal spec with the object it must build)
+REGISTRY_CASES = {
+    "margins": (cli._MARGINS, _place_margin, lambda spec, ruin: spec.claim.margins[0], {
+        "pareto": ({"alpha": 1.5}, Pareto(1.5)),
+        "heavy_weibull": ({"shape": 0.5}, HeavyWeibull(0.5)),
+        "lognormal": ({"mu": 0.0, "sigma": 1.0}, Lognormal(0.0, 1.0)),
+        "cubic_survival": ({}, CubicSurvival()),
+        "harmonic_survival": ({}, HarmonicSurvival()),
+    }),
+    "dependence": (cli._DEPENDENCE, _place_dependence, lambda spec, ruin: spec.claim, {
+        "iid": ({}, ClaimModel.iid(PAIR)),
+        "fgm_chain": ({"theta": 0.5}, ClaimModel.fgm_chain(0.5, PAIR[0])),
+        "cubic_pair": ({}, ClaimModel.cubic_pair()),
+    }),
+    "set": (cli._SETS, _place_set, lambda spec, ruin: spec.rare_set, {
+        "max_exceed": ({"b": [1.0, 2.0]}, MaxExceed((1.0, 2.0))),
+        "half_space": ({"l": [0.5, 0.5], "b": 1.0}, HalfSpace((0.5, 0.5), 1.0)),
+        "ray": ({"b": 2.0}, Ray(2.0)),
+        "polyhedral_union": (
+            {"parts": [{"type": "half_space", "l": [0.9, 0.1], "b": 1.0}]},
+            PolyhedralUnion((HalfSpace((0.9, 0.1), 1.0),))),
+    }),
+    "ruin set": (cli._RUIN_SETS, _place_ruin_set, lambda spec, ruin: ruin.ruin_set, {
+        "any_line_negative": ({}, AnyLineNegative()),
+        "weighted_sum_negative": ({}, WeightedSumNegative()),
+    }),
+    "renewal": (cli._RENEWALS, lambda model, spec: model.update(renewal=spec),
+                lambda spec, ruin: spec.renewal, {
+        "poisson": ({"rate": 2.0}, Poisson(2.0)),
+        "renewal_erlang": ({"k": 2, "rate": 1.5}, RenewalIID(Erlang(2, 1.5))),
+    }),
+    "return": (cli._RETURNS, lambda model, spec: model.update({"return": spec}),
+               lambda spec, ruin: spec.ret, {
+        "deterministic": ({"rate": 0.05}, Deterministic(0.05)),
+        "brownian": ({"mu": 0.1, "sigma": 0.2}, BrownianDrift(0.1, 0.2)),
+        "compound_poisson": (
+            {"drift": 0.02, "jump_rate": 0.5, "jumps": {"type": "fixed", "size": 0.1}},
+            CompoundPoissonDrift(0.02, 0.5, FixedJumps(0.1))),
+    }),
+    "jumps": (cli._JUMPS, _place_jumps, lambda spec, ruin: spec.ret.jumps, {
+        "exponential": ({"mean": 0.05}, ExponentialJumps(0.05)),
+        "fixed": ({"size": -0.1}, FixedJumps(-0.1)),
+    }),
+}
+
+
+class TestRegistry:
+    """Each registry entry feeds both the schema and the builders."""
+
+    def test_every_registered_type_has_a_case(self):
+        for block, (table, _, _, cases) in REGISTRY_CASES.items():
+            assert set(cases) == set(table), block
+
+    @pytest.mark.parametrize("block,kind", [(block, kind) for block, entry in REGISTRY_CASES.items()
+                                            for kind in entry[3]])
+    def test_minimal_config_validates_and_builds_the_class(self, tmp_path, block, kind):
+        _, place, built, cases = REGISTRY_CASES[block]
+        params, want = cases[kind]
+        cfg = base_config(tmp_path / "r")
+        place(cfg["model"], {"type": kind, **params})
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        spec, ruin_model = cli._model_spec(cfg)
+        assert built(spec, ruin_model) == want
 
 
 class TestEntranceRun:

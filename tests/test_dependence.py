@@ -237,7 +237,7 @@ class TestScalarizedSurvival:
 
     def test_unconverged_quadrature_is_signalled(self):
         # an interior jump defeats the endpoint-clustered rule
-        from ruinflow.dependence import _left_concentrated_quad
+        from ruinflow._util import _left_concentrated_quad
 
         with pytest.warns(RuntimeWarning, match="unconverged"):
             _left_concentrated_quad(lambda y, s: (y < s).astype(float),

@@ -31,7 +31,7 @@ from ruinflow.processes import (
     Poisson,
     RenewalIID,
 )
-from ruinflow.rare_sets import HalfSpace, MaxExceed, Ray
+from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, Ray
 
 from oracles import deterministic_pareto_entrance_integral
 
@@ -274,6 +274,27 @@ class TestMrv:
         got2 = mrv_mu([1.0, 1.0], 2.0, HalfSpace((0.5, 0.5), 1.0))
         want2 = scalarized_survival(m2, HalfSpace((0.5, 0.5), 1.0), x) / float(ref2.survival(x))
         assert got2 == pytest.approx(want2, rel=1e-3)
+
+    def test_mu_of_unions(self):
+        axes = PolyhedralUnion((HalfSpace((1.0, 0.0), 1.0), HalfSpace((0.0, 1.0), 2.0)))
+        assert mrv_mu([1.0, 3.0], 1.5, axes) == mrv_mu([1.0, 3.0], 1.5, MaxExceed((1.0, 2.0)))
+        hs = HalfSpace((0.3, 0.7), 1.5)
+        assert mrv_mu([1.0, 2.0], 2.0, PolyhedralUnion((hs,))) == mrv_mu([1.0, 2.0], 2.0, hs)
+
+    def test_mu_of_union_against_quadrature(self):
+        # P[Z in x U] / x**-alpha for an IID Pareto(1.5) pair, by quadrature over the
+        # first component: for X = u < x the second must exceed min(2x - u, 10x - 9u),
+        # and X > x / 0.9 alone puts the vector in the union
+        from scipy import integrate
+
+        alpha, x = 1.5, 1e4
+        union = PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0)))
+        tail = lambda y: max(y, 1.0) ** -alpha
+        f = lambda u: alpha * u ** -(alpha + 1.0) * tail(min(2 * x - u, 10 * x - 9 * u))
+        p = (x / 0.9) ** -alpha
+        for lo, hi in ((1.0, x), (x, x / 0.9)):  # the boundary kinks at u = x
+            p += integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+        assert mrv_mu([1.0, 1.0], alpha, union) == pytest.approx(p / x**-alpha, rel=1e-3)
 
     def test_derive_requires_common_index(self):
         with pytest.raises(UnsupportedModelError):

@@ -16,7 +16,6 @@ from ruinflow.processes import (
     check_bounded_below,
     check_discount_summability,
     discount_integral_tail_bound,
-    laplace_exponent,
     renewal_density,
     renewal_function,
     sample_arrivals,
@@ -131,7 +130,7 @@ class TestNativeDraws:
         for k in (0.5, 1.5):
             vals = np.exp(-k * inc)
             se = vals.std(ddof=1) / math.sqrt(n)
-            assert abs(vals.mean() - math.exp(dt * laplace_exponent(proc, k))) < 3 * se, k
+            assert abs(vals.mean() - math.exp(dt * proc.laplace_exponent(k))) < 3 * se, k
 
     def test_zero_exponential_jump_count_is_exactly_zero(self):
         rng = np.random.default_rng(35)
@@ -147,10 +146,10 @@ class TestNativeDraws:
 
 class TestLaplaceExponent:
     def test_examples(self):
-        assert laplace_exponent(Deterministic(0.05), 2.0) == pytest.approx(-0.1)
-        assert laplace_exponent(BrownianDrift(0.1, 0.2), 2.0) == pytest.approx(-0.12)
+        assert Deterministic(0.05).laplace_exponent(2.0) == pytest.approx(-0.1)
+        assert BrownianDrift(0.1, 0.2).laplace_exponent(2.0) == pytest.approx(-0.12)
         cp = CompoundPoissonDrift(0.02, 1.5, ExponentialJumps(0.5))
-        assert laplace_exponent(cp, 1.0) == pytest.approx(-0.02 + 1.5 * (1 / 1.5 - 1))
+        assert cp.laplace_exponent(1.0) == pytest.approx(-0.02 + 1.5 * (1 / 1.5 - 1))
 
     @pytest.mark.parametrize("proc", [
         Deterministic(0.05),
@@ -159,16 +158,16 @@ class TestLaplaceExponent:
         CompoundPoissonDrift(-0.01, 2.0, FixedJumps(0.1)),
     ])
     def test_zero_and_convexity(self, proc):
-        assert laplace_exponent(proc, 0.0) == 0.0
+        assert proc.laplace_exponent(0.0) == 0.0
         ks = np.linspace(0.0, 3.0, 31)
-        vals = np.array([laplace_exponent(proc, float(k)) for k in ks])
+        vals = np.array([proc.laplace_exponent(float(k)) for k in ks])
         second = np.diff(vals, 2)
         assert np.all(second >= -1e-9)
 
     def test_domain_error(self):
         cp = CompoundPoissonDrift(0.0, 1.0, ExponentialJumps(0.5))
         with pytest.raises(ValueError):
-            laplace_exponent(cp, -3.0)
+            cp.laplace_exponent(-3.0)
 
 
 class TestMomentIdentity:
@@ -180,7 +179,7 @@ class TestMomentIdentity:
         xi = proc.mu * t + proc.sigma * math.sqrt(t) * rng.standard_normal(n)
         vals = np.exp(-k * xi)
         se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(vals.mean() - math.exp(t * laplace_exponent(proc, k))) < 3 * se
+        assert abs(vals.mean() - math.exp(t * proc.laplace_exponent(k))) < 3 * se
 
     def test_compound_poisson_discount_moment(self):
         proc = CompoundPoissonDrift(0.05, 2.0, ExponentialJumps(0.4))
@@ -190,7 +189,7 @@ class TestMomentIdentity:
         xi = np.array(proc.sample_at(np.full((n, 1), t), rng)).ravel()
         vals = np.exp(-k * xi)
         se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(vals.mean() - math.exp(t * laplace_exponent(proc, k))) < 3 * se
+        assert abs(vals.mean() - math.exp(t * proc.laplace_exponent(k))) < 3 * se
 
     def test_path_sampling_at_arrival_epochs(self):
         proc = BrownianDrift(0.1, 0.2)

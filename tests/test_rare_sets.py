@@ -195,3 +195,46 @@ class TestSignedScalarization:
         s = MaxExceed(b=(1.0, 1.0))
         assert z_index_signed(s, [-3.0, 2.0]) == pytest.approx(2.0)
         assert z_index_signed(s, [-3.0, -2.0]) == pytest.approx(-2.0)
+
+
+class TestMemoryOrder:
+    """Weighted sums add the columns left to right, so the memory order of a
+    batch cannot change a bit of the result."""
+
+    HS = HalfSpace(l=(0.2, 0.3, 0.5), b=1.0)
+
+    @staticmethod
+    def rows():
+        return np.random.default_rng(3).pareto(1.5, (3001, 3)) + 1.0
+
+    @pytest.mark.parametrize("rare_set", [
+        HS, PolyhedralUnion(parts=(HS, HalfSpace(l=(0.6, 0.3, 0.1), b=1.7)))])
+    def test_c_and_f_order_agree_bitwise(self, rare_set):
+        z = self.rows()
+        zc, zf = np.ascontiguousarray(z), np.asfortranarray(z)
+        assert z_index(rare_set, zc).tobytes() == z_index(rare_set, zf).tobytes()
+        assert z_index_signed(rare_set, zf).tobytes() == z_index(rare_set, zc).tobytes()
+        assert np.array_equal(contains(rare_set, 4.0, zc), contains(rare_set, 4.0, zf))
+
+    def test_equals_the_explicit_column_sum(self):
+        z = self.rows()
+        total = z[:, 0] * 0.2 + z[:, 1] * 0.3 + z[:, 2] * 0.5
+        for zz in (np.ascontiguousarray(z), np.asfortranarray(z)):
+            assert z_index(self.HS, zz).tobytes() == (total / 1.0).tobytes()
+            assert np.array_equal(contains(self.HS, 4.0, zz), total > 4.0)
+
+
+class TestUnionReductions:
+    UNION = PolyhedralUnion(parts=(HalfSpace(l=(1.0, 0.0), b=1.0), HalfSpace(l=(0.0, 1.0), b=2.0)))
+
+    def test_axis_half_spaces_make_a_max_exceed_set(self):
+        z = np.random.default_rng(23).pareto(1.0, (2000, 2))
+        assert z_index(self.UNION, z).tobytes() == z_index(MaxExceed(b=(1.0, 2.0)), z).tobytes()
+        for x in (0.5, 3.0, 20.0):
+            assert np.array_equal(contains(self.UNION, x, z), contains(MaxExceed(b=(1.0, 2.0)), x, z))
+
+    def test_one_part_union_is_its_half_space(self):
+        hs = HalfSpace(l=(0.3, 0.7), b=1.5)
+        z = np.random.default_rng(29).pareto(1.0, (2000, 2))
+        assert z_index(PolyhedralUnion(parts=(hs,)), z).tobytes() == z_index(hs, z).tobytes()
+        assert np.array_equal(contains(PolyhedralUnion(parts=(hs,)), 2.0, z), contains(hs, 2.0, z))

@@ -12,6 +12,8 @@ same list and their outputs compare with ``cmp``:
 * each workload in ``perfbench/workloads.py`` (imported, never edited) at a
   little over two chunks of paths on 1 and on 2 workers, plus the big-jump
   marginal column and an entrance-time table on the same models and seeds;
+* big-jump runs, sized and recorded like the workloads, on the sets that no
+  workload scalarizes: a 2-d polyhedral union and a 3-d half-space;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, recording the exit code and the rows of the result table.
 
@@ -68,15 +70,28 @@ def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
     return out
 
 
+def _big_jumps() -> dict:
+    """(claim, set) of each extra big-jump run, built from the imported ruinflow."""
+    from ruinflow import ClaimModel, HalfSpace, Pareto, PolyhedralUnion
+
+    pair = ClaimModel.iid((Pareto(1.5, 1.0),) * 2)
+    union = PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0)))
+    return {"bigjump-union-2d": (pair, union),
+            "bigjump-halfspace-3d": (ClaimModel.iid((Pareto(1.5, 1.0),) * 3),
+                                     HalfSpace((0.2, 0.3, 0.5), 1.0))}
+
+
 def workloads() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
     from ruinflow.montecarlo import CHUNK_PATHS
 
     n_paths = 2 * CHUNK_PATHS + 100  # two whole chunks and part of a third
+    bigjump = WORKLOADS["bigjump-fgm"]
+    runs = {name: (w, w.build()) for name, w in WORKLOADS.items()}
+    runs.update((name, (bigjump, model)) for name, model in _big_jumps().items())
     out = {}
-    for name, w in WORKLOADS.items():
-        model = w.build()
+    for name, (w, model) in runs.items():
         one, two = (_workload_columns(w, model, n_paths, k) for k in (1, 2))
         out[name] = {"n_paths": n_paths, "worker_invariant": one == two,
                      "workers_1": one, "workers_2": two}
