@@ -24,9 +24,6 @@ from ruinflow import (
     WeightedSumNegative,
     asymptotic_ruin,
     empirical_ruin,
-    simulate_aggregate,
-    surplus_path,
-    z_index,
 )
 
 model = RuinModel(
@@ -59,12 +56,3 @@ for ruin_set in (AnyLineNegative(), WeightedSumNegative()):
     x = 100.0
     print(f"  psi_{ruin_set.name:3s}(x={x:g}, T={T:g}) ~ {asymptotic_ruin(m, x, T):.3e}"
           f"   infinite horizon: {asymptotic_ruin(m, x, math.inf).value:.3e}")
-
-print("\n== one surplus path, line by line ==")
-rng = np.random.default_rng(3)
-path = simulate_aggregate(model.entrance_model(), T, rng)
-U = surplus_path(model, path, 40.0)
-print(f"  {'arrival':>8s} {'line 1':>9s} {'line 2':>9s} {'net-claims index':>17s}")
-for t, u in zip(path.arrival_times[:8], U[:8]):
-    z = float(z_index(model.mapped_set, np.maximum(40.0 * np.asarray(model.alloc) - u, 0.0)))
-    print(f"  {t:8.3f} {u[0]:9.3f} {u[1]:9.3f} {z:17.3f}")

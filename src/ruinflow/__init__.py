@@ -52,7 +52,6 @@ from .montecarlo import (
     SimConfig,
     empirical_entrance,
     empirical_entrance_time,
-    simulate_aggregate,
     single_big_jump_check,
     wilson_interval,
 )
@@ -68,7 +67,6 @@ from .processes import (
     check_bounded_below,
     check_discount_summability,
     renewal_function,
-    sample_arrivals,
     truncation_horizon,
 )
 from .rare_sets import (
@@ -87,7 +85,6 @@ from .ruin import (
     RuinModel,
     asymptotic_ruin,
     empirical_ruin,
-    surplus_path,
 )
 
 __version__ = "0.1.0"

@@ -31,6 +31,7 @@ from .dependence import ClaimModel, NoExceedanceError, UnsupportedModelError
 from .estimators import (
     HypothesisError,
     ModelSpec,
+    ModeReport,
     entrance_time_cdf,
     resolve_finite_mode,
     resolve_infinite_mode,
@@ -339,7 +340,8 @@ def _model_spec(cfg: dict):
 # report
 
 
-def _mode_lines(model: ModelSpec, horizon: float) -> list[str]:
+def _mode_lines(model: ModelSpec, horizon: float) -> tuple[list[str], ModeReport]:
+    """Report lines for the asymptotic mode at ``horizon``, and the resolved report."""
     lines = []
     if math.isinf(horizon):
         report = resolve_infinite_mode(model)
@@ -348,7 +350,7 @@ def _mode_lines(model: ModelSpec, horizon: float) -> list[str]:
     lines.append(f"asymptotic mode: {report.mode or 'NONE AVAILABLE'}")
     for name, ok, detail in report.checks:
         lines.append(f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}")
-    return lines
+    return lines, report
 
 
 def run(config_path, overrides: dict | None = None) -> int:
@@ -390,11 +392,12 @@ def run(config_path, overrides: dict | None = None) -> int:
     table_path = out_base.with_suffix(f".{fmt}")
     try:
         if exp == "assumption_report":
-            report_lines += _mode_lines(spec, sim.horizon)
-            code = 0 if _gates_pass(spec, sim.horizon) else 2
+            lines, report = _mode_lines(spec, sim.horizon)
+            report_lines += lines
+            code = 0 if report.mode is not None else 2
         elif exp in ("entrance", "convergence_study"):
             table = empirical_entrance(spec, sim, unsafe=unsafe)
-            report_lines += _mode_lines(spec, sim.horizon)
+            report_lines += _mode_lines(spec, sim.horizon)[0]
             report_lines.append(f"rows: {len(table.x)}  flagged (zero exceedances): "
                                 f"{[float(v) for v in table.flagged]}")
             if exp == "convergence_study":
@@ -410,7 +413,7 @@ def run(config_path, overrides: dict | None = None) -> int:
             code = 0
         elif exp == "ruin":
             table = empirical_ruin(ruin_model, sim.x_grid, sim.horizon, sim, unsafe=unsafe)
-            report_lines += _mode_lines(spec, sim.horizon)
+            report_lines += _mode_lines(spec, sim.horizon)[0]
             report_lines.append(f"ruin set: {ruin_model.ruin_set.name}")
             table.to_csv(table_path) if fmt == "csv" else table.to_json(table_path)
             code = 0
@@ -426,7 +429,7 @@ def run(config_path, overrides: dict | None = None) -> int:
                 cols = ["t", "cdf", "count", "limit"]
             else:
                 cols = ["t", "cdf", "count"]
-            report_lines += _mode_lines(spec, sim.horizon)
+            report_lines += _mode_lines(spec, sim.horizon)[0]
             report_lines.append(f"entered paths: {table.entered} of {table.n_paths}")
             _write_rows(rows, cols, table_path, fmt)
             code = 0
@@ -441,8 +444,7 @@ def run(config_path, overrides: dict | None = None) -> int:
         else:  # pragma: no cover - schema forbids
             raise ConfigError(f"unknown experiment {exp!r}")
     except HypothesisError as exc:
-        for line in _mode_lines(spec, sim.horizon):
-            report_lines.append(line)
+        report_lines += _mode_lines(spec, sim.horizon)[0]
         report_lines.append(f"gate failure: {exc}")
         _finish_report(out_base, report_lines, t_start)
         print(f"hypothesis gate failure: {exc}", file=sys.stderr)
@@ -457,12 +459,6 @@ def run(config_path, overrides: dict | None = None) -> int:
                         else "table: none (assumption report only)")
     _finish_report(out_base, report_lines, t_start)
     return code
-
-
-def _gates_pass(spec: ModelSpec, horizon: float) -> bool:
-    report = resolve_infinite_mode(spec) if math.isinf(horizon) \
-        else resolve_finite_mode(spec, horizon)
-    return report.mode is not None
 
 
 def _entrance_time_limit_applies(cfg: dict, spec: ModelSpec) -> bool:

@@ -143,8 +143,8 @@ class Pareto(TailDistribution):
     tags: ClassTags | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.scale <= 0:
-            raise ValueError("Pareto needs alpha > 0 and scale > 0")
+        if not (0 < self.alpha < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("Pareto needs finite alpha > 0 and scale > 0")
         self._tag_override(self.tags, _ALL_HEAVY)
         object.__setattr__(self, "matuszewska", (self.alpha, self.alpha))
         object.__setattr__(self, "support_min", self.scale)
@@ -187,8 +187,8 @@ class HeavyWeibull(TailDistribution):
     def __post_init__(self):
         if not 0 < self.shape < 1:
             raise ValueError("HeavyWeibull needs shape in (0, 1)")
-        if self.scale <= 0:
-            raise ValueError("HeavyWeibull needs scale > 0")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("HeavyWeibull needs a finite scale > 0")
         self._tag_override(self.tags, _SUBEXP_ONLY)
         object.__setattr__(self, "matuszewska_infinite", True)
 
@@ -220,8 +220,8 @@ class Lognormal(TailDistribution):
     tags: ClassTags | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("Lognormal needs sigma > 0")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
+            raise ValueError("Lognormal needs a finite mu and a finite sigma > 0")
         self._tag_override(self.tags, _SUBEXP_ONLY)
         object.__setattr__(self, "matuszewska_infinite", True)
 

@@ -59,8 +59,6 @@ from .rare_sets import RareSet, z_index_signed
 __all__ = [
     "SimConfig",
     "EstimateTable",
-    "AggregatePath",
-    "simulate_aggregate",
     "empirical_entrance",
     "EntranceTimeTable",
     "empirical_entrance_time",
@@ -407,43 +405,6 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
         claim=model.claim, renewal=model.renewal, ret=model.ret, horizon=horizon,
         seed=sim.seed, chunk=0, count=0, stats=stats)
     return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
-
-
-# ---------------------------------------------------------------------------
-# single-path reference simulation
-
-
-@dataclass(frozen=True)
-class AggregatePath:
-    """One simulated path: the endpoint and the per-arrival ledger."""
-
-    total: np.ndarray
-    arrival_times: np.ndarray
-    log_returns: np.ndarray
-    claims: np.ndarray
-
-    @property
-    def n_arrivals(self) -> int:
-        return self.arrival_times.size
-
-
-def simulate_aggregate(model: ModelSpec, T: float, rng: np.random.Generator) -> AggregatePath:
-    """Simulate one path of the discounted aggregate vector up to ``T``.
-
-    Returns the endpoint together with the ledger of arrival times, return
-    values at those times, and raw claim vectors, for reuse by surplus and
-    entrance-time computations.  The empty path is the zero vector.
-    """
-    from .processes import sample_arrivals
-
-    times = sample_arrivals(model.renewal, T, rng)
-    d = model.claim.d
-    if times.size == 0:
-        return AggregatePath(np.zeros(d), times, np.zeros(0), np.zeros((0, d)))
-    xi = np.atleast_1d(model.ret.sample_at(times, rng))
-    claims = model.claim.sample_sequence(times.size, rng)
-    total = (claims * np.exp(-xi)[:, None]).sum(axis=0)
-    return AggregatePath(total, times, xi, claims)
 
 
 # ---------------------------------------------------------------------------

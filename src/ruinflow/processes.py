@@ -41,7 +41,6 @@ __all__ = [
     "SummabilityResult",
     "renewal_function",
     "renewal_density",
-    "sample_arrivals",
     "check_bounded_below",
     "check_discount_summability",
     "truncation_horizon",
@@ -68,16 +67,13 @@ class Poisson:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("Poisson rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("Poisson rate must be finite and positive")
 
     def interarrival_laplace(self, s: float) -> float:
         if s <= -self.rate:
             raise ValueError("Laplace transform diverges at this argument")
         return self.rate / (self.rate + s)
-
-    def interarrival_mean(self) -> float:
-        return 1.0 / self.rate
 
     def interarrivals(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Interarrival gaps of the given shape, drawn from ``rng``."""
@@ -110,18 +106,8 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if self.k < 1 or self.rate <= 0:
-            raise ValueError("Erlang needs k >= 1 and rate > 0")
-
-    def cdf(self, t) -> np.ndarray:
-        return special.gammainc(self.k, self.rate * np.maximum(np.asarray(t, dtype=float), 0.0))
-
-    def convolution_cdf(self, i: int, t) -> np.ndarray:
-        """Distribution function of the ``i``-th arrival time."""
-        return special.gammainc(i * self.k, self.rate * np.maximum(np.asarray(t, dtype=float), 0.0))
-
-    def convolution_pdf(self, i: int, t) -> np.ndarray:
-        return stats.gamma.pdf(np.asarray(t, dtype=float), a=i * self.k, scale=1.0 / self.rate)
+        if not (self.k >= 1 and self.k % 1 == 0 and 0 < self.rate < math.inf):
+            raise ValueError("Erlang needs an integer k >= 1 and a finite rate > 0")
 
     def laplace(self, s: float) -> float:
         if s <= -self.rate:
@@ -140,9 +126,6 @@ class RenewalIID:
 
     def interarrival_laplace(self, s: float) -> float:
         return self.interarrival.laplace(s)
-
-    def interarrival_mean(self) -> float:
-        return self.interarrival.mean()
 
     def interarrivals(self, rng, shape):
         gaps = rng.standard_gamma(self.interarrival.k, shape)
@@ -190,18 +173,26 @@ class RenewalIID:
         is geometric; ``s`` is chosen from a small grid.  The bound is
         compared in log space, since ``exp(s t)`` overflows at long horizons.
         """
-        mean = self.interarrival.mean()
-        best = None
-        log_tol = math.log(_SERIES_TOL)
-        for s in (0.5 / mean, 1.0 / mean, 2.0 / mean, 4.0 / mean, 8.0 / mean):
-            q = self.interarrival_laplace(s)
-            log_prefactor = s * t - math.log1p(-q)
-            i = max(1, int(2 * t / mean))
-            while log_prefactor + (i + 1) * math.log(q) > log_tol and i < 1_000_000:
-                i += max(1, i // 4)
-            if best is None or i < best:
-                best = i
-        return best
+        return _series_terms(self.interarrival.k, self.interarrival.rate, t)
+
+
+@functools.lru_cache(maxsize=64)
+def _series_terms(k, rate, t) -> int:
+    """:meth:`RenewalIID.series_terms`, cached by value: quadratures ask for it
+    at every node with one horizon, and the key holds no model instance."""
+    interarrival = Erlang(k, rate)
+    mean = interarrival.mean()
+    best = None
+    log_tol = math.log(_SERIES_TOL)
+    for s in (0.5 / mean, 1.0 / mean, 2.0 / mean, 4.0 / mean, 8.0 / mean):
+        q = interarrival.laplace(s)
+        log_prefactor = s * t - math.log1p(-q)
+        i = max(1, int(2 * t / mean))
+        while log_prefactor + (i + 1) * math.log(q) > log_tol and i < 1_000_000:
+            i += max(1, i // 4)
+        if best is None or i < best:
+            best = i
+    return best
 
 
 RenewalSpec = Poisson | RenewalIID
@@ -226,24 +217,6 @@ def renewal_density(spec: RenewalSpec, t: float, horizon: float | None = None) -
     return spec.renewal_density(t, horizon)
 
 
-def sample_arrivals(spec: RenewalSpec, T: float, rng: np.random.Generator) -> np.ndarray:
-    """Arrival times in ``(0, T]``, strictly increasing."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    out = []
-    t = 0.0
-    block = max(16, int(4 * T / spec.interarrival_mean()) + 16)
-    while True:
-        gaps = spec.interarrivals(rng, block)
-        times = t + np.cumsum(gaps)
-        inside = times[times <= T]
-        out.append(inside)
-        if inside.size < times.size:
-            break
-        t = float(times[-1])
-    return np.concatenate(out)
-
-
 # ---------------------------------------------------------------------------
 # return processes
 
@@ -255,8 +228,8 @@ class Deterministic:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("deterministic force of interest must be nonnegative")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("deterministic force of interest must be finite and nonnegative")
 
     nondecreasing_paths = True
 
@@ -276,9 +249,6 @@ class Deterministic:
         """Whether ``inf_{t <= T} xi(t) >= -K`` almost surely, and the floor ``K``."""
         return BoundedBelowResult(True, 0.0)
 
-    def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.rate * np.asarray(times, dtype=float)
-
 
 @dataclass(frozen=True)
 class BrownianDrift:
@@ -288,8 +258,8 @@ class BrownianDrift:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("volatility must be nonnegative")
+        if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
+            raise ValueError("Brownian returns need a finite drift and a finite volatility >= 0")
 
     @property
     def nondecreasing_paths(self) -> bool:
@@ -314,9 +284,6 @@ class BrownianDrift:
             return BoundedBelowResult(False, None)
         return BoundedBelowResult(True, max(0.0, -self.mu * T))
 
-    def sample_at(self, times, rng):
-        return _xi_path(self, times, rng)
-
 
 @dataclass(frozen=True)
 class ExponentialJumps:
@@ -325,8 +292,8 @@ class ExponentialJumps:
     mean: float
 
     def __post_init__(self):
-        if self.mean <= 0:
-            raise ValueError("jump mean must be positive")
+        if not 0 < self.mean < math.inf:
+            raise ValueError("jump mean must be finite and positive")
 
     nonnegative = True
 
@@ -353,6 +320,10 @@ class FixedJumps:
 
     size: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.size):
+            raise ValueError("jump size must be finite")
+
     @property
     def nonnegative(self) -> bool:
         return self.size >= 0
@@ -376,8 +347,8 @@ class CompoundPoissonDrift:
     jumps: ExponentialJumps | FixedJumps
 
     def __post_init__(self):
-        if self.jump_rate <= 0:
-            raise ValueError("jump rate must be positive")
+        if not (math.isfinite(self.drift) and 0 < self.jump_rate < math.inf):
+            raise ValueError("compound Poisson returns need a finite drift and a finite jump rate > 0")
 
     @property
     def nondecreasing_paths(self) -> bool:
@@ -408,17 +379,8 @@ class CompoundPoissonDrift:
             return BoundedBelowResult(False, None)
         return BoundedBelowResult(True, max(0.0, -self.drift * T))
 
-    def sample_at(self, times, rng):
-        return _xi_path(self, times, rng)
-
 
 ReturnProcess = Deterministic | BrownianDrift | CompoundPoissonDrift
-
-
-def _xi_path(proc: ReturnProcess, times, rng: np.random.Generator) -> np.ndarray:
-    """``xi`` at increasing ``times`` (along the last axis), summed from ``xi_at``'s draws."""
-    times = np.asarray(times, dtype=float)
-    return np.cumsum(proc.xi_at(times, np.diff(times, prepend=0.0), rng), axis=-1)
 
 
 @functools.cache

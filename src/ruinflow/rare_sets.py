@@ -26,6 +26,7 @@ onto this catalog through :func:`from_ruin_set`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,8 @@ class MaxExceed:
 
     def __post_init__(self):
         b = tuple(float(v) for v in np.atleast_1d(self.b))
-        if len(b) == 0 or any(v <= 0 for v in b):
-            raise ValueError("MaxExceed thresholds must be positive")
+        if len(b) == 0 or any(not 0 < v < math.inf for v in b):
+            raise ValueError("MaxExceed thresholds must be finite and positive")
         object.__setattr__(self, "b", b)
 
     @property
@@ -95,12 +96,12 @@ class HalfSpace:
 
     def __post_init__(self):
         l = tuple(float(v) for v in np.atleast_1d(self.l))
-        if len(l) == 0 or any(v < 0 for v in l):
+        if len(l) == 0 or any(not v >= 0 for v in l):
             raise ValueError("HalfSpace weights must be nonnegative")
         if abs(sum(l) - 1.0) > 1e-9:
             raise ValueError("HalfSpace weights must sum to 1")
-        if self.b <= 0:
-            raise ValueError("HalfSpace level must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError("HalfSpace level must be finite and positive")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "b", float(self.b))
 
@@ -149,8 +150,8 @@ class Ray:
     b: float
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("Ray level must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError("Ray level must be finite and positive")
         object.__setattr__(self, "b", float(self.b))
 
     @property
@@ -240,7 +241,7 @@ class WeightedSumNegative:
     def __post_init__(self):
         if self.weights is not None:
             w = tuple(float(v) for v in np.atleast_1d(self.weights))
-            if any(v < 0 for v in w):
+            if any(not v >= 0 for v in w):
                 raise ValueError("ruin-set weights must be nonnegative")
             if abs(sum(w) - 1.0) > 1e-9:
                 raise ValueError("ruin-set weights must sum to 1")
@@ -331,7 +332,7 @@ def from_ruin_set(ruin_set: RuinSet, alloc) -> RareSet:
     alloc = np.asarray(alloc, dtype=float)
     if alloc.ndim != 1 or alloc.size == 0:
         raise ValueError("allocation must be a 1-d vector")
-    if np.any(alloc <= 0):
+    if not np.all(alloc > 0):
         raise ValueError("allocation entries must be strictly positive")
     if abs(alloc.sum() - 1.0) > _ALLOC_TOL:
         raise ValueError("allocation must sum to 1")

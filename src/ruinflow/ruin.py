@@ -31,10 +31,8 @@ from .estimators import (
     asymptotic_entrance_infinite,
 )
 from .montecarlo import (
-    AggregatePath,
     EstimateTable,
     SimConfig,
-    _discounted_premium_at,
     _Entrance,
     _finish_table,
     _resolve_horizon_and_asymptotics,
@@ -47,7 +45,6 @@ from .rare_sets import RareSet, RuinSet, from_ruin_set
 __all__ = [
     "PremiumSchedule",
     "RuinModel",
-    "surplus_path",
     "empirical_ruin",
     "asymptotic_ruin",
 ]
@@ -68,15 +65,16 @@ class PremiumSchedule:
     def __post_init__(self):
         breaks = tuple(float(b) for b in self.breaks)
         rates = tuple(tuple(float(r) for r in row) for row in self.rates)
-        if not breaks or breaks[0] != 0.0 or list(breaks) != sorted(breaks):
-            raise ValueError("piece boundaries must start at 0 and increase")
+        if (not breaks or breaks[0] != 0.0 or not all(map(math.isfinite, breaks))
+                or list(breaks) != sorted(breaks)):
+            raise ValueError("piece boundaries must be finite, start at 0 and increase")
         if len(rates) != len(breaks):
             raise ValueError("need one rate row per piece")
         widths = {len(row) for row in rates}
         if len(widths) != 1:
             raise ValueError("rate rows must share one dimension")
-        if any(r < 0 for row in rates for r in row):
-            raise ValueError("premium densities must be nonnegative")
+        if any(not 0 <= r < math.inf for row in rates for r in row):
+            raise ValueError("premium densities must be finite and nonnegative")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "rates", rates)
 
@@ -100,10 +98,6 @@ class PremiumSchedule:
     @property
     def is_zero(self) -> bool:
         return self.bound == 0.0
-
-    def density(self, t: float) -> np.ndarray:
-        j = int(np.searchsorted(self.breaks, t, side="right")) - 1
-        return np.asarray(self.rates[max(j, 0)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -138,60 +132,6 @@ class RuinModel:
         return ModelSpec(self.claim, self.mapped_set, self.renewal, self.ret)
 
 
-def discounted_premium_integral(model: RuinModel, times, rng_path_xi=None,
-                                grid_steps: int = 10_000) -> np.ndarray:
-    """``integral_0^t e^{-xi(s)} p(s) ds`` at each requested time.
-
-    Exact piecewise evaluation under deterministic returns.  For stochastic
-    returns the integral is a trapezoid sum on a refined grid with the
-    log-return path linearly interpolated between its sampled arrival-epoch
-    values (``rng_path_xi`` maps sorted times to sampled values).
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    prem = model.premiums
-    if prem.is_zero:
-        return np.zeros(times.shape + (model.claim.d,))
-    if isinstance(model.ret, Deterministic):
-        return _discounted_premium_at(times[None, :], prem.breaks,
-                                      np.asarray(prem.rates), model.ret.rate)[0]
-    if rng_path_xi is None:
-        raise ValueError("stochastic returns need the sampled log-return path")
-    anchor_t, anchor_xi = rng_path_xi
-    horizon = float(times.max())
-    grid = np.linspace(0.0, horizon, grid_steps + 1)
-    xi_grid = np.interp(grid, np.concatenate([[0.0], anchor_t]),
-                        np.concatenate([[0.0], anchor_xi]))
-    dens = np.stack([model.premiums.density(t) for t in grid])
-    integrand = np.exp(-xi_grid)[:, None] * dens
-    cum = np.concatenate([
-        np.zeros((1, model.claim.d)),
-        np.cumsum(0.5 * (integrand[1:] + integrand[:-1])
-                  * np.diff(grid)[:, None], axis=0),
-    ])
-    out = np.empty(times.shape + (model.claim.d,))
-    for j in range(model.claim.d):
-        out[..., j] = np.interp(times, grid, cum[:, j])
-    return out
-
-
-def surplus_path(model: RuinModel, path: AggregatePath, x: float) -> np.ndarray:
-    """Surplus vectors at the path's arrival epochs for initial capital ``x``.
-
-    ``U(tau_k) = x*alloc + integral_0^{tau_k} e^{-xi} p - D(tau_k)``.
-    """
-    if x < 0:
-        raise ValueError("initial capital must be nonnegative")
-    alloc = np.asarray(model.alloc)
-    if path.n_arrivals == 0:
-        return np.zeros((0, model.claim.d))
-    discounted = path.claims * np.exp(-path.log_returns)[:, None]
-    running = np.cumsum(discounted, axis=0)
-    prem = discounted_premium_integral(
-        model, path.arrival_times,
-        rng_path_xi=(path.arrival_times, path.log_returns))
-    return x * alloc[None, :] + prem - running
-
-
 def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
                    unsafe: bool = False) -> EstimateTable:
     """Empirical ruin probabilities over the capital grid, with asymptotics.
@@ -205,8 +145,8 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     sim = replace(sim, x_grid=tuple(float(v) for v in x_grid), horizon=T)
     if not model.premiums.is_zero and not isinstance(model.ret, Deterministic):
         raise NotImplementedError(
-            "vectorized ruin with premiums needs deterministic returns; "
-            "use surplus_path for stochastic-return premium accrual")
+            "ruin with premiums needs deterministic returns; premium accrual "
+            "under stochastic returns is not implemented")
     _check_premium_finiteness(model, T)
     entrance = model.entrance_model()
     horizon, asym, meta = _resolve_horizon_and_asymptotics(entrance, sim, unsafe)

@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values through a route that shares no
 code with the implementation under test: brute-force scans, explicit
-antiderivatives, textbook convolution integrals, and conditional Monte Carlo
+antiderivatives, textbook convolution integrals, conditional Monte Carlo
 estimators whose only library inputs are the margins' ``survival`` and
-``pdf`` and ``ClaimModel.sample_sequence``.
+``pdf`` and ``ClaimModel.sample_sequence``, and a path-by-path sampler that
+uses the model's single-variate draws (``interarrivals``, ``xi_at``,
+``sample_sequence``) but not the chunk engine.
 """
 
 from __future__ import annotations
@@ -169,6 +171,23 @@ def _poisson_arrivals(rng, n: int, rate: float, horizon: float):
     times = rng.random((n, width)) * horizon
     times[np.arange(width)[None, :] >= counts[:, None]] = np.inf
     return np.sort(times, axis=1)
+
+
+def arrival_times(renewal, T: float, rng) -> np.ndarray:
+    """Arrival times of one path in ``(0, T]``, summed from ``renewal.interarrivals``."""
+    times = np.cumsum(renewal.interarrivals(rng, 32))
+    while times[-1] <= T:
+        times = np.concatenate((times, times[-1] + np.cumsum(renewal.interarrivals(rng, 32))))
+    return times[times <= T]
+
+
+def reference_endpoint(model, T: float, rng) -> np.ndarray:
+    """``D(T)`` of one path, drawn arrival by arrival; the empty path gives zero."""
+    tau = arrival_times(model.renewal, T, rng)
+    if tau.size == 0:
+        return np.zeros(model.claim.d)
+    xi = np.cumsum(model.ret.xi_at(tau, np.diff(tau, prepend=0.0), rng))
+    return np.exp(-xi) @ model.claim.sample_sequence(tau.size, rng)
 
 
 def _others(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

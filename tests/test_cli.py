@@ -1,4 +1,7 @@
+import ast
+import importlib
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -25,9 +28,12 @@ from ruinflow.rare_sets import (
     PolyhedralUnion,
     Ray,
     WeightedSumNegative,
+    from_ruin_set,
 )
+from ruinflow.ruin import PremiumSchedule
 
-DEMO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.json"))
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_CONFIGS = sorted((DEMOS / "configs").glob("*.json"))
 
 
 def base_config(out: Path, **kw):
@@ -80,6 +86,57 @@ class TestSchema:
         # docs/config_schema.json is a copy of CONFIG_SCHEMA and must stay one
         copy = Path(__file__).resolve().parent.parent / "docs" / "config_schema.json"
         assert copy.read_text() == json.dumps(CONFIG_SCHEMA, indent=2) + "\n"
+
+
+NAN, INF = math.nan, math.inf
+
+#: constructor calls with one NaN or infinite model parameter each
+NON_FINITE = {
+    "pareto alpha": lambda v: Pareto(v, 1.0),
+    "pareto scale": lambda v: Pareto(1.5, v),
+    "heavy_weibull scale": lambda v: HeavyWeibull(0.5, v),
+    "lognormal mu": lambda v: Lognormal(v, 1.0),
+    "lognormal sigma": lambda v: Lognormal(0.0, v),
+    "poisson rate": lambda v: Poisson(v),
+    "erlang k": lambda v: Erlang(v, 1.0),
+    "erlang rate": lambda v: Erlang(2, v),
+    "deterministic rate": lambda v: Deterministic(v),
+    "brownian mu": lambda v: BrownianDrift(v, 0.2),
+    "brownian sigma": lambda v: BrownianDrift(0.1, v),
+    "compound_poisson drift": lambda v: CompoundPoissonDrift(v, 0.5, FixedJumps(0.1)),
+    "compound_poisson jump_rate": lambda v: CompoundPoissonDrift(0.02, v, FixedJumps(0.1)),
+    "exponential mean": lambda v: ExponentialJumps(v),
+    "fixed size": lambda v: FixedJumps(v),
+    "max_exceed b": lambda v: MaxExceed((1.0, v)),
+    "half_space l": lambda v: HalfSpace((0.5, v), 1.0),
+    "half_space b": lambda v: HalfSpace((0.5, 0.5), v),
+    "ray b": lambda v: Ray(v),
+    "weighted_sum_negative weights": lambda v: WeightedSumNegative((0.5, v)),
+    "alloc": lambda v: from_ruin_set(AnyLineNegative(), (0.5, v)),
+    "premium breaks": lambda v: PremiumSchedule(breaks=(0.0, v, 5.0),
+                                                rates=((0.5,), (0.5,), (0.5,))),
+    "premium rates": lambda v: PremiumSchedule(breaks=(0.0,), rates=((v,),)),
+}
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_constructor_rejects(self, build, value):
+        with pytest.raises(ValueError):
+            build(value)
+
+    def test_erlang_shape_must_be_an_integer(self):
+        with pytest.raises(ValueError):
+            Erlang(2.5, 1.0)
+
+    def test_nan_config_exits_3(self, tmp_path):
+        # jsonschema's bounds let NaN through; the model constructors must not
+        cfg = base_config(tmp_path / "r")
+        cfg["model"]["set"] = {"type": "half_space", "l": [0.5, 0.5], "b": 1.0}
+        cfg["model"]["return"]["rate"] = NAN
+        assert run(write(tmp_path, cfg)) == 3
+        assert not (tmp_path / "r.csv").exists()
 
 
 def _place_margin(model, spec):
@@ -345,3 +402,13 @@ def test_demo_config_runs(config, tmp_path):
     cfg["sim"]["n_paths"] = 2000
     code = run(write(tmp_path, cfg), {"threads": 1, "out": str(tmp_path / config.stem)})
     assert code == (2 if config.name == "assumption_report.json" else 0)
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_resolve(script):
+    # parse, do not run: every name a demo imports from ruinflow must exist
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ruinflow":
+            module = importlib.import_module(node.module)
+            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not missing, f"{script.name} imports {missing} from {node.module}"

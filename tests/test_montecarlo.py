@@ -23,7 +23,6 @@ from ruinflow.montecarlo import (
     _simulate_aggregate_chunk,
     empirical_entrance,
     empirical_entrance_time,
-    simulate_aggregate,
     single_big_jump_check,
     wilson_interval,
 )
@@ -50,7 +49,7 @@ from ruinflow.rare_sets import (
 )
 from ruinflow.ruin import PremiumSchedule, RuinModel, empirical_ruin
 
-from oracles import pareto1_sum_survival
+from oracles import pareto1_sum_survival, reference_endpoint
 
 
 def base_spec(alpha=1.5, d=2, ret=None):
@@ -151,36 +150,6 @@ class _Sums:
 
 
 class TestSimulateAggregate:
-    def test_empty_path_is_zero_vector(self):
-        spec = base_spec()
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            path = simulate_aggregate(spec, 1e-6, rng)
-            if path.n_arrivals == 0:
-                assert np.all(path.total == 0.0)
-                break
-        else:  # pragma: no cover
-            pytest.fail("no empty path found at a tiny horizon")
-
-    def test_ledger_reconstructs_endpoint(self):
-        spec = base_spec(ret=BrownianDrift(0.1, 0.2))
-        rng = np.random.default_rng(2)
-        path = simulate_aggregate(spec, 10.0, rng)
-        assert path.n_arrivals > 0
-        rebuilt = (path.claims * np.exp(-path.log_returns)[:, None]).sum(axis=0)
-        assert np.allclose(rebuilt, path.total)
-        assert np.all(np.diff(path.arrival_times) > 0)
-
-    def test_single_arrival_discounts_exactly(self):
-        spec = base_spec()
-        rng = np.random.default_rng(3)
-        while True:
-            path = simulate_aggregate(spec, 0.05, rng)
-            if path.n_arrivals == 1:
-                expected = path.claims[0] * math.exp(-path.log_returns[0])
-                assert np.allclose(path.total, expected)
-                break
-
     def test_wald_identity_flat_discounting(self):
         # r = 0: plain compound sum; mean of each component is lam*T*E[X]
         spec = ModelSpec(ClaimModel.iid((Pareto(3.0, 1.0), Pareto(3.0, 1.0))),
@@ -220,7 +189,7 @@ class TestEmpiricalEntrance:
     def test_entrance_identity_contains_vs_scalarization(self):
         spec = base_spec()
         rng = np.random.default_rng(23)
-        totals = np.stack([simulate_aggregate(spec, 10.0, rng).total for _ in range(2000)])
+        totals = np.stack([reference_endpoint(spec, 10.0, rng) for _ in range(2000)])
         for x in (5.0, 25.0):
             f1 = np.asarray(contains(spec.rare_set, x, totals)).mean()
             f2 = (z_index(spec.rare_set, totals) > x).mean()
@@ -235,7 +204,7 @@ class TestEmpiricalEntrance:
         rng = np.random.default_rng(25)
         n_slow = 20_000
         hits = sum(
-            z_index(spec.rare_set, simulate_aggregate(spec, 10.0, rng).total) > x
+            z_index(spec.rare_set, reference_endpoint(spec, 10.0, rng)) > x
             for _ in range(n_slow))
         p_slow = hits / n_slow
         se = math.sqrt(table.p_hat[0] * (1 - table.p_hat[0])

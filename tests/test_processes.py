@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ruinflow.dependence import ClaimModel
+from ruinflow.estimators import ModelSpec, asymptotic_entrance_finite
+from ruinflow.heavy_tails import Pareto
 from ruinflow.processes import (
     BrownianDrift,
     CompoundPoissonDrift,
@@ -13,16 +16,17 @@ from ruinflow.processes import (
     FixedJumps,
     Poisson,
     RenewalIID,
+    _series_terms,
     check_bounded_below,
     check_discount_summability,
     discount_integral_tail_bound,
     renewal_density,
     renewal_function,
-    sample_arrivals,
     truncation_horizon,
 )
+from ruinflow.rare_sets import Ray
 
-from oracles import erlang2_renewal_function
+from oracles import arrival_times, erlang2_renewal_function
 
 
 class TestRenewalFunction:
@@ -51,6 +55,17 @@ class TestRenewalFunction:
     def test_density_poisson(self):
         assert renewal_density(Poisson(1.7), 3.0) == 1.7
 
+    def test_series_terms_searched_once_per_horizon(self):
+        # the finite-horizon quadrature asks for the renewal density at every
+        # node with one horizon; the Chernoff search must run once
+        spec = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0),
+                         RenewalIID(Erlang(2, 2.0)), Deterministic(0.05))
+        _series_terms.cache_clear()
+        asymptotic_entrance_finite(spec, 50.0, 10.0)
+        info = _series_terms.cache_info()
+        assert info.misses == 1
+        assert info.hits > 1
+
     def test_density_erlang_integrates_to_renewal_function(self):
         from scipy import integrate
 
@@ -61,16 +76,18 @@ class TestRenewalFunction:
 
 
 class TestArrivalSampling:
+    """Arrival times summed from the renewal's ``interarrivals``."""
+
     def test_poisson_mean_count(self):
         rng = np.random.default_rng(22)
-        counts = [sample_arrivals(Poisson(1.0), 10.0, rng).size for _ in range(4000)]
+        counts = [arrival_times(Poisson(1.0), 10.0, rng).size for _ in range(4000)]
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 10.0) < 3 * se
 
     def test_poisson_count_chisquare(self):
         rng = np.random.default_rng(23)
         n = 20_000
-        counts = np.array([sample_arrivals(Poisson(1.0), 10.0, rng).size for _ in range(n)])
+        counts = np.array([arrival_times(Poisson(1.0), 10.0, rng).size for _ in range(n)])
         kmax = 22
         observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
         pmf = stats.poisson.pmf(np.arange(kmax), 10.0)
@@ -80,12 +97,12 @@ class TestArrivalSampling:
 
     def test_short_horizon_usually_empty(self):
         rng = np.random.default_rng(24)
-        empties = sum(sample_arrivals(Poisson(1.0), 1e-4, rng).size == 0 for _ in range(2000))
+        empties = sum(arrival_times(Poisson(1.0), 1e-4, rng).size == 0 for _ in range(2000))
         assert empties > 1990
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(25)
-        t = sample_arrivals(RenewalIID(Erlang(3, 1.0)), 50.0, rng)
+        t = arrival_times(RenewalIID(Erlang(3, 1.0)), 50.0, rng)
         assert np.all(np.diff(t) > 0)
         assert t.max() <= 50.0
 
@@ -186,7 +203,8 @@ class TestMomentIdentity:
         t, k = 2.0, 1.2
         rng = np.random.default_rng(27)
         n = 500_000
-        xi = np.array(proc.sample_at(np.full((n, 1), t), rng)).ravel()
+        dtau = np.full(n, t)
+        xi = proc.xi_at(dtau, dtau, rng)
         vals = np.exp(-k * xi)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - math.exp(t * proc.laplace_exponent(k))) < 3 * se
@@ -196,7 +214,8 @@ class TestMomentIdentity:
         rng = np.random.default_rng(28)
         times = np.array([0.5, 1.5, 4.0])
         n = 200_000
-        xi = proc.sample_at(np.tile(times, (n, 1)), rng)
+        tau = np.tile(times, (n, 1))
+        xi = np.cumsum(proc.xi_at(tau, np.diff(tau, prepend=0.0), rng), axis=1)
         for j, t in enumerate(times):
             assert xi[:, j].mean() == pytest.approx(0.1 * t, abs=3 * 0.2 * math.sqrt(t / n) + 1e-4)
             assert xi[:, j].var() == pytest.approx(0.04 * t, rel=0.02)

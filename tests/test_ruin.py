@@ -6,7 +6,7 @@ import pytest
 from ruinflow.dependence import ClaimModel
 from ruinflow.estimators import asymptotic_entrance_finite, mrv_closed_form
 from ruinflow.heavy_tails import Pareto
-from ruinflow.montecarlo import AggregatePath, SimConfig, empirical_entrance, simulate_aggregate
+from ruinflow.montecarlo import SimConfig, _discounted_premium_at, empirical_entrance
 from ruinflow.processes import BrownianDrift, Deterministic, Poisson
 from ruinflow.rare_sets import (
     AnyLineNegative,
@@ -19,9 +19,7 @@ from ruinflow.ruin import (
     PremiumSchedule,
     RuinModel,
     asymptotic_ruin,
-    discounted_premium_integral,
     empirical_ruin,
-    surplus_path,
 )
 
 from oracles import deterministic_pareto_entrance_integral
@@ -38,14 +36,6 @@ def two_line_model(premium=0.5, ret=None, ruin_set=None, alpha=1.5):
     )
 
 
-def manual_path(times, xi, claims):
-    times = np.asarray(times, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    claims = np.asarray(claims, dtype=float)
-    total = (claims * np.exp(-xi)[:, None]).sum(axis=0) if len(times) else np.zeros(claims.shape[1])
-    return AggregatePath(total, times, xi, claims)
-
-
 class TestPremiumSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -58,70 +48,26 @@ class TestPremiumSchedule:
     def test_bound_and_density(self):
         sched = PremiumSchedule(breaks=(0.0, 2.0), rates=((0.5, 0.1), (1.5, 0.2)))
         assert sched.bound == 1.5
-        assert np.allclose(sched.density(1.0), [0.5, 0.1])
-        assert np.allclose(sched.density(3.0), [1.5, 0.2])
 
     def test_flat_discount_integral_is_linear(self):
-        model = two_line_model(premium=0.7, ret=Deterministic(0.0))
-        out = discounted_premium_integral(model, [1.0, 4.0])
+        prem = two_line_model(premium=0.7, ret=Deterministic(0.0)).premiums
+        out = _discounted_premium_at(np.array([1.0, 4.0]), prem.breaks, np.asarray(prem.rates), 0.0)
         assert np.allclose(out, [[0.7, 0.7], [2.8, 2.8]])
 
     def test_deterministic_integral_matches_quadrature(self):
         from scipy import integrate
 
-        model = RuinModel(
-            claim=ClaimModel.iid((Pareto(1.5), Pareto(1.5))),
-            renewal=Poisson(1.0), ret=Deterministic(0.07),
-            alloc=(0.5, 0.5), ruin_set=AnyLineNegative(),
-            premiums=PremiumSchedule(breaks=(0.0, 2.0, 5.0),
-                                     rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6))))
+        prem = PremiumSchedule(breaks=(0.0, 2.0, 5.0),
+                               rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
+        edges = prem.breaks + (math.inf,)
         for t in (1.0, 3.0, 8.0):
-            got = discounted_premium_integral(model, [t])[0]
+            got = _discounted_premium_at(np.array([t]), prem.breaks, np.asarray(prem.rates), 0.07)[0]
             for j in range(2):
-                want, _ = integrate.quad(
-                    lambda s: math.exp(-0.07 * s) * model.premiums.density(s)[j], 0, t)
+                # one integral per piece, each at that piece's own rate
+                want = sum(
+                    integrate.quad(lambda s: math.exp(-0.07 * s) * rate[j], a, min(b, t))[0]
+                    for a, b, rate in zip(edges, edges[1:], prem.rates) if a < t)
                 assert got[j] == pytest.approx(want, rel=1e-10)
-
-    def test_stochastic_route_uses_interpolated_path(self):
-        model = two_line_model(ret=BrownianDrift(0.1, 0.2))
-        times = np.array([1.0, 2.0])
-        out = discounted_premium_integral(model, times, rng_path_xi=(times, np.zeros(2)))
-        # flat zero log-returns make the integral plain premium times time
-        assert np.allclose(out[-1], [1.0, 1.0], rtol=1e-6)
-
-
-class TestSurplusPath:
-    def test_no_premiums_no_claims_constant(self):
-        model = two_line_model(premium=0.0)
-        path = manual_path([1.0, 2.0], [0.05, 0.10], np.zeros((2, 2)))
-        U = surplus_path(model, path, 100.0)
-        assert np.allclose(U, 50.0)
-
-    def test_single_claim_drops_discounted_amount(self):
-        model = two_line_model(premium=0.0)
-        path = manual_path([2.0], [0.1], [[3.0, 1.0]])
-        U = surplus_path(model, path, 100.0)
-        drop = np.array([3.0, 1.0]) * math.exp(-0.1)
-        assert np.allclose(U[0], 50.0 - drop)
-
-    def test_constant_premium_zero_rate_accrues_linearly(self):
-        model = RuinModel(
-            claim=ClaimModel.iid((Pareto(1.5), Pareto(1.5))),
-            renewal=Poisson(1.0), ret=Deterministic(0.0),
-            alloc=(0.5, 0.5), ruin_set=AnyLineNegative(),
-            premiums=PremiumSchedule.constant((0.3, 0.3)))
-        path = manual_path([1.0, 4.0], [0.0, 0.0], np.zeros((2, 2)))
-        U = surplus_path(model, path, 10.0)
-        assert np.allclose(U[:, 0], [5.0 + 0.3, 5.0 + 1.2])
-
-    def test_matches_simulated_ledger(self):
-        model = two_line_model(premium=0.5)
-        rng = np.random.default_rng(4)
-        path = simulate_aggregate(model.entrance_model(), 10.0, rng)
-        U = surplus_path(model, path, 30.0)
-        running = np.cumsum(path.claims * np.exp(-path.log_returns)[:, None], axis=0)
-        prem = discounted_premium_integral(model, path.arrival_times)
-        assert np.allclose(U, 30.0 * 0.5 + prem - running)
 
 
 class TestEmpiricalRuin:
