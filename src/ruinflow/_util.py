@@ -47,7 +47,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
     Refines until the Richardson error estimate of each panel falls below the
     proportional share of ``rel_tol * |integral|`` (with ``abs_floor`` as an
     absolute escape hatch for integrals indistinguishable from zero).  Panels
-    still above their share at ``max_depth`` raise one ``RuntimeWarning``.
+    still above their share at ``max_depth`` raise one ``RuntimeWarning``; a
+    panel whose estimate is not finite raises ``ArithmeticError``.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
@@ -66,6 +67,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         err = (left + right - whole) / 15.0
+        if not math.isfinite(err):  # NaN never converges: stop before bisecting to max_depth
+            raise ArithmeticError(f"integrand not finite on [{x0:g}, {x2:g}]")
         if abs(err) <= tol:
             return left + right + err
         if depth >= max_depth:

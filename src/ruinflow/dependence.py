@@ -84,9 +84,9 @@ class _Dependence:
 @dataclass(frozen=True)
 class IID(_Dependence):
     def claims(self, margins, u):
-        out = np.empty_like(u)
+        out = np.subtract(1.0, u)  # the survival transforms, turned into claims in place
         for j, m in enumerate(margins):
-            out[:, j] = m.from_survival_uniform(u[:, j])
+            m._qf(out[:, j])
         return out
 
 
@@ -104,20 +104,12 @@ class FgmChain(_Dependence):
             raise ValueError("FGM chain couples two components sharing one marginal")
 
     def claims(self, margins, u):
-        g = self.marginal
         # survival transforms of the four coupled components: the first
         # three are independent uniforms, the fourth is conditional with
-        # the closed-form FGM quadratic inverse
-        v1 = 1.0 - u[0, 0]
-        v2 = 1.0 - u[0, 1]
-        v3 = 1.0 - u[1, 0]
-        v4 = fgm_conditional_inverse(self.theta, v1, v2, v3, 1.0 - u[1, 1])
-        out = np.empty_like(u)  # after the inverse's temporaries are freed: a lower peak
-        out[0, 0] = g._qf(v1)
-        out[0, 1] = g._qf(v2)
-        out[1, 0] = g._qf(v3)
-        out[1, 1] = g._qf(v4)
-        return out
+        # the closed-form FGM quadratic inverse; all share the marginal
+        v = np.subtract(1.0, u)
+        v[1, 1] = fgm_conditional_inverse(self.theta, v[0, 0], v[0, 1], v[1, 0], v[1, 1])
+        return self.marginal._qf(v)
 
 
 @dataclass(frozen=True)
@@ -133,11 +125,12 @@ class CubicPair(_Dependence):
         return (HarmonicSurvival(), HarmonicSurvival())
 
     def claims(self, margins, u):
-        xv = margins[0]._qf(1.0 - u[0])
-        out = np.empty_like(u)
-        out[0] = xv
+        out = np.subtract(1.0, u)
+        xv, yv = margins[0]._qf(out[0]), out[1]
         # P[Y > y | X = x] = ((1+x^3)/(1+x^3+y))^2, inverted in closed form
-        out[1] = (1.0 + xv**3) * ((1.0 - u[1]) ** -0.5 - 1.0)
+        yv **= -0.5
+        yv -= 1.0
+        yv *= 1.0 + xv**3
         return out
 
 
@@ -278,11 +271,18 @@ def fgm_conditional_inverse(theta: float, v1, v2, v3, w):
     Given the first three survival transforms ``v1, v2, v3`` and a uniform
     ``w``, solves ``v + a*v*(1 - v) = w`` with
     ``a = theta * (1 - 2 v1)(1 - 2 v2)(1 - 2 v3)`` using the numerically
-    stable root of the quadratic (exact for ``a = 0``).
+    stable root of the quadratic (exact for ``a = 0``).  Two scratch arrays
+    hold the intermediate values; the inputs are only read.
     """
-    a = theta * (1.0 - 2.0 * np.asarray(v1)) * (1.0 - 2.0 * np.asarray(v2)) * (1.0 - 2.0 * np.asarray(v3))
-    w = np.asarray(w)
-    return 2.0 * w / ((1.0 + a) + np.sqrt((1.0 + a) ** 2 - 4.0 * a * w))
+    shape = np.broadcast(v1, v2, v3, w).shape
+    a, b, out = np.full(shape, theta, dtype=float), np.empty(shape), np.empty(shape)
+    for v in (v1, v2, v3):
+        a *= np.subtract(1.0, np.multiply(2.0, v, out=b), out=b)
+    np.square(np.add(1.0, a, out=b), out=out)  # (1 + a)^2; b keeps 1 + a
+    a *= 4.0
+    out -= np.multiply(a, w, out=a)
+    np.add(b, np.sqrt(out, out=out), out=out)
+    return np.divide(np.multiply(2.0, w, out=a), out, out=out)
 
 
 def fgm_joint_survival(theta: float, marginal: TailDistribution, x1, x2, y1, y2):

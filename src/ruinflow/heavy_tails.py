@@ -102,7 +102,8 @@ class TailDistribution:
         return self._qf(_check_prob(u))
 
     def _qf(self, v):
-        """Survival inverse on (0, 1]; ``v = 1`` maps to the bottom of the support."""
+        """Survival inverse on (0, 1], in place: overwrites the float array ``v``
+        and returns it; ``v = 1`` maps to the bottom of the support."""
         raise NotImplementedError
 
     def pdf(self, x):
@@ -121,7 +122,7 @@ class TailDistribution:
         ``1 - u`` lies in (0, 1], so a uniform of exactly zero stays on the
         support instead of escaping to infinity.
         """
-        return self._qf(1.0 - np.asarray(u, dtype=float))
+        return self._qf(np.subtract(1.0, u, out=np.empty(np.shape(u))))
 
     def pareto_envelope(self) -> tuple[float, float] | None:
         """Constants ``(C, alpha)`` with ``survival(x) <= C * x**-alpha`` for all x > 0.
@@ -154,7 +155,8 @@ class Pareto(TailDistribution):
         return np.where(x <= self.scale, 1.0, np.maximum(x, self.scale) / self.scale) ** -self.alpha
 
     def _qf(self, v):
-        return self.scale * np.asarray(v, dtype=float) ** (-1.0 / self.alpha)
+        v **= -1.0 / self.alpha
+        return np.multiply(v, self.scale, out=v)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -197,7 +199,9 @@ class HeavyWeibull(TailDistribution):
         return np.exp(-np.maximum(x, 0.0) ** self.shape / self.scale**self.shape)
 
     def _qf(self, v):
-        return self.scale * (-np.log(np.asarray(v, dtype=float))) ** (1.0 / self.shape)
+        v = np.negative(np.log(v, out=v), out=v)
+        v **= 1.0 / self.shape
+        return np.multiply(v, self.scale, out=v)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -233,8 +237,9 @@ class Lognormal(TailDistribution):
         return out
 
     def _qf(self, v):
+        np.multiply(special.ndtri(v, out=v), self.sigma, out=v)
         with np.errstate(over="ignore"):
-            return np.exp(self.mu - self.sigma * special.ndtri(np.asarray(v, dtype=float)))
+            return np.exp(np.subtract(self.mu, v, out=v), out=v)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -263,7 +268,9 @@ class CubicSurvival(TailDistribution):
         return 1.0 / (1.0 + np.maximum(x, 0.0) ** 3)
 
     def _qf(self, v):
-        return (1.0 / np.asarray(v, dtype=float) - 1.0) ** (1.0 / 3.0)
+        v = np.subtract(np.divide(1.0, v, out=v), 1.0, out=v)
+        v **= 1.0 / 3.0
+        return v
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -295,7 +302,7 @@ class HarmonicSurvival(TailDistribution):
         return 1.0 / (1.0 + np.maximum(x, 0.0))
 
     def _qf(self, v):
-        return 1.0 / np.asarray(v, dtype=float) - 1.0
+        return np.subtract(np.divide(1.0, v, out=v), 1.0, out=v)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -312,7 +319,7 @@ class HarmonicSurvival(TailDistribution):
 
 
 def _check_prob(u):
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)  # a copy: the quantile is computed in place
     if np.any(u <= 0) or np.any(u >= 1):
         raise ValueError("probability argument must lie strictly inside (0, 1)")
     return u

@@ -31,7 +31,11 @@ does not grow with the horizon and no arrival-count cap exists.
 
 One chunk runner serves every experiment through per-path statistics
 (:class:`_Statistic`): entrance, entrance time and ruin (the entrance of the
-net claim process into the mapped set, read on the same paths).
+net claim process into the mapped set, read on the same paths).  A pool gets
+the chunks in blocks of consecutive chunks, about :data:`BLOCKS_PER_WORKER`
+blocks per worker (single chunks when there are fewer), and the results are
+merged in chunk order.  Claim transforms work in place: a marginal's ``_qf``
+overwrites the survival transforms it is given, never the caller's uniforms.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ __all__ = [
 
 #: paths per chunk; part of the layout (each chunk draws its own stream), not a tuning knob
 CHUNK_PATHS = 16_384
+#: pool tasks per worker; a block holds ``n_chunks // (8 * n_workers)`` chunks, at least one
+BLOCKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -390,8 +396,9 @@ def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
     if n_workers == 1:
         results = [runner(t) for t in tasks]
     else:
+        chunksize = max(1, len(tasks) // (BLOCKS_PER_WORKER * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(runner, tasks, chunksize=1))
+            results = list(pool.map(runner, tasks, chunksize=chunksize))
     merged: dict = {}
     for res in results:  # results arrive in chunk order: merge is deterministic
         _add_counts(merged, res)
@@ -554,10 +561,10 @@ def _big_jump_chunk(task: _BigJumpTask) -> dict:
     total = vectors[0] * w[0]
     for i in range(1, n):  # left to right, the order of a sum over the vector axis
         total += vectors[i] * w[i]
-    z_each = np.stack([z_index_signed(task.rare_set, v) * wi for v, wi in zip(vectors, w)])
     return {
         "sum_counts": _exceedances(z_index_signed(task.rare_set, total), task.x_grid),
-        "marginal_counts": _exceedances(z_each.T, task.x_grid),
+        "marginal_counts": np.array([_exceedances(z_index_signed(task.rare_set, v) * wi,
+                                                  task.x_grid) for v, wi in zip(vectors, w)]),
     }
 
 

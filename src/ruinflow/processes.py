@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import special
 
 from ._util import adaptive_simpson
 
@@ -147,9 +147,9 @@ class RenewalIID:
         if t <= 0:
             return 0.0
         n_terms = self.series_terms(horizon if horizon is not None else t)
-        i = np.arange(1, n_terms + 1)
-        return float(stats.gamma.pdf(t, a=i * self.interarrival.k,
-                                     scale=1.0 / self.interarrival.rate).sum())
+        a, scale = np.arange(1, n_terms + 1) * self.interarrival.k, 1.0 / self.interarrival.rate
+        x = t / scale  # the Gamma(a, scale) densities in scipy.stats.gamma's own arithmetic
+        return float((np.exp(special.xlogy(a - 1.0, x) - x - special.gammaln(a)) / scale).sum())
 
     def discounted_integral(self, phi, T):
         if math.isinf(T):
@@ -395,6 +395,7 @@ def _gauss_hermite():
 def _gamma_rules(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rules of the Gamma(k, 1) laws, one row per ``k = 1..k_max``
     (generalized Gauss-Laguerre with parameter ``k - 1``, by Golub-Welsch)."""
+    from scipy import linalg  # here, not at import: it costs ruinflow's import time
     i = np.arange(LAGUERRE_NODES)
     nodes = np.empty((k_max, LAGUERRE_NODES))
     weights = np.empty_like(nodes)

@@ -119,6 +119,24 @@ class TestClaimTransform:
             u = np.random.default_rng(72).random((n + n % 2, model.d))
             assert np.array_equal(got, _row_formula(model, u)[:n])
 
+    @pytest.mark.parametrize("model", [
+        ClaimModel.iid((Pareto(1.5), HeavyWeibull(0.5), Lognormal(0.0, 1.0), CubicSurvival(),
+                        HarmonicSurvival())),
+        ClaimModel.fgm_chain(0.7, Pareto(2.0)),
+        ClaimModel.fgm_chain(-0.3, Lognormal(0.5, 0.8)),
+        ClaimModel.cubic_pair(),
+    ], ids=["iid-all-laws", "fgm-pareto", "fgm-lognormal", "cubic"])
+    def test_uniforms_left_untouched(self, model):
+        # the transforms work in place on their own copy of 1 - u, so views
+        # of the caller's block, strided ones included, come back unchanged
+        block = np.random.default_rng(74).random((2, 2 * model.d, 3001))
+        keep = block.copy()
+        for u in (block[:, :model.d], block[:, ::2]):
+            got = model.claims_from_uniforms(u)
+            assert not np.shares_memory(got, block)
+            assert np.array_equal(got, model.claims_from_uniforms(u.copy()))
+        assert np.array_equal(block, keep)
+
     def test_trailing_axes_and_shape_check(self):
         model = ClaimModel.fgm_chain(-0.4, Pareto(1.5))
         u = np.random.default_rng(73).random((2, 2, 3, 40))

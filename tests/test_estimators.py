@@ -151,6 +151,21 @@ class TestAdaptiveSimpson:
             val = adaptive_simpson(lambda x: x**3, 0.0, 2.0, rel_tol=1e-10)
         assert val == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("nan_on", [lambda x: True, lambda x: 0.7 < x < 0.8],
+                             ids=["everywhere", "subinterval"])
+    def test_nan_integrand_raises_at_once(self, nan_on):
+        # a NaN error estimate never converges; bisecting on to max_depth
+        # would take about 2**30 calls
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if nan_on(x) else math.sqrt(x)
+
+        with pytest.raises(ArithmeticError, match="not finite"):
+            adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-10)
+        assert len(calls) <= 10
+
 
 class TestFiniteHorizonIntegral:
     def test_zero_horizon(self):

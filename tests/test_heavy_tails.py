@@ -63,6 +63,18 @@ class TestQuantile:
         back = np.asarray(dist.survival(xs))
         assert back == pytest.approx(us, rel=1e-10)
 
+    @pytest.mark.parametrize("dist", ALL_DISTS)
+    def test_qf_overwrites_its_argument_only(self, dist):
+        u = np.random.default_rng(7).random(257)
+        keep = u.copy()
+        v = 1.0 - u
+        want = dist.from_survival_uniform(u)
+        assert dist._qf(v) is v
+        assert np.array_equal(v, want)
+        for got in (want, dist.quantile(u)):
+            assert not np.shares_memory(got, u)
+        assert np.array_equal(u, keep)
+
     def test_domain_enforced(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):

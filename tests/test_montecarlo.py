@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+from ruinflow import montecarlo
 from ruinflow.dependence import ClaimModel, NoExceedanceError
 from ruinflow.estimators import ModelSpec
 from ruinflow.heavy_tails import Pareto
@@ -458,6 +460,46 @@ class TestBigJumpChunk:
         got = _big_jump_chunk(replace(task, x_grid=grid))
         assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
         assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
+
+
+class TestBlockedDispatch:
+    # 53 chunks: blocks of 53 // 16 = 3 on two workers and 53 // 24 = 2 on
+    # three, the last block partial either way
+    N_PATHS = 52 * CHUNK_PATHS + 999
+
+    @pytest.fixture
+    def block_sizes(self, monkeypatch):
+        sizes = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kw):
+                sizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kw)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+        return sizes
+
+    def test_big_jump_bit_identical_across_workers(self, block_sizes):
+        grid = (5.0, 20.0, 80.0)
+        tables = [single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 0.5, 2.0), grid,
+                                        SimConfig(self.N_PATHS, 83, 1.0, (), workers))
+                  for workers in (1, 2, 3)]
+        assert block_sizes == [3, 2]
+        for t in tables[1:]:
+            assert np.array_equal(t.sum_count, tables[0].sum_count)
+            assert np.array_equal(t.marginal_p_total, tables[0].marginal_p_total)
+
+    def test_entrance_bit_identical_across_workers(self, block_sizes):
+        cfg = SimConfig(self.N_PATHS, 84, 0.5, (1.0, 4.0, 30.0))
+        tables = [empirical_entrance(base_spec(), replace(cfg, n_workers=w)) for w in (1, 2, 3)]
+        assert block_sizes == [3, 2]
+        for t in tables[1:]:
+            assert np.array_equal(t.count, tables[0].count)
+
+    def test_few_chunks_go_one_by_one(self, block_sizes):
+        single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0,), (5.0,),
+                              SimConfig(25 * CHUNK_PATHS, 85, 1.0, (), 2))
+        assert block_sizes == [1]
 
 
 class TestMemory:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,26 @@ class TestRenewalFunction:
         info = _series_terms.cache_info()
         assert info.misses == 1
         assert info.hits > 1
+
+    @pytest.mark.parametrize("k, rate", [(1, 0.3), (2, 2.0), (3, 1.0), (5, 7.5)])
+    def test_density_erlang_is_scipy_gamma_sum(self, k, rate):
+        spec = RenewalIID(Erlang(k, rate))
+        for horizon in (None, 10.0, 60.0):
+            for t in np.geomspace(1e-3, 50.0, 40):
+                a = np.arange(1, spec.series_terms(t if horizon is None else horizon) + 1) * k
+                want = float(stats.gamma.pdf(t, a=a, scale=1.0 / rate).sum())
+                assert renewal_density(spec, t, horizon=horizon) == want
+
+    def test_import_leaves_scipy_stats_and_linalg_out(self):
+        import ruinflow
+
+        src = str(Path(ruinflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        probe = "import sys, ruinflow; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_density_erlang_integrates_to_renewal_function(self):
         from scipy import integrate

@@ -14,6 +14,9 @@ same list and their outputs compare with ``cmp``:
   marginal column and an entrance-time table on the same models and seeds;
 * big-jump runs, sized and recorded like the workloads, on the sets that no
   workload scalarizes: a 2-d polyhedral union and a 3-d half-space;
+* the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
+  workers, enough that the pool gets blocks of several chunks, the last one
+  partial;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, recording the exit code and the rows of the result table.
 
@@ -39,6 +42,8 @@ CONFIG_PATHS = 2_000
 SEED = 20_240
 #: entrance-time grid, as fractions of the horizon (or of a fixed 10 at an infinite one)
 T_FRACTIONS = (0.25, 0.5, 1.0)
+#: chunks of the blocked big-jump run: blocks of 43 // 16 = 2 chunks on 2 workers
+BLOCK_CHUNKS = 43
 
 
 def _floats(a) -> list:
@@ -88,12 +93,13 @@ def workloads() -> dict:
 
     n_paths = 2 * CHUNK_PATHS + 100  # two whole chunks and part of a third
     bigjump = WORKLOADS["bigjump-fgm"]
-    runs = {name: (w, w.build()) for name, w in WORKLOADS.items()}
-    runs.update((name, (bigjump, model)) for name, model in _big_jumps().items())
+    runs = {name: (w, w.build(), n_paths) for name, w in WORKLOADS.items()}
+    runs.update((name, (bigjump, model, n_paths)) for name, model in _big_jumps().items())
+    runs["bigjump-fgm-blocks"] = (bigjump, bigjump.build(), (BLOCK_CHUNKS - 1) * CHUNK_PATHS + 100)
     out = {}
-    for name, (w, model) in runs.items():
-        one, two = (_workload_columns(w, model, n_paths, k) for k in (1, 2))
-        out[name] = {"n_paths": n_paths, "worker_invariant": one == two,
+    for name, (w, model, n) in runs.items():
+        one, two = (_workload_columns(w, model, n, k) for k in (1, 2))
+        out[name] = {"n_paths": n, "worker_invariant": one == two,
                      "workers_1": one, "workers_2": two}
     return out
 
