@@ -28,7 +28,6 @@ from ruinflow import (
     Ray,
     SimConfig,
     empirical_entrance,
-    resolve_finite_mode,
 )
 
 spec = ModelSpec(
@@ -37,11 +36,12 @@ spec = ModelSpec(
     renewal=Poisson(1.0),
     ret=Deterministic(0.05),
 )
-print("mode:", resolve_finite_mode(spec, 10.0).mode)
-
 sim = SimConfig(n_paths=1_000_000, seed=42, horizon=10.0,
                 x_grid=tuple(np.geomspace(20, 800, 8).round(1)))
 table = empirical_entrance(spec, sim)
+# every experiment returns the same table: named columns plus run metadata
+print(f"mode: {table.meta['mode']}, horizon {table.meta['horizon']:g}, "
+      f"{table.meta['n_paths']:,} paths, seed {table.meta['seed']}")
 print(f"\n{'x':>8s} {'p_hat':>10s} {'ci_lo':>10s} {'ci_hi':>10s} "
       f"{'count':>8s} {'asymptotic':>11s} {'ratio':>7s}")
 for row in table.rows():

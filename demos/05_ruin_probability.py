@@ -40,6 +40,7 @@ T = 10.0
 grid = tuple(np.geomspace(20, 640, 6).round(1))
 sim = SimConfig(n_paths=400_000, seed=11, horizon=T, x_grid=())
 table = empirical_ruin(model, grid, T, sim)
+print(f"mode: {table.meta['mode']}, ruin set column: {table.ruin_set[0]}")
 
 print(f"\n{'capital':>8s} {'ruin p_hat':>11s} {'asymptotic':>11s} {'ratio':>7s} "
       f"{'entrance count':>15s} {'ruin count':>11s}")

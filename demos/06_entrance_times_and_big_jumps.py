@@ -23,7 +23,6 @@ from ruinflow import (
     ModelSpec,
     SimConfig,
     empirical_entrance_time,
-    entrance_time_cdf,
     single_big_jump_check,
 )
 
@@ -35,12 +34,15 @@ print(f"== first-entrance time, limit rate alpha*r = {alpha * r:g} ==")
 sim = SimConfig(n_paths=2_000_000, seed=5, horizon=math.inf, x_grid=())
 x = 60.0
 et = empirical_entrance_time(spec, x, np.arange(2.0, 21.0, 2.0), sim)
-print(f"threshold x={x:g}, entered {et.entered} of {et.n_paths}, "
-      f"horizon {et.horizon:.1f}")
+print(f"threshold x={x:g}, entered {et.meta['entered']} of {et.meta['n_paths']}, "
+      f"horizon {et.meta['horizon']:.1f}")
+# Poisson arrivals and a constant force: the table carries the limit column
 print(f"  {'t':>4s} {'empirical cdf':>14s} {'exponential limit':>18s}")
-for t, c in zip(et.t, et.cdf):
-    print(f"  {t:4.0f} {c:14.4f} {entrance_time_cdf(alpha, r, float(t)):18.4f}")
-print("(threshold is shallow, so the empirical law lags the limit a little)")
+for row in et.rows():
+    print(f"  {row['t']:4.0f} {row['cdf']:14.4f} {row['limit']:18.4f}")
+print("(x=60 is shallow: the discounted aggregate alone averages 40, so entrance\n"
+      " comes late and the empirical law lags the limit far behind; the limit holds\n"
+      " only deep in the tail, where tests/test_acceptance.py checks it, criterion 9)")
 
 print("\n== single big jump for weighted sums ==")
 claim = ClaimModel.iid((Pareto(1.0, 1.0),))

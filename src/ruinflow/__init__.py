@@ -46,9 +46,7 @@ from .heavy_tails import (
     matuszewska_bounds,
 )
 from .montecarlo import (
-    BigJumpTable,
-    EntranceTimeTable,
-    EstimateTable,
+    ResultTable,
     SimConfig,
     empirical_entrance,
     empirical_entrance_time,

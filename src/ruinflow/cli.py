@@ -10,29 +10,33 @@ simulation budget, and the output destination.  Each run writes
 * a one-page plain-text report (``.report.txt``) naming the asymptotic mode
   applied and every hypothesis checked, with pass/fail.
 
-Exit codes: 0 success, 2 hypothesis-gate failure, 3 configuration error.
+Experiments dispatch from one registry, ``_EXPERIMENTS``, which also gives
+the schema its ``experiment`` enum.  Exit codes: 0 success, 2
+hypothesis-gate failure, 3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import jsonschema
 
 from . import __version__
-from .dependence import ClaimModel, NoExceedanceError, UnsupportedModelError
+from .dependence import ClaimModel, NoExceedanceError
 from .estimators import (
     HypothesisError,
     ModelSpec,
     ModeReport,
-    entrance_time_cdf,
     resolve_finite_mode,
     resolve_infinite_mode,
 )
@@ -45,7 +49,6 @@ from .heavy_tails import (
 )
 from .montecarlo import (
     SimConfig,
-    _write_rows,
     empirical_entrance,
     empirical_entrance_time,
     single_big_jump_check,
@@ -167,6 +170,83 @@ _RETURNS = {
         ["drift", "jump_rate", "jumps"]),
 }
 
+
+# ---------------------------------------------------------------------------
+# experiments
+
+
+def _resolve_mode(model: ModelSpec, horizon: float) -> ModeReport:
+    return resolve_infinite_mode(model) if math.isinf(horizon) else resolve_finite_mode(model, horizon)
+
+
+def _mode_lines(model: ModelSpec, horizon: float) -> list[str]:
+    """Report lines for the asymptotic mode at ``horizon``: the mode and every check."""
+    report = _resolve_mode(model, horizon)
+    return [f"asymptotic mode: {report.mode or 'NONE AVAILABLE'}"] + [
+        f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in report.checks]
+
+
+def _entrance(cfg, spec, sim, study=False):
+    table = empirical_entrance(spec, sim, unsafe=cfg["unsafe"])
+    lines = [f"rows: {len(table.x)}  flagged (zero exceedances): "
+             f"{table.x[table.count == 0].tolist()}"]
+    last = table.ratio[~np.isnan(table.ratio)][-3:]
+    if study and last.size == 3:
+        lines.append(f"final-three-point ratio spread: {float(last.max() - last.min()):.4f}")
+    if math.isinf(sim.horizon):
+        lines.append(f"truncation horizon: {table.meta['truncation_horizon']:.4g}; "
+                     f"tail bound (relative): {table.meta['tail_bound_rel']:.3e}")
+    return table, lines, 0
+
+
+def _ruin(cfg, model, sim):
+    table = empirical_ruin(model, sim.x_grid, sim.horizon, sim, unsafe=cfg["unsafe"])
+    return table, [f"ruin set: {model.ruin_set.name}"], 0
+
+
+def _entrance_time(cfg, spec, sim):
+    block = cfg["entrance_time"]
+    table = empirical_entrance_time(spec, block["x"], block["t_grid"], sim, unsafe=cfg["unsafe"])
+    return table, [f"entered paths: {table.meta['entered']} of {table.meta['n_paths']}"], 0
+
+
+def _big_jump(cfg, spec, sim):
+    weights = cfg["big_jump"]["weights"]
+    table = single_big_jump_check(spec.claim, spec.rare_set, weights, sim.x_grid, sim)
+    return table, [f"weights: {list(weights)}"], 0
+
+
+def _assumption_report(cfg, spec, sim):
+    return None, [], 0 if _resolve_mode(spec, sim.horizon).mode is not None else 2
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """An experiment: the config entries it needs and its runner.
+
+    Its model is read from ``model.<block>``: a ``ModelSpec`` from ``set``,
+    a ``RuinModel`` from ``ruin``.  ``run(cfg, model, sim)`` returns the
+    result table (or None), its report lines and the exit code.  A gated
+    experiment's report opens with the asymptotic mode and its checks.
+    """
+
+    block: str
+    needs: tuple[str, ...]
+    run: Callable
+    gated: bool = True
+
+
+#: experiment name -> its entry; the order is that of the schema's ``experiment`` enum
+_EXPERIMENTS = {
+    "entrance": _Experiment("set", ("sim.x_grid",), _entrance),
+    "ruin": _Experiment("ruin", ("sim.x_grid",), _ruin),
+    "entrance_time": _Experiment("set", ("entrance_time",), _entrance_time),
+    "single_big_jump": _Experiment("set", ("big_jump", "sim.x_grid"), _big_jump, gated=False),
+    "convergence_study": _Experiment("set", ("sim.x_grid",),
+                                     functools.partial(_entrance, study=True)),
+    "assumption_report": _Experiment("set", (), _assumption_report),
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -209,9 +289,7 @@ CONFIG_SCHEMA = {
             "required": ["claim", "renewal", "return"],
             "additionalProperties": False,
         },
-        "experiment": {"enum": ["entrance", "ruin", "entrance_time",
-                                 "single_big_jump", "convergence_study",
-                                 "assumption_report"]},
+        "experiment": {"enum": list(_EXPERIMENTS)},
         "sim": {
             "type": "object",
             "properties": {
@@ -288,18 +366,11 @@ def _resolve_config(raw: dict, overrides: dict) -> dict:
     if overrides.get("unsafe"):
         cfg["unsafe"] = applied["unsafe"] = True
     cfg["_overrides_applied"] = applied
-    exp = cfg["experiment"]
-    if exp == "entrance_time" and "entrance_time" not in cfg:
-        raise ConfigError("entrance_time experiment needs an entrance_time block")
-    if exp == "single_big_jump" and "big_jump" not in cfg:
-        raise ConfigError("single_big_jump experiment needs a big_jump block")
-    if exp in ("entrance", "ruin", "convergence_study", "single_big_jump") \
-            and not cfg["sim"]["x_grid"]:
-        raise ConfigError(f"{exp} experiment needs a nonempty sim.x_grid")
-    if exp == "ruin" and "ruin" not in cfg["model"]:
-        raise ConfigError("ruin experiment needs a model.ruin block")
-    if "set" not in cfg["model"] and "ruin" not in cfg["model"]:
-        raise ConfigError("model needs a set block or a ruin block")
+    experiment = _EXPERIMENTS[cfg["experiment"]]
+    for path in (f"model.{experiment.block}", *experiment.needs):
+        # "model" and "sim" are required objects, so every parent exists
+        if not functools.reduce(lambda node, key: node.get(key), path.split("."), cfg):
+            raise ConfigError(f"{cfg['experiment']} experiment needs {path} (missing or empty)")
     return cfg
 
 
@@ -313,11 +384,16 @@ def _sim_config(cfg: dict) -> SimConfig:
     )
 
 
-def _model_spec(cfg: dict):
+def _model_spec(cfg: dict) -> tuple[ModelSpec | None, RuinModel | None]:
+    """The models of the ``set`` and ``ruin`` blocks (None for an absent block)."""
     model = cfg["model"]
     claim = _build_claim(model["claim"])
     renewal = _build(_RENEWALS, model["renewal"])
     ret = _build(_RETURNS, model["return"])
+    spec = ruin_model = None
+    if "set" in model:
+        spec = ModelSpec(claim=claim, rare_set=_build(_SETS, model["set"]),
+                         renewal=renewal, ret=ret)
     if "ruin" in model:
         rblock = model["ruin"]
         premiums = None
@@ -328,29 +404,11 @@ def _model_spec(cfg: dict):
                                alloc=tuple(rblock["alloc"]),
                                ruin_set=_build(_RUIN_SETS, rblock["set"]),
                                premiums=premiums)
-        return ruin_model.entrance_model(), ruin_model
-    if "set" not in model:
-        raise ConfigError("model needs a set block for this experiment")
-    spec = ModelSpec(claim=claim, rare_set=_build(_SETS, model["set"]),
-                     renewal=renewal, ret=ret)
-    return spec, None
+    return spec, ruin_model
 
 
 # ---------------------------------------------------------------------------
-# report
-
-
-def _mode_lines(model: ModelSpec, horizon: float) -> tuple[list[str], ModeReport]:
-    """Report lines for the asymptotic mode at ``horizon``, and the resolved report."""
-    lines = []
-    if math.isinf(horizon):
-        report = resolve_infinite_mode(model)
-    else:
-        report = resolve_finite_mode(model, horizon)
-    lines.append(f"asymptotic mode: {report.mode or 'NONE AVAILABLE'}")
-    for name, ok, detail in report.checks:
-        lines.append(f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}")
-    return lines, report
+# run
 
 
 def run(config_path, overrides: dict | None = None) -> int:
@@ -374,99 +432,47 @@ def run(config_path, overrides: dict | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
+    experiment = _EXPERIMENTS[cfg["experiment"]]
+    if experiment.block == "ruin":  # ruin is gated on its mapped entrance model
+        model, gated_on = ruin_model, ruin_model.entrance_model()
+    else:
+        model = gated_on = spec
     out_base = Path(cfg["output"]["path"])
     out_base.parent.mkdir(parents=True, exist_ok=True)
-    fmt = cfg["output"]["format"]
-    unsafe = bool(cfg["unsafe"])
-    exp = cfg["experiment"]
     report_lines = [
         f"ruinflow {__version__} experiment report",
-        f"experiment: {exp}",
+        f"experiment: {cfg['experiment']}",
         f"config: {config_path}",
         f"overrides: {cfg['_overrides_applied'] or 'none'}",
         "",
     ]
-    if unsafe:
+    if cfg["unsafe"]:
         report_lines.append("*** hypotheses not verified (unsafe override) ***")
-
-    table_path = out_base.with_suffix(f".{fmt}")
     try:
-        if exp == "assumption_report":
-            lines, report = _mode_lines(spec, sim.horizon)
-            report_lines += lines
-            code = 0 if report.mode is not None else 2
-        elif exp in ("entrance", "convergence_study"):
-            table = empirical_entrance(spec, sim, unsafe=unsafe)
-            report_lines += _mode_lines(spec, sim.horizon)[0]
-            report_lines.append(f"rows: {len(table.x)}  flagged (zero exceedances): "
-                                f"{[float(v) for v in table.flagged]}")
-            if exp == "convergence_study":
-                finite = table.ratio[~np.isnan(table.ratio)]
-                if finite.size >= 3:
-                    spread = float(finite[-3:].max() - finite[-3:].min())
-                    report_lines.append(f"final-three-point ratio spread: {spread:.4f}")
-            if math.isinf(sim.horizon):
-                report_lines.append(
-                    f"truncation horizon: {table.meta['truncation_horizon']:.4g}; "
-                    f"tail bound (relative): {table.meta['tail_bound_rel']:.3e}")
-            table.to_csv(table_path) if fmt == "csv" else table.to_json(table_path)
-            code = 0
-        elif exp == "ruin":
-            table = empirical_ruin(ruin_model, sim.x_grid, sim.horizon, sim, unsafe=unsafe)
-            report_lines += _mode_lines(spec, sim.horizon)[0]
-            report_lines.append(f"ruin set: {ruin_model.ruin_set.name}")
-            table.to_csv(table_path) if fmt == "csv" else table.to_json(table_path)
-            code = 0
-        elif exp == "entrance_time":
-            block = cfg["entrance_time"]
-            table = empirical_entrance_time(spec, block["x"], block["t_grid"], sim,
-                                            unsafe=unsafe)
-            rows = table.rows()
-            if _entrance_time_limit_applies(cfg, spec):
-                alpha = spec.claim.common_tail_index()
-                for row in rows:
-                    row["limit"] = entrance_time_cdf(alpha, spec.ret.rate, row["t"])
-                cols = ["t", "cdf", "count", "limit"]
-            else:
-                cols = ["t", "cdf", "count"]
-            report_lines += _mode_lines(spec, sim.horizon)[0]
-            report_lines.append(f"entered paths: {table.entered} of {table.n_paths}")
-            _write_rows(rows, cols, table_path, fmt)
-            code = 0
-        elif exp == "single_big_jump":
-            weights = cfg["big_jump"]["weights"]
-            table = single_big_jump_check(spec.claim, spec.rare_set, weights,
-                                          sim.x_grid, sim)
-            _write_rows(table.rows(), ["x", "sum_p", "marginal_p_total", "ratio",
-                                       "sum_count", "ci_lo", "ci_hi"], table_path, fmt)
-            report_lines.append(f"weights: {list(weights)}")
-            code = 0
-        else:  # pragma: no cover - schema forbids
-            raise ConfigError(f"unknown experiment {exp!r}")
+        if experiment.gated:
+            report_lines += _mode_lines(gated_on, sim.horizon)
+        table, lines, code = experiment.run(cfg, model, sim)
     except HypothesisError as exc:
-        report_lines += _mode_lines(spec, sim.horizon)[0]
         report_lines.append(f"gate failure: {exc}")
         _finish_report(out_base, report_lines, t_start)
         print(f"hypothesis gate failure: {exc}", file=sys.stderr)
         _echo_config(out_base, cfg)
         return 2
-    except (UnsupportedModelError, NoExceedanceError, NotImplementedError) as exc:
+    except (ValueError, NoExceedanceError, NotImplementedError) as exc:
+        # a model or grid the schema accepts but the experiment cannot run
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
     _echo_config(out_base, cfg)
-    report_lines.append(f"table: {table_path}" if exp != "assumption_report"
-                        else "table: none (assumption report only)")
-    _finish_report(out_base, report_lines, t_start)
+    if table is None:
+        lines.append("table: none (assumption report only)")
+    else:
+        fmt = cfg["output"]["format"]
+        table_path = out_base.with_suffix(f".{fmt}")
+        getattr(table, f"to_{fmt}")(table_path)
+        lines.append(f"table: {table_path}")
+    _finish_report(out_base, report_lines + lines, t_start)
     return code
-
-
-def _entrance_time_limit_applies(cfg: dict, spec: ModelSpec) -> bool:
-    """Poisson arrivals, a positive constant force and one regular-variation index."""
-    model = cfg["model"]
-    return (model["return"]["type"] == "deterministic" and spec.ret.rate > 0
-            and model["renewal"]["type"] == "poisson"
-            and spec.claim.common_tail_index() is not None)
 
 
 def _echo_config(out_base: Path, cfg: dict) -> None:

@@ -44,7 +44,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .estimators import (
     ModelSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
+    entrance_time_cdf,
     resolve_finite_mode,
     resolve_infinite_mode,
 )
@@ -62,11 +63,9 @@ from .rare_sets import RareSet, z_index_signed
 
 __all__ = [
     "SimConfig",
-    "EstimateTable",
+    "ResultTable",
     "empirical_entrance",
-    "EntranceTimeTable",
     "empirical_entrance_time",
-    "BigJumpTable",
     "single_big_jump_check",
     "wilson_interval",
 ]
@@ -114,81 +113,72 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# result tables
+# the result table
 
 
-@dataclass
-class EstimateTable:
-    """Empirical-vs-asymptotic results, one row per threshold.
+@dataclass(eq=False)  # columns are arrays: compare them, not tables
+class ResultTable:
+    """An experiment's result: ordered named 1-d columns and the run's metadata.
 
-    Zero-exceedance rows keep their interval but drop the ratio; they are
-    listed in :attr:`flagged`.
+    Columns read as attributes (``table.x``, ``table.count``).  ``meta``
+    always holds ``mode`` (the asymptotic mode gated on, None without a
+    gate), ``horizon`` (the simulated horizon, None without one),
+    ``n_paths`` and ``seed``.  Rows follow one rule for every column: ints
+    are written as ints, floats as floats, and NaN as ``null`` (an empty
+    CSV cell).
     """
 
-    x: np.ndarray
-    p_hat: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    count: np.ndarray
-    asymptotic: np.ndarray
-    ratio: np.ndarray
-    extra: dict[str, str] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+    meta: dict
 
-    COLUMNS = ("x", "p_hat", "ci_lo", "ci_hi", "count", "asymptotic", "ratio")
-
-    @property
-    def flagged(self) -> np.ndarray:
-        """Thresholds with zero exceedances."""
-        return self.x[self.count == 0]
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def rows(self) -> list[dict]:
-        out = []
-        for i in range(len(self.x)):
-            row = {
-                "x": float(self.x[i]),
-                "p_hat": float(self.p_hat[i]),
-                "ci_lo": float(self.ci_lo[i]),
-                "ci_hi": float(self.ci_hi[i]),
-                "count": int(self.count[i]),
-                "asymptotic": float(self.asymptotic[i]),
-                "ratio": None if math.isnan(self.ratio[i]) else float(self.ratio[i]),
-            }
-            row.update(self.extra)
-            out.append(row)
-        return out
+        cells = {name: _cells(col) for name, col in self.columns.items()}
+        return [dict(zip(cells, row)) for row in zip(*cells.values())]
 
     def to_csv(self, path) -> None:
-        _write_rows(self.rows(), list(self.COLUMNS) + list(self.extra), path, "csv")
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)  # writes None as an empty cell
+            w.writerow(self.columns)
+            w.writerows(row.values() for row in self.rows())
 
     def to_json(self, path) -> None:
-        _write_rows(self.rows(), list(self.COLUMNS) + list(self.extra), path, "json")
-
-
-def _write_rows(rows: list[dict], cols: list[str], path, fmt: str) -> None:
-    """Write result rows as JSON, or as CSV with ``cols`` as the header."""
-    if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1)
+            json.dump(self.rows(), fh, indent=1)
             fh.write("\n")
-        return
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow(["" if row[c] is None else row[c] for c in cols])
 
 
-def _finish_table(x_grid, counts, n, level, asymptotic, extra=None, meta=None) -> EstimateTable:
-    x = np.asarray(x_grid, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
-    p = counts / n
-    lo, hi = wilson_interval(counts, n, level)
-    asym = np.asarray(asymptotic, dtype=float)
+def _cells(col: np.ndarray) -> list:
+    values = col.tolist()
+    if col.dtype.kind == "f":
+        values = [None if math.isnan(v) else v for v in values]
+    return values
+
+
+def _run_meta(sim: SimConfig, mode, horizon, **more) -> dict:
+    return {"mode": mode, "horizon": horizon, "n_paths": sim.n_paths, "seed": sim.seed, **more}
+
+
+def _ratio(counts: np.ndarray, p: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``p / ref`` where both are positive; rows without exceedances keep only their interval."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((counts > 0) & (asym > 0), p / asym, np.nan)
-    return EstimateTable(x, p, lo, hi, counts, asym, ratio,
-                         extra=dict(extra or {}), meta=dict(meta or {}))
+        return np.where((counts > 0) & (ref > 0), p / ref, np.nan)
+
+
+def _estimate_table(sim: SimConfig, counts, asymptotic, meta: dict, **extra) -> ResultTable:
+    """Empirical-vs-asymptotic columns, one row per threshold of ``sim.x_grid``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    p = counts / sim.n_paths
+    lo, hi = wilson_interval(counts, sim.n_paths, sim.ci_level)
+    asym = np.asarray(asymptotic, dtype=float)
+    return ResultTable({"x": np.asarray(sim.x_grid, dtype=float), "p_hat": p, "ci_lo": lo,
+                        "ci_hi": hi, "count": counts, "asymptotic": asym,
+                        "ratio": _ratio(counts, p, asym), **extra}, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -418,94 +408,78 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
 # experiments
 
 
-def _resolve_horizon_and_asymptotics(model: ModelSpec, sim: SimConfig, unsafe: bool):
-    """Gate the model, fill the asymptotic column, fix the simulation horizon."""
-    meta: dict = {}
+def _gate(model: ModelSpec, sim: SimConfig, unsafe: bool) -> tuple[np.ndarray, dict]:
+    """Gate the model, fill the asymptotic column over ``sim.x_grid``, fix the horizon.
+
+    Returns the column and the run's metadata; an infinite horizon is
+    simulated up to the largest truncation horizon of the grid.
+    """
     if math.isinf(sim.horizon):
         if not unsafe:
             resolve_infinite_mode(model).require()
         estimates = [asymptotic_entrance_infinite(model, x, unsafe=True) for x in sim.x_grid]
         asym = [e.value for e in estimates]
         horizon = max(e.horizon for e in estimates)
-        meta["truncation_horizon"] = horizon
-        meta["tail_bound_rel"] = max(e.tail_bound_rel for e in estimates)
-        meta["mode"] = "infinite-horizon"
+        meta = _run_meta(sim, "infinite-horizon", horizon, truncation_horizon=horizon,
+                         tail_bound_rel=max(e.tail_bound_rel for e in estimates))
     else:
         report = resolve_finite_mode(model, sim.horizon)
         if not unsafe:
             report.require()
-        meta["mode"] = report.mode or "unchecked"
         asym = [asymptotic_entrance_finite(model, x, sim.horizon, unsafe=True)
                 for x in sim.x_grid]
-        horizon = sim.horizon
+        meta = _run_meta(sim, report.mode or "unchecked", sim.horizon)
     if unsafe:
         meta["hypotheses_verified"] = False
-    return horizon, np.asarray(asym), meta
+    return np.asarray(asym), meta
 
 
-def empirical_entrance(model: ModelSpec, sim: SimConfig, unsafe: bool = False) -> EstimateTable:
+def empirical_entrance(model: ModelSpec, sim: SimConfig, unsafe: bool = False) -> ResultTable:
     """Empirical entrance probabilities of ``D(T)`` with the asymptotic column.
 
+    Columns ``x, p_hat, ci_lo, ci_hi, count, asymptotic, ratio``.
     Deterministic in ``(model, n_paths, seed)``; the worker count only
     affects wall time.
     """
     if not sim.x_grid:
         raise ValueError("x grid must not be empty")
-    horizon, asym, meta = _resolve_horizon_and_asymptotics(model, sim, unsafe)
-    merged = _run_statistics(model, horizon, sim, _Entrance(model.rare_set, sim.x_grid))
-    meta.update(n_paths=sim.n_paths, seed=sim.seed)
-    return _finish_table(sim.x_grid, merged["entrance_counts"], sim.n_paths,
-                         sim.ci_level, asym, meta=meta)
-
-
-@dataclass
-class EntranceTimeTable:
-    """Conditional first-entrance-time distribution estimates."""
-
-    t: np.ndarray
-    cdf: np.ndarray
-    counts: np.ndarray
-    entered: int
-    n_paths: int
-    horizon: float
-
-    def rows(self) -> list[dict]:
-        return [
-            {"t": float(t), "cdf": float(c), "count": int(k)}
-            for t, c, k in zip(self.t, self.cdf, self.counts)
-        ]
+    asym, meta = _gate(model, sim, unsafe)
+    merged = _run_statistics(model, meta["horizon"], sim, _Entrance(model.rare_set, sim.x_grid))
+    return _estimate_table(sim, merged["entrance_counts"], asym, meta)
 
 
 def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
-                            unsafe: bool = False) -> EntranceTimeTable:
+                            unsafe: bool = False) -> ResultTable:
     """Estimate ``P[tau(x) <= t | tau(x) <= horizon]`` over the time grid.
 
-    Raises :class:`~ruinflow.dependence.NoExceedanceError` when no path
-    enters.
+    Columns ``t, cdf, count`` (paths entered by ``t``), plus ``limit``, the
+    exponential limit law, where it applies: Poisson arrivals, a positive
+    constant force of interest and one tail index.  ``meta["entered"]``
+    counts the paths that enter by the horizon.  Raises
+    :class:`~ruinflow.dependence.NoExceedanceError` when none does.
     """
     if not 0 < x < math.inf:
         raise ValueError("threshold must be finite and positive")
     t_grid = tuple(float(t) for t in t_grid)
     if not t_grid or any(not 0 <= t < math.inf for t in t_grid) or list(t_grid) != sorted(t_grid):
         raise ValueError("time grid must be nonempty, finite, nonnegative and increasing")
-    if math.isinf(sim.horizon):
-        sim = replace(sim, x_grid=(x,))
-        horizon, _, _ = _resolve_horizon_and_asymptotics(model, sim, unsafe)
-    else:
-        horizon = sim.horizon
-        if not unsafe:
-            resolve_finite_mode(model, horizon).require()
-    if t_grid[-1] > horizon:
+    # only an infinite horizon needs the asymptotics: its truncation horizon at x
+    _, meta = _gate(model, replace(sim, x_grid=(x,) if math.isinf(sim.horizon) else ()), unsafe)
+    if t_grid[-1] > meta["horizon"]:
         raise ValueError("time grid extends beyond the simulation horizon")
-    merged = _run_statistics(model, horizon, sim,
+    merged = _run_statistics(model, meta["horizon"], sim,
                              _EntranceTimes(model.rare_set, float(x), t_grid))
     entered = int(merged["entered"])
     if entered == 0:
         raise NoExceedanceError(
             f"no path entered the target at x={x:g}; lower x or raise n_paths")
-    cdf = merged["entry_time_counts"] / entered
-    return EntranceTimeTable(np.asarray(t_grid), cdf, merged["entry_time_counts"],
-                             entered, sim.n_paths, horizon)
+    counts = merged["entry_time_counts"]
+    columns = {"t": np.asarray(t_grid), "cdf": counts / entered, "count": counts}
+    alpha, r = model.claim.common_tail_index(), model.ret.constant_force
+    if model.renewal.is_poisson and r is not None and r > 0 and alpha is not None:
+        columns["limit"] = np.array([entrance_time_cdf(alpha, r, t) for t in t_grid])
+    meta["entered"] = entered
+    return ResultTable(columns, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -521,34 +495,6 @@ class _BigJumpTask:
     chunk: int
     count: int
     x_grid: tuple[float, ...]
-
-
-@dataclass
-class BigJumpTable:
-    """Sum-vs-marginals exceedance comparison for a weighted finite sum."""
-
-    x: np.ndarray
-    sum_p: np.ndarray
-    marginal_p_total: np.ndarray
-    ratio: np.ndarray
-    sum_count: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    n_paths: int
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "x": float(self.x[i]),
-                "sum_p": float(self.sum_p[i]),
-                "marginal_p_total": float(self.marginal_p_total[i]),
-                "ratio": None if math.isnan(self.ratio[i]) else float(self.ratio[i]),
-                "sum_count": int(self.sum_count[i]),
-                "ci_lo": float(self.ci_lo[i]),
-                "ci_hi": float(self.ci_hi[i]),
-            }
-            for i in range(len(self.x))
-        ]
 
 
 def _big_jump_chunk(task: _BigJumpTask) -> dict:
@@ -569,14 +515,16 @@ def _big_jump_chunk(task: _BigJumpTask) -> dict:
 
 
 def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
-                          x_grid, sim: SimConfig) -> BigJumpTable:
+                          x_grid, sim: SimConfig) -> ResultTable:
     """Compare ``P[sum_i W_i X^(i) in x*A]`` with ``sum_i P[W_i X^(i) in x*A]``.
 
     The single-big-jump principle makes the ratio tend to one for
     subexponential scalarizations under the supported dependence structures.
     Weights are deterministic, nonnegative, and at most five.  The grid is
     ``x_grid``; ``sim.x_grid`` must be empty or equal to it.  ``sim.horizon``
-    is unused: the sum has a fixed number of terms.
+    is unused: the sum has a fixed number of terms, so ``meta`` has no mode
+    and no horizon.  Columns ``x, sum_p, marginal_p_total, ratio,
+    sum_count, ci_lo, ci_hi``.
     """
     weights = tuple(float(w) for w in weights)
     if not 1 <= len(weights) <= 5:
@@ -594,8 +542,7 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
     n = sim.n_paths
     sum_p = sum_counts / n
     marg_p = merged["marginal_counts"].sum(axis=0) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((sum_counts > 0) & (marg_p > 0), sum_p / marg_p, np.nan)
     lo, hi = wilson_interval(sum_counts, n, sim.ci_level)
-    return BigJumpTable(np.asarray(x_grid), sum_p, marg_p, ratio,
-                        sum_counts, lo, hi, n)
+    return ResultTable({"x": np.asarray(x_grid), "sum_p": sum_p, "marginal_p_total": marg_p,
+                        "ratio": _ratio(sum_counts, sum_p, marg_p), "sum_count": sum_counts,
+                        "ci_lo": lo, "ci_hi": hi}, _run_meta(sim, None, None))

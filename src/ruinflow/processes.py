@@ -70,6 +70,8 @@ class Poisson:
         if not 0 < self.rate < math.inf:
             raise ValueError("Poisson rate must be finite and positive")
 
+    is_poisson = True
+
     def interarrival_laplace(self, s: float) -> float:
         if s <= -self.rate:
             raise ValueError("Laplace transform diverges at this argument")
@@ -123,6 +125,11 @@ class RenewalIID:
     """Renewal process with independent Erlang interarrivals."""
 
     interarrival: Erlang
+
+    @property
+    def is_poisson(self) -> bool:
+        """Exponential interarrivals make a Poisson process."""
+        return self.interarrival.k == 1
 
     def interarrival_laplace(self, s: float) -> float:
         return self.interarrival.laplace(s)
@@ -233,6 +240,11 @@ class Deterministic:
 
     nondecreasing_paths = True
 
+    @property
+    def constant_force(self) -> float:
+        """The force of interest when ``xi`` is deterministic and linear, else None."""
+        return self.rate
+
     def laplace_exponent(self, k: float) -> float:
         return -k * self.rate
 
@@ -264,6 +276,10 @@ class BrownianDrift:
     @property
     def nondecreasing_paths(self) -> bool:
         return self.sigma == 0.0 and self.mu >= 0.0
+
+    @property
+    def constant_force(self) -> float | None:
+        return self.mu if self.sigma == 0.0 else None
 
     def laplace_exponent(self, k: float) -> float:
         return -k * self.mu + 0.5 * k * k * self.sigma * self.sigma
@@ -353,6 +369,8 @@ class CompoundPoissonDrift:
     @property
     def nondecreasing_paths(self) -> bool:
         return self.drift >= 0 and self.jumps.nonnegative
+
+    constant_force = None
 
     def laplace_exponent(self, k: float) -> float:
         return -k * self.drift + self.jump_rate * (self.jumps.mgf_neg(k) - 1.0)

@@ -31,11 +31,11 @@ from .estimators import (
     asymptotic_entrance_infinite,
 )
 from .montecarlo import (
-    EstimateTable,
+    ResultTable,
     SimConfig,
     _Entrance,
-    _finish_table,
-    _resolve_horizon_and_asymptotics,
+    _estimate_table,
+    _gate,
     _Ruin,
     _run_statistics,
 )
@@ -133,11 +133,12 @@ class RuinModel:
 
 
 def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
-                   unsafe: bool = False) -> EstimateTable:
+                   unsafe: bool = False) -> ResultTable:
     """Empirical ruin probabilities over the capital grid, with asymptotics.
 
-    The result table carries a ``ruin_set`` column naming the event (``or``
-    for any-line ruin, ``sum`` for weighted-total ruin).  Its metadata is
+    The columns are those of :func:`~ruinflow.montecarlo.empirical_entrance`
+    plus ``ruin_set``, naming the event in every row (``or`` for any-line
+    ruin, ``sum`` for weighted-total ruin).  Its metadata is
     that of :func:`~ruinflow.montecarlo.empirical_entrance` on the mapped
     set, plus the entrance counts of ``D(T)`` on the same paths for sandwich
     coupling checks.
@@ -149,20 +150,15 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
             "under stochastic returns is not implemented")
     _check_premium_finiteness(model, T)
     entrance = model.entrance_model()
-    horizon, asym, meta = _resolve_horizon_and_asymptotics(entrance, sim, unsafe)
+    asym, meta = _gate(entrance, sim, unsafe)
     ruin = _Ruin(model.mapped_set, sim.x_grid)
     if not model.premiums.is_zero:
         ruin = replace(ruin, premiums=model.premiums, rate=model.ret.rate)
-    merged = _run_statistics(entrance, horizon, sim,
+    merged = _run_statistics(entrance, meta["horizon"], sim,
                              _Entrance(model.mapped_set, sim.x_grid), ruin)
-    meta.update(
-        n_paths=sim.n_paths, seed=sim.seed,
-        entrance_counts=merged["entrance_counts"],
-        premium_bound=model.premiums.bound,
-    )
-    return _finish_table(sim.x_grid, merged["ruin_counts"], sim.n_paths,
-                         sim.ci_level, asym,
-                         extra={"ruin_set": model.ruin_set.name}, meta=meta)
+    meta.update(entrance_counts=merged["entrance_counts"], premium_bound=model.premiums.bound)
+    return _estimate_table(sim, merged["ruin_counts"], asym, meta,
+                           ruin_set=np.full(len(sim.x_grid), model.ruin_set.name))
 
 
 def _check_premium_finiteness(model: RuinModel, T: float) -> None:

@@ -281,24 +281,25 @@ def test_criterion_09_entrance_time_limit_law():
     t_grid = np.arange(2.0, 21.0, 2.0)
     sim = SimConfig(N_FULL, seed=3009, horizon=math.inf, x_grid=(), n_workers=WORKERS)
     et = empirical_entrance_time(spec, x, t_grid, sim)
-    mass = et.entered / et.n_paths
+    entered, n_paths = et.meta["entered"], et.meta["n_paths"]
+    mass = entered / n_paths
     limit = np.array([entrance_time_cdf(alpha, r, t) for t in t_grid])
     o_mass, o_mass_se, o_cdf, o_cdf_se = entrance_time_conditional_mc(
-        margin, 1.0, r, et.horizon, (x, x_deep), t_grid, N_ORACLE, seed=4009)
+        margin, 1.0, r, et.meta["horizon"], (x, x_deep), t_grid, N_ORACLE, seed=4009)
 
     # (a) engine against the oracle at the crude-MC level
-    dkw = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * et.entered))
+    dkw = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * entered))
     cdf_dev = float(np.abs(et.cdf - o_cdf[0]).max())
     cdf_ok = cdf_dev <= dkw + 4.0 * float(o_cdf_se[0].max())
     mass_sigma = abs(mass - o_mass[0]) / math.hypot(
-        math.sqrt(mass * (1.0 - mass) / et.n_paths), o_mass_se[0])
+        math.sqrt(mass * (1.0 - mass) / n_paths), o_mass_se[0])
 
     # (b) the library's limit against the oracle at the deep level
     sup_dist = float(np.abs(o_cdf[1] - limit).max())
     ok = cdf_ok and mass_sigma < 4.0 and mass >= 1e-4 and sup_dist <= 0.05
     report(9, ok, f"(a) x={x:g} (entrance mass {mass:.3e}, oracle {o_mass[0]:.3e}, "
                   f"{mass_sigma:.2f} combined SE < 4): engine law {cdf_dev:.3f} from the "
-                  f"oracle's (DKW bound {dkw:.3f} on {et.entered} entrances); sup distance "
+                  f"oracle's (DKW bound {dkw:.3f} on {entered} entrances); sup distance "
                   f"to the limit {np.abs(et.cdf - limit).max():.3f} (engine), "
                   f"{np.abs(o_cdf[0] - limit).max():.3f} (oracle); (b) x={x_deep:g}: oracle "
                   f"sup distance to the exponential limit over t=2..20 is {sup_dist:.4f} "

@@ -353,9 +353,33 @@ class TestOtherExperiments:
         lines = out.with_suffix(".csv").read_text().splitlines()
         assert lines[0] == "t,cdf,count,limit"
 
+    def test_each_experiment_reads_its_own_model_block(self, tmp_path, capsys):
+        # with both blocks, entrance runs on model.set, not on the ruin block's mapped set
+        ruin = {"set": {"type": "any_line_negative"}, "alloc": [0.5, 0.5]}
+        both = base_config(tmp_path / "both")
+        both["model"]["ruin"] = ruin
+        assert run(write(tmp_path, both, "both.json")) == 0
+        assert run(write(tmp_path, base_config(tmp_path / "set"), "set.json")) == 0
+        assert (tmp_path / "both.csv").read_text() == (tmp_path / "set.csv").read_text()
+        ruin_only = base_config(tmp_path / "ruin_only")
+        del ruin_only["model"]["set"]
+        ruin_only["model"]["ruin"] = ruin
+        assert run(write(tmp_path, ruin_only, "ruin_only.json")) == 3
+        assert "model.set" in capsys.readouterr().err
+        assert not (tmp_path / "ruin_only.csv").exists()
+
+    def test_registry_is_the_experiment_enum(self):
+        assert list(cli._EXPERIMENTS) == CONFIG_SCHEMA["properties"]["experiment"]["enum"]
+
     def test_entrance_time_needs_block(self, tmp_path):
         cfg = base_config(tmp_path / "et2", experiment="entrance_time")
         assert run(write(tmp_path, cfg)) == 3
+
+    def test_entrance_time_grid_past_horizon_is_a_config_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "et3", experiment="entrance_time")
+        cfg["entrance_time"] = {"x": 5.0, "t_grid": [5.0, 20.0]}
+        assert run(write(tmp_path, cfg)) == 3
+        assert "beyond the simulation horizon" in capsys.readouterr().err
 
     def test_big_jump_experiment(self, tmp_path):
         out = tmp_path / "bj"

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruinflow import montecarlo
 from ruinflow.dependence import ClaimModel, NoExceedanceError
-from ruinflow.estimators import ModelSpec
+from ruinflow.estimators import ModelSpec, entrance_time_cdf
 from ruinflow.heavy_tails import Pareto
 from ruinflow.montecarlo import (
     CHUNK_PATHS,
@@ -183,7 +184,7 @@ class TestEmpiricalEntrance:
         spec = base_spec()
         sim = SimConfig(5_000, seed=22, horizon=10.0, x_grid=(10.0, 1e9))
         table = empirical_entrance(spec, sim)
-        assert 1e9 in table.flagged
+        assert table.x[table.count == 0].tolist() == [1e9]
         assert math.isnan(table.ratio[-1])
         rows = table.rows()
         assert rows[-1]["ratio"] is None
@@ -264,6 +265,67 @@ class TestEntranceTime:
         for x, t_grid in bad:
             with pytest.raises(ValueError):
                 empirical_entrance_time(spec, x, t_grid, sim)
+
+
+    def test_limit_column_where_the_law_applies(self):
+        # exponential limit law: Poisson arrivals, a positive constant force, one tail index
+        def columns(renewal=Poisson(1.0), ret=Deterministic(0.05)):
+            spec = ModelSpec(ClaimModel.iid((Pareto(2.0, 1.0),)), Ray(1.0), renewal, ret)
+            et = empirical_entrance_time(spec, 5.0, [5.0, 20.0],
+                                         SimConfig(20_000, seed=32, horizon=20.0), unsafe=True)
+            return list(et.columns), et
+        names, et = columns()
+        assert names == ["t", "cdf", "count", "limit"]
+        assert et.limit.tolist() == [entrance_time_cdf(2.0, 0.05, t) for t in (5.0, 20.0)]
+        for kw in ({"ret": BrownianDrift(0.05, 0.2)}, {"renewal": RenewalIID(Erlang(2, 2.0))},
+                   {"ret": Deterministic(0.0)}):
+            assert columns(**kw)[0] == ["t", "cdf", "count"], kw
+
+
+class TestResultTable:
+    @staticmethod
+    def _ruin(sim):
+        model = RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), renewal=Poisson(1.0),
+                          ret=Deterministic(0.05), alloc=(1.0,), ruin_set=AnyLineNegative())
+        return empirical_ruin(model, (5.0, 50.0), sim.horizon, sim)
+
+    #: every library front end, called on a small one-line model
+    FRONT_ENDS = {
+        "entrance": lambda sim: empirical_entrance(base_spec(d=1), replace(sim, x_grid=(5.0,))),
+        "entrance infinite": lambda sim: empirical_entrance(
+            base_spec(d=1), replace(sim, horizon=math.inf, x_grid=(50.0,))),
+        "ruin": lambda sim: TestResultTable._ruin(sim),
+        "entrance_time": lambda sim: empirical_entrance_time(base_spec(d=1), 5.0, (5.0,), sim),
+        "single_big_jump": lambda sim: single_big_jump_check(
+            ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0), (1.0, 1.0), (5.0, 50.0), sim),
+    }
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_meta_holds_the_common_keys(self, front_end):
+        sim = SimConfig(3_000, seed=33, horizon=10.0)
+        table = self.FRONT_ENDS[front_end](sim)
+        assert {"mode", "horizon", "n_paths", "seed"} <= set(table.meta)
+        assert (table.meta["n_paths"], table.meta["seed"]) == (3_000, 33)
+        if front_end == "single_big_jump":
+            assert table.meta["mode"] is None and table.meta["horizon"] is None
+        else:
+            assert table.meta["mode"] in ("consistent-variation", "infinite-horizon")
+            assert table.meta["horizon"] == table.meta.get("truncation_horizon", 10.0)
+        lengths = {len(col) for col in table.columns.values()}
+        assert lengths == {len(table.rows())}
+
+    def test_one_formatting_rule(self, tmp_path):
+        table = montecarlo.ResultTable(
+            {"n": np.array([1, 2], dtype=np.int64), "v": np.array([0.5, math.nan]),
+             "s": np.array(["a", "b"])}, {})
+        assert table.rows() == [{"n": 1, "v": 0.5, "s": "a"}, {"n": 2, "v": None, "s": "b"}]
+        assert type(table.rows()[0]["n"]) is int
+        table.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text().splitlines() == ["n,v,s", "1,0.5,a", "2,,b"]
+        table.to_json(tmp_path / "t.json")
+        assert json.loads((tmp_path / "t.json").read_text()) == table.rows()
+        with pytest.raises(AttributeError):
+            table.absent
 
 
 class TestCompoundPoissonEndToEnd:

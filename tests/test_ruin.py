@@ -105,13 +105,13 @@ class TestEmpiricalRuin:
         model = two_line_model()
         sim = SimConfig(2_000, seed=43, horizon=10.0, x_grid=())
         table = empirical_ruin(model, (1e9,), 10.0, sim)
-        assert 1e9 in table.flagged
+        assert table.x[table.count == 0].tolist() == [1e9]
 
     def test_ruin_set_column_present(self, tmp_path):
         model = two_line_model(ruin_set=WeightedSumNegative())
         sim = SimConfig(2_000, seed=44, horizon=10.0, x_grid=())
         table = empirical_ruin(model, (10.0,), 10.0, sim)
-        assert table.extra["ruin_set"] == "sum"
+        assert table.ruin_set.tolist() == ["sum"]
         p = tmp_path / "ruin.csv"
         table.to_csv(p)
         assert p.read_text().splitlines()[0] == \

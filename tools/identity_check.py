@@ -18,7 +18,13 @@ same list and their outputs compare with ``cmp``:
   workers, enough that the pool gets blocks of several chunks, the last one
   partial;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
-  worker, recording the exit code and the rows of the result table.
+  worker, in both table formats, recording the exit code, the sha256 of the
+  table file, its rows (CSV rows as their text lines) and the report without
+  its ``elapsed`` line, the temporary directory written as ``<tmp>``.
+
+Entrance-time tables are read through ``rows()`` and ``entered`` through
+``meta`` or, in older trees, the table attribute, so any commit since the
+result tables gained ``rows()`` can be ``--src``.
 
 Each workload entry also records whether its 1- and 2-worker columns agree.
 Floats are written with ``repr`` precision, so equal files mean bit-identical
@@ -29,6 +35,7 @@ worker count, else 0.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -70,8 +77,8 @@ def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
         t = montecarlo.empirical_entrance_time(
             model, w.x_grid[0], tuple(f * span for f in T_FRACTIONS),
             SimConfig(n_paths, SEED, w.horizon, (), workers))
-        out["entered"] = int(t.entered)
-        out["entry_time_counts"] = t.counts.tolist()
+        out["entered"] = int(t.meta["entered"] if hasattr(t, "meta") else t.entered)
+        out["entry_time_counts"] = [row["count"] for row in t.rows()]
     return out
 
 
@@ -115,11 +122,21 @@ def demo_configs() -> dict:
             cfg["sim"]["n_paths"] = CONFIG_PATHS
             cfg_path = Path(tmp) / "in" / path.name
             cfg_path.write_text(json.dumps(cfg))
-            base = Path(tmp) / path.stem
-            code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": "json"})
-            table = base.with_suffix(".json")
-            rows = json.loads(table.read_text()) if table.exists() else None
-            out[path.name] = {"exit_code": code, "rows": rows}
+            for fmt in ("csv", "json"):
+                base = Path(tmp) / fmt / path.stem
+                code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": fmt})
+                table = base.with_suffix(f".{fmt}")
+                entry = {"exit_code": code, "sha256": None, "rows": None}
+                if table.exists():
+                    text = table.read_bytes()
+                    entry["sha256"] = hashlib.sha256(text).hexdigest()
+                    entry["rows"] = (json.loads(text) if fmt == "json"
+                                     else text.decode().splitlines())
+                report = base.with_suffix(".report.txt")
+                entry["report"] = [line.replace(tmp, "<tmp>")
+                                   for line in report.read_text().splitlines()
+                                   if not line.startswith("elapsed:")] if report.exists() else None
+                out[f"{path.name} {fmt}"] = entry
     return out
 
 
