@@ -65,9 +65,9 @@ class NoExceedanceError(RuntimeError):
 class _Dependence:
     """Defaults of the dependence structures: every vector has the law of the margins.
 
-    Each structure's ``claims(margins, u)`` maps uniforms shaped ``(2, d, ...)``
-    to claim vectors of that shape; ``u[k]`` is slot ``k`` of a pair, with
-    component ``j`` in ``u[k, j]``.
+    Each structure's ``claims(margins, v)`` turns survival transforms ``1 - u``
+    shaped ``(2, d, ...)`` into claim vectors in place; ``v[k]`` is slot ``k``
+    of a pair, with component ``j`` in ``v[k, j]``.
     """
 
     identically_distributed = True
@@ -83,11 +83,10 @@ class _Dependence:
 
 @dataclass(frozen=True)
 class IID(_Dependence):
-    def claims(self, margins, u):
-        out = np.subtract(1.0, u)  # the survival transforms, turned into claims in place
+    def claims(self, margins, v):
         for j, m in enumerate(margins):
-            m._qf(out[:, j])
-        return out
+            m._qf(v[:, j])
+        return v
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,10 @@ class FgmChain(_Dependence):
         if len(margins) != 2 or any(m != self.marginal for m in margins):
             raise ValueError("FGM chain couples two components sharing one marginal")
 
-    def claims(self, margins, u):
+    def claims(self, margins, v):
         # survival transforms of the four coupled components: the first
         # three are independent uniforms, the fourth is conditional with
         # the closed-form FGM quadratic inverse; all share the marginal
-        v = np.subtract(1.0, u)
         v[1, 1] = fgm_conditional_inverse(self.theta, v[0, 0], v[0, 1], v[1, 0], v[1, 1])
         return self.marginal._qf(v)
 
@@ -124,14 +122,13 @@ class CubicPair(_Dependence):
     def second_margins(self, margins):
         return (HarmonicSurvival(), HarmonicSurvival())
 
-    def claims(self, margins, u):
-        out = np.subtract(1.0, u)
-        xv, yv = margins[0]._qf(out[0]), out[1]
+    def claims(self, margins, v):
+        xv, yv = margins[0]._qf(v[0]), v[1]
         # P[Y > y | X = x] = ((1+x^3)/(1+x^3+y))^2, inverted in closed form
         yv **= -0.5
         yv -= 1.0
         yv *= 1.0 + xv**3
-        return out
+        return v
 
 
 @dataclass(frozen=True)
@@ -239,18 +236,21 @@ class ClaimModel:
         cs = np.array([e[0] for e in envs])
         return (rare_set.envelope_constant(cs, alpha), alpha)
 
-    def claims_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+    def claims_from_uniforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform uniforms shaped ``(2, d, ...)`` into claim vectors of that shape.
 
         ``u[k]`` is slot ``k`` of a pair, with component ``j`` in ``u[k, j]``;
         the paired structures couple slot 0 with slot 1 entry by entry over
-        the trailing axes (a truncated pair's first vector keeps its
-        marginal law).
+        the trailing axes.  A truncated pair's first vector keeps its
+        marginal law: component ``j`` of slot 0 is ``margins[j]._qf(1 - u)``
+        whatever the structure, so it can be transformed alone.  The claims
+        are written to ``out``, which may be ``u`` itself; by default they go
+        to a new array and ``u`` is only read.
         """
         u = np.asarray(u, dtype=float)
         if u.shape[:2] != (2, self.d):
             raise ValueError(f"expected uniforms of shape (2, {self.d}, ...)")
-        return self.inter.claims(self.margins, u)
+        return self.inter.claims(self.margins, np.subtract(1.0, u, out=out))
 
     def sample_sequence(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` claim vectors as an ``(n, d)`` array.

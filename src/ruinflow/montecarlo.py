@@ -35,7 +35,9 @@ net claim process into the mapped set, read on the same paths).  A pool gets
 the chunks in blocks of consecutive chunks, about :data:`BLOCKS_PER_WORKER`
 blocks per worker (single chunks when there are fewer), and the results are
 merged in chunk order.  Claim transforms work in place: a marginal's ``_qf``
-overwrites the survival transforms it is given, never the caller's uniforms.
+overwrites the survival transforms it is given, and the big-jump chunk
+transforms the uniform block it draws where it lies (the aggregate engine's
+draws go to a new array: in place, they took more page faults, no less time).
 """
 
 from __future__ import annotations
@@ -498,11 +500,17 @@ class _BigJumpTask:
 
 
 def _big_jump_chunk(task: _BigJumpTask) -> dict:
-    n = len(task.weights)
-    # vectors (2j, 2j+1) are the two slots of pair j; an odd n leaves its last pair half used
-    claims = task.claim.claims_from_uniforms(_chunk_rng(task.seed, task.chunk).random(
-        (2, task.claim.d, (n + 1) // 2, task.count)))
-    vectors = [claims[i % 2, :, i // 2].T for i in range(n)]  # (count, d) views of (d, count) blocks
+    n, h = len(task.weights), len(task.weights) // 2
+    # vectors (2j, 2j+1) are the two slots of pair j, transformed in place in
+    # the chunk's own block; an odd n's last pair has only its slot 0
+    # transformed, by its margins, and its slot 1 drawn but never read
+    blk = _chunk_rng(task.seed, task.chunk).random((2, task.claim.d, (n + 1) // 2, task.count))
+    task.claim.claims_from_uniforms(blk[:, :, :h], out=blk[:, :, :h])
+    if n % 2:
+        lone = np.subtract(1.0, blk[0, :, h], out=blk[0, :, h])
+        for j, m in enumerate(task.claim.margins):
+            m._qf(lone[j])
+    vectors = [blk[i % 2, :, i // 2].T for i in range(n)]  # (count, d) views of (d, count) blocks
     w = task.weights
     total = vectors[0] * w[0]
     for i in range(1, n):  # left to right, the order of a sum over the vector axis

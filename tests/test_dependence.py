@@ -137,6 +137,33 @@ class TestClaimTransform:
             assert np.array_equal(got, model.claims_from_uniforms(u.copy()))
         assert np.array_equal(block, keep)
 
+    @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=["iid-3", "fgm", "cubic"])
+    def test_in_place_equals_fresh(self, model):
+        # out= may be the uniforms themselves: a contiguous copy, or a strided
+        # view of a larger block (the pairs of a big-jump chunk), whose other
+        # entries stay as they were
+        u = np.random.default_rng(75).random((2, model.d, 3, 2001))
+        want = model.claims_from_uniforms(u[:, :, :2])
+        c = u[:, :, :2].copy()
+        assert model.claims_from_uniforms(c, out=c) is c
+        assert np.array_equal(c, want)
+        block = u.copy()
+        got = model.claims_from_uniforms(block[:, :, :2], out=block[:, :, :2])
+        assert np.shares_memory(got, block)
+        assert np.array_equal(block[:, :, :2], want)
+        assert np.array_equal(block[:, :, 2], u[:, :, 2])
+
+    @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=["iid-3", "fgm", "cubic"])
+    def test_lone_first_vector_is_slot_zero(self, model):
+        # a truncated pair's first vector, transformed alone by its margins in
+        # place, is slot 0 of the full pair transform bit for bit
+        u = np.random.default_rng(76).random((2, model.d, 2, 2001))
+        want = model.claims_from_uniforms(u)[0, :, 1]
+        lone = np.subtract(1.0, u[0, :, 1], out=u[0, :, 1])
+        for j, m in enumerate(model.margins):
+            m._qf(lone[j])
+        assert np.array_equal(u[0, :, 1], want)
+
     def test_trailing_axes_and_shape_check(self):
         model = ClaimModel.fgm_chain(-0.4, Pareto(1.5))
         u = np.random.default_rng(73).random((2, 2, 3, 40))

@@ -583,6 +583,21 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[2] <= 1.5 * peaks[0], peaks
 
+    def test_big_jump_chunk_peak_below_two_blocks(self):
+        # the chunk transforms its uniform block in place: a reintroduced
+        # copy of the block (or of its claims) lifts the peak past 2 blocks
+        task = _BigJumpTask(claim=FGM_PARETO2, rare_set=MaxExceed((1.0, 1.0)),
+                            weights=(1.0, 1.0, 1.0), seed=5, chunk=0, count=CHUNK_PATHS,
+                            x_grid=(40.0, 86.2, 400.0))
+        block = 2 * task.claim.d * 2 * CHUNK_PATHS * 8  # (2, d, ceil(3/2), count) float64
+        tracemalloc.start()
+        try:
+            _big_jump_chunk(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block, peak / block
+
 
 @st.composite
 def small_models(draw):

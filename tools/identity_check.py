@@ -13,7 +13,9 @@ same list and their outputs compare with ``cmp``:
   little over two chunks of paths on 1 and on 2 workers, plus the big-jump
   marginal column and an entrance-time table on the same models and seeds;
 * big-jump runs, sized and recorded like the workloads, on the sets that no
-  workload scalarizes: a 2-d polyhedral union and a 3-d half-space;
+  workload scalarizes (a 2-d polyhedral union and a 3-d half-space), and on
+  the weight counts and models it leaves out: 2 and 4 weights on the FGM
+  chain (no lone last vector) and 3 on the cubic pair (a cubic lone vector);
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
   workers, enough that the pool gets blocks of several chunks, the last one
   partial;
@@ -40,6 +42,7 @@ import json
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,14 +86,18 @@ def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
 
 
 def _big_jumps() -> dict:
-    """(claim, set) of each extra big-jump run, built from the imported ruinflow."""
-    from ruinflow import ClaimModel, HalfSpace, Pareto, PolyhedralUnion
+    """(claim, set, weights) of each extra big-jump run, built from the imported ruinflow."""
+    from ruinflow import ClaimModel, HalfSpace, MaxExceed, Pareto, PolyhedralUnion
 
     pair = ClaimModel.iid((Pareto(1.5, 1.0),) * 2)
     union = PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0)))
-    return {"bigjump-union-2d": (pair, union),
+    fgm, unit_max = ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0)), MaxExceed((1.0, 1.0))
+    return {"bigjump-union-2d": (pair, union, (1.0, 1.0, 1.0)),
             "bigjump-halfspace-3d": (ClaimModel.iid((Pareto(1.5, 1.0),) * 3),
-                                     HalfSpace((0.2, 0.3, 0.5), 1.0))}
+                                     HalfSpace((0.2, 0.3, 0.5), 1.0), (1.0, 1.0, 1.0)),
+            "bigjump-fgm-2w": (fgm, unit_max, (1.0, 0.5)),
+            "bigjump-fgm-4w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0)),
+            "bigjump-cubic-3w": (ClaimModel.cubic_pair(), unit_max, (1.0, 0.5, 2.0))}
 
 
 def workloads() -> dict:
@@ -101,7 +108,8 @@ def workloads() -> dict:
     n_paths = 2 * CHUNK_PATHS + 100  # two whole chunks and part of a third
     bigjump = WORKLOADS["bigjump-fgm"]
     runs = {name: (w, w.build(), n_paths) for name, w in WORKLOADS.items()}
-    runs.update((name, (bigjump, model, n_paths)) for name, model in _big_jumps().items())
+    runs.update((name, (replace(bigjump, weights=weights), (claim, rare_set), n_paths))
+                for name, (claim, rare_set, weights) in _big_jumps().items())
     runs["bigjump-fgm-blocks"] = (bigjump, bigjump.build(), (BLOCK_CHUNKS - 1) * CHUNK_PATHS + 100)
     out = {}
     for name, (w, model, n) in runs.items():
