@@ -64,7 +64,6 @@ from .processes import (
     RenewalIID,
     check_bounded_below,
     check_discount_summability,
-    renewal_function,
     truncation_horizon,
 )
 from .rare_sets import (

@@ -41,14 +41,13 @@ def wilson_interval(count, n, level: float = 0.95):
 
 
 def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
-                     abs_floor: float = 0.0, max_depth: int = 30) -> float:
+                     max_depth: int = 30) -> float:
     """Adaptive Simpson integration of ``f`` over ``[a, b]``.
 
     Refines until the Richardson error estimate of each panel falls below the
-    proportional share of ``rel_tol * |integral|`` (with ``abs_floor`` as an
-    absolute escape hatch for integrals indistinguishable from zero).  Panels
-    still above their share at ``max_depth`` raise one ``RuntimeWarning``; a
-    panel whose estimate is not finite raises ``ArithmeticError``.
+    proportional share of ``rel_tol * |integral|``.  Panels still above their
+    share at ``max_depth`` raise one ``RuntimeWarning``; a panel whose
+    estimate is not finite raises ``ArithmeticError``.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
@@ -81,7 +80,7 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-4,
     mid = 0.5 * (a + b)
     f0, f1, f2 = f(a), f(mid), f(b)
     whole = simpson(a, b, f0, f1, f2)
-    scale = max(abs(whole), abs_floor)
+    scale = abs(whole)
     if scale == 0.0:
         # coarse pass saw nothing; probe a finer grid before giving up
         probe = max(abs(simpson(a, mid, f0, f(0.5 * (a + mid)), f1)),

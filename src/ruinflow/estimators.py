@@ -38,6 +38,7 @@ from ._util import adaptive_simpson
 from .dependence import ClaimModel, UnsupportedModelError, scalarized_survival
 from .heavy_tails import Pareto, TailDistribution
 from .processes import (
+    TAIL_REL_BOUND,
     RenewalSpec,
     ReturnProcess,
     check_bounded_below,
@@ -102,15 +103,10 @@ class ModelSpec:
     rare_set: RareSet
     renewal: RenewalSpec
     ret: ReturnProcess
-    mrv: MrvSpec | None = None
 
     def __post_init__(self):
         if self.claim.d != self.rare_set.dim:
             raise ValueError("claim dimension does not match set dimension")
-
-    def with_derived_mrv(self) -> "ModelSpec":
-        spec = derive_mrv(self.claim, self.rare_set)
-        return ModelSpec(self.claim, self.rare_set, self.renewal, self.ret, spec)
 
 
 @dataclass(frozen=True)
@@ -206,8 +202,7 @@ def _pick_summability_exponents(model: ModelSpec) -> tuple[float, float] | None:
     return p1, 0.5 * (j_up + root)
 
 
-def resolve_infinite_mode(model: ModelSpec,
-                          p_exponents: tuple[float, float] | None = None) -> ModeReport:
+def resolve_infinite_mode(model: ModelSpec) -> ModeReport:
     """Check the infinite-horizon hypotheses, including moment summability."""
     tags = model.claim.scalarized_tags(model.rare_set)
     checks = _base_checks(model)
@@ -225,7 +220,7 @@ def resolve_infinite_mode(model: ModelSpec,
         checks.append(("finite polynomial decay exponents", False,
                        "scalarized law decays faster than every power"))
     else:
-        exps = p_exponents or _pick_summability_exponents(model)
+        exps = _pick_summability_exponents(model)
         if exps is None:
             checks.append(("discounted-moment summability", False,
                            "no exponent above the upper decay exponent has a negative Laplace exponent"))
@@ -293,16 +288,14 @@ class InfiniteHorizonEstimate:
 
 
 def asymptotic_entrance_infinite(model: ModelSpec, x: float,
-                                 rel_bound: float = 1e-3,
-                                 rel_tol: float = 1e-4,
                                  unsafe: bool = False) -> InfiniteHorizonEstimate:
     """First-order entrance approximation with ``T = infinity``.
 
     Evaluates the finite integral up to a truncation horizon and attaches an
     analytic bound on the neglected tail; the horizon grows until the bound
-    drops below ``rel_bound`` of the running value.  The bound combines the
-    global polynomial envelope of the scalarized claim law with the
-    geometric decay of the discounted moments.
+    drops below :data:`~ruinflow.processes.TAIL_REL_BOUND` of the running
+    value.  The bound combines the global polynomial envelope of the
+    scalarized claim law with the geometric decay of the discounted moments.
     """
     if not unsafe:
         resolve_infinite_mode(model).require()
@@ -311,12 +304,12 @@ def asymptotic_entrance_infinite(model: ModelSpec, x: float,
         raise UnsupportedModelError(
             "truncation bound needs a polynomial envelope with one shared tail index")
     c_env, alpha = env
-    T = truncation_horizon(model.ret, model.renewal, alpha, rel_bound)
+    T = truncation_horizon(model.ret, model.renewal, alpha)
     for _ in range(60):
-        value = asymptotic_entrance_finite(model, x, T, rel_tol=rel_tol, unsafe=True)
+        value = asymptotic_entrance_finite(model, x, T, unsafe=True)
         bound = c_env * x**-alpha * discount_integral_tail_bound(
             model.ret, model.renewal, alpha, T)
-        if bound <= rel_bound * value:
+        if bound <= TAIL_REL_BOUND * value:
             return InfiniteHorizonEstimate(value, T, bound, bound / value)
         T *= 1.25
     raise RuntimeError("truncation horizon search did not converge")  # pragma: no cover
@@ -374,17 +367,15 @@ def derive_mrv(claim: ClaimModel, rare_set: RareSet) -> MrvSpec:
 def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
     """Closed-form first-order entrance value for regularly-varying claims.
 
-    ``mu(A) * S_ref(x) * integral_0^T exp(s phi(alpha)) d(renewal measure)``,
-    with the Poisson integral in closed form; ``T`` may be ``math.inf`` when
-    ``phi(alpha) < 0``.
+    ``mu(A) * S_ref(x) * integral_0^T exp(s phi(alpha)) d(renewal measure)``
+    with the description from :func:`derive_mrv` and the Poisson integral in
+    closed form; ``T`` may be ``math.inf`` when ``phi(alpha) < 0``.
     """
-    if model.mrv is None:
-        raise ValueError("model carries no regular-variation description")
     if x <= 0:
         raise ValueError("threshold must be positive")
     if T < 0:
         raise ValueError("horizon must be nonnegative")
-    spec = model.mrv
+    spec = derive_mrv(model.claim, model.rare_set)
     phi = model.ret.laplace_exponent(spec.alpha)
     if math.isinf(T) and phi >= 0:
         raise ValueError(

@@ -16,10 +16,10 @@ The tags respect the strict inclusion chain
     regularly varying  <  consistently varying  <  dominated & long
                        <  subexponential        <  long tailed,
 
-and a tag assignment violating the chain is rejected at construction.  Tags
-are a curated analytic catalog rather than runtime inference: finite-sample
-class-membership testing is ill-posed, so :func:`matuszewska_bounds` is a
-diagnostic, not a classifier.
+and :class:`ClassTags` rejects an assignment violating the chain.  Each law's
+tags are fixed, a curated analytic catalog rather than runtime inference:
+finite-sample class-membership testing is ill-posed, so
+:func:`matuszewska_bounds` is a diagnostic, not a classifier.
 """
 
 from __future__ import annotations
@@ -88,9 +88,8 @@ class TailDistribution:
 
     tags: ClassTags
     #: (lower, upper) polynomial tail-decay exponents, ``None`` when both are
-    #: infinite (see :attr:`matuszewska_infinite`); avoids fake finite values.
+    #: infinite; avoids fake finite values.
     matuszewska: tuple[float, float] | None = None
-    matuszewska_infinite: bool = False
     #: smallest point of the support
     support_min: float = 0.0
 
@@ -131,9 +130,6 @@ class TailDistribution:
         """
         return None
 
-    def _tag_override(self, tags: ClassTags | None, default: ClassTags):
-        object.__setattr__(self, "tags", default if tags is None else tags)
-
 
 @dataclass(frozen=True)
 class Pareto(TailDistribution):
@@ -141,12 +137,11 @@ class Pareto(TailDistribution):
 
     alpha: float
     scale: float = 1.0
-    tags: ClassTags | None = None
+    tags = _ALL_HEAVY
 
     def __post_init__(self):
         if not (0 < self.alpha < math.inf and 0 < self.scale < math.inf):
             raise ValueError("Pareto needs finite alpha > 0 and scale > 0")
-        self._tag_override(self.tags, _ALL_HEAVY)
         object.__setattr__(self, "matuszewska", (self.alpha, self.alpha))
         object.__setattr__(self, "support_min", self.scale)
 
@@ -184,15 +179,13 @@ class HeavyWeibull(TailDistribution):
 
     shape: float
     scale: float = 1.0
-    tags: ClassTags | None = None
+    tags = _SUBEXP_ONLY
 
     def __post_init__(self):
         if not 0 < self.shape < 1:
             raise ValueError("HeavyWeibull needs shape in (0, 1)")
         if not 0 < self.scale < math.inf:
             raise ValueError("HeavyWeibull needs a finite scale > 0")
-        self._tag_override(self.tags, _SUBEXP_ONLY)
-        object.__setattr__(self, "matuszewska_infinite", True)
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -221,13 +214,11 @@ class Lognormal(TailDistribution):
 
     mu: float
     sigma: float
-    tags: ClassTags | None = None
+    tags = _SUBEXP_ONLY
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
             raise ValueError("Lognormal needs a finite mu and a finite sigma > 0")
-        self._tag_override(self.tags, _SUBEXP_ONLY)
-        object.__setattr__(self, "matuszewska_infinite", True)
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -257,11 +248,8 @@ class Lognormal(TailDistribution):
 class CubicSurvival(TailDistribution):
     """Law with survival ``(1 + x**3)**-1``: regularly varying with index 3."""
 
-    tags: ClassTags | None = None
-
-    def __post_init__(self):
-        self._tag_override(self.tags, _ALL_HEAVY)
-        object.__setattr__(self, "matuszewska", (3.0, 3.0))
+    tags = _ALL_HEAVY
+    matuszewska = (3.0, 3.0)
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -291,11 +279,8 @@ class CubicSurvival(TailDistribution):
 class HarmonicSurvival(TailDistribution):
     """Law with survival ``(1 + x)**-1``: regularly varying with index 1, no mean."""
 
-    tags: ClassTags | None = None
-
-    def __post_init__(self):
-        self._tag_override(self.tags, _ALL_HEAVY)
-        object.__setattr__(self, "matuszewska", (1.0, 1.0))
+    tags = _ALL_HEAVY
+    matuszewska = (1.0, 1.0)
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)

@@ -540,6 +540,8 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
     if any(w < 0 or not math.isfinite(w) for w in weights) or all(w == 0 for w in weights):
         raise ValueError("weights must be nonnegative, finite, and not all zero")
     x_grid = tuple(float(v) for v in x_grid)
+    if not x_grid:
+        raise ValueError("x grid must not be empty")
     if sim.x_grid and sim.x_grid != x_grid:
         raise ValueError("sim.x_grid differs from x_grid; give the grid once")
     sim = replace(sim, x_grid=x_grid)  # validates the grid like every other

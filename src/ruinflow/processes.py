@@ -39,8 +39,6 @@ __all__ = [
     "ReturnProcess",
     "BoundedBelowResult",
     "SummabilityResult",
-    "renewal_function",
-    "renewal_density",
     "check_bounded_below",
     "check_discount_summability",
     "truncation_horizon",
@@ -54,6 +52,8 @@ _SERIES_TOL = 1e-8
 GH_NODES = 64
 LAGUERRE_NODES = 32
 POISSON_TAIL = 1e-15
+#: largest share of an infinite-horizon value that the tail past its truncation horizon may carry
+TAIL_REL_BOUND = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +82,6 @@ class Poisson:
         gaps = rng.standard_exponential(shape)
         gaps /= self.rate
         return gaps
-
-    def renewal_function(self, t: float) -> float:
-        return self.rate * t
 
     def renewal_density(self, t: float, horizon: float | None = None) -> float:
         return self.rate
@@ -138,16 +135,6 @@ class RenewalIID:
         gaps = rng.standard_gamma(self.interarrival.k, shape)
         gaps /= self.interarrival.rate
         return gaps
-
-    def renewal_function(self, t):
-        """The convolution series, summed until a Chernoff bound puts the
-        neglected tail below the evaluation tolerance."""
-        n_terms = self.series_terms(t)
-        i = np.arange(1, n_terms + 1)
-        total = float(special.gammainc(i * self.interarrival.k, self.interarrival.rate * t).sum())
-        if not math.isfinite(total):
-            raise ArithmeticError("renewal series did not evaluate to a finite value")
-        return total
 
     def renewal_density(self, t, horizon=None):
         """The series of Erlang densities, with as many terms as ``horizon`` (default ``t``) needs."""
@@ -203,25 +190,6 @@ def _series_terms(k, rate, t) -> int:
 
 
 RenewalSpec = Poisson | RenewalIID
-
-
-def renewal_function(spec: RenewalSpec, t: float) -> float:
-    """Expected number of arrivals by time ``t``.
-
-    Exact ``rate * t`` for Poisson; for Erlang renewals the convolution
-    series is summed until a Chernoff bound puts the neglected tail below
-    1e-8.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t == 0:
-        return 0.0
-    return spec.renewal_function(t)
-
-
-def renewal_density(spec: RenewalSpec, t: float, horizon: float | None = None) -> float:
-    """Density of the renewal measure at ``t`` (``rate`` for Poisson)."""
-    return spec.renewal_density(t, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +474,8 @@ def discount_integral_tail_bound(proc: ReturnProcess, renewal: RenewalSpec,
     return renewal.discounted_tail_bound(phi, T)
 
 
-def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float,
-                       rel_bound: float = 1e-3) -> float:
-    """Horizon ``T*`` past which the discounted tail is below ``rel_bound``
+def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float) -> float:
+    """Horizon ``T*`` past which the discounted tail is below :data:`TAIL_REL_BOUND`
     of the total discounted integral, in the geometric proxy."""
     phi = proc.laplace_exponent(alpha)
     if phi >= 0:
@@ -517,7 +484,7 @@ def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float,
     T = max(1.0, -math.log(2.0) / phi)
     for _ in range(200):
         tail = discount_integral_tail_bound(proc, renewal, alpha, T)
-        if tail <= rel_bound * max(total - tail, 1e-300):
+        if tail <= TAIL_REL_BOUND * max(total - tail, 1e-300):
             return T
         T *= 1.25
     raise RuntimeError("truncation horizon search did not converge")  # pragma: no cover

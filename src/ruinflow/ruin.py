@@ -39,7 +39,7 @@ from .montecarlo import (
     _Ruin,
     _run_statistics,
 )
-from .processes import Deterministic, RenewalSpec, ReturnProcess
+from .processes import RenewalSpec, ReturnProcess
 from .rare_sets import RareSet, RuinSet, from_ruin_set
 
 __all__ = [
@@ -144,16 +144,18 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     coupling checks.
     """
     sim = replace(sim, x_grid=tuple(float(v) for v in x_grid), horizon=T)
-    if not model.premiums.is_zero and not isinstance(model.ret, Deterministic):
+    if not sim.x_grid:
+        raise ValueError("x grid must not be empty")
+    if not model.premiums.is_zero and model.ret.constant_force is None:
         raise NotImplementedError(
-            "ruin with premiums needs deterministic returns; premium accrual "
-            "under stochastic returns is not implemented")
+            "ruin with premiums needs a constant force of interest; premium "
+            "accrual under stochastic returns is not implemented")
     _check_premium_finiteness(model, T)
     entrance = model.entrance_model()
     asym, meta = _gate(entrance, sim, unsafe)
     ruin = _Ruin(model.mapped_set, sim.x_grid)
     if not model.premiums.is_zero:
-        ruin = replace(ruin, premiums=model.premiums, rate=model.ret.rate)
+        ruin = replace(ruin, premiums=model.premiums, rate=model.ret.constant_force)
     merged = _run_statistics(entrance, meta["horizon"], sim,
                              _Entrance(model.mapped_set, sim.x_grid), ruin)
     meta.update(entrance_counts=merged["entrance_counts"], premium_bound=model.premiums.bound)

@@ -245,8 +245,7 @@ def test_criterion_07_infinite_horizon_brownian():
 def test_criterion_08_mrv_closed_form_consistency():
     t0 = time.monotonic()
     claim = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(1.5, 1.0)))
-    spec = ModelSpec(claim, MaxExceed((1.0, 1.0)), Poisson(1.0),
-                     Deterministic(0.05)).with_derived_mrv()
+    spec = ModelSpec(claim, MaxExceed((1.0, 1.0)), Poisson(1.0), Deterministic(0.05))
     x = float(Pareto(1.5, 1.0).quantile(1e-6))
     ratio = asymptotic_entrance_finite(spec, x, 10.0) / mrv_closed_form(spec, x, 10.0)
     elapsed = time.monotonic() - t0

@@ -2,11 +2,13 @@ import ast
 import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ruinflow
 from ruinflow import cli
 from ruinflow.cli import CONFIG_SCHEMA, main, run
 from ruinflow.dependence import ClaimModel
@@ -342,6 +344,14 @@ class TestOtherExperiments:
         assert lines[0].endswith(",ruin_set")
         assert lines[1].endswith(",or")
 
+    def test_ruin_premiums_with_volatile_returns_exit_3(self, tmp_path, capsys):
+        cfg = json.loads((DEMOS / "configs" / "two_line_ruin.json").read_text())
+        cfg["model"]["return"] = {"type": "brownian", "mu": 0.1, "sigma": 0.2}
+        cfg["sim"]["n_paths"] = 1000
+        cfg["output"]["path"] = str(tmp_path / "ruin_bm")
+        assert run(write(tmp_path, cfg)) == 3
+        assert "constant force of interest" in capsys.readouterr().err
+
     def test_entrance_time_experiment(self, tmp_path):
         out = tmp_path / "et"
         cfg = base_config(out, experiment="entrance_time")
@@ -426,6 +436,13 @@ def test_demo_config_runs(config, tmp_path):
     cfg["sim"]["n_paths"] = 2000
     code = run(write(tmp_path, cfg), {"threads": 1, "out": str(tmp_path / config.stem)})
     assert code == (2 if config.name == "assumption_report.json" else 0)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(ruinflow.__path__)))
+def test_module_all_names_exist(name):
+    module = importlib.import_module(f"ruinflow.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"ruinflow.{name}.__all__ names {missing}, which do not exist"
 
 
 @pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)

@@ -9,7 +9,6 @@ from ruinflow.dependence import ClaimModel, UnsupportedModelError
 from ruinflow.estimators import (
     HypothesisError,
     ModelSpec,
-    MrvSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
     derive_mrv,
@@ -257,7 +256,7 @@ class TestInfiniteHorizon:
         spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
                          RenewalIID(Erlang(2, 2.0)), Deterministic(0.05))
         est = asymptotic_entrance_infinite(spec, 100.0)
-        want = mrv_closed_form(spec.with_derived_mrv(), 100.0, math.inf)
+        want = mrv_closed_form(spec, 100.0, math.inf)
         assert est.value == pytest.approx(want, rel=1e-6)
 
     def test_gate_failure(self):
@@ -321,24 +320,23 @@ class TestMrv:
 
     def test_closed_form_examples(self):
         claim = ClaimModel.iid((Pareto(2.0, 1.0),))
-        spec = ModelSpec(claim, Ray(1.0), Poisson(1.0), Deterministic(0.05)).with_derived_mrv()
+        spec = ModelSpec(claim, Ray(1.0), Poisson(1.0), Deterministic(0.05))
+        mu_of_a = derive_mrv(claim, Ray(1.0)).mu_of_a
         x = 100.0
         val = mrv_closed_form(spec, x, 10.0)
         factor = (1.0 - math.exp(-1.0)) / 0.1
         assert factor == pytest.approx(6.3212, abs=1e-4)
-        assert val == pytest.approx(spec.mrv.mu_of_a * x**-2 * factor, rel=1e-12)
+        assert val == pytest.approx(mu_of_a * x**-2 * factor, rel=1e-12)
         val_inf = mrv_closed_form(spec, x, math.inf)
-        assert val_inf == pytest.approx(spec.mrv.mu_of_a * x**-2 * 10.0, rel=1e-12)
+        assert val_inf == pytest.approx(mu_of_a * x**-2 * 10.0, rel=1e-12)
 
     def test_zero_mass_gives_zero(self):
-        claim = ClaimModel.iid((Pareto(2.0, 1.0),))
-        spec = ModelSpec(claim, Ray(1.0), Poisson(1.0), Deterministic(0.05),
-                         mrv=MrvSpec(2.0, Pareto(2.0, 1.0), 0.0))
-        assert mrv_closed_form(spec, 5.0, 10.0) == 0.0
+        assert mrv_mu([0.0], 2.0, Ray(1.0)) == 0.0
+        assert mrv_mu([0.0, 0.0], 1.5, MaxExceed((1.0, 2.0))) == 0.0
 
     def test_divergence_rejected(self):
         claim = ClaimModel.iid((Pareto(2.0, 1.0),))
-        spec = ModelSpec(claim, Ray(1.0), Poisson(1.0), Deterministic(0.0)).with_derived_mrv()
+        spec = ModelSpec(claim, Ray(1.0), Poisson(1.0), Deterministic(0.0))
         with pytest.raises(ValueError):
             mrv_closed_form(spec, 5.0, math.inf)
 
@@ -346,8 +344,7 @@ class TestMrv:
         # deterministic-numerics agreement of the integral and the closed form
         # deep in the tail where regular variation has converged
         claim = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(1.5, 1.0)))
-        spec = ModelSpec(claim, MaxExceed((1.0, 1.0)), Poisson(1.0),
-                         Deterministic(0.05)).with_derived_mrv()
+        spec = ModelSpec(claim, MaxExceed((1.0, 1.0)), Poisson(1.0), Deterministic(0.05))
         x = float(Pareto(1.5).quantile(1e-6))
         ratio = asymptotic_entrance_finite(spec, x, 10.0) / mrv_closed_form(spec, x, 10.0)
         assert 0.95 < ratio < 1.05

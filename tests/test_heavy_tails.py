@@ -155,9 +155,7 @@ class TestClassTags:
         assert CubicSurvival().matuszewska == (3.0, 3.0)
         assert HarmonicSurvival().matuszewska == (1.0, 1.0)
         assert HeavyWeibull(0.5).matuszewska is None
-        assert HeavyWeibull(0.5).matuszewska_infinite
         assert Lognormal(0.0, 1.0).matuszewska is None
-        assert Lognormal(0.0, 1.0).matuszewska_infinite
 
     def test_inclusion_chain_enforced(self):
         # consistently varying without dominated variation is inconsistent
@@ -175,7 +173,7 @@ class TestClassTags:
 
     def test_bad_tags_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            Pareto(2.0, tags=ClassTags(True, False, True, True, True, True))
+            ClassTags(True, False, True, True, True, True)
 
 
 class TestMoments:

@@ -282,12 +282,26 @@ class TestEntranceTime:
             assert columns(**kw)[0] == ["t", "cdf", "count"], kw
 
 
+_ONE_LINE_RUIN = RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), renewal=Poisson(1.0),
+                           ret=Deterministic(0.05), alloc=(1.0,), ruin_set=AnyLineNegative())
+
+
+@pytest.mark.parametrize("horizon", [10.0, math.inf])
+@pytest.mark.parametrize("front_end", [
+    lambda T: empirical_entrance(base_spec(d=1), SimConfig(100, seed=1, horizon=T)),
+    lambda T: empirical_ruin(_ONE_LINE_RUIN, [], T, SimConfig(100, seed=1, horizon=T)),
+    lambda T: single_big_jump_check(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0), (1.0, 1.0),
+                                    (), SimConfig(100, seed=1, horizon=T)),
+], ids=["entrance", "ruin", "single_big_jump"])
+def test_empty_grid_rejected(front_end, horizon):
+    with pytest.raises(ValueError, match="x grid must not be empty"):
+        front_end(horizon)
+
+
 class TestResultTable:
     @staticmethod
     def _ruin(sim):
-        model = RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), renewal=Poisson(1.0),
-                          ret=Deterministic(0.05), alloc=(1.0,), ruin_set=AnyLineNegative())
-        return empirical_ruin(model, (5.0, 50.0), sim.horizon, sim)
+        return empirical_ruin(_ONE_LINE_RUIN, (5.0, 50.0), sim.horizon, sim)
 
     #: every library front end, called on a small one-line model
     FRONT_ENDS = {

@@ -24,8 +24,6 @@ from ruinflow.processes import (
     check_bounded_below,
     check_discount_summability,
     discount_integral_tail_bound,
-    renewal_density,
-    renewal_function,
     truncation_horizon,
 )
 from ruinflow.rare_sets import Ray
@@ -33,15 +31,23 @@ from ruinflow.rare_sets import Ray
 from oracles import arrival_times, erlang2_renewal_function
 
 
+def integrated_density(spec, t: float) -> float:
+    """The renewal function at ``t``: the renewal density integrated by scipy."""
+    from scipy import integrate
+
+    return integrate.quad(lambda s: spec.renewal_density(s, t), 0, t,
+                          epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+
+
 class TestRenewalFunction:
     def test_poisson_exact(self):
-        assert renewal_function(Poisson(1.0), 10.0) == 10.0
-        assert renewal_function(Poisson(2.0), 0.0) == 0.0
+        assert Poisson(1.0).discounted_integral(0.0, 10.0) == 10.0
+        assert Poisson(2.0).discounted_integral(0.0, 0.0) == 0.0
 
     def test_erlang_matches_closed_form(self):
         spec = RenewalIID(Erlang(2, 2.0))
         for t in (0.5, 3.0, 10.0):
-            assert renewal_function(spec, t) == pytest.approx(
+            assert integrated_density(spec, t) == pytest.approx(
                 erlang2_renewal_function(2.0, t), abs=1e-7)
 
     def test_erlang_matches_monte_carlo(self):
@@ -54,10 +60,10 @@ class TestRenewalFunction:
         assert times[:, -1].min() > t
         counts = (times <= t).sum(axis=1)
         se = counts.std(ddof=1) / math.sqrt(n)
-        assert abs(counts.mean() - renewal_function(spec, t)) < 3 * se
+        assert abs(counts.mean() - integrated_density(spec, t)) < 3 * se
 
     def test_density_poisson(self):
-        assert renewal_density(Poisson(1.7), 3.0) == 1.7
+        assert Poisson(1.7).renewal_density(3.0) == 1.7
 
     def test_series_terms_searched_once_per_horizon(self):
         # the finite-horizon quadrature asks for the renewal density at every
@@ -77,7 +83,7 @@ class TestRenewalFunction:
             for t in np.geomspace(1e-3, 50.0, 40):
                 a = np.arange(1, spec.series_terms(t if horizon is None else horizon) + 1) * k
                 want = float(stats.gamma.pdf(t, a=a, scale=1.0 / rate).sum())
-                assert renewal_density(spec, t, horizon=horizon) == want
+                assert spec.renewal_density(t, horizon=horizon) == want
 
     def test_import_leaves_scipy_stats_and_linalg_out(self):
         import ruinflow
@@ -94,9 +100,9 @@ class TestRenewalFunction:
         from scipy import integrate
 
         spec = RenewalIID(Erlang(2, 2.0))
-        val, _ = integrate.quad(lambda s: renewal_density(spec, s, horizon=5.0), 0, 5.0,
+        val, _ = integrate.quad(lambda s: spec.renewal_density(s, horizon=5.0), 0, 5.0,
                                 limit=200)
-        assert val == pytest.approx(renewal_function(spec, 5.0), rel=1e-6)
+        assert val == pytest.approx(erlang2_renewal_function(2.0, 5.0), rel=1e-6)
 
 
 class TestArrivalSampling:
@@ -297,7 +303,7 @@ class TestSummability:
 class TestTruncation:
     def test_poisson_deterministic_horizon(self):
         # tail/total < 1e-3 exactly when exp(phi T)/(1 - exp(phi T)) < 1e-3
-        T = truncation_horizon(Deterministic(0.05), Poisson(1.0), 1.5, rel_bound=1e-3)
+        T = truncation_horizon(Deterministic(0.05), Poisson(1.0), 1.5)
         phi = -1.5 * 0.05
         assert math.exp(phi * T) / (1 - math.exp(phi * T)) <= 1e-3
         assert math.exp(phi * T / 1.25) / (1 - math.exp(phi * T / 1.25)) > 1e-3 * 0.5

@@ -117,6 +117,22 @@ class TestEmpiricalRuin:
         assert p.read_text().splitlines()[0] == \
             "x,p_hat,ci_lo,ci_hi,count,asymptotic,ratio,ruin_set"
 
+    def test_premiums_with_degenerate_brownian_returns(self):
+        # sigma = 0 makes xi(t) = mu t, a constant force of interest, so premiums
+        # accrue; D never falls, and the premiums discounted to time zero are at
+        # most p T per line, so z(net) >= z(D(T)) - p T / l, with l the allocation
+        p, T = 0.5, 10.0
+        shift = p * T / 0.5
+        model = two_line_model(premium=p, ret=BrownianDrift(0.05, 0.0))
+        grid = (10.0, 20.0, 30.0, 40.0, 80.0, 90.0)
+        table = empirical_ruin(model, grid, T, SimConfig(50_000, seed=48, horizon=T))
+        entrance = table.meta["entrance_counts"]
+        assert np.all(entrance >= table.count)
+        for i, x in enumerate(grid):
+            if x + shift in grid:
+                assert table.count[i] >= entrance[grid.index(x + shift)]
+        assert np.any(table.count < entrance)  # the premiums did reach the ruin counts
+
     def test_premiums_with_stochastic_returns_rejected(self):
         model = two_line_model(ret=BrownianDrift(0.1, 0.2))
         sim = SimConfig(1_000, seed=45, horizon=10.0, x_grid=())
@@ -161,7 +177,7 @@ class TestAsymptoticRuin:
 
     def test_mrv_mode_equals_closed_form_with_mapped_set(self):
         model = two_line_model(alpha=2.0)
-        spec = model.entrance_model().with_derived_mrv()
+        spec = model.entrance_model()
         x = float(Pareto(2.0).quantile(1e-6))
         got = asymptotic_ruin(model, x, 10.0)
         want = mrv_closed_form(spec, x, 10.0)

@@ -19,14 +19,18 @@ same list and their outputs compare with ``cmp``:
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
   workers, enough that the pool gets blocks of several chunks, the last one
   partial;
+* ``mrv_closed_form`` on the regularly varying workload models (for ruin, the
+  entrance model of the mapped set) at every grid point, at T = 10 and, where
+  ``phi(alpha) < 0``, at T = inf;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, in both table formats, recording the exit code, the sha256 of the
   table file, its rows (CSV rows as their text lines) and the report without
   its ``elapsed`` line, the temporary directory written as ``<tmp>``.
 
 Entrance-time tables are read through ``rows()`` and ``entered`` through
-``meta`` or, in older trees, the table attribute, so any commit since the
-result tables gained ``rows()`` can be ``--src``.
+``meta`` or, in older trees, the table attribute, and older trees' models get
+their regular-variation description from ``with_derived_mrv()``, so any
+commit since the result tables gained ``rows()`` can be ``--src``.
 
 Each workload entry also records whether its 1- and 2-worker columns agree.
 Floats are written with ``repr`` precision, so equal files mean bit-identical
@@ -54,6 +58,8 @@ SEED = 20_240
 T_FRACTIONS = (0.25, 0.5, 1.0)
 #: chunks of the blocked big-jump run: blocks of 43 // 16 = 2 chunks on 2 workers
 BLOCK_CHUNKS = 43
+#: workloads whose models are regularly varying, for the closed-form column
+MRV_WORKLOADS = ("entrance-ref", "entrance-brownian-inf", "ruin-premium")
 
 
 def _floats(a) -> list:
@@ -119,6 +125,25 @@ def workloads() -> dict:
     return out
 
 
+def mrv_columns() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+    from ruinflow.estimators import derive_mrv, mrv_closed_form
+
+    out = {}
+    for name in MRV_WORKLOADS:
+        w = WORKLOADS[name]
+        model = w.build()
+        if w.kind == "ruin":
+            model = model.entrance_model()
+        alpha = derive_mrv(model.claim, model.rare_set).alpha
+        if hasattr(model, "with_derived_mrv"):  # trees whose models carried the description
+            model = model.with_derived_mrv()
+        horizons = [10.0] + ([math.inf] if model.ret.laplace_exponent(alpha) < 0 else [])
+        out[name] = {repr(T): [mrv_closed_form(model, x, T) for x in w.x_grid] for T in horizons}
+    return out
+
+
 def demo_configs() -> dict:
     from ruinflow import cli
 
@@ -158,7 +183,8 @@ def main(argv=None) -> int:
     import ruinflow
 
     print(f"ruinflow from {Path(ruinflow.__file__).parent}", file=sys.stderr)
-    result = {"workloads": workloads(), "demo_configs": demo_configs()}
+    result = {"workloads": workloads(), "mrv_closed_form": mrv_columns(),
+              "demo_configs": demo_configs()}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     variant = [k for k, v in result["workloads"].items() if not v["worker_invariant"]]
     for name in variant:
