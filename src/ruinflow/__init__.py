@@ -62,7 +62,6 @@ from .processes import (
     FixedJumps,
     Poisson,
     RenewalIID,
-    check_bounded_below,
     check_discount_summability,
     truncation_horizon,
 )

@@ -179,11 +179,10 @@ def _resolve_mode(model: ModelSpec, horizon: float) -> ModeReport:
     return resolve_infinite_mode(model) if math.isinf(horizon) else resolve_finite_mode(model, horizon)
 
 
-def _mode_lines(model: ModelSpec, horizon: float) -> list[str]:
-    """Report lines for the asymptotic mode at ``horizon``: the mode and every check."""
-    report = _resolve_mode(model, horizon)
-    return [f"asymptotic mode: {report.mode or 'NONE AVAILABLE'}"] + [
-        f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in report.checks]
+def _mode_lines(mode: str | None, checks) -> list[str]:
+    """Report lines for a gate's record: the mode and every check."""
+    return [f"asymptotic mode: {mode or 'NONE AVAILABLE'}"] + [
+        f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
 
 
 def _entrance(cfg, spec, sim, study=False):
@@ -217,7 +216,8 @@ def _big_jump(cfg, spec, sim):
 
 
 def _assumption_report(cfg, spec, sim):
-    return None, [], 0 if _resolve_mode(spec, sim.horizon).mode is not None else 2
+    report = _resolve_mode(spec, sim.horizon)
+    return None, _mode_lines(report.mode, report.checks), 0 if report.mode is not None else 2
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,13 @@ class _Experiment:
     Its model is read from ``model.<block>``: a ``ModelSpec`` from ``set``,
     a ``RuinModel`` from ``ruin``.  ``run(cfg, model, sim)`` returns the
     result table (or None), its report lines and the exit code.  A gated
-    experiment's report opens with the asymptotic mode and its checks.
+    experiment's report opens with the gate's record: the table's ``meta``,
+    or the checks a ``HypothesisError`` carries when the gate fails.
     """
 
     block: str
     needs: tuple[str, ...]
     run: Callable
-    gated: bool = True
 
 
 #: experiment name -> its entry; the order is that of the schema's ``experiment`` enum
@@ -241,7 +241,7 @@ _EXPERIMENTS = {
     "entrance": _Experiment("set", ("sim.x_grid",), _entrance),
     "ruin": _Experiment("ruin", ("sim.x_grid",), _ruin),
     "entrance_time": _Experiment("set", ("entrance_time",), _entrance_time),
-    "single_big_jump": _Experiment("set", ("big_jump", "sim.x_grid"), _big_jump, gated=False),
+    "single_big_jump": _Experiment("set", ("big_jump", "sim.x_grid"), _big_jump),
     "convergence_study": _Experiment("set", ("sim.x_grid",),
                                      functools.partial(_entrance, study=True)),
     "assumption_report": _Experiment("set", (), _assumption_report),
@@ -433,10 +433,7 @@ def run(config_path, overrides: dict | None = None) -> int:
         return 3
 
     experiment = _EXPERIMENTS[cfg["experiment"]]
-    if experiment.block == "ruin":  # ruin is gated on its mapped entrance model
-        model, gated_on = ruin_model, ruin_model.entrance_model()
-    else:
-        model = gated_on = spec
+    model = ruin_model if experiment.block == "ruin" else spec
     out_base = Path(cfg["output"]["path"])
     out_base.parent.mkdir(parents=True, exist_ok=True)
     report_lines = [
@@ -449,11 +446,9 @@ def run(config_path, overrides: dict | None = None) -> int:
     if cfg["unsafe"]:
         report_lines.append("*** hypotheses not verified (unsafe override) ***")
     try:
-        if experiment.gated:
-            report_lines += _mode_lines(gated_on, sim.horizon)
         table, lines, code = experiment.run(cfg, model, sim)
     except HypothesisError as exc:
-        report_lines.append(f"gate failure: {exc}")
+        report_lines += _mode_lines(None, exc.checks) + [f"gate failure: {exc}"]
         _finish_report(out_base, report_lines, t_start)
         print(f"hypothesis gate failure: {exc}", file=sys.stderr)
         _echo_config(out_base, cfg)
@@ -467,6 +462,8 @@ def run(config_path, overrides: dict | None = None) -> int:
     if table is None:
         lines.append("table: none (assumption report only)")
     else:
+        if table.meta["checks"] is not None:
+            report_lines += _mode_lines(table.meta["mode"], table.meta["checks"])
         fmt = cfg["output"]["format"]
         table_path = out_base.with_suffix(f".{fmt}")
         getattr(table, f"to_{fmt}")(table_path)

@@ -185,8 +185,8 @@ class ClaimModel:
         """Margins of the second vector in each block (differs for CubicPair)."""
         return self.inter.second_margins(self.margins)
 
-    def scalarized_tags(self, rare_set: RareSet) -> ClassTags:
-        """Curated class tags of the scalarized law ``P[z_index(X) > .]``.
+    def scalarized_tags(self) -> ClassTags:
+        """Curated class tags of the scalarized law ``P[z_index(X) > .]``, for any catalog set.
 
         The scalarization of a vector with independent catalog margins
         inherits the intersection of the margins' memberships: max-type sets
@@ -210,8 +210,9 @@ class ClaimModel:
             idx.add(m.matuszewska[0])
         return idx.pop() if len(idx) == 1 else None
 
-    def scalarized_matuszewska(self, rare_set: RareSet) -> tuple[float, float] | None:
-        """Polynomial decay exponents of the scalarized law (heaviest margin wins)."""
+    def scalarized_matuszewska(self) -> tuple[float, float] | None:
+        """Polynomial decay exponents of the scalarized law of any catalog set
+        (heaviest margin wins)."""
         lows, ups = [], []
         for m in self.margins:
             if m.matuszewska is None:

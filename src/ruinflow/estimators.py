@@ -41,7 +41,6 @@ from .processes import (
     TAIL_REL_BOUND,
     RenewalSpec,
     ReturnProcess,
-    check_bounded_below,
     check_discount_summability,
     discount_integral_tail_bound,
     truncation_horizon,
@@ -65,14 +64,16 @@ __all__ = [
     "entrance_time_cdf",
 ]
 
-class HypothesisError(ValueError):
-    """A theorem-mode hypothesis failed; carries the named violations."""
+def _failures(checks) -> list[str]:
+    return [f"{name}: {detail}" for name, ok, detail in checks if not ok]
 
-    def __init__(self, failures):
-        self.failures = list(failures)
-        super().__init__(
-            "asymptotic mode unavailable: " + "; ".join(self.failures)
-        )
+
+class HypothesisError(ValueError):
+    """A theorem-mode hypothesis failed; carries the checks of the gate it failed."""
+
+    def __init__(self, checks):
+        self.checks = tuple(checks)
+        super().__init__("asymptotic mode unavailable: " + "; ".join(_failures(self.checks)))
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,38 @@ class ModeReport:
 
     @property
     def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, ok, detail in self.checks if not ok]
+        return _failures(self.checks)
 
     def require(self):
         if self.mode is None:
-            raise HypothesisError(self.failures)
+            raise HypothesisError(self.checks)
         return self
 
 
-def _base_checks(model: ModelSpec) -> list[tuple[str, bool, str]]:
-    ident = model.claim.identically_distributed
-    return [(
-        "identically distributed claim vectors",
-        ident,
-        "holds" if ident else "the dependence structure alternates vector laws",
-    )]
+def _check(name: str, ok: bool, failure: str) -> tuple[str, bool, str]:
+    """One hypothesis check as the report prints it: ``holds`` or why not."""
+    return (name, ok, "holds" if ok else failure)
+
+
+def _claim_checks(claim: ClaimModel) -> tuple[tuple[str, bool, str], ...]:
+    """The claim-law checks the modes draw from: identical vector laws,
+    consistent variation, positive decrease, QAI, subexponentiality and
+    regression dependence, in that order."""
+    tags = claim.scalarized_tags()
+    return (
+        _check("identically distributed claim vectors", claim.identically_distributed,
+               "the dependence structure alternates vector laws"),
+        _check("consistently varying scalarized claims", tags.consistently_varying,
+               "scalarized law lacks consistent variation"),
+        _check("positively decreasing scalarized claims", tags.positively_decreasing,
+               "lower decay exponent is zero"),
+        _check("quasi-asymptotically independent scalarizations", claim.scalarized_qai,
+               "scalarized exceedances are not quasi-asymptotically independent"),
+        _check("subexponential scalarized claims", tags.subexponential,
+               "scalarized law is not subexponential"),
+        _check("regression-dependent scalarizations", claim.scalarized_rd,
+               "dependence structure violates regression dependence"),
+    )
 
 
 def resolve_finite_mode(model: ModelSpec, T: float) -> ModeReport:
@@ -145,37 +163,22 @@ def resolve_finite_mode(model: ModelSpec, T: float) -> ModeReport:
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("need a finite positive horizon")
-    tags = model.claim.scalarized_tags(model.rare_set)
-    bounded = check_bounded_below(model.ret, T)
-    checks = _base_checks(model)
-    cv_checks = checks + [
-        ("consistently varying scalarized claims", tags.consistently_varying,
-         "holds" if tags.consistently_varying else "scalarized law lacks consistent variation"),
-        ("quasi-asymptotically independent scalarizations", model.claim.scalarized_qai,
-         "holds"),
-        ("returns bounded below on [0, T]", bounded.holds,
-         f"floor {bounded.bound:g}" if bounded.holds else "paths are unbounded below (Brownian component)"),
-    ]
-    if all(ok for _, ok, _ in cv_checks):
-        return ModeReport("consistent-variation", tuple(cv_checks))
-    sub_checks = checks + [
-        ("subexponential scalarized claims", tags.subexponential,
-         "holds" if tags.subexponential else "scalarized law is not subexponential"),
-        ("regression-dependent scalarizations", model.claim.scalarized_rd,
-         "holds" if model.claim.scalarized_rd else "dependence structure violates regression dependence"),
-        ("non-decreasing return paths", model.ret.nondecreasing_paths,
-         "holds" if model.ret.nondecreasing_paths else "return paths can decrease"),
-    ]
-    if all(ok for _, ok, _ in sub_checks):
-        return ModeReport("subexponential-monotone", tuple(sub_checks))
-    seen = {}
-    for name, ok, detail in cv_checks + sub_checks:
-        seen.setdefault(name, (name, ok, detail))
-    return ModeReport(None, tuple(seen.values()))
+    ident, cv, _, qai, sub, rd = _claim_checks(model.claim)
+    floor = model.ret.bounded_below(T)
+    bounded = ("returns bounded below on [0, T]", floor is not None,
+               "paths are unbounded below (Brownian component)" if floor is None
+               else f"floor {floor:g}")
+    monotone = _check("non-decreasing return paths", model.ret.nondecreasing_paths,
+                      "return paths can decrease")
+    for mode, checks in (("consistent-variation", (ident, cv, qai, bounded)),
+                         ("subexponential-monotone", (ident, sub, rd, monotone))):
+        if all(ok for _, ok, _ in checks):
+            return ModeReport(mode, checks)
+    return ModeReport(None, (ident, cv, qai, bounded, sub, rd, monotone))
 
 
 def _pick_summability_exponents(model: ModelSpec) -> tuple[float, float] | None:
-    j = model.claim.scalarized_matuszewska(model.rare_set)
+    j = model.claim.scalarized_matuszewska()
     if j is None:
         return None
     j_lo, j_up = j
@@ -204,38 +207,26 @@ def _pick_summability_exponents(model: ModelSpec) -> tuple[float, float] | None:
 
 def resolve_infinite_mode(model: ModelSpec) -> ModeReport:
     """Check the infinite-horizon hypotheses, including moment summability."""
-    tags = model.claim.scalarized_tags(model.rare_set)
-    checks = _base_checks(model)
-    checks.append((
-        "consistently varying scalarized claims", tags.consistently_varying,
-        "holds" if tags.consistently_varying else "scalarized law lacks consistent variation"))
-    checks.append((
-        "positively decreasing scalarized claims", tags.positively_decreasing,
-        "holds" if tags.positively_decreasing else "lower decay exponent is zero"))
-    checks.append((
-        "quasi-asymptotically independent scalarizations", model.claim.scalarized_qai, "holds"))
+    ident, cv, pd, qai, _, _ = _claim_checks(model.claim)
     summability = None
-    j = model.claim.scalarized_matuszewska(model.rare_set)
+    j, exps = model.claim.scalarized_matuszewska(), _pick_summability_exponents(model)
     if j is None:
-        checks.append(("finite polynomial decay exponents", False,
-                       "scalarized law decays faster than every power"))
+        moments = ("finite polynomial decay exponents", False,
+                   "scalarized law decays faster than every power")
+    elif exps is None:
+        moments = ("discounted-moment summability", False,
+                   "no exponent above the upper decay exponent has a negative Laplace exponent")
     else:
-        exps = _pick_summability_exponents(model)
-        if exps is None:
-            checks.append(("discounted-moment summability", False,
-                           "no exponent above the upper decay exponent has a negative Laplace exponent"))
-        else:
-            p1, p2 = exps
-            summability = check_discount_summability(model.ret, model.renewal, p1, p2, j[1])
-            detail = (
-                f"p1={p1:g}, p2={p2:g}, rho={summability.rho:g}, "
-                f"phi(p1)={summability.phi_p1:.6g}, phi(p2)={summability.phi_p2:.6g}"
-            )
-            if summability.holds:
-                detail += f", series bound {summability.series_bound:.6g}"
-            checks.append(("discounted-moment summability", summability.holds, detail))
+        p1, p2 = exps
+        summability = check_discount_summability(model.ret, model.renewal, p1, p2, j[1])
+        detail = (f"p1={p1:g}, p2={p2:g}, rho={summability.rho:g}, "
+                  f"phi(p1)={summability.phi_p1:.6g}, phi(p2)={summability.phi_p2:.6g}")
+        if summability.holds:
+            detail += f", series bound {summability.series_bound:.6g}"
+        moments = ("discounted-moment summability", summability.holds, detail)
+    checks = (ident, cv, pd, qai, moments)
     ok = all(flag for _, flag, _ in checks)
-    return ModeReport("infinite-horizon" if ok else None, tuple(checks), summability)
+    return ModeReport("infinite-horizon" if ok else None, checks, summability)
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,12 @@ class ResultTable:
     """An experiment's result: ordered named 1-d columns and the run's metadata.
 
     Columns read as attributes (``table.x``, ``table.count``).  ``meta``
-    always holds ``mode`` (the asymptotic mode gated on, None without a
-    gate), ``horizon`` (the simulated horizon, None without one),
-    ``n_paths`` and ``seed``.  Rows follow one rule for every column: ints
-    are written as ints, floats as floats, and NaN as ``null`` (an empty
-    CSV cell).
+    always holds ``mode`` and ``checks``, the gate's record (the asymptotic
+    mode that holds, None when none does, and every hypothesis check as
+    ``(name, ok, detail)``; both None without a gate), ``horizon`` (the
+    simulated horizon, None without one), ``n_paths`` and ``seed``.  Rows
+    follow one rule for every column: ints are written as ints, floats as
+    floats, and NaN as ``null`` (an empty CSV cell).
     """
 
     columns: dict[str, np.ndarray]
@@ -162,8 +163,10 @@ def _cells(col: np.ndarray) -> list:
     return values
 
 
-def _run_meta(sim: SimConfig, mode, horizon, **more) -> dict:
-    return {"mode": mode, "horizon": horizon, "n_paths": sim.n_paths, "seed": sim.seed, **more}
+def _run_meta(sim: SimConfig, report, horizon, **more) -> dict:
+    """The run's metadata; ``report`` is the gate's ``ModeReport``, None without a gate."""
+    return {"mode": report and report.mode, "checks": report and report.checks,
+            "horizon": horizon, "n_paths": sim.n_paths, "seed": sim.seed, **more}
 
 
 def _ratio(counts: np.ndarray, p: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -413,24 +416,24 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
 def _gate(model: ModelSpec, sim: SimConfig, unsafe: bool) -> tuple[np.ndarray, dict]:
     """Gate the model, fill the asymptotic column over ``sim.x_grid``, fix the horizon.
 
-    Returns the column and the run's metadata; an infinite horizon is
-    simulated up to the largest truncation horizon of the grid.
+    Returns the column and the run's metadata, which records the gate's
+    report; an infinite horizon is simulated up to the largest truncation
+    horizon of the grid.
     """
+    report = (resolve_infinite_mode(model) if math.isinf(sim.horizon)
+              else resolve_finite_mode(model, sim.horizon))
+    if not unsafe:
+        report.require()
     if math.isinf(sim.horizon):
-        if not unsafe:
-            resolve_infinite_mode(model).require()
         estimates = [asymptotic_entrance_infinite(model, x, unsafe=True) for x in sim.x_grid]
         asym = [e.value for e in estimates]
         horizon = max(e.horizon for e in estimates)
-        meta = _run_meta(sim, "infinite-horizon", horizon, truncation_horizon=horizon,
+        meta = _run_meta(sim, report, horizon, truncation_horizon=horizon,
                          tail_bound_rel=max(e.tail_bound_rel for e in estimates))
     else:
-        report = resolve_finite_mode(model, sim.horizon)
-        if not unsafe:
-            report.require()
         asym = [asymptotic_entrance_finite(model, x, sim.horizon, unsafe=True)
                 for x in sim.x_grid]
-        meta = _run_meta(sim, report.mode or "unchecked", sim.horizon)
+        meta = _run_meta(sim, report, sim.horizon)
     if unsafe:
         meta["hypotheses_verified"] = False
     return np.asarray(asym), meta
@@ -530,7 +533,7 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
     subexponential scalarizations under the supported dependence structures.
     Weights are deterministic, nonnegative, and at most five.  The grid is
     ``x_grid``; ``sim.x_grid`` must be empty or equal to it.  ``sim.horizon``
-    is unused: the sum has a fixed number of terms, so ``meta`` has no mode
+    is unused: the sum has a fixed number of terms, so ``meta`` has no gate
     and no horizon.  Columns ``x, sum_p, marginal_p_total, ratio,
     sum_count, ci_lo, ci_hi``.
     """

@@ -37,9 +37,7 @@ __all__ = [
     "FixedJumps",
     "CompoundPoissonDrift",
     "ReturnProcess",
-    "BoundedBelowResult",
     "SummabilityResult",
-    "check_bounded_below",
     "check_discount_summability",
     "truncation_horizon",
     "discount_integral_tail_bound",
@@ -83,7 +81,7 @@ class Poisson:
         gaps /= self.rate
         return gaps
 
-    def renewal_density(self, t: float, horizon: float | None = None) -> float:
+    def renewal_density(self, t: float, horizon: float) -> float:
         return self.rate
 
     def discounted_integral(self, phi: float, T: float) -> float:
@@ -136,11 +134,11 @@ class RenewalIID:
         gaps /= self.interarrival.rate
         return gaps
 
-    def renewal_density(self, t, horizon=None):
-        """The series of Erlang densities, with as many terms as ``horizon`` (default ``t``) needs."""
+    def renewal_density(self, t, horizon):
+        """The series of Erlang densities, with as many terms as ``horizon`` needs."""
         if t <= 0:
             return 0.0
-        n_terms = self.series_terms(horizon if horizon is not None else t)
+        n_terms = self.series_terms(horizon)
         a, scale = np.arange(1, n_terms + 1) * self.interarrival.k, 1.0 / self.interarrival.rate
         x = t / scale  # the Gamma(a, scale) densities in scipy.stats.gamma's own arithmetic
         return float((np.exp(special.xlogy(a - 1.0, x) - x - special.gammaln(a)) / scale).sum())
@@ -225,9 +223,10 @@ class Deterministic:
         """Law of ``xi(s)`` as a quadrature rule ``(nodes, weights)``."""
         return np.array([self.rate * s]), np.ones(1)
 
-    def bounded_below(self, T: float) -> "BoundedBelowResult":
-        """Whether ``inf_{t <= T} xi(t) >= -K`` almost surely, and the floor ``K``."""
-        return BoundedBelowResult(True, 0.0)
+    def bounded_below(self, T: float) -> float | None:
+        """The floor ``K`` with ``inf_{t <= T} xi(t) >= -K`` almost surely (``|drift| T``
+        for a negative drift, else 0), or None when the paths are unbounded below."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,8 @@ class BrownianDrift:
 
     def bounded_below(self, T):
         if self.sigma > 0:  # Brownian paths are unbounded below on every interval
-            return BoundedBelowResult(False, None)
-        return BoundedBelowResult(True, max(0.0, -self.mu * T))
+            return None
+        return max(0.0, -self.mu * T)
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,8 @@ class CompoundPoissonDrift:
 
     def bounded_below(self, T):
         if not self.jumps.nonnegative:
-            return BoundedBelowResult(False, None)
-        return BoundedBelowResult(True, max(0.0, -self.drift * T))
+            return None
+        return max(0.0, -self.drift * T)
 
 
 ReturnProcess = Deterministic | BrownianDrift | CompoundPoissonDrift
@@ -393,29 +392,6 @@ def _gamma_rules(k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class BoundedBelowResult:
-    """Whether the return process stays above a deterministic floor on [0, T]."""
-
-    holds: bool
-    bound: float | None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_bounded_below(proc: ReturnProcess, T: float) -> BoundedBelowResult:
-    """Check that ``inf_{t <= T} xi(t) >= -K`` almost surely, returning ``K``.
-
-    Holds with ``K = 0`` for nonnegative drift and nonnegative jumps; with
-    ``K = |drift| T`` for negative drift and nonnegative jumps.  Fails for any
-    Brownian component: those paths are unbounded below on every interval.
-    """
-    if not math.isfinite(T) or T < 0:
-        raise ValueError("need a finite nonnegative horizon")
-    return proc.bounded_below(T)
-
-
-@dataclass(frozen=True)
 class SummabilityResult:
     """Outcome of the discounted-moment summability check.
 
@@ -429,9 +405,6 @@ class SummabilityResult:
     series_bound: float | None
     phi_p1: float
     phi_p2: float
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def check_discount_summability(proc: ReturnProcess, renewal: RenewalSpec,

@@ -173,9 +173,9 @@ def _check_premium_finiteness(model: RuinModel, T: float) -> None:
     """
     if model.premiums.is_zero or not math.isinf(T) or model.ret.laplace_exponent(1.0) < 0:
         return
-    raise HypothesisError([
-        "discounted premiums: not verifiably finite over an infinite horizon "
-        "(the discount moment does not decay)"])
+    raise HypothesisError([(
+        "discounted premiums", False,
+        "not verifiably finite over an infinite horizon (the discount moment does not decay)")])
 
 
 def asymptotic_ruin(model: RuinModel, x: float, T: float, unsafe: bool = False):

@@ -329,6 +329,22 @@ class TestGates:
         assert run(write(tmp_path, bad, "bad.json")) == 2
 
 
+    def test_premium_finiteness_failure_lists_its_check(self, tmp_path, capsys):
+        out = tmp_path / "premium"
+        cfg = base_config(out, experiment="ruin")
+        del cfg["model"]["set"]
+        cfg["model"]["return"] = {"type": "deterministic", "rate": 0.0}
+        cfg["model"]["ruin"] = {"set": {"type": "any_line_negative"}, "alloc": [0.5, 0.5],
+                                "premiums": {"breaks": [0.0], "rates": [[0.5, 0.5]]}}
+        cfg["sim"]["horizon"] = "inf"
+        assert run(write(tmp_path, cfg)) == 2
+        assert "discounted premiums" in capsys.readouterr().err
+        lines = out.with_suffix(".report.txt").read_text().splitlines()
+        assert "asymptotic mode: NONE AVAILABLE" in lines
+        assert ("  [FAIL] discounted premiums: not verifiably finite over an infinite horizon "
+                "(the discount moment does not decay)") in lines
+
+
 class TestOtherExperiments:
     def test_ruin_experiment(self, tmp_path):
         out = tmp_path / "ruin"
@@ -436,6 +452,25 @@ def test_demo_config_runs(config, tmp_path):
     cfg["sim"]["n_paths"] = 2000
     code = run(write(tmp_path, cfg), {"threads": 1, "out": str(tmp_path / config.stem)})
     assert code == (2 if config.name == "assumption_report.json" else 0)
+
+
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.name)
+def test_cli_run_resolves_its_gate_once(config, tmp_path, monkeypatch):
+    # count the resolutions in every module that binds a resolver: a gated
+    # run resolves its mode once, and its report prints that one record
+    calls = []
+    modules = [ruinflow] + [importlib.import_module(f"ruinflow.{m.name}")
+                            for m in pkgutil.iter_modules(ruinflow.__path__)]
+    for module in modules:
+        for name in ("resolve_finite_mode", "resolve_infinite_mode"):
+            if hasattr(module, name):
+                resolve = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _resolve=resolve: calls.append(a) or _resolve(*a))
+    cfg = json.loads(config.read_text())
+    cfg["sim"]["n_paths"] = 2000
+    run(write(tmp_path, cfg), {"threads": 1, "out": str(tmp_path / config.stem)})
+    assert len(calls) == (0 if cfg["experiment"] == "single_big_jump" else 1)
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(ruinflow.__path__)))

@@ -382,7 +382,7 @@ class TestModelMetadata:
 
     def test_scalarized_tags_intersect(self):
         mixed = ClaimModel.iid((G, HeavyWeibull(0.5)))
-        tags = mixed.scalarized_tags(UNIT_MAX)
+        tags = mixed.scalarized_tags()
         assert tags.subexponential and not tags.consistently_varying
 
     def test_common_tail_index(self):

@@ -10,8 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from ruinflow import montecarlo
 from ruinflow.dependence import ClaimModel, NoExceedanceError
-from ruinflow.estimators import ModelSpec, entrance_time_cdf
-from ruinflow.heavy_tails import Pareto
+from ruinflow.estimators import (
+    ModelSpec,
+    entrance_time_cdf,
+    resolve_finite_mode,
+    resolve_infinite_mode,
+)
+from ruinflow.heavy_tails import HeavyWeibull, Pareto
 from ruinflow.montecarlo import (
     CHUNK_PATHS,
     SimConfig,
@@ -327,6 +332,32 @@ class TestResultTable:
             assert table.meta["horizon"] == table.meta.get("truncation_horizon", 10.0)
         lengths = {len(col) for col in table.columns.values()}
         assert lengths == {len(table.rows())}
+
+    #: the model and horizon each gated front end's gate resolves on
+    GATED_ON = {"entrance": (base_spec(d=1), 10.0), "entrance infinite": (base_spec(d=1), math.inf),
+                "ruin": (_ONE_LINE_RUIN.entrance_model(), 10.0),
+                "entrance_time": (base_spec(d=1), 10.0)}
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_meta_records_the_gate(self, front_end):
+        table = self.FRONT_ENDS[front_end](SimConfig(3_000, seed=33, horizon=10.0))
+        if front_end == "single_big_jump":
+            assert table.meta["mode"] is None and table.meta["checks"] is None
+            return
+        model, horizon = self.GATED_ON[front_end]
+        report = (resolve_infinite_mode(model) if math.isinf(horizon)
+                  else resolve_finite_mode(model, horizon))
+        assert (table.meta["mode"], table.meta["checks"]) == (report.mode, report.checks)
+
+    def test_unsafe_failing_gate_records_no_mode(self):
+        spec = ModelSpec(ClaimModel.iid((HeavyWeibull(0.5),)), Ray(1.0), Poisson(1.0),
+                         BrownianDrift(0.1, 0.2))
+        table = empirical_entrance(spec, SimConfig(3_000, seed=33, horizon=10.0, x_grid=(5.0,)),
+                                   unsafe=True)
+        assert table.meta["mode"] is None and table.meta["hypotheses_verified"] is False
+        checks = table.meta["checks"]
+        assert checks == resolve_finite_mode(spec, 10.0).checks
+        assert not all(ok for _, ok, _ in checks)
 
     def test_one_formatting_rule(self, tmp_path):
         table = montecarlo.ResultTable(

@@ -21,7 +21,6 @@ from ruinflow.processes import (
     Poisson,
     RenewalIID,
     _series_terms,
-    check_bounded_below,
     check_discount_summability,
     discount_integral_tail_bound,
     truncation_horizon,
@@ -63,7 +62,7 @@ class TestRenewalFunction:
         assert abs(counts.mean() - integrated_density(spec, t)) < 3 * se
 
     def test_density_poisson(self):
-        assert Poisson(1.7).renewal_density(3.0) == 1.7
+        assert Poisson(1.7).renewal_density(3.0, 3.0) == 1.7
 
     def test_series_terms_searched_once_per_horizon(self):
         # the finite-horizon quadrature asks for the renewal density at every
@@ -79,11 +78,12 @@ class TestRenewalFunction:
     @pytest.mark.parametrize("k, rate", [(1, 0.3), (2, 2.0), (3, 1.0), (5, 7.5)])
     def test_density_erlang_is_scipy_gamma_sum(self, k, rate):
         spec = RenewalIID(Erlang(k, rate))
-        for horizon in (None, 10.0, 60.0):
+        for horizon in (None, 10.0, 60.0):  # None: the horizon is t itself
             for t in np.geomspace(1e-3, 50.0, 40):
-                a = np.arange(1, spec.series_terms(t if horizon is None else horizon) + 1) * k
+                h = t if horizon is None else horizon
+                a = np.arange(1, spec.series_terms(h) + 1) * k
                 want = float(stats.gamma.pdf(t, a=a, scale=1.0 / rate).sum())
-                assert spec.renewal_density(t, horizon=horizon) == want
+                assert spec.renewal_density(t, horizon=h) == want
 
     def test_import_leaves_scipy_stats_and_linalg_out(self):
         import ruinflow
@@ -253,24 +253,20 @@ class TestMomentIdentity:
 
 class TestBoundedBelow:
     def test_deterministic(self):
-        out = check_bounded_below(Deterministic(0.05), 10.0)
-        assert out.holds and out.bound == 0.0
+        assert Deterministic(0.05).bounded_below(10.0) == 0.0
 
     def test_brownian_fails(self):
-        out = check_bounded_below(BrownianDrift(0.1, 0.2), 10.0)
-        assert not out.holds and out.bound is None
+        assert BrownianDrift(0.1, 0.2).bounded_below(10.0) is None
 
     def test_compound_poisson_nonnegative(self):
-        out = check_bounded_below(CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.5)), 5.0)
-        assert out.holds and out.bound == 0.0
+        assert CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.5)).bounded_below(5.0) == 0.0
 
     def test_negative_drift_gets_linear_floor(self):
-        out = check_bounded_below(CompoundPoissonDrift(-0.1, 1.0, ExponentialJumps(0.5)), 5.0)
-        assert out.holds and out.bound == pytest.approx(0.5)
+        floor = CompoundPoissonDrift(-0.1, 1.0, ExponentialJumps(0.5)).bounded_below(5.0)
+        assert floor == pytest.approx(0.5)
 
     def test_signed_jumps_fail(self):
-        out = check_bounded_below(CompoundPoissonDrift(0.1, 1.0, FixedJumps(-0.2)), 5.0)
-        assert not out.holds
+        assert CompoundPoissonDrift(0.1, 1.0, FixedJumps(-0.2)).bounded_below(5.0) is None
 
 
 class TestSummability:

@@ -25,7 +25,10 @@ same list and their outputs compare with ``cmp``:
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, in both table formats, recording the exit code, the sha256 of the
   table file, its rows (CSV rows as their text lines) and the report without
-  its ``elapsed`` line, the temporary directory written as ``<tmp>``.
+  its ``elapsed`` line, the temporary directory written as ``<tmp>``; and,
+  recorded alike, ``reference_entrance.json`` with heavy-Weibull margins and
+  Brownian returns, a model no finite-horizon mode admits: once as it is (a
+  gate failure, exit 2) and once under ``--unsafe`` (exit 0).
 
 Entrance-time tables are read through ``rows()`` and ``entered`` through
 ``meta`` or, in older trees, the table attribute, and older trees' models get
@@ -144,20 +147,32 @@ def mrv_columns() -> dict:
     return out
 
 
+def _configs() -> dict:
+    """File name -> (config, CLI overrides): the demo configs and the two gate-failure runs."""
+    configs = ROOT / "demos" / "configs"
+    out = {path.name: (json.loads(path.read_text()), {}) for path in configs.glob("*.json")}
+    cfg = json.loads((configs / "reference_entrance.json").read_text())
+    cfg["model"]["claim"]["margins"] = [{"type": "heavy_weibull", "shape": 0.5}] * 2
+    cfg["model"]["return"] = {"type": "brownian", "mu": 0.1, "sigma": 0.2}
+    out["gate_failure.json"] = (cfg, {})
+    out["gate_failure_unsafe.json"] = (cfg, {"unsafe": True})
+    return out
+
+
 def demo_configs() -> dict:
     from ruinflow import cli
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "in").mkdir()
-        for path in sorted((ROOT / "demos" / "configs").glob("*.json")):
-            cfg = json.loads(path.read_text())
+        for name, (cfg, overrides) in sorted(_configs().items()):
             cfg["sim"]["n_paths"] = CONFIG_PATHS
-            cfg_path = Path(tmp) / "in" / path.name
+            cfg_path = Path(tmp) / "in" / name
             cfg_path.write_text(json.dumps(cfg))
             for fmt in ("csv", "json"):
-                base = Path(tmp) / fmt / path.stem
-                code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": fmt})
+                base = Path(tmp) / fmt / Path(name).stem
+                code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": fmt,
+                                          **overrides})
                 table = base.with_suffix(f".{fmt}")
                 entry = {"exit_code": code, "sha256": None, "rows": None}
                 if table.exists():
@@ -169,7 +184,7 @@ def demo_configs() -> dict:
                 entry["report"] = [line.replace(tmp, "<tmp>")
                                    for line in report.read_text().splitlines()
                                    if not line.startswith("elapsed:")] if report.exists() else None
-                out[f"{path.name} {fmt}"] = entry
+                out[f"{name} {fmt}"] = entry
     return out
 
 
