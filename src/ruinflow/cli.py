@@ -32,14 +32,8 @@ import numpy as np
 import jsonschema
 
 from . import __version__
-from .dependence import ClaimModel, NoExceedanceError
-from .estimators import (
-    HypothesisError,
-    ModelSpec,
-    ModeReport,
-    resolve_finite_mode,
-    resolve_infinite_mode,
-)
+from .dependence import IID, ClaimModel, CubicPair, FgmChain, NoExceedanceError
+from .estimators import HypothesisError, ModelSpec, resolve_finite_mode, resolve_infinite_mode
 from .heavy_tails import (
     CubicSurvival,
     HarmonicSurvival,
@@ -89,7 +83,8 @@ class ConfigError(ValueError):
 # One table per model block: config ``type`` name -> (class or builder, parameter
 # schemas, required parameters).  A table generates its block's ``oneOf`` in
 # CONFIG_SCHEMA (``_one_of``) and builds its objects (``_build``), so adding a
-# model piece takes one class and one entry here.
+# model piece takes one class and one entry here.  The objects check their own
+# parameters: a dependence structure, for one, checks the margins it is given.
 
 
 def _one_of(table: dict) -> dict:
@@ -99,28 +94,9 @@ def _one_of(table: dict) -> dict:
         for name, (_, params, required) in table.items()]}
 
 
-def _build(table: dict, spec: dict, **extra):
+def _build(table: dict, spec: dict):
     """The object a validated block spec names: its entry called with its parameters."""
-    return table[spec["type"]][0](**{k: v for k, v in spec.items() if k != "type"}, **extra)
-
-
-def _needs_margins(margins):
-    if margins is None:
-        raise ConfigError("claim block needs margins")
-    return margins
-
-
-def _fgm_chain(margins, theta):
-    margins = _needs_margins(margins)
-    if len(margins) != 2 or margins[0] != margins[1]:
-        raise ConfigError("fgm_chain needs two identical margins")
-    return ClaimModel.fgm_chain(theta, margins[0])
-
-
-def _cubic_pair(margins):
-    if margins is not None:
-        raise ConfigError("cubic_pair fixes its margins; remove the margins block")
-    return ClaimModel.cubic_pair()
+    return table[spec["type"]][0](**{k: v for k, v in spec.items() if k != "type"})
 
 
 _MARGINS = {
@@ -130,12 +106,10 @@ _MARGINS = {
     "cubic_survival": (CubicSurvival, {}, []),
     "harmonic_survival": (HarmonicSurvival, {}, []),
 }
-#: dependence builders also receive the built margins (None when the block has none)
 _DEPENDENCE = {
-    "iid": (lambda margins: ClaimModel.iid(_needs_margins(margins)), {}, []),
-    "fgm_chain": (_fgm_chain, {"theta": {"type": "number", "minimum": -1, "maximum": 1}},
-                  ["theta"]),
-    "cubic_pair": (_cubic_pair, {}, []),
+    "iid": (IID, {}, []),
+    "fgm_chain": (FgmChain, {"theta": {"type": "number", "minimum": -1, "maximum": 1}}, ["theta"]),
+    "cubic_pair": (CubicPair, {}, []),
 }
 _HALF_SPACES = {"half_space": (HalfSpace, {"l": _vec, "b": _pos}, ["l", "b"])}
 _SETS = {
@@ -175,10 +149,6 @@ _RETURNS = {
 # experiments
 
 
-def _resolve_mode(model: ModelSpec, horizon: float) -> ModeReport:
-    return resolve_infinite_mode(model) if math.isinf(horizon) else resolve_finite_mode(model, horizon)
-
-
 def _mode_lines(mode: str | None, checks) -> list[str]:
     """Report lines for a gate's record: the mode and every check."""
     return [f"asymptotic mode: {mode or 'NONE AVAILABLE'}"] + [
@@ -216,8 +186,10 @@ def _big_jump(cfg, spec, sim):
 
 
 def _assumption_report(cfg, spec, sim):
-    report = _resolve_mode(spec, sim.horizon)
-    return None, _mode_lines(report.mode, report.checks), 0 if report.mode is not None else 2
+    report = (resolve_infinite_mode(spec) if math.isinf(sim.horizon)
+              else resolve_finite_mode(spec, sim.horizon))
+    lines = _mode_lines(report.mode, report.checks) + ["table: none (assumption report only)"]
+    return None, lines, 0 if report.mode is not None else 2
 
 
 @dataclass(frozen=True)
@@ -228,7 +200,8 @@ class _Experiment:
     a ``RuinModel`` from ``ruin``.  ``run(cfg, model, sim)`` returns the
     result table (or None), its report lines and the exit code.  A gated
     experiment's report opens with the gate's record: the table's ``meta``,
-    or the checks a ``HypothesisError`` carries when the gate fails.
+    or the checks a ``HypothesisError`` carries when the gate fails, which
+    :func:`run` turns into ``(None, lines, 2)``.
     """
 
     block: str
@@ -336,14 +309,16 @@ _OUTPUT_DEFAULTS = {"format": "csv"}
 
 
 def _build_claim(spec: dict) -> ClaimModel:
-    margins = spec.get("margins")
-    if margins is not None:
-        margins = tuple(_build(_MARGINS, m) for m in margins)
-    return _build(_DEPENDENCE, spec["dependence"], margins=margins)
+    return ClaimModel(tuple(_build(_MARGINS, m) for m in spec.get("margins", ())),
+                      _build(_DEPENDENCE, spec["dependence"]))
 
 
-def _resolve_config(raw: dict, overrides: dict) -> dict:
-    """Validate, fill defaults, apply command-line overrides."""
+def _resolve_config(raw: dict, overrides: dict) -> tuple[dict, dict]:
+    """Validate, fill defaults, apply command-line overrides.
+
+    Returns the resolved config, a valid config itself, and the overrides
+    applied to it.
+    """
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -365,13 +340,12 @@ def _resolve_config(raw: dict, overrides: dict) -> dict:
         cfg["output"]["format"] = applied["format"] = overrides["format"]
     if overrides.get("unsafe"):
         cfg["unsafe"] = applied["unsafe"] = True
-    cfg["_overrides_applied"] = applied
     experiment = _EXPERIMENTS[cfg["experiment"]]
     for path in (f"model.{experiment.block}", *experiment.needs):
         # "model" and "sim" are required objects, so every parent exists
         if not functools.reduce(lambda node, key: node.get(key), path.split("."), cfg):
             raise ConfigError(f"{cfg['experiment']} experiment needs {path} (missing or empty)")
-    return cfg
+    return cfg, applied
 
 
 def _sim_config(cfg: dict) -> SimConfig:
@@ -396,14 +370,9 @@ def _model_spec(cfg: dict) -> tuple[ModelSpec | None, RuinModel | None]:
                          renewal=renewal, ret=ret)
     if "ruin" in model:
         rblock = model["ruin"]
-        premiums = None
-        if "premiums" in rblock:
-            premiums = PremiumSchedule(breaks=tuple(rblock["premiums"]["breaks"]),
-                                       rates=tuple(tuple(r) for r in rblock["premiums"]["rates"]))
-        ruin_model = RuinModel(claim=claim, renewal=renewal, ret=ret,
-                               alloc=tuple(rblock["alloc"]),
-                               ruin_set=_build(_RUIN_SETS, rblock["set"]),
-                               premiums=premiums)
+        premiums = PremiumSchedule(**rblock["premiums"]) if "premiums" in rblock else None
+        ruin_model = RuinModel(claim=claim, renewal=renewal, ret=ret, alloc=rblock["alloc"],
+                               ruin_set=_build(_RUIN_SETS, rblock["set"]), premiums=premiums)
     return spec, ruin_model
 
 
@@ -425,7 +394,7 @@ def run(config_path, overrides: dict | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     try:
-        cfg = _resolve_config(raw, overrides)
+        cfg, applied = _resolve_config(raw, overrides)
         spec, ruin_model = _model_spec(cfg)
         sim = _sim_config(cfg)
     except (ConfigError, ValueError, TypeError) as exc:
@@ -440,7 +409,7 @@ def run(config_path, overrides: dict | None = None) -> int:
         f"ruinflow {__version__} experiment report",
         f"experiment: {cfg['experiment']}",
         f"config: {config_path}",
-        f"overrides: {cfg['_overrides_applied'] or 'none'}",
+        f"overrides: {applied or 'none'}",
         "",
     ]
     if cfg["unsafe"]:
@@ -448,41 +417,29 @@ def run(config_path, overrides: dict | None = None) -> int:
     try:
         table, lines, code = experiment.run(cfg, model, sim)
     except HypothesisError as exc:
-        report_lines += _mode_lines(None, exc.checks) + [f"gate failure: {exc}"]
-        _finish_report(out_base, report_lines, t_start)
         print(f"hypothesis gate failure: {exc}", file=sys.stderr)
-        _echo_config(out_base, cfg)
-        return 2
+        table, lines, code = None, _mode_lines(None, exc.checks) + [f"gate failure: {exc}"], 2
     except (ValueError, NoExceedanceError, NotImplementedError) as exc:
         # a model or grid the schema accepts but the experiment cannot run
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
     _echo_config(out_base, cfg)
-    if table is None:
-        lines.append("table: none (assumption report only)")
-    else:
+    if table is not None:
         if table.meta["checks"] is not None:
             report_lines += _mode_lines(table.meta["mode"], table.meta["checks"])
         fmt = cfg["output"]["format"]
         table_path = out_base.with_suffix(f".{fmt}")
         getattr(table, f"to_{fmt}")(table_path)
         lines.append(f"table: {table_path}")
-    _finish_report(out_base, report_lines + lines, t_start)
+    report_lines += [*lines, f"elapsed: {time.monotonic() - t_start:.2f} s"]
+    out_base.with_suffix(".report.txt").write_text("\n".join(report_lines) + "\n")
     return code
 
 
 def _echo_config(out_base: Path, cfg: dict) -> None:
-    echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    echo["_overrides_applied"] = cfg.get("_overrides_applied", {})
-    with open(out_base.with_suffix(".config.json"), "w") as fh:
-        json.dump(echo, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _finish_report(out_base: Path, lines: list[str], t_start: float) -> None:
-    lines.append(f"elapsed: {time.monotonic() - t_start:.2f} s")
-    out_base.with_suffix(".report.txt").write_text("\n".join(lines) + "\n")
+    """Write the resolved config, which re-runs as it is."""
+    out_base.with_suffix(".config.json").write_text(json.dumps(cfg, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:

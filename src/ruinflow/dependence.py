@@ -73,12 +73,18 @@ class _Dependence:
     identically_distributed = True
     #: regression dependence of the scalarized exceedance sequence
     scalarized_rd = True
+    #: margins the structure fixes; a claim model given none takes these
+    fixed_margins = ()
 
     def check_margins(self, margins) -> None:
         pass
 
     def second_margins(self, margins):
         return margins
+
+    def pair_rates(self, rare_set: RareSet, x: float):
+        """Closed-form ``(joint, first, second)`` exceedance rates of a pair, or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -92,14 +98,13 @@ class IID(_Dependence):
 @dataclass(frozen=True)
 class FgmChain(_Dependence):
     theta: float
-    marginal: TailDistribution
 
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("FGM coupling parameter must lie in [-1, 1]")
 
     def check_margins(self, margins):
-        if len(margins) != 2 or any(m != self.marginal for m in margins):
+        if len(margins) != 2 or margins[0] != margins[1]:
             raise ValueError("FGM chain couples two components sharing one marginal")
 
     def claims(self, margins, v):
@@ -107,20 +112,30 @@ class FgmChain(_Dependence):
         # three are independent uniforms, the fourth is conditional with
         # the closed-form FGM quadratic inverse; all share the marginal
         v[1, 1] = fgm_conditional_inverse(self.theta, v[0, 0], v[0, 1], v[1, 0], v[1, 1])
-        return self.marginal._qf(v)
+        return margins[0]._qf(v)
 
 
 @dataclass(frozen=True)
 class CubicPair(_Dependence):
     identically_distributed = False
     scalarized_rd = False
+    fixed_margins = (CubicSurvival(), CubicSurvival())
 
     def check_margins(self, margins):
-        if margins != (CubicSurvival(), CubicSurvival()):
-            raise ValueError("cubic-pair margins are fixed by its joint survival")
+        if margins != self.fixed_margins:
+            raise ValueError("cubic-pair margins are fixed by its joint survival: "
+                             "two CubicSurvival margins")
 
     def second_margins(self, margins):
         return (HarmonicSurvival(), HarmonicSurvival())
+
+    def pair_rates(self, rare_set, x):
+        # joint: P[both vectors exceed x on the unit max-type set], expanded
+        # from the component-pair survival (1 + s^3 + t)**-1 at s = t = x
+        if rare_set != MaxExceed(b=(1.0, 1.0)):
+            return None
+        a, b, c = 1.0 / (1.0 + x**3 + x), 1.0 / (1.0 + x**3), 1.0 / (1.0 + x)
+        return 2 * a + 2 * b * c - 2 * a * c - 2 * b * a + a * a, 2 * b - b * b, 2 * c - c * c
 
     def claims(self, margins, v):
         xv, yv = margins[0]._qf(v[0]), v[1]
@@ -137,14 +152,15 @@ class ClaimModel:
 
     ``margins`` are the component laws of the first vector in each dependence
     block; components are independent within a vector.  Claim vectors are
-    nonnegative and never almost-surely zero.
+    nonnegative and never almost-surely zero.  The structure ``inter`` checks
+    the margins; empty margins take those it fixes, if any.
     """
 
     margins: tuple[TailDistribution, ...]
     inter: IID | FgmChain | CubicPair = IID()
 
     def __post_init__(self):
-        margins = tuple(self.margins)
+        margins = tuple(self.margins) or self.inter.fixed_margins
         if not margins:
             raise ValueError("need at least one margin")
         self.inter.check_margins(margins)
@@ -156,11 +172,11 @@ class ClaimModel:
 
     @classmethod
     def fgm_chain(cls, theta: float, marginal: TailDistribution) -> "ClaimModel":
-        return cls(margins=(marginal, marginal), inter=FgmChain(theta, marginal))
+        return cls(margins=(marginal, marginal), inter=FgmChain(theta))
 
     @classmethod
     def cubic_pair(cls) -> "ClaimModel":
-        return cls(margins=(CubicSurvival(), CubicSurvival()), inter=CubicPair())
+        return cls(margins=(), inter=CubicPair())
 
     @property
     def d(self) -> int:
@@ -345,34 +361,12 @@ class EmpiricalRatio:
         return self.joint_count >= RELIABLE_COUNT
 
 
-def _cubic_pair_joint(x: float, y: float) -> float:
-    """Joint survival of the two scalarized exceedances of a cubic pair.
-
-    Expansion of ``P[max-type exceedance of both vectors]`` from the
-    explicit component-pair survival ``(1 + x^3 + y)**-1``.
-    """
-    a = 1.0 / (1.0 + x**3 + y)
-    b = 1.0 / (1.0 + x**3)
-    c = 1.0 / (1.0 + y)
-    return 2 * a + 2 * b * c - 2 * a * c - 2 * b * a + a * a
-
-
-def _cubic_pair_marginals(x: float) -> tuple[float, float]:
-    b = 1.0 / (1.0 + x**3)
-    c = 1.0 / (1.0 + x)
-    return 2 * b - b * b, 2 * c - c * c
-
-
-_CUBIC_SET = MaxExceed(b=(1.0, 1.0))
-
-
 def _pair_exceedance(model: ClaimModel, rare_set: RareSet, x: float,
                      n: int | None, rng: np.random.Generator | None):
     """Analytic or empirical joint/marginal exceedance rates for one pair."""
-    if model.inter == CubicPair() and rare_set == _CUBIC_SET:
-        joint = _cubic_pair_joint(x, x)
-        sf1, sf2 = _cubic_pair_marginals(x)
-        return joint, sf1, sf2, None
+    rates = model.inter.pair_rates(rare_set, x)
+    if rates is not None:
+        return (*rates, None)
     if n is None or rng is None:
         raise UnsupportedModelError(
             "no analytic pair formulas for this (model, set); pass n and rng for Monte Carlo")

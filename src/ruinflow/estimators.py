@@ -64,16 +64,13 @@ __all__ = [
     "entrance_time_cdf",
 ]
 
-def _failures(checks) -> list[str]:
-    return [f"{name}: {detail}" for name, ok, detail in checks if not ok]
-
-
 class HypothesisError(ValueError):
     """A theorem-mode hypothesis failed; carries the checks of the gate it failed."""
 
     def __init__(self, checks):
         self.checks = tuple(checks)
-        super().__init__("asymptotic mode unavailable: " + "; ".join(_failures(self.checks)))
+        super().__init__("asymptotic mode unavailable: " + "; ".join(
+            f"{name}: {detail}" for name, ok, detail in self.checks if not ok))
 
 
 @dataclass(frozen=True)
@@ -116,11 +113,6 @@ class ModeReport:
 
     mode: str | None
     checks: tuple[tuple[str, bool, str], ...]
-    summability: object | None = None
-
-    @property
-    def failures(self) -> list[str]:
-        return _failures(self.checks)
 
     def require(self):
         if self.mode is None:
@@ -208,7 +200,6 @@ def _pick_summability_exponents(model: ModelSpec) -> tuple[float, float] | None:
 def resolve_infinite_mode(model: ModelSpec) -> ModeReport:
     """Check the infinite-horizon hypotheses, including moment summability."""
     ident, cv, pd, qai, _, _ = _claim_checks(model.claim)
-    summability = None
     j, exps = model.claim.scalarized_matuszewska(), _pick_summability_exponents(model)
     if j is None:
         moments = ("finite polynomial decay exponents", False,
@@ -226,7 +217,7 @@ def resolve_infinite_mode(model: ModelSpec) -> ModeReport:
         moments = ("discounted-moment summability", summability.holds, detail)
     checks = (ident, cv, pd, qai, moments)
     ok = all(flag for _, flag, _ in checks)
-    return ModeReport("infinite-horizon" if ok else None, checks, summability)
+    return ModeReport("infinite-horizon" if ok else None, checks)
 
 
 # ---------------------------------------------------------------------------

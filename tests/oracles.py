@@ -236,7 +236,7 @@ def fgm_entrance_conditional_mc(claim, weight: float, rate: float, r: float, T: 
     partner arrives after ``T``.  Both functions are tabulated from this
     module's quadrature.  Returns ``(p, se)`` arrays over ``x_levels``.
     """
-    dist, theta = claim.inter.marginal, claim.inter.theta
+    dist, theta = claim.margins[0], claim.inter.theta
     x_levels = np.asarray(x_levels, dtype=float)
     rng = np.random.default_rng(seed)
     per_path = np.zeros((x_levels.size, n_paths))

@@ -11,7 +11,7 @@ import pytest
 import ruinflow
 from ruinflow import cli
 from ruinflow.cli import CONFIG_SCHEMA, main, run
-from ruinflow.dependence import ClaimModel
+from ruinflow.dependence import ClaimModel, CubicPair
 from ruinflow.heavy_tails import CubicSurvival, HarmonicSurvival, HeavyWeibull, Lognormal, Pareto
 from ruinflow.processes import (
     BrownianDrift,
@@ -218,6 +218,35 @@ REGISTRY_CASES = {
 class TestRegistry:
     """Each registry entry feeds both the schema and the builders."""
 
+    @pytest.mark.parametrize("dependence,margins,message", [
+        ({"type": "iid"}, None, "need at least one margin"),
+        ({"type": "fgm_chain", "theta": 0.5}, [{"type": "pareto", "alpha": 1.5}],
+         "sharing one marginal"),
+        ({"type": "fgm_chain", "theta": 0.5}, [{"type": "pareto", "alpha": 1.5},
+                                               {"type": "pareto", "alpha": 2.0}],
+         "sharing one marginal"),
+        ({"type": "cubic_pair"}, [{"type": "pareto", "alpha": 1.5}] * 2,
+         "fixed by its joint survival"),
+    ], ids=["iid without margins", "fgm one margin", "fgm unequal margins",
+            "cubic pareto margins"])
+    def test_margin_shape_errors_exit_3(self, tmp_path, capsys, dependence, margins, message):
+        cfg = base_config(tmp_path / "r")
+        cfg["model"]["claim"] = {"dependence": dependence}
+        if margins is not None:
+            cfg["model"]["claim"]["margins"] = margins
+        if len(margins or ()) == 1:
+            cfg["model"]["set"] = {"type": "ray", "b": 1.0}
+        assert run(write(tmp_path, cfg)) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_cubic_pair_with_its_margins_spelled_out(self, tmp_path):
+        cfg = base_config(tmp_path / "r")
+        cfg["model"]["claim"] = {"dependence": {"type": "cubic_pair"},
+                                 "margins": [{"type": "cubic_survival"}] * 2}
+        spec, _ = cli._model_spec(cfg)
+        assert spec.claim == ClaimModel.cubic_pair() == ClaimModel((), CubicPair())
+
     def test_every_registered_type_has_a_case(self):
         for block, (table, _, _, cases) in REGISTRY_CASES.items():
             assert set(cases) == set(table), block
@@ -252,7 +281,6 @@ class TestEntranceRun:
         assert run(write(tmp_path, base_config(out1))) == 0
         echo_path = out1.with_suffix(".config.json")
         echo = json.loads(echo_path.read_text())
-        echo.pop("_overrides_applied")
         echo["output"]["path"] = str(tmp_path / "b")
         assert run(write(tmp_path, echo, "echo.json")) == 0
         a = (tmp_path / "a.csv").read_text()
@@ -276,7 +304,9 @@ class TestOverrides:
         assert run(cfgp, {"seed": 99, "out": str(tmp_path / "o2"), "format": "json"}) == 0
         echo = json.loads((tmp_path / "o2.config.json").read_text())
         assert echo["sim"]["seed"] == 99
-        assert echo["_overrides_applied"]["seed"] == 99
+        report = (tmp_path / "o2.report.txt").read_text().splitlines()
+        overrides, = [line for line in report if line.startswith("overrides: ")]
+        assert "'seed': 99" in overrides
         assert (tmp_path / "o2.json").exists()
 
     def test_env_thread_fallback(self, tmp_path, monkeypatch):
@@ -446,12 +476,21 @@ class TestOtherExperiments:
 
 @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.name)
 def test_demo_config_runs(config, tmp_path):
-    # every shipped config runs, cut to 2,000 paths on one worker; the
-    # assumption report's gates fail by design and exit 2
+    # every shipped config runs, cut to 2,000 paths on one worker (the
+    # assumption report's gates fail by design and exit 2), and its config
+    # echo re-runs as it is to a byte-identical table
     cfg = json.loads(config.read_text())
     cfg["sim"]["n_paths"] = 2000
-    code = run(write(tmp_path, cfg), {"threads": 1, "out": str(tmp_path / config.stem)})
+    out = tmp_path / config.stem
+    code = run(write(tmp_path, cfg), {"threads": 1, "out": str(out)})
     assert code == (2 if config.name == "assumption_report.json" else 0)
+    again = tmp_path / "echo" / config.stem
+    assert run(out.with_suffix(".config.json"), {"out": str(again)}) == code
+    fmt = cfg["output"].get("format", "csv")
+    tables = [base.with_suffix(f".{fmt}") for base in (out, again)]
+    assert [t.exists() for t in tables] == [code == 0] * 2
+    if code == 0:
+        assert tables[0].read_bytes() == tables[1].read_bytes()
 
 
 @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.name)

@@ -82,7 +82,7 @@ def _row_formula(model: ClaimModel, u: np.ndarray) -> np.ndarray:
         out[0::2, :] = xv
         out[1::2, :] = (1.0 + xv**3) * ((1.0 - u[1::2, :]) ** -0.5 - 1.0)
     elif isinstance(model.inter, FgmChain):
-        g = model.inter.marginal
+        g = model.margins[0]
         v1, v2, v3 = 1.0 - u[0::2, 0], 1.0 - u[0::2, 1], 1.0 - u[1::2, 0]
         v4 = fgm_conditional_inverse(model.inter.theta, v1, v2, v3, 1.0 - u[1::2, 1])
         out[0::2, 0] = g._qf(v1)
@@ -402,4 +402,4 @@ class TestModelMetadata:
 
     def test_fgm_needs_shared_marginal(self):
         with pytest.raises(ValueError):
-            ClaimModel(margins=(G, Pareto(3.0)), inter=__import__("ruinflow").FgmChain(0.5, G))
+            ClaimModel(margins=(G, Pareto(3.0)), inter=__import__("ruinflow").FgmChain(0.5))

@@ -56,7 +56,7 @@ class TestModeResolution:
                          Poisson(1.0), BrownianDrift(0.1, 0.2))
         report = resolve_finite_mode(spec, 10.0)
         assert report.mode is None
-        joined = " ".join(report.failures)
+        joined = " ".join(f"{name}: {detail}" for name, ok, detail in report.checks if not ok)
         assert "consistent" in joined and "non-decreasing" in joined
         with pytest.raises(HypothesisError) as err:
             report.require()
@@ -79,8 +79,10 @@ class TestModeResolution:
         spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
                          Poisson(1.0), BrownianDrift(0.1, 0.2))
         report = resolve_infinite_mode(spec)
-        assert report.summability is not None and report.summability.holds
-        assert report.summability.phi_p2 < 0
+        (ok, detail), = [(ok, detail) for name, ok, detail in report.checks
+                         if name == "discounted-moment summability"]
+        assert ok
+        assert float(detail.split("phi(p2)=")[1].split(",")[0]) < 0
 
     def test_infinite_mode_fails_on_divergent_discounting(self):
         spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),

@@ -28,12 +28,12 @@ same list and their outputs compare with ``cmp``:
   its ``elapsed`` line, the temporary directory written as ``<tmp>``; and,
   recorded alike, ``reference_entrance.json`` with heavy-Weibull margins and
   Brownian returns, a model no finite-horizon mode admits: once as it is (a
-  gate failure, exit 2) and once under ``--unsafe`` (exit 0).
+  gate failure, exit 2) and once under ``--unsafe`` (exit 0); and three
+  claim blocks whose margins their dependence structure rejects (exit 3).
 
-Entrance-time tables are read through ``rows()`` and ``entered`` through
-``meta`` or, in older trees, the table attribute, and older trees' models get
-their regular-variation description from ``with_derived_mrv()``, so any
-commit since the result tables gained ``rows()`` can be ``--src``.
+``--src`` accepts the trees from commit 180905c on: their entrance-time
+tables give ``entered`` in ``meta``, and ``mrv_closed_form`` takes a model
+as it is built, with no ``with_derived_mrv()`` step.
 
 Each workload entry also records whether its 1- and 2-worker columns agree.
 Floats are written with ``repr`` precision, so equal files mean bit-identical
@@ -89,7 +89,7 @@ def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
         t = montecarlo.empirical_entrance_time(
             model, w.x_grid[0], tuple(f * span for f in T_FRACTIONS),
             SimConfig(n_paths, SEED, w.horizon, (), workers))
-        out["entered"] = int(t.meta["entered"] if hasattr(t, "meta") else t.entered)
+        out["entered"] = int(t.meta["entered"])
         out["entry_time_counts"] = [row["count"] for row in t.rows()]
     return out
 
@@ -140,22 +140,32 @@ def mrv_columns() -> dict:
         if w.kind == "ruin":
             model = model.entrance_model()
         alpha = derive_mrv(model.claim, model.rare_set).alpha
-        if hasattr(model, "with_derived_mrv"):  # trees whose models carried the description
-            model = model.with_derived_mrv()
         horizons = [10.0] + ([math.inf] if model.ret.laplace_exponent(alpha) < 0 else [])
         out[name] = {repr(T): [mrv_closed_form(model, x, T) for x in w.x_grid] for T in horizons}
     return out
 
 
 def _configs() -> dict:
-    """File name -> (config, CLI overrides): the demo configs and the two gate-failure runs."""
+    """File name -> (config, CLI overrides): the demo configs, the two
+    gate-failure runs and the three rejected claim blocks."""
     configs = ROOT / "demos" / "configs"
     out = {path.name: (json.loads(path.read_text()), {}) for path in configs.glob("*.json")}
-    cfg = json.loads((configs / "reference_entrance.json").read_text())
+    reference = (configs / "reference_entrance.json").read_text()
+    cfg = json.loads(reference)
     cfg["model"]["claim"]["margins"] = [{"type": "heavy_weibull", "shape": 0.5}] * 2
     cfg["model"]["return"] = {"type": "brownian", "mu": 0.1, "sigma": 0.2}
     out["gate_failure.json"] = (cfg, {})
     out["gate_failure_unsafe.json"] = (cfg, {"unsafe": True})
+    pareto = {"type": "pareto", "alpha": 1.5}
+    for name, claim in (
+            ("iid_without_margins.json", {"dependence": {"type": "iid"}}),
+            ("fgm_unequal_margins.json", {"dependence": {"type": "fgm_chain", "theta": 0.5},
+                                          "margins": [pareto, {"type": "pareto", "alpha": 2.0}]}),
+            ("cubic_pair_pareto_margins.json", {"dependence": {"type": "cubic_pair"},
+                                                "margins": [pareto, pareto]})):
+        cfg = json.loads(reference)
+        cfg["model"]["claim"] = claim
+        out[name] = (cfg, {})
     return out
 
 
