@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 __all__ = ["UnsupportedModelError", "wilson_interval", "adaptive_simpson"]
 
@@ -20,15 +20,18 @@ def wilson_interval(count, n, level: float = 0.95):
     """Wilson score interval for a binomial proportion.
 
     Vectorized over ``count``; returns ``(lo, hi)`` arrays (or floats for
-    scalar input).  Exact at the edge cases ``count = 0`` and ``count = n``.
+    scalar input).  Exact at the edge cases ``count = 0`` and ``count = n``;
+    a count outside ``[0, n]`` raises ``ValueError``.
     """
     if n <= 0:
         raise ValueError("sample size must be positive")
     if not 0 < level < 1:
         raise ValueError("confidence level must be in (0, 1)")
     count = np.asarray(count, dtype=float)
+    if not np.all((count >= 0) & (count <= n)):  # NaN fails both comparisons
+        raise ValueError(f"counts must lie in [0, n] = [0, {n}]")
     scalar = count.ndim == 0
-    z = float(special.ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     p = count / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ClassTags",
@@ -221,6 +220,7 @@ class Lognormal(TailDistribution):
             raise ValueError("Lognormal needs a finite mu and a finite sigma > 0")
 
     def survival(self, x):
+        from scipy import special  # here, not at import: it costs ruinflow's import time
         x = np.asarray(x, dtype=float)
         out = np.ones_like(x)
         m = x > 0
@@ -228,6 +228,7 @@ class Lognormal(TailDistribution):
         return out
 
     def _qf(self, v):
+        from scipy import special
         np.multiply(special.ndtri(v, out=v), self.sigma, out=v)
         with np.errstate(over="ignore"):
             return np.exp(np.subtract(self.mu, v, out=v), out=v)

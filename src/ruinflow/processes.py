@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._util import adaptive_simpson
 
@@ -138,6 +137,7 @@ class RenewalIID:
         """The series of Erlang densities, with as many terms as ``horizon`` needs."""
         if t <= 0:
             return 0.0
+        from scipy import special  # here, not at import: it costs ruinflow's import time
         n_terms = self.series_terms(horizon)
         a, scale = np.arange(1, n_terms + 1) * self.interarrival.k, 1.0 / self.interarrival.rate
         x = t / scale  # the Gamma(a, scale) densities in scipy.stats.gamma's own arithmetic
@@ -351,6 +351,7 @@ class CompoundPoissonDrift:
         first ``K`` with ``P(N > K) <= POISSON_TAIL * P(N = 0)``.  As ``0 <= S_A <= 1``,
         the cut moves ``E[S_A(x exp(xi(s)))]`` by at most that mass; for nonnegative
         jumps (``S_A`` falls as ``xi`` grows) by at most ``POISSON_TAIL`` times the k = 0 term."""
+        from scipy import special  # here, not at import: it costs ruinflow's import time
         mean = self.jump_rate * s
         k = np.arange(int(4.0 * mean) + 64)  # by the Chernoff bound, K < 4 mean + 64
         k = k[:np.argmax(special.pdtrc(k, mean) <= POISSON_TAIL * math.exp(-mean)) + 1]

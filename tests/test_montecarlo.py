@@ -78,6 +78,25 @@ class TestWilson:
         lo1, hi1 = wilson_interval(50, 50)
         assert hi1 == 1.0 and lo1 < 1.0
 
+    def test_impossible_counts_rejected(self):
+        for count in (12, -1, math.nan, math.inf, [3, 11]):
+            with pytest.raises(ValueError, match="counts must lie in"):
+                wilson_interval(count, 10)
+
+    def test_quantile_matches_scipy_ndtri(self):
+        # wilson_interval takes z from the standard library (Wichura's AS241).  Against
+        # 40-digit values it is within 5.5e-16 relative on this grid and Cephes ndtri within
+        # 7.3e-16, so the two differ by up to 1.04e-15 (6 ulp); at 0.95, by one ulp.  The
+        # upper bound at count 0 is z^2 / (n + z^2), so it moves by up to twice that.
+        from scipy import special
+        from statistics import NormalDist
+
+        for level in np.linspace(0.5, 0.999, 5001):
+            z = float(special.ndtri(0.5 + level / 2.0))
+            assert NormalDist().inv_cdf(0.5 + level / 2.0) == pytest.approx(z, rel=2e-15, abs=0)
+            hi = wilson_interval(0, 100, level)[1]
+            assert hi == pytest.approx(z * z / (100 + z * z), rel=4e-15, abs=0)
+
     def test_coverage_at_rare_rate(self):
         # nominal 95% interval on Bernoulli(0.001) samples of size 1e5:
         # empirical coverage over 1000 replications must sit near nominal

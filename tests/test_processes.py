@@ -85,17 +85,6 @@ class TestRenewalFunction:
                 want = float(stats.gamma.pdf(t, a=a, scale=1.0 / rate).sum())
                 assert spec.renewal_density(t, horizon=h) == want
 
-    def test_import_leaves_scipy_stats_and_linalg_out(self):
-        import ruinflow
-
-        src = str(Path(ruinflow.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        probe = "import sys, ruinflow; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
-
     def test_density_erlang_integrates_to_renewal_function(self):
         from scipy import integrate
 
@@ -103,6 +92,49 @@ class TestRenewalFunction:
         val, _ = integrate.quad(lambda s: spec.renewal_density(s, horizon=5.0), 0, 5.0,
                                 limit=200)
         assert val == pytest.approx(erlang2_renewal_function(2.0, 5.0), rel=1e-6)
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+    import ruinflow
+
+    src = str(Path(ruinflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+class TestImportFootprint:
+    """SciPy costs about half of a cold start, and the canonical models never call it."""
+
+    def test_import_leaves_scipy_out(self):
+        assert _scipy_modules_after("import ruinflow") == "[]"
+
+    def test_canonical_experiments_leave_scipy_out(self):
+        # The four benchmark experiments, small: an FGM/Pareto entrance with Poisson
+        # arrivals and deterministic returns at T = 10, a Brownian entrance at T = inf,
+        # ruin with constant premiums and an FGM big jump.
+        code = """
+import math
+from ruinflow import (ClaimModel, ModelSpec, Pareto, Poisson, Deterministic, BrownianDrift,
+                      HalfSpace, MaxExceed, AnyLineNegative, SimConfig, RuinModel,
+                      PremiumSchedule, empirical_entrance, empirical_ruin, single_big_jump_check)
+pair = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(1.5, 1.0)))
+half = HalfSpace((0.5, 0.5), 1.0)
+empirical_entrance(ModelSpec(ClaimModel.fgm_chain(0.5, Pareto(1.5, 1.0)), half, Poisson(1.0),
+                             Deterministic(0.05)), SimConfig(2000, 1, 10.0, (60.0, 320.9)))
+empirical_entrance(ModelSpec(pair, half, Poisson(1.0), BrownianDrift(0.1, 0.2)),
+                   SimConfig(2000, 2, math.inf, (100.0, 447.2)))
+ruin = RuinModel(claim=pair, renewal=Poisson(1.0), ret=Deterministic(0.05), alloc=(0.5, 0.5),
+                 ruin_set=AnyLineNegative(), premiums=PremiumSchedule.constant((0.5, 0.5)))
+empirical_ruin(ruin, (20.0, 1280.0), 10.0, SimConfig(2000, 3, 10.0))
+single_big_jump_check(ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0)), MaxExceed((1.0, 1.0)),
+                      (1.0, 1.0, 1.0), (40.0, 86.2), SimConfig(2000, 4, 1.0))
+"""
+        assert _scipy_modules_after(code) == "[]"
 
 
 class TestArrivalSampling:

@@ -16,6 +16,9 @@ same list and their outputs compare with ``cmp``:
   workload scalarizes (a 2-d polyhedral union and a 3-d half-space), and on
   the weight counts and models it leaves out: 2 and 4 weights on the FGM
   chain (no lone last vector) and 3 on the cubic pair (a cubic lone vector);
+* entrance runs at T = 10, sized and recorded like the workloads, on the
+  models that load ``scipy.special`` when called: lognormal claims, Erlang
+  renewals (``renewal_density``) and compound-Poisson returns (``xi_rule``);
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
   workers, enough that the pool gets blocks of several chunks, the last one
   partial;
@@ -109,6 +112,24 @@ def _big_jumps() -> dict:
             "bigjump-cubic-3w": (ClaimModel.cubic_pair(), unit_max, (1.0, 0.5, 2.0))}
 
 
+def _entrances() -> dict:
+    """(model, grid) of each extra entrance run, built from the imported ruinflow."""
+    from ruinflow import (ClaimModel, CompoundPoissonDrift, Deterministic, Erlang,
+                          ExponentialJumps, HalfSpace, Lognormal, MaxExceed, ModelSpec,
+                          Pareto, Poisson, RenewalIID)
+
+    pair, half = ClaimModel.iid((Pareto(1.5, 1.0),) * 2), HalfSpace((0.5, 0.5), 1.0)
+    grid = (10.0, 50.0, 250.0)
+    return {"entrance-lognormal": (ModelSpec(ClaimModel.iid((Lognormal(0.0, 1.0),) * 2),
+                                             MaxExceed((1.0, 1.0)), Poisson(1.0),
+                                             Deterministic(0.05)), (2.0, 5.0, 20.0)),
+            "entrance-erlang": (ModelSpec(pair, half, RenewalIID(Erlang(2, 2.0)),
+                                          Deterministic(0.05)), grid),
+            "entrance-compound-poisson": (ModelSpec(
+                pair, half, Poisson(1.0), CompoundPoissonDrift(0.02, 0.5, ExponentialJumps(0.05))),
+                grid)}
+
+
 def workloads() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
@@ -119,6 +140,8 @@ def workloads() -> dict:
     runs = {name: (w, w.build(), n_paths) for name, w in WORKLOADS.items()}
     runs.update((name, (replace(bigjump, weights=weights), (claim, rare_set), n_paths))
                 for name, (claim, rare_set, weights) in _big_jumps().items())
+    runs.update((name, (replace(WORKLOADS["entrance-ref"], x_grid=grid), model, n_paths))
+                for name, (model, grid) in _entrances().items())
     runs["bigjump-fgm-blocks"] = (bigjump, bigjump.build(), (BLOCK_CHUNKS - 1) * CHUNK_PATHS + 100)
     out = {}
     for name, (w, model, n) in runs.items():
