@@ -71,8 +71,10 @@ class MaxExceed:
         return len(self.b)
 
     def _scalarize(self, z):
-        # column by column: a max over a short last axis is slow in numpy
-        return np.maximum.reduce([z[..., j] / b for j, b in enumerate(self.b)])
+        out = z[..., 0] / self.b[0]  # folded in place: maximum.reduce of a list stacks it first
+        for j in range(1, self.dim):
+            np.maximum(out, z[..., j] / self.b[j], out=out)
+        return out
 
     def _contains(self, x, z):
         return (z > x * np.asarray(self.b)).any(axis=-1)
@@ -198,7 +200,10 @@ class PolyhedralUnion:
         return self.parts[0].dim
 
     def _scalarize(self, z):
-        return np.maximum.reduce([p._scalarize(z) for p in self.parts])
+        out = self.parts[0]._scalarize(z)
+        for p in self.parts[1:]:
+            np.maximum(out, p._scalarize(z), out=out)
+        return out
 
     def _contains(self, x, z):
         return np.logical_or.reduce([p._contains(x, z) for p in self.parts])

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -508,7 +509,17 @@ def _strict_counts(z, x_grid):
 
 
 class TestExceedances:
+    """Counts of a 1-d ``z``; a 2-d case is counted column by column."""
+
     GRID = (-1.0, 0.0, 1.0, 2.0, 2.5, 10.0)
+
+    @classmethod
+    def assert_counts(cls, z, grid=GRID):
+        for col in np.atleast_2d(z.T):
+            got = _exceedances(col, grid)
+            assert got.dtype == np.int64
+            assert got.shape == (len(grid),)
+            assert np.array_equal(got, _strict_counts(col, grid))
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (1, 3), (2_000,), (2_000, 3)])
     def test_matches_strict_compare(self, shape):
@@ -518,26 +529,20 @@ class TestExceedances:
         rng = np.random.default_rng(len(shape) * 10 + shape[0] % 7)
         values = np.array([-np.inf, -0.5, 0.0, 1.0, 1.5, 2.0, 2.5, 9.0, 10.0, 11.0,
                            np.inf, np.nan])
-        z = rng.choice(values, size=shape)
-        got = _exceedances(z, self.GRID)
-        assert got.dtype == np.int64
-        assert got.shape == shape[1:] + (len(self.GRID),)
-        assert np.array_equal(got, _strict_counts(z, self.GRID))
+        self.assert_counts(rng.choice(values, size=shape))
 
     def test_special_rows(self):
         z = np.array([[-np.inf, np.inf], [np.nan, 2.0], [2.0, np.nan], [-np.inf, -np.inf]])
-        got = _exceedances(z, self.GRID)
-        assert np.array_equal(got, _strict_counts(z, self.GRID))
+        self.assert_counts(z)
         # 2.0 sits on a threshold: it counts below 2 and not at 2; NaN never counts
-        assert got[0].tolist() == [1, 1, 1, 0, 0, 0]
-        assert got[1].tolist() == [2, 2, 2, 1, 1, 1]
+        assert _exceedances(z[:, 0], self.GRID).tolist() == [1, 1, 1, 0, 0, 0]
+        assert _exceedances(z[:, 1], self.GRID).tolist() == [2, 2, 2, 1, 1, 1]
         for z1 in (np.full(5, np.nan), np.full(5, -np.inf), np.full(5, np.inf), np.array([2.0])):
-            assert np.array_equal(_exceedances(z1, self.GRID), _strict_counts(z1, self.GRID))
+            self.assert_counts(z1)
 
     def test_continuous_values(self):
         z = np.random.default_rng(5).pareto(1.0, (10_001, 2))
-        grid = tuple(np.geomspace(0.01, 1e3, 25))
-        assert np.array_equal(_exceedances(z, grid), _strict_counts(z, grid))
+        self.assert_counts(z, tuple(np.geomspace(0.01, 1e3, 25)))
 
 
 def _big_jump_reference(task: _BigJumpTask):
@@ -602,7 +607,8 @@ class TestBlockedDispatch:
                 sizes.append(chunksize)
                 return super().map(fn, *iterables, chunksize=chunksize, **kw)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+        # the engine imports the pool when a run needs one, from ``concurrent.futures``
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return sizes
 
     def test_big_jump_bit_identical_across_workers(self, block_sizes):

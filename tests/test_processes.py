@@ -94,30 +94,25 @@ class TestRenewalFunction:
         assert val == pytest.approx(erlang2_renewal_function(2.0, 5.0), rel=1e-6)
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+def _modules_after(code: str, roots=("scipy",)) -> str:
+    """The modules under ``roots`` that a fresh interpreter holds after running ``code``."""
     import ruinflow
 
     src = str(Path(ruinflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = code + (f"\nimport sys\nroots = {tuple(roots)!r}\n"
+                    "print(sorted(m for m in sys.modules"
+                    " if any(m == r or m.startswith(r + '.') for r in roots)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
-class TestImportFootprint:
-    """SciPy costs about half of a cold start, and the canonical models never call it."""
-
-    def test_import_leaves_scipy_out(self):
-        assert _scipy_modules_after("import ruinflow") == "[]"
-
-    def test_canonical_experiments_leave_scipy_out(self):
-        # The four benchmark experiments, small: an FGM/Pareto entrance with Poisson
-        # arrivals and deterministic returns at T = 10, a Brownian entrance at T = inf,
-        # ruin with constant premiums and an FGM big jump.
-        code = """
+# The four benchmark experiments, small and on one worker: an FGM/Pareto entrance with
+# Poisson arrivals and deterministic returns at T = 10, a Brownian entrance at T = inf,
+# ruin with constant premiums and an FGM big jump.
+_CANONICAL_EXPERIMENTS = """
 import math
 from ruinflow import (ClaimModel, ModelSpec, Pareto, Poisson, Deterministic, BrownianDrift,
                       HalfSpace, MaxExceed, AnyLineNegative, SimConfig, RuinModel,
@@ -134,7 +129,22 @@ empirical_ruin(ruin, (20.0, 1280.0), 10.0, SimConfig(2000, 3, 10.0))
 single_big_jump_check(ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0)), MaxExceed((1.0, 1.0)),
                       (1.0, 1.0, 1.0), (40.0, 86.2), SimConfig(2000, 4, 1.0))
 """
-        assert _scipy_modules_after(code) == "[]"
+
+
+class TestImportFootprint:
+    """SciPy costs about half of a cold start, and the canonical models never call it;
+    the process pool's modules load only for a run on more than one worker."""
+
+    def test_import_leaves_scipy_out(self):
+        assert _modules_after("import ruinflow") == "[]"
+
+    def test_canonical_experiments_leave_scipy_out(self):
+        assert _modules_after(_CANONICAL_EXPERIMENTS) == "[]"
+
+    def test_one_worker_runs_leave_the_pool_out(self):
+        roots = ("concurrent.futures.process", "multiprocessing")
+        assert _modules_after("import ruinflow", roots) == "[]"
+        assert _modules_after(_CANONICAL_EXPERIMENTS, roots) == "[]"
 
 
 class TestArrivalSampling:

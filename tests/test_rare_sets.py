@@ -197,6 +197,38 @@ class TestSignedScalarization:
         assert z_index_signed(s, [-3.0, -2.0]) == pytest.approx(-2.0)
 
 
+class TestFoldedMax:
+    """``MaxExceed`` and ``PolyhedralUnion`` fold their columns or parts into one
+    output; the values are those of the stacked ``np.maximum.reduce`` formula."""
+
+    UNION2 = PolyhedralUnion(parts=(HalfSpace(l=(0.5, 0.5), b=1.0),
+                                    HalfSpace(l=(1.0, 0.0), b=2.0),
+                                    HalfSpace(l=(0.25, 0.75), b=0.5)))
+    UNION3 = PolyhedralUnion(parts=(HalfSpace(l=(0.2, 0.3, 0.5), b=1.0),
+                                    HalfSpace(l=(0.6, 0.3, 0.1), b=1.7)))
+
+    @staticmethod
+    def stacked(rare_set, z):
+        if isinstance(rare_set, MaxExceed):
+            return np.maximum.reduce(np.stack([z[:, j] / b for j, b in enumerate(rare_set.b)]))
+        return np.maximum.reduce(np.stack([z_index_signed(p, z) for p in rare_set.parts]))
+
+    @pytest.mark.parametrize("rare_set", [
+        MaxExceed(b=(1.5,)), MaxExceed(b=(1.0, 2.0)), MaxExceed(b=(1.0, 2.0, 0.5)),
+        UNION2, UNION3])
+    def test_equals_the_stacked_formula(self, rare_set):
+        # values whose ratios tie across columns, with the negative entries of
+        # ruin's surplus vectors, +-inf and NaN mixed in
+        values = np.array([-np.inf, -2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, np.inf, np.nan])
+        z = np.random.default_rng(rare_set.dim).choice(values, size=(3000, rare_set.dim))
+        with np.errstate(invalid="ignore"):  # inf - inf in a weighted sum is NaN
+            want = self.stacked(rare_set, z)
+            for zz in (np.ascontiguousarray(z), np.asfortranarray(z)):
+                assert np.array_equal(z_index_signed(rare_set, zz), want, equal_nan=True)
+            for row, w in zip(z[:50], want[:50]):
+                assert np.array_equal(z_index_signed(rare_set, row), w, equal_nan=True)
+
+
 class TestMemoryOrder:
     """Weighted sums add the columns left to right, so the memory order of a
     batch cannot change a bit of the result."""
