@@ -31,10 +31,12 @@ does not grow with the horizon and no arrival-count cap exists.
 
 One chunk runner serves every experiment through per-path statistics
 (:class:`_Statistic`): entrance, entrance time and ruin (the entrance of the
-net claim process into the mapped set, read on the same paths).  A pool gets
-the chunks in blocks of consecutive chunks, about :data:`BLOCKS_PER_WORKER`
-blocks per worker (single chunks when there are fewer), and the results are
-merged in chunk order.  Claim transforms work in place: a marginal's ``_qf``
+net claim process into the mapped set, read on the same paths), each finished
+once per chunk, on its paths in the order they leave the loop.  A run uses at
+most one worker per chunk (in-process for one).  A pool gets the chunks in
+blocks of consecutive chunks, about :data:`BLOCKS_PER_WORKER` blocks per
+worker (single chunks when there are fewer), and the results are merged in
+chunk order.  Claim transforms work in place: a marginal's ``_qf``
 overwrites the survival transforms it is given, and the big-jump chunk
 transforms the uniform block it draws where it lies (the aggregate engine's
 draws go to a new array: in place, they took more page faults, no less time).
@@ -224,7 +226,8 @@ def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
     d = task.claim.d
     t, xi, D = np.zeros(task.count), np.zeros(task.count), np.zeros((d, task.count))
     states = [stat.init(task.count) for stat in task.stats]
-    out: dict = {}
+    final = np.empty_like(D)  # D and states of the paths that left, in the order they left
+    final_states = [tuple(np.empty_like(a) for a in state) for state in states]
     while t.size:
         gaps = task.renewal.interarrivals(rng, (2, t.size))
         tau = _walk(t, gaps)
@@ -246,13 +249,17 @@ def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
         if not all_inside:  # a path whose slot 1 is past the horizon is done
             keep = inside[1]
             done = ~keep
-            for stat, state in zip(task.stats, states):
-                _add_counts(out, stat.finish(
-                    tuple(np.compress(done, a, axis=0) for a in state),
-                    np.compress(done, D, axis=1).T))
+            rows = slice(task.count - t.size, task.count - np.count_nonzero(keep))
+            np.compress(done, D, axis=1, out=final[:, rows])
+            for state, buf in zip(states, final_states):
+                for a, b in zip(state, buf):
+                    np.compress(done, a, axis=0, out=b[rows])
             t, xi = t[keep], xi[keep]
             D = np.compress(keep, D, axis=1)
             states = [tuple(np.compress(keep, a, axis=0) for a in state) for state in states]
+    out: dict = {}
+    for stat, state in zip(task.stats, final_states):
+        _add_counts(out, stat.finish(state, final.T))
     return out
 
 
@@ -268,10 +275,9 @@ class _Statistic:
     it in place from one slot of the active paths: its epoch, whether that
     lies within the horizon, and ``D`` after it (a slot past the horizon adds
     nothing; the array is reused, so keep no reference to it).
-    ``finish(state, final)`` reads the state and ``D`` at the horizon of
-    paths that have left it and returns int64 counts.  The engine drops
-    finished paths from the state, so every path is finished exactly once,
-    and counts are merged by addition.
+    ``finish(state, final)`` reads the state and ``D`` at the horizon and
+    returns int64 counts; it runs once per chunk, on all the chunk's paths
+    in the order they leave the horizon, and counts are merged by addition.
     """
 
     def init(self, n: int) -> tuple:
@@ -341,14 +347,17 @@ class _Ruin(_Statistic):
     premiums: object = None
     rate: float = 0.0
 
+    def __post_init__(self):
+        if self.premiums is not None:  # one array for every slot
+            object.__setattr__(self, "_rates", np.asarray(self.premiums.rates))
+
     def init(self, n):
         return (np.full(n, -np.inf),)
 
     def step(self, state, tau, inside, running):
         net = running
         if self.premiums is not None:
-            net = net - _discounted_premium_at(
-                tau, self.premiums.breaks, np.asarray(self.premiums.rates), self.rate)
+            net = net - _discounted_premium_at(tau, self.premiums.breaks, self._rates, self.rate)
         z = np.where(inside, z_index_signed(self.rare_set, net), -np.inf)
         np.maximum(state[0], z, out=state[0])
 
@@ -358,12 +367,13 @@ class _Ruin(_Statistic):
 
 def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
                            r: float) -> np.ndarray:
-    """Exact ``integral_0^t e^{-r s} p(s) ds`` at each entry of ``tau``.
+    """Exact ``integral_0^t e^{-r s} p(s) ds`` at each entry of the 1-d ``tau``, shape ``(n, d)``.
 
     ``rates`` has one row per piece ``[breaks[j], breaks[j+1])`` and one
-    column per line of business; the last piece extends to infinity.
+    column per line of business; the last piece extends to infinity.  The
+    result is line-major (a ``(d, n)`` array's transpose), like ``D.T``.
     """
-    out = np.zeros(tau.shape + (rates.shape[1],))
+    out = np.zeros((rates.shape[1], tau.size))
     edges = list(breaks) + [math.inf]
     for j in range(rates.shape[0]):
         a, b = edges[j], edges[j + 1]
@@ -373,13 +383,14 @@ def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
         else:
             seg = (np.exp(-r * a) - np.exp(-r * upper)) / r
             seg = np.maximum(seg, 0.0)
-        out += np.multiply.outer(seg, rates[j])
-    return out
+        out += rates[j][:, None] * seg
+    return out.T
 
 
 def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
     tasks = [replace(task_proto, chunk=c, count=min(CHUNK_PATHS, n_paths - s))
              for c, s in enumerate(range(0, n_paths, CHUNK_PATHS))]
+    n_workers = min(n_workers, len(tasks))  # a worker without a chunk is a wasted fork
     if n_workers == 1:
         results = [runner(t) for t in tasks]
     else:

@@ -193,6 +193,27 @@ class TestSimulateAggregate:
             assert abs(comp - want) < 3 * se
         assert abs(merged["arrival_count_sum"] / n - 5.0) < 3 * math.sqrt(5.0 / n)
 
+    def test_finish_runs_once_per_chunk_on_the_leavers_in_order(self):
+        # paths leave the loop at many different steps, yet each chunk
+        # finishes once, on the rows of all its paths in the order they leave
+        calls = []
+
+        class Counting(_Sums):
+            def finish(self, state, final):
+                calls.append((state[0].copy(), final.shape))
+                return {"rows": np.int64(final.shape[0])}
+
+        n = 2 * CHUNK_PATHS + 100
+        merged = _run_statistics(base_spec(), 8.0, SimConfig(n, seed=18, horizon=8.0),
+                                 Counting())
+        assert [shape for _, shape in calls] == [(CHUNK_PATHS, 2), (CHUNK_PATHS, 2), (100, 2)]
+        assert merged["rows"] == n
+        for arrivals, _ in calls:
+            # a path with N arrivals inside leaves at loop step ceil((N + 1) / 2)
+            steps = (arrivals + 2) // 2
+            assert np.unique(steps).size > 3
+            assert np.all(np.diff(steps) >= 0)
+
 
 class TestEmpiricalEntrance:
     def test_tiny_threshold_counts_any_arrival(self):
@@ -632,6 +653,35 @@ class TestBlockedDispatch:
         single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0,), (5.0,),
                               SimConfig(25 * CHUNK_PATHS, 85, 1.0, (), 2))
         assert block_sizes == [1]
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        return sizes
+
+    CFG = SimConfig(1_000, 86, 0.5, (1.0, 4.0, 30.0))
+
+    def test_one_chunk_builds_no_pool(self, pool_sizes):
+        one = empirical_entrance(base_spec(), self.CFG)
+        three = empirical_entrance(base_spec(), replace(self.CFG, n_workers=3))
+        assert pool_sizes == []
+        assert np.array_equal(three.count, one.count)
+
+    def test_pool_has_at_most_one_worker_per_chunk(self, pool_sizes):
+        cfg = replace(self.CFG, n_paths=CHUNK_PATHS + 1000)
+        one = empirical_entrance(base_spec(), cfg)
+        eight = empirical_entrance(base_spec(), replace(cfg, n_workers=8))
+        assert pool_sizes == [2]
+        assert np.array_equal(eight.count, one.count)
 
 
 class TestMemory:

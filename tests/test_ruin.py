@@ -70,6 +70,37 @@ class TestPremiumSchedule:
                 assert got[j] == pytest.approx(want, rel=1e-10)
 
 
+def _outer_premium_at(tau, breaks, rates, r):
+    """The discounted premiums built ``(n, d)`` with ``np.multiply.outer``, piece by piece."""
+    out = np.zeros(tau.shape + (rates.shape[1],))
+    edges = list(breaks) + [math.inf]
+    for j in range(rates.shape[0]):
+        a, b = edges[j], edges[j + 1]
+        upper = np.clip(tau, a, b)
+        if r == 0:
+            seg = np.maximum(upper - a, 0.0)
+        else:
+            seg = np.maximum((np.exp(-r * a) - np.exp(-r * upper)) / r, 0.0)
+        out += np.multiply.outer(seg, rates[j])
+    return out
+
+
+class TestDiscountedPremiumLayout:
+    @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
+    def test_bit_identical_to_outer_formula(self, r):
+        prem = PremiumSchedule(breaks=(0.0, 2.0, 5.0),
+                               rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
+        rates = np.asarray(prem.rates)
+        edges = np.array([0.0, 2.0, 5.0])
+        tau = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, np.inf),
+                              np.random.default_rng(9).uniform(0.0, 12.0, 999)])
+        got = _discounted_premium_at(tau, prem.breaks, rates, r)
+        want = _outer_premium_at(tau, prem.breaks, rates, r)
+        assert got.shape == want.shape == (tau.size, 2)
+        assert got.T.flags.c_contiguous  # line-major, like the running sums
+        assert got.tobytes(order="C") == want.tobytes()
+
+
 class TestEmpiricalRuin:
     def test_sandwich_and_monotonicity(self):
         model = two_line_model(premium=0.5)

@@ -19,6 +19,11 @@ same list and their outputs compare with ``cmp``:
 * entrance runs at T = 10, sized and recorded like the workloads, on the
   models that load ``scipy.special`` when called: lognormal claims, Erlang
   renewals (``renewal_density``) and compound-Poisson returns (``xi_rule``);
+* ruin runs at T = 10, sized and recorded like the workloads, on the premium
+  paths the ``ruin-premium`` workload leaves out: a three-piece schedule
+  under ``Deterministic(0.07)``, a negative constant force
+  (``BrownianDrift(-0.02, 0.0)``), the weighted-total ruin set (a
+  ``HalfSpace`` target) and one line of business (a ``Ray`` target);
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
   workers, enough that the pool gets blocks of several chunks, the last one
   partial;
@@ -130,6 +135,29 @@ def _entrances() -> dict:
                 grid)}
 
 
+def _ruins() -> dict:
+    """(model, grid) of each extra ruin run, built from the imported ruinflow."""
+    from ruinflow import (AnyLineNegative, BrownianDrift, ClaimModel, Deterministic, Pareto,
+                          Poisson, PremiumSchedule, RuinModel, WeightedSumNegative)
+
+    pair = ClaimModel.iid((Pareto(1.5, 1.0),) * 2)
+    flat = PremiumSchedule.constant((0.5, 0.5))
+    pieces = PremiumSchedule(breaks=(0.0, 2.0, 5.0), rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
+    grid = (5.0, 20.0, 80.0, 320.0)
+
+    def model(claim=pair, ret=Deterministic(0.05), alloc=(0.5, 0.5), ruin_set=AnyLineNegative(),
+              premiums=flat):
+        return RuinModel(claim=claim, renewal=Poisson(1.0), ret=ret, alloc=alloc,
+                         ruin_set=ruin_set, premiums=premiums)
+
+    return {"ruin-pieces": (model(ret=Deterministic(0.07), premiums=pieces), grid),
+            "ruin-negative-force": (model(ret=BrownianDrift(-0.02, 0.0)), grid),
+            "ruin-weighted-sum": (model(ruin_set=WeightedSumNegative(), premiums=pieces), grid),
+            "ruin-1d": (model(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), alloc=(1.0,),
+                              premiums=PremiumSchedule(breaks=(0.0, 2.0, 5.0),
+                                                       rates=((0.4,), (1.0,), (0.2,)))), grid)}
+
+
 def workloads() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
@@ -142,6 +170,8 @@ def workloads() -> dict:
                 for name, (claim, rare_set, weights) in _big_jumps().items())
     runs.update((name, (replace(WORKLOADS["entrance-ref"], x_grid=grid), model, n_paths))
                 for name, (model, grid) in _entrances().items())
+    runs.update((name, (replace(WORKLOADS["ruin-premium"], x_grid=grid), model, n_paths))
+                for name, (model, grid) in _ruins().items())
     runs["bigjump-fgm-blocks"] = (bigjump, bigjump.build(), (BLOCK_CHUNKS - 1) * CHUNK_PATHS + 100)
     out = {}
     for name, (w, model, n) in runs.items():
