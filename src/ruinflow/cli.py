@@ -2,7 +2,8 @@
 
 A single JSON document declares the model (claims, dependence, target or
 ruin set, arrival process, return process), the experiment to run, the
-simulation budget, and the output destination.  Each run writes
+simulation budget, and the output destination.  Each run writes, to
+``output.path`` with a suffix appended to its whole name,
 
 * the result table (``.csv`` or ``.json``),
 * a fully resolved configuration echo (``.config.json``) whose re-run
@@ -21,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -69,8 +69,6 @@ from .ruin import PremiumSchedule, RuinModel, empirical_ruin
 
 __all__ = ["run", "main", "CONFIG_SCHEMA"]
 
-THREADS_ENV = "RUINFLOW_THREADS"
-
 _num = {"type": "number"}
 _pos = {"type": "number", "exclusiveMinimum": 0}
 _vec = {"type": "array", "items": _num, "minItems": 1}
@@ -85,6 +83,12 @@ class ConfigError(ValueError):
 # CONFIG_SCHEMA (``_one_of``) and builds its objects (``_build``), so adding a
 # model piece takes one class and one entry here.  The objects check their own
 # parameters: a dependence structure, for one, checks the margins it is given.
+
+
+def _closed(properties: dict, required: list) -> dict:
+    """An object schema with exactly these properties, the ``required`` ones mandatory."""
+    return {"type": "object", "properties": properties, "required": required,
+            "additionalProperties": False}
 
 
 def _one_of(table: dict) -> dict:
@@ -155,12 +159,12 @@ def _mode_lines(mode: str | None, checks) -> list[str]:
         f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
 
 
-def _entrance(cfg, spec, sim, study=False):
+def _entrance(cfg, spec, sim):
     table = empirical_entrance(spec, sim, unsafe=cfg["unsafe"])
     lines = [f"rows: {len(table.x)}  flagged (zero exceedances): "
              f"{table.x[table.count == 0].tolist()}"]
     last = table.ratio[~np.isnan(table.ratio)][-3:]
-    if study and last.size == 3:
+    if last.size == 3:
         lines.append(f"final-three-point ratio spread: {float(last.max() - last.min()):.4f}")
     if math.isinf(sim.horizon):
         lines.append(f"truncation horizon: {table.meta['truncation_horizon']:.4g}; "
@@ -215,102 +219,54 @@ _EXPERIMENTS = {
     "ruin": _Experiment("ruin", ("sim.x_grid",), _ruin),
     "entrance_time": _Experiment("set", ("entrance_time",), _entrance_time),
     "single_big_jump": _Experiment("set", ("big_jump", "sim.x_grid"), _big_jump),
-    "convergence_study": _Experiment("set", ("sim.x_grid",),
-                                     functools.partial(_entrance, study=True)),
     "assumption_report": _Experiment("set", (), _assumption_report),
 }
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "model": {
-            "type": "object",
-            "properties": {
-                "claim": {
-                    "type": "object",
-                    "properties": {
-                        "dependence": _one_of(_DEPENDENCE),
-                        "margins": {"type": "array", "items": _one_of(_MARGINS), "minItems": 1},
-                    },
-                    "required": ["dependence"],
-                    "additionalProperties": False,
-                },
-                "set": _one_of(_SETS),
-                "ruin": {
-                    "type": "object",
-                    "properties": {
-                        "set": _one_of(_RUIN_SETS),
-                        "alloc": _vec,
-                        "premiums": {
-                            "type": "object",
-                            "properties": {
-                                "breaks": _vec,
-                                "rates": {"type": "array",
-                                          "items": _vec, "minItems": 1},
-                            },
-                            "required": ["breaks", "rates"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "required": ["set", "alloc"],
-                    "additionalProperties": False,
-                },
-                "renewal": _one_of(_RENEWALS),
-                "return": _one_of(_RETURNS),
-            },
-            "required": ["claim", "renewal", "return"],
-            "additionalProperties": False,
-        },
+    **_closed({
+        "model": _closed({
+            "claim": _closed({
+                "dependence": _one_of(_DEPENDENCE),
+                "margins": {"type": "array", "items": _one_of(_MARGINS), "minItems": 1},
+            }, ["dependence"]),
+            "set": _one_of(_SETS),
+            "ruin": _closed({
+                "set": _one_of(_RUIN_SETS),
+                "alloc": _vec,
+                "premiums": _closed({"breaks": _vec,
+                                     "rates": {"type": "array", "items": _vec, "minItems": 1}},
+                                    ["breaks", "rates"]),
+            }, ["set", "alloc"]),
+            "renewal": _one_of(_RENEWALS),
+            "return": _one_of(_RETURNS),
+        }, ["claim", "renewal", "return"]),
         "experiment": {"enum": list(_EXPERIMENTS)},
-        "sim": {
-            "type": "object",
-            "properties": {
-                "n_paths": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "workers": {"type": "integer", "minimum": 1},
-                "x_grid": {"type": "array", "items": _num},
-                "horizon": {"oneOf": [_pos, {"const": "inf"}]},
-                "ci_level": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-            "required": ["n_paths", "seed", "horizon"],
-            "additionalProperties": False,
-        },
-        "entrance_time": {
-            "type": "object",
-            "properties": {"x": _pos, "t_grid": _vec},
-            "required": ["x", "t_grid"],
-            "additionalProperties": False,
-        },
-        "big_jump": {
-            "type": "object",
-            "properties": {"weights": _vec},
-            "required": ["weights"],
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {"path": {"type": "string"}, "format": {"enum": ["csv", "json"]}},
-            "required": ["path"],
-            "additionalProperties": False,
-        },
+        "sim": _closed({
+            "n_paths": {"type": "integer", "minimum": 1},
+            "seed": {"type": "integer", "minimum": 0},
+            "workers": {"type": "integer", "minimum": 1},
+            "x_grid": {"type": "array", "items": _num},
+            "horizon": {"oneOf": [_pos, {"const": "inf"}]},
+            "ci_level": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        }, ["n_paths", "seed", "horizon"]),
+        "entrance_time": _closed({"x": _pos, "t_grid": _vec}, ["x", "t_grid"]),
+        "big_jump": _closed({"weights": _vec}, ["weights"]),
+        "output": _closed({"path": {"type": "string"}, "format": {"enum": ["csv", "json"]}},
+                          ["path"]),
         "unsafe": {"type": "boolean"},
-    },
-    "required": ["model", "experiment", "sim", "output"],
-    "additionalProperties": False,
+    }, ["model", "experiment", "sim", "output"]),
 }
 
 _SIM_DEFAULTS = {"workers": 1, "ci_level": 0.95, "x_grid": []}
 _OUTPUT_DEFAULTS = {"format": "csv"}
+#: command-line flag -> the config entry it overrides (``--unsafe`` can only switch on)
+_OVERRIDES = {"seed": ("sim", "seed"), "threads": ("sim", "workers"),
+              "out": ("output", "path"), "format": ("output", "format")}
 
 
 # ---------------------------------------------------------------------------
 # config -> model objects
-
-
-def _build_claim(spec: dict) -> ClaimModel:
-    return ClaimModel(tuple(_build(_MARGINS, m) for m in spec.get("margins", ())),
-                      _build(_DEPENDENCE, spec["dependence"]))
 
 
 def _resolve_config(raw: dict, overrides: dict) -> tuple[dict, dict]:
@@ -330,16 +286,13 @@ def _resolve_config(raw: dict, overrides: dict) -> tuple[dict, dict]:
         cfg["output"].setdefault(key, default)
     cfg.setdefault("unsafe", False)
     applied = {}
-    if overrides.get("seed") is not None:
-        cfg["sim"]["seed"] = applied["seed"] = overrides["seed"]
-    if overrides.get("threads") is not None:
-        cfg["sim"]["workers"] = applied["threads"] = overrides["threads"]
-    if overrides.get("out") is not None:
-        cfg["output"]["path"] = applied["out"] = overrides["out"]
-    if overrides.get("format") is not None:
-        cfg["output"]["format"] = applied["format"] = overrides["format"]
+    for flag, (block, key) in _OVERRIDES.items():
+        if overrides.get(flag) is not None:
+            cfg[block][key] = applied[flag] = overrides[flag]
     if overrides.get("unsafe"):
         cfg["unsafe"] = applied["unsafe"] = True
+    if not Path(cfg["output"]["path"]).name:
+        raise ConfigError(f"output.path {cfg['output']['path']!r} names no file")
     experiment = _EXPERIMENTS[cfg["experiment"]]
     for path in (f"model.{experiment.block}", *experiment.needs):
         # "model" and "sim" are required objects, so every parent exists
@@ -358,22 +311,26 @@ def _sim_config(cfg: dict) -> SimConfig:
     )
 
 
-def _model_spec(cfg: dict) -> tuple[ModelSpec | None, RuinModel | None]:
-    """The models of the ``set`` and ``ruin`` blocks (None for an absent block)."""
-    model = cfg["model"]
-    claim = _build_claim(model["claim"])
-    renewal = _build(_RENEWALS, model["renewal"])
-    ret = _build(_RETURNS, model["return"])
-    spec = ruin_model = None
-    if "set" in model:
-        spec = ModelSpec(claim=claim, rare_set=_build(_SETS, model["set"]),
-                         renewal=renewal, ret=ret)
-    if "ruin" in model:
-        rblock = model["ruin"]
-        premiums = PremiumSchedule(**rblock["premiums"]) if "premiums" in rblock else None
-        ruin_model = RuinModel(claim=claim, renewal=renewal, ret=ret, alloc=rblock["alloc"],
-                               ruin_set=_build(_RUIN_SETS, rblock["set"]), premiums=premiums)
-    return spec, ruin_model
+def _model(cfg: dict, block: str) -> ModelSpec | RuinModel:
+    """The model of ``model.<block>``: a ``ModelSpec`` from ``set``, a ``RuinModel`` from
+    ``ruin``.  Only that block is built, so another block may be absent or unused."""
+    model, claim = cfg["model"], cfg["model"]["claim"]
+    parts = {"claim": ClaimModel(tuple(_build(_MARGINS, m) for m in claim.get("margins", ())),
+                                 _build(_DEPENDENCE, claim["dependence"])),
+             "renewal": _build(_RENEWALS, model["renewal"]),
+             "ret": _build(_RETURNS, model["return"])}
+    if block == "set":
+        return ModelSpec(rare_set=_build(_SETS, model["set"]), **parts)
+    ruin = model["ruin"]
+    premiums = PremiumSchedule(**ruin["premiums"]) if "premiums" in ruin else None
+    return RuinModel(alloc=ruin["alloc"], ruin_set=_build(_RUIN_SETS, ruin["set"]),
+                     premiums=premiums, **parts)
+
+
+def _artifact(cfg: dict, suffix: str) -> Path:
+    """An output file: ``output.path`` with ``.<suffix>`` appended to its full name."""
+    base = Path(cfg["output"]["path"])
+    return base.with_name(f"{base.name}.{suffix}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +352,14 @@ def run(config_path, overrides: dict | None = None) -> int:
         return 3
     try:
         cfg, applied = _resolve_config(raw, overrides)
-        spec, ruin_model = _model_spec(cfg)
+        experiment = _EXPERIMENTS[cfg["experiment"]]
+        model = _model(cfg, experiment.block)
         sim = _sim_config(cfg)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    experiment = _EXPERIMENTS[cfg["experiment"]]
-    model = ruin_model if experiment.block == "ruin" else spec
-    out_base = Path(cfg["output"]["path"])
-    out_base.parent.mkdir(parents=True, exist_ok=True)
+    Path(cfg["output"]["path"]).parent.mkdir(parents=True, exist_ok=True)
     report_lines = [
         f"ruinflow {__version__} experiment report",
         f"experiment: {cfg['experiment']}",
@@ -424,22 +379,18 @@ def run(config_path, overrides: dict | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    _echo_config(out_base, cfg)
+    # the resolved config, which re-runs as it is
+    _artifact(cfg, "config.json").write_text(json.dumps(cfg, indent=1, sort_keys=True) + "\n")
     if table is not None:
         if table.meta["checks"] is not None:
             report_lines += _mode_lines(table.meta["mode"], table.meta["checks"])
         fmt = cfg["output"]["format"]
-        table_path = out_base.with_suffix(f".{fmt}")
+        table_path = _artifact(cfg, fmt)
         getattr(table, f"to_{fmt}")(table_path)
         lines.append(f"table: {table_path}")
     report_lines += [*lines, f"elapsed: {time.monotonic() - t_start:.2f} s"]
-    out_base.with_suffix(".report.txt").write_text("\n".join(report_lines) + "\n")
+    _artifact(cfg, "report.txt").write_text("\n".join(report_lines) + "\n")
     return code
-
-
-def _echo_config(out_base: Path, cfg: dict) -> None:
-    """Write the resolved config, which re-runs as it is."""
-    out_base.with_suffix(".config.json").write_text(json.dumps(cfg, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -448,28 +399,14 @@ def main(argv=None) -> int:
         description="Run entrance/ruin experiments from a JSON config.")
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"override sim.workers (falls back to ${THREADS_ENV})")
+    parser.add_argument("--threads", type=int, default=None, help="override sim.workers")
     parser.add_argument("--out", default=None, help="override output.path")
     parser.add_argument("--format", choices=["csv", "json"], default=None,
                         help="override output.format")
     parser.add_argument("--unsafe", action="store_true",
                         help="bypass hypothesis gates; outputs are watermarked")
-    args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None and os.environ.get(THREADS_ENV):
-        try:
-            threads = int(os.environ[THREADS_ENV])
-        except ValueError:
-            print(f"config error: ${THREADS_ENV} is not an integer", file=sys.stderr)
-            return 3
-    return run(args.config, {
-        "seed": args.seed,
-        "threads": threads,
-        "out": args.out,
-        "format": args.format,
-        "unsafe": args.unsafe,
-    })
+    overrides = vars(parser.parse_args(argv))  # argparse's names are _OVERRIDES' keys
+    return run(overrides.pop("config"), overrides)
 
 
 if __name__ == "__main__":  # pragma: no cover

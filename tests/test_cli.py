@@ -171,19 +171,19 @@ PAIR = (Pareto(1.5, 1.0), Pareto(1.5, 1.0))
 #: block -> (registry table, where the spec goes in base_config's model, what it builds,
 #: and per registered type a minimal spec with the object it must build)
 REGISTRY_CASES = {
-    "margins": (cli._MARGINS, _place_margin, lambda spec, ruin: spec.claim.margins[0], {
+    "margins": (cli._MARGINS, _place_margin, lambda model: model.claim.margins[0], {
         "pareto": ({"alpha": 1.5}, Pareto(1.5)),
         "heavy_weibull": ({"shape": 0.5}, HeavyWeibull(0.5)),
         "lognormal": ({"mu": 0.0, "sigma": 1.0}, Lognormal(0.0, 1.0)),
         "cubic_survival": ({}, CubicSurvival()),
         "harmonic_survival": ({}, HarmonicSurvival()),
     }),
-    "dependence": (cli._DEPENDENCE, _place_dependence, lambda spec, ruin: spec.claim, {
+    "dependence": (cli._DEPENDENCE, _place_dependence, lambda model: model.claim, {
         "iid": ({}, ClaimModel.iid(PAIR)),
         "fgm_chain": ({"theta": 0.5}, ClaimModel.fgm_chain(0.5, PAIR[0])),
         "cubic_pair": ({}, ClaimModel.cubic_pair()),
     }),
-    "set": (cli._SETS, _place_set, lambda spec, ruin: spec.rare_set, {
+    "set": (cli._SETS, _place_set, lambda model: model.rare_set, {
         "max_exceed": ({"b": [1.0, 2.0]}, MaxExceed((1.0, 2.0))),
         "half_space": ({"l": [0.5, 0.5], "b": 1.0}, HalfSpace((0.5, 0.5), 1.0)),
         "ray": ({"b": 2.0}, Ray(2.0)),
@@ -191,24 +191,24 @@ REGISTRY_CASES = {
             {"parts": [{"type": "half_space", "l": [0.9, 0.1], "b": 1.0}]},
             PolyhedralUnion((HalfSpace((0.9, 0.1), 1.0),))),
     }),
-    "ruin set": (cli._RUIN_SETS, _place_ruin_set, lambda spec, ruin: ruin.ruin_set, {
+    "ruin set": (cli._RUIN_SETS, _place_ruin_set, lambda model: model.ruin_set, {
         "any_line_negative": ({}, AnyLineNegative()),
         "weighted_sum_negative": ({}, WeightedSumNegative()),
     }),
     "renewal": (cli._RENEWALS, lambda model, spec: model.update(renewal=spec),
-                lambda spec, ruin: spec.renewal, {
+                lambda model: model.renewal, {
         "poisson": ({"rate": 2.0}, Poisson(2.0)),
         "renewal_erlang": ({"k": 2, "rate": 1.5}, RenewalIID(Erlang(2, 1.5))),
     }),
     "return": (cli._RETURNS, lambda model, spec: model.update({"return": spec}),
-               lambda spec, ruin: spec.ret, {
+               lambda model: model.ret, {
         "deterministic": ({"rate": 0.05}, Deterministic(0.05)),
         "brownian": ({"mu": 0.1, "sigma": 0.2}, BrownianDrift(0.1, 0.2)),
         "compound_poisson": (
             {"drift": 0.02, "jump_rate": 0.5, "jumps": {"type": "fixed", "size": 0.1}},
             CompoundPoissonDrift(0.02, 0.5, FixedJumps(0.1))),
     }),
-    "jumps": (cli._JUMPS, _place_jumps, lambda spec, ruin: spec.ret.jumps, {
+    "jumps": (cli._JUMPS, _place_jumps, lambda model: model.ret.jumps, {
         "exponential": ({"mean": 0.05}, ExponentialJumps(0.05)),
         "fixed": ({"size": -0.1}, FixedJumps(-0.1)),
     }),
@@ -244,8 +244,8 @@ class TestRegistry:
         cfg = base_config(tmp_path / "r")
         cfg["model"]["claim"] = {"dependence": {"type": "cubic_pair"},
                                  "margins": [{"type": "cubic_survival"}] * 2}
-        spec, _ = cli._model_spec(cfg)
-        assert spec.claim == ClaimModel.cubic_pair() == ClaimModel((), CubicPair())
+        claim = cli._model(cfg, "set").claim
+        assert claim == ClaimModel.cubic_pair() == ClaimModel((), CubicPair())
 
     def test_every_registered_type_has_a_case(self):
         for block, (table, _, _, cases) in REGISTRY_CASES.items():
@@ -259,8 +259,7 @@ class TestRegistry:
         cfg = base_config(tmp_path / "r")
         place(cfg["model"], {"type": kind, **params})
         jsonschema.validate(cfg, CONFIG_SCHEMA)
-        spec, ruin_model = cli._model_spec(cfg)
-        assert built(spec, ruin_model) == want
+        assert built(cli._model(cfg, "set" if "set" in cfg["model"] else "ruin")) == want
 
 
 class TestEntranceRun:
@@ -309,21 +308,69 @@ class TestOverrides:
         assert "'seed': 99" in overrides
         assert (tmp_path / "o2.json").exists()
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        out = tmp_path / "env"
-        cfgp = write(tmp_path, base_config(out))
-        monkeypatch.setenv("RUINFLOW_THREADS", "2")
-        assert main(["--config", str(cfgp)]) == 0
-        echo = json.loads(out.with_suffix(".config.json").read_text())
-        assert echo["sim"]["workers"] == 2
+    def test_every_flag_reaches_the_echo_and_the_report(self, tmp_path):
+        # argparse's names are the keys of cli._OVERRIDES: a renamed flag or entry fails here
+        out = tmp_path / "flags"
+        cfgp = write(tmp_path, base_config(tmp_path / "unused"))
+        assert main(["--config", str(cfgp), "--seed", "99", "--threads", "2",
+                     "--out", str(out), "--format", "json", "--unsafe"]) == 0
+        echo = json.loads((tmp_path / "flags.config.json").read_text())
+        assert (echo["sim"]["seed"], echo["sim"]["workers"]) == (99, 2)
+        assert echo["output"] == {"path": str(out), "format": "json"}
+        assert echo["unsafe"] is True
+        report = (tmp_path / "flags.report.txt").read_text().splitlines()
+        applied = {"seed": 99, "threads": 2, "out": str(out), "format": "json", "unsafe": True}
+        assert f"overrides: {applied}" in report
+        assert (tmp_path / "flags.json").exists()
+        assert not list(tmp_path.glob("unused*"))
 
-    def test_explicit_threads_beats_env(self, tmp_path, monkeypatch):
-        out = tmp_path / "env2"
-        cfgp = write(tmp_path, base_config(out))
-        monkeypatch.setenv("RUINFLOW_THREADS", "2")
-        assert main(["--config", str(cfgp), "--threads", "1"]) == 0
-        echo = json.loads(out.with_suffix(".config.json").read_text())
-        assert echo["sim"]["workers"] == 1
+
+class TestOutputNames:
+    def test_dotted_names_keep_their_whole_name(self, tmp_path):
+        for name in ("alpha1.5", "alpha1.7"):
+            assert run(write(tmp_path, base_config(tmp_path / name))) == 0
+        for name in ("alpha1.5", "alpha1.7"):
+            for suffix in ("csv", "config.json", "report.txt"):
+                assert (tmp_path / f"{name}.{suffix}").exists(), (name, suffix)
+        assert not (tmp_path / "alpha1.csv").exists()
+
+    @pytest.mark.parametrize("name", ["", "."])
+    @pytest.mark.parametrize("via", ["config", "--out"])
+    def test_a_name_without_a_file_exits_3_before_simulating(self, tmp_path, monkeypatch,
+                                                             capsys, name, via):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "empirical_entrance", lambda *a, **k: pytest.fail("simulated"))
+        cfgp = write(tmp_path, base_config(name if via == "config" else tmp_path / "r"))
+        argv = ["--config", str(cfgp)] + (["--out", name] if via == "--out" else [])
+        assert main(argv) == 3
+        assert "names no file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+class TestCiLevel:
+    def test_wider_level_widens_every_interior_interval(self, tmp_path):
+        tables = {}
+        for level in (0.95, 0.99):
+            name = f"ci{round(level * 100)}"
+            cfg = base_config(tmp_path / name)
+            cfg["sim"]["x_grid"] = [2.0, 5.0, 25.0, 100.0]
+            cfg["sim"]["ci_level"] = level
+            cfg["output"]["format"] = "json"
+            assert run(write(tmp_path, cfg)) == 0
+            tables[level] = json.loads((tmp_path / f"{name}.json").read_text())
+        narrow, wide = tables[0.95], tables[0.99]
+        assert [r["count"] for r in narrow] == [r["count"] for r in wide]
+        interior = [(a, b) for a, b in zip(narrow, wide) if 0 < a["count"] < 4000]
+        assert len(interior) >= 3
+        for a, b in interior:
+            assert b["ci_lo"] < a["ci_lo"] <= a["p_hat"] <= a["ci_hi"] < b["ci_hi"]
+
+    @pytest.mark.parametrize("level", [0, 1, NAN], ids=["0", "1", "nan"])
+    def test_level_outside_the_open_unit_interval_exits_3(self, tmp_path, level):
+        cfg = base_config(tmp_path / "r")
+        cfg["sim"]["ci_level"] = level
+        assert run(write(tmp_path, cfg)) == 3
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestGates:
@@ -423,6 +470,11 @@ class TestOtherExperiments:
         assert run(write(tmp_path, ruin_only, "ruin_only.json")) == 3
         assert "model.set" in capsys.readouterr().err
         assert not (tmp_path / "ruin_only.csv").exists()
+        # only the declared block is built: a 3-d set over 2-d claims does not stop a ruin run
+        ruin_run = dict(ruin_only, experiment="ruin", output={"path": str(tmp_path / "ruin")})
+        ruin_run["model"] = dict(ruin_only["model"], set={"type": "max_exceed", "b": [1.0] * 3})
+        assert run(write(tmp_path, ruin_run, "ruin_run.json")) == 0
+        assert (tmp_path / "ruin.csv").exists()
 
     def test_registry_is_the_experiment_enum(self):
         assert list(cli._EXPERIMENTS) == CONFIG_SCHEMA["properties"]["experiment"]["enum"]
@@ -448,9 +500,9 @@ class TestOtherExperiments:
         lines = out.with_suffix(".csv").read_text().splitlines()
         assert lines[0].startswith("x,sum_p,marginal_p_total,ratio")
 
-    def test_convergence_study_reports_spread(self, tmp_path):
+    def test_entrance_reports_ratio_spread(self, tmp_path):
         out = tmp_path / "conv"
-        cfg = base_config(out, experiment="convergence_study")
+        cfg = base_config(out)
         cfg["sim"]["x_grid"] = [5.0, 10.0, 20.0, 40.0]
         cfg["sim"]["n_paths"] = 20000
         assert run(write(tmp_path, cfg)) == 0

@@ -32,8 +32,9 @@ same list and their outputs compare with ``cmp``:
   ``phi(alpha) < 0``, at T = inf;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, in both table formats, recording the exit code, the sha256 of the
-  table file, its rows (CSV rows as their text lines) and the report without
-  its ``elapsed`` line, the temporary directory written as ``<tmp>``; and,
+  table file, its rows (CSV rows as their text lines), the report without
+  its ``elapsed`` line and the ``.config.json`` echo as its text lines, the
+  temporary directory written as ``<tmp>``; and,
   recorded alike, ``reference_entrance.json`` with heavy-Weibull margins and
   Brownian returns, a model no finite-horizon mode admits: once as it is (a
   gate failure, exit 2) and once under ``--unsafe`` (exit 0); and three
@@ -236,17 +237,18 @@ def demo_configs() -> dict:
                 base = Path(tmp) / fmt / Path(name).stem
                 code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": fmt,
                                           **overrides})
-                table = base.with_suffix(f".{fmt}")
+                table = Path(f"{base}.{fmt}")
                 entry = {"exit_code": code, "sha256": None, "rows": None}
                 if table.exists():
                     text = table.read_bytes()
                     entry["sha256"] = hashlib.sha256(text).hexdigest()
                     entry["rows"] = (json.loads(text) if fmt == "json"
                                      else text.decode().splitlines())
-                report = base.with_suffix(".report.txt")
-                entry["report"] = [line.replace(tmp, "<tmp>")
-                                   for line in report.read_text().splitlines()
-                                   if not line.startswith("elapsed:")] if report.exists() else None
+                for key, suffix in (("report", "report.txt"), ("echo", "config.json")):
+                    path = Path(f"{base}.{suffix}")
+                    entry[key] = [line.replace(tmp, "<tmp>")
+                                  for line in path.read_text().splitlines()
+                                  if not line.startswith("elapsed:")] if path.exists() else None
                 out[f"{name} {fmt}"] = entry
     return out
 
