@@ -39,7 +39,7 @@ from .dependence import ClaimModel, UnsupportedModelError, scalarized_survival
 from .heavy_tails import Pareto, TailDistribution
 from .processes import (
     TAIL_REL_BOUND,
-    RenewalSpec,
+    RenewalIID,
     ReturnProcess,
     check_discount_summability,
     discount_integral_tail_bound,
@@ -99,7 +99,7 @@ class ModelSpec:
 
     claim: ClaimModel
     rare_set: RareSet
-    renewal: RenewalSpec
+    renewal: RenewalIID
     ret: ReturnProcess
 
     def __post_init__(self):
@@ -252,7 +252,7 @@ def asymptotic_entrance_finite(model: ModelSpec, x: float, T: float,
         return 0.0
     if not unsafe:
         resolve_finite_mode(model, T).require()
-    f = lambda s: single_claim_entrance(model, x, s) * model.renewal.renewal_density(s, T)
+    f = lambda s: single_claim_entrance(model, x, s) * model.renewal.renewal_density(s)
     return adaptive_simpson(f, 0.0, T, rel_tol=rel_tol)
 
 
@@ -350,7 +350,7 @@ def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
     """Closed-form first-order entrance value for regularly-varying claims.
 
     ``mu(A) * S_ref(x) * integral_0^T exp(s phi(alpha)) d(renewal measure)``
-    with the description from :func:`derive_mrv` and the Poisson integral in
+    with the description from :func:`derive_mrv` and the renewal integral in
     closed form; ``T`` may be ``math.inf`` when ``phi(alpha) < 0``.
     """
     if x <= 0:
@@ -358,11 +358,7 @@ def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     spec = derive_mrv(model.claim, model.rare_set)
-    phi = model.ret.laplace_exponent(spec.alpha)
-    if math.isinf(T) and phi >= 0:
-        raise ValueError(
-            "infinite-horizon closed form diverges: Laplace exponent is nonnegative")
-    integral = model.renewal.discounted_integral(phi, T)
+    integral = model.renewal.discounted_integral(model.ret.laplace_exponent(spec.alpha), T)
     return spec.mu_of_a * float(spec.reference_tail.survival(x)) * integral
 
 

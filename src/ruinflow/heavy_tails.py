@@ -146,7 +146,10 @@ class Pareto(TailDistribution):
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= self.scale, 1.0, np.maximum(x, self.scale) / self.scale) ** -self.alpha
+        out = np.maximum(x, self.scale, out=np.empty_like(x))  # an array even for a 0-d x
+        out /= self.scale
+        out **= -self.alpha
+        return out
 
     def _qf(self, v):
         v **= -1.0 / self.alpha
@@ -154,9 +157,11 @@ class Pareto(TailDistribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x >= self.scale
-        out[m] = self.alpha / self.scale * (x[m] / self.scale) ** -(self.alpha + 1.0)
+        out = np.maximum(x, self.scale, out=np.empty_like(x))
+        out /= self.scale
+        out **= -(self.alpha + 1.0)
+        out *= self.alpha / self.scale
+        out[x < self.scale] = 0.0
         return out
 
     def mean(self) -> float:

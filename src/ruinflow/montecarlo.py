@@ -61,7 +61,7 @@ from .estimators import (
     resolve_finite_mode,
     resolve_infinite_mode,
 )
-from .processes import RenewalSpec, ReturnProcess
+from .processes import RenewalIID, ReturnProcess
 from .rare_sets import RareSet, z_index_signed
 
 __all__ = [
@@ -199,7 +199,7 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class _AggregateTask:
     claim: ClaimModel
-    renewal: RenewalSpec
+    renewal: RenewalIID
     ret: ReturnProcess
     horizon: float
     seed: int
@@ -344,20 +344,17 @@ class _Ruin(_Statistic):
 
     rare_set: RareSet
     x_grid: tuple
-    premiums: object = None
-    rate: float = 0.0
+    premiums: object
+    rate: float
 
-    def __post_init__(self):
-        if self.premiums is not None:  # one array for every slot
-            object.__setattr__(self, "_rates", np.asarray(self.premiums.rates))
+    def __post_init__(self):  # one array for every slot
+        object.__setattr__(self, "_rates", np.asarray(self.premiums.rates))
 
     def init(self, n):
         return (np.full(n, -np.inf),)
 
     def step(self, state, tau, inside, running):
-        net = running
-        if self.premiums is not None:
-            net = net - _discounted_premium_at(tau, self.premiums.breaks, self._rates, self.rate)
+        net = running - _discounted_premium_at(tau, self.premiums.breaks, self._rates, self.rate)
         z = np.where(inside, z_index_signed(self.rare_set, net), -np.inf)
         np.maximum(state[0], z, out=state[0])
 

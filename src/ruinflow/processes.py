@@ -1,9 +1,10 @@
 """Claim-arrival renewal processes and investment log-return processes.
 
-The renewal side covers homogeneous Poisson arrivals and renewal processes
-with Erlang interarrivals (analytic convolution powers); the return side
-covers a deterministic force of interest, Brownian motion with drift, and a
-compound Poisson process with drift.  Each return process exposes its exact
+The renewal side is one renewal process with Erlang interarrivals, whose
+renewal measure is a finite sum of exponentials, so its discounted integrals
+are exact; Poisson arrivals are its k = 1 case.  The return side covers a
+deterministic force of interest, Brownian motion with drift, and a compound
+Poisson process with drift.  Each return process exposes its exact
 Laplace exponent ``phi(k) = log E[exp(-k * xi(1))]``, which drives both the
 hypothesis checkers and the infinite-horizon truncation rule, and the law of
 ``xi(s)`` at one time as a finite quadrature rule (``xi_rule``), which drives
@@ -17,19 +18,17 @@ inter-arrival gap), so there is no discretization error.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import adaptive_simpson
-
 __all__ = [
     "Poisson",
     "Erlang",
     "RenewalIID",
-    "RenewalSpec",
     "Deterministic",
     "BrownianDrift",
     "ExponentialJumps",
@@ -42,8 +41,6 @@ __all__ = [
     "discount_integral_tail_bound",
 ]
 
-#: truncation tolerance for renewal-series evaluation
-_SERIES_TOL = 1e-8
 #: quadrature for ``xi(s)``: Gauss-Hermite nodes, Gauss nodes per jump count of an
 #: exponential jump sum, and the Poisson cut of ``CompoundPoissonDrift.xi_rule``
 GH_NODES = 64
@@ -55,43 +52,6 @@ TAIL_REL_BOUND = 1e-3
 
 # ---------------------------------------------------------------------------
 # renewal processes
-
-
-@dataclass(frozen=True)
-class Poisson:
-    """Homogeneous Poisson arrivals with intensity ``rate``."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("Poisson rate must be finite and positive")
-
-    is_poisson = True
-
-    def interarrival_laplace(self, s: float) -> float:
-        if s <= -self.rate:
-            raise ValueError("Laplace transform diverges at this argument")
-        return self.rate / (self.rate + s)
-
-    def interarrivals(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Interarrival gaps of the given shape, drawn from ``rng``."""
-        gaps = rng.standard_exponential(shape)
-        gaps /= self.rate
-        return gaps
-
-    def renewal_density(self, t: float, horizon: float) -> float:
-        return self.rate
-
-    def discounted_integral(self, phi: float, T: float) -> float:
-        """``integral_0^T exp(s phi) d(renewal measure)``; ``T = inf`` needs ``phi < 0``."""
-        if math.isinf(T):
-            return self.rate / (-phi)
-        return self.rate * T if phi == 0 else self.rate * (1.0 - math.exp(T * phi)) / (-phi)
-
-    def discounted_tail_bound(self, phi: float, T: float) -> float:
-        """Bound on ``integral_T^inf exp(s phi) d(renewal measure)`` for ``phi < 0`` (exact here)."""
-        return self.rate * math.exp(T * phi) / (-phi)
 
 
 @dataclass(frozen=True)
@@ -110,13 +70,16 @@ class Erlang:
             raise ValueError("Laplace transform diverges at this argument")
         return (self.rate / (self.rate + s)) ** self.k
 
-    def mean(self) -> float:
-        return self.k / self.rate
-
 
 @dataclass(frozen=True)
 class RenewalIID:
-    """Renewal process with independent Erlang interarrivals."""
+    """Renewal process with independent Erlang(k, rate) interarrivals; k = 1 is Poisson.
+
+    With ``w_j`` the k-th roots of unity, the renewal density is the finite sum
+    ``u(t) = (rate/k) sum_j w_j exp(-(1 - w_j) rate t)`` (Cox 1962, *Renewal
+    Theory*), so every discounted integral below is a closed-form sum.  The
+    ``j = 0`` term is a Poisson process of intensity ``rate/k``; the others decay.
+    """
 
     interarrival: Erlang
 
@@ -125,69 +88,55 @@ class RenewalIID:
         """Exponential interarrivals make a Poisson process."""
         return self.interarrival.k == 1
 
+    @functools.cached_property
+    def _modes(self) -> tuple[tuple[complex, complex], ...]:
+        """``(w_j, (1 - w_j) rate)`` for ``j = 1..k-1``: empty for Poisson arrivals."""
+        k, rate = int(self.interarrival.k), self.interarrival.rate
+        roots = (cmath.exp(2j * math.pi * j / k) for j in range(1, k))
+        return tuple((w, (1.0 - w) * rate) for w in roots)
+
     def interarrival_laplace(self, s: float) -> float:
         return self.interarrival.laplace(s)
 
-    def interarrivals(self, rng, shape):
-        gaps = rng.standard_gamma(self.interarrival.k, shape)
+    def interarrivals(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Interarrival gaps of the given shape, drawn from ``rng``.  Exponential gaps
+        use numpy's exponential draw: the stream of its shape-1 gamma draw, but faster."""
+        k = self.interarrival.k
+        gaps = rng.standard_exponential(shape) if k == 1 else rng.standard_gamma(k, shape)
         gaps /= self.interarrival.rate
         return gaps
 
-    def renewal_density(self, t, horizon):
-        """The series of Erlang densities, with as many terms as ``horizon`` needs."""
-        if t <= 0:
-            return 0.0
-        from scipy import special  # here, not at import: it costs ruinflow's import time
-        n_terms = self.series_terms(horizon)
-        a, scale = np.arange(1, n_terms + 1) * self.interarrival.k, 1.0 / self.interarrival.rate
-        x = t / scale  # the Gamma(a, scale) densities in scipy.stats.gamma's own arithmetic
-        return float((np.exp(special.xlogy(a - 1.0, x) - x - special.gammaln(a)) / scale).sum())
+    def renewal_density(self, t: float) -> float:
+        """``u(t)``, clipped at 0 against rounding where it starts from ``u(0) = 0`` (k > 1)."""
+        lam = self.interarrival.rate / self.interarrival.k
+        return max(0.0, lam + lam * sum(w * cmath.exp(-d * t) for w, d in self._modes).real)
 
-    def discounted_integral(self, phi, T):
+    def discounted_integral(self, phi: float, T: float) -> float:
+        """``integral_0^T exp(s phi) d(renewal measure)``; ``T = inf`` needs ``phi < 0``."""
+        lam = self.interarrival.rate / self.interarrival.k
         if math.isinf(T):
-            q = self.interarrival_laplace(-phi)
-            return q / (1.0 - q)
-        return adaptive_simpson(lambda s: math.exp(s * phi) * self.renewal_density(s, T),
-                                0.0, T, rel_tol=1e-6)
+            _require_decay(phi)
+            return lam / (-phi) + lam * sum(w / (d - phi) for w, d in self._modes).real
+        head = lam * T if phi == 0 else lam * (1.0 - math.exp(T * phi)) / (-phi)
+        return head + lam * sum(w * (1.0 - cmath.exp((phi - d) * T)) / (d - phi)
+                                for w, d in self._modes).real
 
-    def discounted_tail_bound(self, phi, T):
-        """A Cauchy-Schwarz split of each renewal term gives
-        ``exp(phi T / 2) * q / (1 - q)`` with ``q = E[exp(tau_1 phi / 2)]``."""
-        q = self.interarrival_laplace(-phi / 2.0)
-        return math.exp(phi * T / 2.0) * q / (1.0 - q)
-
-    def series_terms(self, t: float) -> int:
-        """Number of convolution terms so the neglected renewal-series tail
-        is below the evaluation tolerance.
-
-        Bounds each term by ``P[tau_i <= t] <= exp(s t) * L(s)**i`` with
-        ``L`` the interarrival Laplace transform, so the tail beyond ``I``
-        is geometric; ``s`` is chosen from a small grid.  The bound is
-        compared in log space, since ``exp(s t)`` overflows at long horizons.
-        """
-        return _series_terms(self.interarrival.k, self.interarrival.rate, t)
+    def discounted_tail_bound(self, phi: float, T: float) -> float:
+        """``integral_T^inf exp(s phi) d(renewal measure)`` (exact); needs ``phi < 0``."""
+        _require_decay(phi)
+        lam = self.interarrival.rate / self.interarrival.k
+        return (lam * math.exp(T * phi) / (-phi)
+                + lam * sum(w * cmath.exp((phi - d) * T) / (d - phi) for w, d in self._modes).real)
 
 
-@functools.lru_cache(maxsize=64)
-def _series_terms(k, rate, t) -> int:
-    """:meth:`RenewalIID.series_terms`, cached by value: quadratures ask for it
-    at every node with one horizon, and the key holds no model instance."""
-    interarrival = Erlang(k, rate)
-    mean = interarrival.mean()
-    best = None
-    log_tol = math.log(_SERIES_TOL)
-    for s in (0.5 / mean, 1.0 / mean, 2.0 / mean, 4.0 / mean, 8.0 / mean):
-        q = interarrival.laplace(s)
-        log_prefactor = s * t - math.log1p(-q)
-        i = max(1, int(2 * t / mean))
-        while log_prefactor + (i + 1) * math.log(q) > log_tol and i < 1_000_000:
-            i += max(1, i // 4)
-        if best is None or i < best:
-            best = i
-    return best
+def Poisson(rate: float) -> RenewalIID:
+    """Homogeneous Poisson arrivals with intensity ``rate``: exponential interarrivals."""
+    return RenewalIID(Erlang(1, rate))
 
 
-RenewalSpec = Poisson | RenewalIID
+def _require_decay(phi: float) -> None:
+    if not phi < 0:
+        raise ValueError("discounted renewal integral diverges: the exponent is not negative")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +357,7 @@ class SummabilityResult:
     phi_p2: float
 
 
-def check_discount_summability(proc: ReturnProcess, renewal: RenewalSpec,
+def check_discount_summability(proc: ReturnProcess, renewal: RenewalIID,
                                p1: float, p2: float,
                                tail_index_upper: float) -> SummabilityResult:
     """Verify geometric summability of discounted exceedance moments.
@@ -435,22 +384,16 @@ def check_discount_summability(proc: ReturnProcess, renewal: RenewalSpec,
     return SummabilityResult(True, rho, qr / (1.0 - qr), phi1, phi2)
 
 
-def discount_integral_tail_bound(proc: ReturnProcess, renewal: RenewalSpec,
+def discount_integral_tail_bound(proc: ReturnProcess, renewal: RenewalIID,
                                  alpha: float, T: float) -> float:
-    """Upper bound on ``integral_T^inf E[exp(-alpha xi(s))] d(renewal measure)``.
-
-    The integrand is ``exp(s phi(alpha))``, so the renewal process bounds it
-    (exactly for Poisson arrivals).  Requires ``phi(alpha) < 0``.
-    """
-    phi = proc.laplace_exponent(alpha)
-    if phi >= 0:
-        raise ValueError("discounted integral diverges: Laplace exponent is nonnegative")
-    return renewal.discounted_tail_bound(phi, T)
+    """``integral_T^inf E[exp(-alpha xi(s))] d(renewal measure)``, exact: the integrand
+    is ``exp(s phi(alpha))``.  Requires ``phi(alpha) < 0``."""
+    return renewal.discounted_tail_bound(proc.laplace_exponent(alpha), T)
 
 
-def truncation_horizon(proc: ReturnProcess, renewal: RenewalSpec, alpha: float) -> float:
+def truncation_horizon(proc: ReturnProcess, renewal: RenewalIID, alpha: float) -> float:
     """Horizon ``T*`` past which the discounted tail is below :data:`TAIL_REL_BOUND`
-    of the total discounted integral, in the geometric proxy."""
+    of the total discounted integral."""
     phi = proc.laplace_exponent(alpha)
     if phi >= 0:
         raise ValueError("no finite truncation horizon: Laplace exponent is nonnegative")

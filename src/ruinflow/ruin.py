@@ -39,7 +39,7 @@ from .montecarlo import (
     _Ruin,
     _run_statistics,
 )
-from .processes import RenewalSpec, ReturnProcess
+from .processes import RenewalIID, ReturnProcess
 from .rare_sets import RareSet, RuinSet, from_ruin_set
 
 __all__ = [
@@ -105,7 +105,7 @@ class RuinModel:
     """Surplus model: claims/arrivals/returns, allocation, premiums, ruin set."""
 
     claim: ClaimModel
-    renewal: RenewalSpec
+    renewal: RenewalIID
     ret: ReturnProcess
     alloc: tuple[float, ...]
     ruin_set: RuinSet
@@ -153,13 +153,14 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     _check_premium_finiteness(model, T)
     entrance = model.entrance_model()
     asym, meta = _gate(entrance, sim, unsafe)
-    ruin = _Ruin(model.mapped_set, sim.x_grid)
+    stats = [_Entrance(model.mapped_set, sim.x_grid)]
     if not model.premiums.is_zero:
-        ruin = replace(ruin, premiums=model.premiums, rate=model.ret.constant_force)
-    merged = _run_statistics(entrance, meta["horizon"], sim,
-                             _Entrance(model.mapped_set, sim.x_grid), ruin)
+        stats.append(_Ruin(model.mapped_set, sim.x_grid, model.premiums, model.ret.constant_force))
+    merged = _run_statistics(entrance, meta["horizon"], sim, *stats)
     meta.update(entrance_counts=merged["entrance_counts"], premium_bound=model.premiums.bound)
-    return _estimate_table(sim, merged["ruin_counts"], asym, meta,
+    # without premiums the net claims only grow and the mapped set is increasing, so
+    # ruin by the horizon is the entrance of D(horizon)
+    return _estimate_table(sim, merged.get("ruin_counts", merged["entrance_counts"]), asym, meta,
                            ruin_set=np.full(len(sim.x_grid), model.ruin_set.name))
 
 

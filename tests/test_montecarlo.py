@@ -754,8 +754,9 @@ class TestEngineProperties:
     @settings(max_examples=15, deadline=None)
     def test_counts_non_increasing_in_x(self, model_horizon, seed):
         spec, horizon = model_horizon
+        zero = PremiumSchedule.zero(spec.claim.d)
         merged = _run_statistics(spec, horizon, SimConfig(3_000, seed, horizon),
-                                 _Entrance(spec.rare_set, GRID), _Ruin(spec.rare_set, GRID))
+                                 _Entrance(spec.rare_set, GRID), _Ruin(spec.rare_set, GRID, zero, 0.0))
         for key in ("entrance_counts", "ruin_counts"):
             assert np.all(np.diff(merged[key]) <= 0), key
         # without premiums the running sums peak at the horizon

@@ -8,9 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ruinflow.dependence import ClaimModel
-from ruinflow.estimators import ModelSpec, asymptotic_entrance_finite
-from ruinflow.heavy_tails import Pareto
 from ruinflow.processes import (
     BrownianDrift,
     CompoundPoissonDrift,
@@ -20,12 +17,10 @@ from ruinflow.processes import (
     FixedJumps,
     Poisson,
     RenewalIID,
-    _series_terms,
     check_discount_summability,
     discount_integral_tail_bound,
     truncation_horizon,
 )
-from ruinflow.rare_sets import Ray
 
 from oracles import arrival_times, erlang2_renewal_function
 
@@ -34,7 +29,7 @@ def integrated_density(spec, t: float) -> float:
     """The renewal function at ``t``: the renewal density integrated by scipy."""
     from scipy import integrate
 
-    return integrate.quad(lambda s: spec.renewal_density(s, t), 0, t,
+    return integrate.quad(spec.renewal_density, 0, t,
                           epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
@@ -62,36 +57,79 @@ class TestRenewalFunction:
         assert abs(counts.mean() - integrated_density(spec, t)) < 3 * se
 
     def test_density_poisson(self):
-        assert Poisson(1.7).renewal_density(3.0, 3.0) == 1.7
-
-    def test_series_terms_searched_once_per_horizon(self):
-        # the finite-horizon quadrature asks for the renewal density at every
-        # node with one horizon; the Chernoff search must run once
-        spec = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0),
-                         RenewalIID(Erlang(2, 2.0)), Deterministic(0.05))
-        _series_terms.cache_clear()
-        asymptotic_entrance_finite(spec, 50.0, 10.0)
-        info = _series_terms.cache_info()
-        assert info.misses == 1
-        assert info.hits > 1
+        assert Poisson(1.7).renewal_density(3.0) == 1.7
 
     @pytest.mark.parametrize("k, rate", [(1, 0.3), (2, 2.0), (3, 1.0), (5, 7.5)])
     def test_density_erlang_is_scipy_gamma_sum(self, k, rate):
         spec = RenewalIID(Erlang(k, rate))
-        for horizon in (None, 10.0, 60.0):  # None: the horizon is t itself
-            for t in np.geomspace(1e-3, 50.0, 40):
-                h = t if horizon is None else horizon
-                a = np.arange(1, spec.series_terms(h) + 1) * k
-                want = float(stats.gamma.pdf(t, a=a, scale=1.0 / rate).sum())
-                assert spec.renewal_density(t, horizon=h) == want
+        a = np.arange(1, 401) * k  # 400 terms: their tail is far below rounding up to t = 50
+        for t in np.geomspace(1e-3, 50.0, 40):
+            want = float(stats.gamma.pdf(t, a=a, scale=1.0 / rate).sum())
+            assert spec.renewal_density(t) == pytest.approx(want, rel=1e-12, abs=1e-14 * rate)
 
     def test_density_erlang_integrates_to_renewal_function(self):
         from scipy import integrate
 
         spec = RenewalIID(Erlang(2, 2.0))
-        val, _ = integrate.quad(lambda s: spec.renewal_density(s, horizon=5.0), 0, 5.0,
-                                limit=200)
+        val, _ = integrate.quad(spec.renewal_density, 0, 5.0, limit=200)
         assert val == pytest.approx(erlang2_renewal_function(2.0, 5.0), rel=1e-6)
+
+
+_RENEWALS = [Poisson(1.3), RenewalIID(Erlang(2, 2.0)), RenewalIID(Erlang(3, 1.0)),
+             RenewalIID(Erlang(5, 7.5))]
+
+
+def _name(spec) -> str:
+    return f"erlang-{spec.interarrival.k}-{spec.interarrival.rate}"
+
+
+def _quad(f, a, b):
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+
+class TestDiscountedIntegrals:
+    """The closed-form sums over the roots of unity against scipy's quadrature
+    of the renewal density."""
+
+    @pytest.mark.parametrize("spec", _RENEWALS, ids=_name)
+    @pytest.mark.parametrize("phi", [-0.4, -0.02, 0.0])
+    def test_finite_horizon_matches_quad(self, spec, phi):
+        for T in (0.3, 4.0, 30.0):
+            want = _quad(lambda s: math.exp(phi * s) * spec.renewal_density(s), 0.0, T)
+            assert spec.discounted_integral(phi, T) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("spec", _RENEWALS, ids=_name)
+    @pytest.mark.parametrize("phi", [-0.4, -0.02])
+    def test_infinite_horizon_and_tail_match_quad(self, spec, phi):
+        f = lambda s: math.exp(phi * s) * spec.renewal_density(s)
+        q = spec.interarrival_laplace(-phi)
+        total = spec.discounted_integral(phi, math.inf)
+        assert total == pytest.approx(q / (1.0 - q), rel=1e-12)
+        assert total == pytest.approx(_quad(f, 0.0, math.inf), rel=1e-9)
+        for T in (0.3, 4.0, 30.0):
+            assert spec.discounted_tail_bound(phi, T) == pytest.approx(_quad(f, T, math.inf),
+                                                                        rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [Poisson(1.0), RenewalIID(Erlang(2, 2.0))], ids=_name)
+    @pytest.mark.parametrize("phi", [0.1, 0.0])
+    def test_divergent_integrals_raise(self, spec, phi):
+        with pytest.raises(ValueError):
+            spec.discounted_integral(phi, math.inf)
+        with pytest.raises(ValueError):
+            spec.discounted_tail_bound(phi, 5.0)
+
+    def test_poisson_is_erlang_one(self):
+        assert Poisson(2.5) == RenewalIID(Erlang(1, 2.5))
+        ret = Deterministic(0.05)
+        assert (truncation_horizon(ret, Poisson(1.0), 1.5)
+                == truncation_horizon(ret, RenewalIID(Erlang(1, 1.0)), 1.5))
+
+    def test_exponential_gaps_are_the_shape_one_gamma_stream(self):
+        gaps = Poisson(2.0).interarrivals(np.random.default_rng(30), (2, 500))
+        want = np.random.default_rng(30).standard_gamma(1.0, (2, 500)) / 2.0
+        assert np.array_equal(gaps, want)
 
 
 def _modules_after(code: str, roots=("scipy",)) -> str:

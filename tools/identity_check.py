@@ -17,8 +17,8 @@ same list and their outputs compare with ``cmp``:
   the weight counts and models it leaves out: 2 and 4 weights on the FGM
   chain (no lone last vector) and 3 on the cubic pair (a cubic lone vector);
 * entrance runs at T = 10, sized and recorded like the workloads, on the
-  models that load ``scipy.special`` when called: lognormal claims, Erlang
-  renewals (``renewal_density``) and compound-Poisson returns (``xi_rule``);
+  models the workloads leave out: lognormal claims, Erlang renewals
+  (``renewal_density``) and compound-Poisson returns (``xi_rule``);
 * ruin runs at T = 10, sized and recorded like the workloads, on the premium
   paths the ``ruin-premium`` workload leaves out: a three-piece schedule
   under ``Deterministic(0.07)``, a negative constant force
@@ -30,6 +30,10 @@ same list and their outputs compare with ``cmp``:
 * ``mrv_closed_form`` on the regularly varying workload models (for ruin, the
   entrance model of the mapped set) at every grid point, at T = 10 and, where
   ``phi(alpha) < 0``, at T = inf;
+* for ``Poisson(1)``, the same law spelled ``RenewalIID(Erlang(1, 1))``, and
+  Erlang(2, 2) and Erlang(3, 1) renewals: the ``truncation_horizon`` under
+  ``Deterministic(0.05)`` at index 1.5, and ``mrv_closed_form`` of an IID
+  ``Pareto(1.5)`` pair on ``HalfSpace((0.5, 0.5), 1)`` at T = 10 and T = inf;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, in both table formats, recording the exit code, the sha256 of the
   table file, its rows (CSV rows as their text lines), the report without
@@ -199,6 +203,23 @@ def mrv_columns() -> dict:
     return out
 
 
+def renewal_columns() -> dict:
+    from ruinflow import (ClaimModel, Deterministic, Erlang, HalfSpace, ModelSpec, Pareto,
+                          Poisson, RenewalIID, truncation_horizon)
+    from ruinflow.estimators import mrv_closed_form
+
+    ret, pair = Deterministic(0.05), ClaimModel.iid((Pareto(1.5, 1.0),) * 2)
+    renewals = {"poisson-1": Poisson(1.0), "erlang-1-1": RenewalIID(Erlang(1, 1.0)),
+                "erlang-2-2": RenewalIID(Erlang(2, 2.0)), "erlang-3-1": RenewalIID(Erlang(3, 1.0))}
+    out = {}
+    for name, renewal in renewals.items():
+        model = ModelSpec(pair, HalfSpace((0.5, 0.5), 1.0), renewal, ret)
+        out[name] = {"truncation_horizon": truncation_horizon(ret, renewal, 1.5),
+                     **{repr(T): [mrv_closed_form(model, x, T) for x in (10.0, 50.0, 250.0)]
+                        for T in (10.0, math.inf)}}
+    return out
+
+
 def _configs() -> dict:
     """File name -> (config, CLI overrides): the demo configs, the two
     gate-failure runs and the three rejected claim blocks."""
@@ -264,7 +285,7 @@ def main(argv=None) -> int:
 
     print(f"ruinflow from {Path(ruinflow.__file__).parent}", file=sys.stderr)
     result = {"workloads": workloads(), "mrv_closed_form": mrv_columns(),
-              "demo_configs": demo_configs()}
+              "renewals": renewal_columns(), "demo_configs": demo_configs()}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     variant = [k for k, v in result["workloads"].items() if not v["worker_invariant"]]
     for name in variant:
