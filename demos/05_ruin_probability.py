@@ -55,5 +55,5 @@ for ruin_set in (AnyLineNegative(), WeightedSumNegative()):
     m = RuinModel(claim=model.claim, renewal=model.renewal, ret=model.ret,
                   alloc=model.alloc, ruin_set=ruin_set, premiums=model.premiums)
     x = 100.0
-    print(f"  psi_{ruin_set.name:3s}(x={x:g}, T={T:g}) ~ {asymptotic_ruin(m, x, T):.3e}"
+    print(f"  psi_{ruin_set.name:3s}(x={x:g}, T={T:g}) ~ {asymptotic_ruin(m, x, T).value:.3e}"
           f"   infinite horizon: {asymptotic_ruin(m, x, math.inf).value:.3e}")

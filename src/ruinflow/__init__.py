@@ -20,8 +20,8 @@ from .dependence import (
     scalarized_survival,
 )
 from .estimators import (
+    HorizonEstimate,
     HypothesisError,
-    InfiniteHorizonEstimate,
     ModelSpec,
     MrvSpec,
     asymptotic_entrance_finite,

@@ -159,10 +159,16 @@ def _mode_lines(mode: str | None, checks) -> list[str]:
         f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
 
 
+def _unconverged_lines(table) -> list[str]:
+    """A report line naming the rows whose asymptotic value did not converge, if any."""
+    bad = table.x[~table.meta["asymptotic_converged"]].tolist()
+    return [f"asymptotic column not converged at x = {bad}"] if bad else []
+
+
 def _entrance(cfg, spec, sim):
     table = empirical_entrance(spec, sim, unsafe=cfg["unsafe"])
     lines = [f"rows: {len(table.x)}  flagged (zero exceedances): "
-             f"{table.x[table.count == 0].tolist()}"]
+             f"{table.x[table.count == 0].tolist()}", *_unconverged_lines(table)]
     last = table.ratio[~np.isnan(table.ratio)][-3:]
     if last.size == 3:
         lines.append(f"final-three-point ratio spread: {float(last.max() - last.min()):.4f}")
@@ -174,7 +180,7 @@ def _entrance(cfg, spec, sim):
 
 def _ruin(cfg, model, sim):
     table = empirical_ruin(model, sim.x_grid, sim.horizon, sim, unsafe=cfg["unsafe"])
-    return table, [f"ruin set: {model.ruin_set.name}"], 0
+    return table, [f"ruin set: {model.ruin_set.name}", *_unconverged_lines(table)], 0
 
 
 def _entrance_time(cfg, spec, sim):

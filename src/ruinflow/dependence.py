@@ -325,17 +325,22 @@ def scalarized_survival(model: ClaimModel, rare_set: RareSet, x):
     by adaptive quadrature of the convolution.  Anything else raises
     :class:`UnsupportedModelError` directing the caller to Monte Carlo.
     """
+    x = np.asarray(x, dtype=float)
+    out, _ = _scalarized_survival(model, rare_set, np.atleast_1d(x))
+    return float(out[0]) if x.ndim == 0 else out
+
+
+def _scalarized_survival(model: ClaimModel, rare_set: RareSet, x: np.ndarray):
+    """:func:`scalarized_survival` at each entry of the 1-d ``x``, and the mask of
+    entries whose quadrature did not converge (None for a closed form)."""
     if model.d != rare_set.dim:
         raise ValueError("model dimension does not match set dimension")
     if not model.identically_distributed:
         raise UnsupportedModelError(
             "scalarized survival needs identically distributed vectors")
-    x = np.asarray(x, dtype=float)
-    xv = np.atleast_1d(x)
-    if np.any(xv < 0):
-        raise ValueError("threshold must be nonnegative")
-    out = rare_set.scalarized_survival(model.margins, xv)
-    return float(out[0]) if x.ndim == 0 else out
+    if not np.all(x >= 0):  # NaN fails too
+        raise ValueError("threshold must be nonnegative and not NaN")
+    return rare_set.scalarized_survival(model.margins, x)
 
 
 # ---------------------------------------------------------------------------

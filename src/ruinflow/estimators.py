@@ -34,8 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import adaptive_simpson
-from .dependence import ClaimModel, UnsupportedModelError, scalarized_survival
+from ._util import GK_REL_TOL, gauss_kronrod, kronrod_weights
+from .dependence import (
+    ClaimModel,
+    UnsupportedModelError,
+    _scalarized_survival,
+    scalarized_survival,
+)
 from .heavy_tails import Pareto, TailDistribution
 from .processes import (
     TAIL_REL_BOUND,
@@ -57,7 +62,7 @@ __all__ = [
     "single_claim_entrance",
     "asymptotic_entrance_finite",
     "asymptotic_entrance_infinite",
-    "InfiniteHorizonEstimate",
+    "HorizonEstimate",
     "mrv_mu",
     "mrv_closed_form",
     "derive_mrv",
@@ -228,10 +233,10 @@ def single_claim_entrance(model: ModelSpec, x: float, s: float) -> float:
     """Entrance probability ``E[ S_A(x exp(xi(s))) ]`` of a single discounted
     claim at lag ``s``: the scalarized single-vector survival ``S_A`` summed
     over the return process's quadrature rule for ``xi(s)``."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError("threshold must be positive")
-    if s < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     nodes, weights = model.ret.xi_rule(s)
     return float(weights @ scalarized_survival(model.claim, model.rare_set, x * np.exp(nodes)))
 
@@ -239,46 +244,175 @@ def single_claim_entrance(model: ModelSpec, x: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 # horizon integrals
 
-
-def asymptotic_entrance_finite(model: ModelSpec, x: float, T: float,
-                               rel_tol: float = 1e-4, unsafe: bool = False) -> float:
-    """First-order entrance approximation over a finite horizon.
-
-    Adaptive Simpson integration of the single-claim entrance probability
-    against the renewal density; the hypothesis gate runs first unless
-    ``unsafe`` is set.
-    """
-    if T == 0:
-        return 0.0
-    if not unsafe:
-        resolve_finite_mode(model, T).require()
-    f = lambda s: single_claim_entrance(model, x, s) * model.renewal.renewal_density(s)
-    return adaptive_simpson(f, 0.0, T, rel_tol=rel_tol)
+#: survival-table nodes per decade of ``v - floor``, the table's node cap, and the
+#: largest table error (averaged over a row's integrand) of a converged row
+TABLE_NODES_PER_DECADE, TABLE_MAX_NODES, TABLE_REL_TOL = 20, 1200, 1e-6
+_PAD = 3  # table nodes past the points on each side: their cells' slopes are 4th order
 
 
 @dataclass(frozen=True)
-class InfiniteHorizonEstimate:
-    """Truncated infinite-horizon value with its analytic tail bound."""
+class HorizonEstimate:
+    """A horizon integral per threshold (floats for one threshold): the value up to
+    ``horizon``, its relative error (the quadrature's estimate plus the survival
+    table's certificate), ``converged`` (False when either exceeds its tolerance
+    or a convolution behind the table did not converge), and the analytic bound
+    on the tail past ``horizon`` (0 for a finite horizon)."""
 
-    value: float
-    horizon: float
-    tail_bound: float
-    tail_bound_rel: float
+    value: float | np.ndarray
+    rel_error: float | np.ndarray
+    converged: bool | np.ndarray
+    horizon: float | np.ndarray
+    tail_bound: float | np.ndarray
+    tail_bound_rel: float | np.ndarray
 
     def __float__(self) -> float:
-        return self.value
+        return float(self.value)
 
 
-def asymptotic_entrance_infinite(model: ModelSpec, x: float,
-                                 unsafe: bool = False) -> InfiniteHorizonEstimate:
-    """First-order entrance approximation with ``T = infinity``.
+class _Column:
+    """The horizon integrals of one model at a 1-d array of thresholds, span by span.
 
-    Evaluates the finite integral up to a truncation horizon and attaches an
-    analytic bound on the neglected tail; the horizon grows until the bound
-    drops below :data:`~ruinflow.processes.TAIL_REL_BOUND` of the running
-    value.  The bound combines the global polynomial envelope of the
-    scalarized claim law with the geometric decay of the discounted moments.
+    The integrand at lag ``s`` is the renewal density times ``E[S_A(x
+    exp(xi(s)))]`` over the return process's rule for ``xi(s)``.  ``S_A`` is
+    read from one table, grown to span the points asked for: exactly 1 at or
+    below the floor (the scalarized support floors of the margins), and above
+    it ``ln S_A`` on the lattice ``ln(v - floor) = k h`` (nodes and midpoints
+    interleaved from half-index ``j0``), read by cubic Hermite with
+    fourth-order difference slopes.  Each cell is certified by a direct
+    evaluation at its midpoint, where the Hermite error peaks.  A point below
+    the first node of a table capped at :data:`TABLE_MAX_NODES` reads that
+    node, within ``1 / S_A(node) - 1``.
     """
+
+    def __init__(self, model: ModelSpec, x):
+        self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.x.ndim > 1 or not np.all((self.x > 0) & (self.x < math.inf)):
+            raise ValueError("thresholds must be finite and positive")
+        self.model, self.h, self.j0 = model, math.log(10.0) / TABLE_NODES_PER_DECADE, 0
+        self.floor = z_index(model.rare_set, [m.support_min for m in model.claim.margins])
+        self.ln, self.bad = np.empty(0), np.empty(0, dtype=bool)
+        # per row: value, quadrature error, table error, and whether a cell read was unconverged
+        self.value, self.quad_err, self.table_err = np.zeros((3, self.x.size))
+        self.unconverged = np.zeros(self.x.size, dtype=bool)
+
+    def _cover(self, j_lo: int, j_hi: int) -> None:
+        """Tabulate the half-indices ``j_lo..j_hi`` (even) that are new."""
+        old_lo, old_hi = self.j0, self.j0 + self.ln.size - 1
+        if not self.ln.size:
+            old_lo, old_hi = j_hi + 1, j_hi
+        elif j_lo >= old_lo and j_hi <= old_hi:
+            return
+        j_lo, j_hi = min(j_lo, old_lo), max(j_hi, old_hi)
+        new = np.r_[j_lo:old_lo, old_hi + 1:j_hi + 1]
+        surv, bad = _scalarized_survival(self.model.claim, self.model.rare_set,
+                                         self.floor + np.exp(0.5 * self.h * new))
+        bad = np.zeros(new.size, dtype=bool) if bad is None else bad
+        with np.errstate(divide="ignore"):
+            ln = np.maximum(np.log(surv), -700.0)  # an underflow stays finite
+        k = old_lo - j_lo
+        self.ln, self.bad = np.r_[ln[:k], self.ln, ln[k:]], np.r_[bad[:k], self.bad, bad[k:]]
+        self.j0, f = j_lo, self.ln[::2]
+        d = np.gradient(f, edge_order=2)  # slopes per node step
+        d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
+        rise, d0, d1 = np.diff(f), d[:-1], d[1:]
+        self.cubic = (d0 + d1 - 2.0 * rise, 3.0 * rise - 2.0 * d0 - d1, d0, f[:-1])  # in t, Horner
+        mid = f[:-1] + 0.5 * rise + 0.125 * (d0 - d1)
+        self.cell_err = np.expm1(np.minimum(np.abs(mid - self.ln[1::2]), 700.0))
+        self.cell_bad = self.bad[:-2:2] | self.bad[1::2] | self.bad[2::2]
+
+    def survival(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``S_A`` at each entry of ``v``, its relative error bound, and whether a
+        quadrature behind it did not converge."""
+        surv, err, bad = np.ones_like(v), np.zeros_like(v), np.zeros(v.shape, dtype=bool)
+        above = v > self.floor
+        if not above.any():
+            return surv, err, bad
+        t = np.log(v[above] - self.floor) / self.h
+        k_hi = math.ceil(t.max()) + _PAD
+        self._cover(2 * max(math.floor(t.min()) - _PAD, k_hi + 1 - TABLE_MAX_NODES), 2 * k_hi)
+        t -= self.j0 // 2
+        gap = t < 0.0
+        cell = np.minimum(np.maximum(t, 0.0, out=t).astype(np.intp), self.cell_err.size - 1)
+        t -= cell
+        ln = self.cubic[0].take(cell)
+        for coef in self.cubic[1:]:
+            ln *= t
+            ln += coef.take(cell)
+        surv[above] = np.exp(ln)
+        err[above] = np.where(gap, np.expm1(-self.ln[0]), self.cell_err.take(cell))
+        bad[above] = self.cell_bad.take(cell) | (gap & self.bad[0])
+        return surv, err, bad
+
+    def add(self, rows: np.ndarray, a: float, b: float) -> None:
+        """Integrate the rows ``rows`` over ``[a, b]`` and add to their records; the
+        table error is the cells' certificates averaged over the integrand by the
+        first round's one Kronrod panel."""
+        if not rows.size:
+            return
+        first = []
+
+        def integrand(s, live):
+            rules = [self.model.ret.xi_rule(t) for t in s]
+            starts = np.cumsum([0] + [nodes.size for nodes, _ in rules[:-1]])
+            nodes = np.concatenate([nodes for nodes, _ in rules])
+            weights = np.concatenate([w * self.model.renewal.renewal_density(t)
+                                      for t, (_, w) in zip(s, rules)])
+            surv, err, bad = self.survival(self.x[rows[live], None] * np.exp(nodes))
+            self.unconverged[rows[live]] |= bad.any(axis=1)
+            if not first:  # the first round: every row on one panel, the nodes of kronrod_weights
+                first.extend((surv * weights, err, starts))
+            return np.add.reduceat(surv * weights, starts, axis=1)
+
+        value, err = gauss_kronrod(integrand, a, b, rows.size)
+        terms, rel, starts = first
+        num, den = (np.add.reduceat(y, starts, axis=1) @ kronrod_weights(a, b)
+                    for y in (terms * rel, terms))
+        self.value[rows] += value
+        self.quad_err[rows] += err
+        self.table_err[rows] += value * np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+    def estimate(self, x, horizon, tail_bound) -> HorizonEstimate:
+        """The rows' record, shaped like ``x``."""
+        quad, table = (np.divide(e, self.value, out=np.where(e > 0, np.inf, 0.0),
+                                 where=self.value > 0) for e in (self.quad_err, self.table_err))
+        converged = (quad <= GK_REL_TOL) & (table <= TABLE_REL_TOL) & ~self.unconverged
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cols = (self.value, quad + table, converged, horizon, tail_bound,
+                    tail_bound / self.value)
+        return HorizonEstimate(*(c[0].item() for c in cols) if np.ndim(x) == 0 else cols)
+
+
+def asymptotic_entrance_finite(model: ModelSpec, x, T: float,
+                               unsafe: bool = False) -> HorizonEstimate:
+    """First-order entrance approximation over a finite horizon, at one threshold
+    or a 1-d array of them.
+
+    Adaptive Gauss-Kronrod integration of the single-claim entrance
+    probability against the renewal density, for every threshold at once;
+    the hypothesis gate runs first unless ``unsafe`` is set.
+    """
+    column = _Column(model, x)
+    if not 0 <= T < math.inf:
+        raise ValueError("need a finite nonnegative horizon; use asymptotic_entrance_infinite")
+    if T > 0:
+        if not unsafe:
+            resolve_finite_mode(model, T).require()
+        column.add(np.arange(column.x.size), 0.0, T)
+    return column.estimate(x, np.full(column.x.size, T), np.zeros(column.x.size))
+
+
+def asymptotic_entrance_infinite(model: ModelSpec, x, unsafe: bool = False) -> HorizonEstimate:
+    """First-order entrance approximation with ``T = infinity``, at one threshold or
+    a 1-d array of them.
+
+    Each threshold runs to its own truncation horizon: from
+    ``truncation_horizon`` it grows by 1.25, integrating only the added
+    stretch, until the analytic bound on the neglected tail is at most
+    :data:`~ruinflow.processes.TAIL_REL_BOUND` of the value.  The bound
+    combines the global polynomial envelope of the scalarized claim law with
+    the geometric decay of the discounted moments.
+    """
+    column = _Column(model, x)
     if not unsafe:
         resolve_infinite_mode(model).require()
     env = model.claim.pareto_envelope(model.rare_set)
@@ -287,13 +421,18 @@ def asymptotic_entrance_infinite(model: ModelSpec, x: float,
             "truncation bound needs a polynomial envelope with one shared tail index")
     c_env, alpha = env
     T = truncation_horizon(model.ret, model.renewal, alpha)
+    n = column.x.size
+    live, reach, bound = np.arange(n), np.full(n, T), np.zeros(n)
+    column.add(live, 0.0, T)
     for _ in range(60):
-        value = asymptotic_entrance_finite(model, x, T, unsafe=True)
-        bound = c_env * x**-alpha * discount_integral_tail_bound(
+        bound[live] = c_env * column.x[live] ** -alpha * discount_integral_tail_bound(
             model.ret, model.renewal, alpha, T)
-        if bound <= TAIL_REL_BOUND * value:
-            return InfiniteHorizonEstimate(value, T, bound, bound / value)
+        live = live[bound[live] > TAIL_REL_BOUND * column.value[live]]
+        if not live.size:
+            return column.estimate(x, reach, bound)
+        column.add(live, T, 1.25 * T)
         T *= 1.25
+        reach[live] = T
     raise RuntimeError("truncation horizon search did not converge")  # pragma: no cover
 
 

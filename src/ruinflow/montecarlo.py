@@ -418,26 +418,27 @@ def _gate(model: ModelSpec, sim: SimConfig, unsafe: bool) -> tuple[np.ndarray, d
     """Gate the model, fill the asymptotic column over ``sim.x_grid``, fix the horizon.
 
     Returns the column and the run's metadata, which records the gate's
-    report; an infinite horizon is simulated up to the largest truncation
-    horizon of the grid.
+    report and the column's per-row ``asymptotic_rel_error`` and
+    ``asymptotic_converged``; an infinite horizon is simulated up to the
+    largest truncation horizon of the grid.
     """
     report = (resolve_infinite_mode(model) if math.isinf(sim.horizon)
               else resolve_finite_mode(model, sim.horizon))
     if not unsafe:
         report.require()
+    x = np.asarray(sim.x_grid, dtype=float)
     if math.isinf(sim.horizon):
-        estimates = [asymptotic_entrance_infinite(model, x, unsafe=True) for x in sim.x_grid]
-        asym = [e.value for e in estimates]
-        horizon = max(e.horizon for e in estimates)
+        est = asymptotic_entrance_infinite(model, x, unsafe=True)
+        horizon = float(est.horizon.max())
         meta = _run_meta(sim, report, horizon, truncation_horizon=horizon,
-                         tail_bound_rel=max(e.tail_bound_rel for e in estimates))
+                         tail_bound_rel=float(est.tail_bound_rel.max()))
     else:
-        asym = [asymptotic_entrance_finite(model, x, sim.horizon, unsafe=True)
-                for x in sim.x_grid]
+        est = asymptotic_entrance_finite(model, x, sim.horizon, unsafe=True)
         meta = _run_meta(sim, report, sim.horizon)
+    meta.update(asymptotic_rel_error=est.rel_error, asymptotic_converged=est.converged)
     if unsafe:
         meta["hypotheses_verified"] = False
-    return np.asarray(asym), meta
+    return est.value, meta
 
 
 def empirical_entrance(model: ModelSpec, sim: SimConfig, unsafe: bool = False) -> ResultTable:

@@ -16,9 +16,11 @@ Each set class carries everything that depends on its shape: the
 scalarization (``_scalarize``), the membership test from the definition
 (``_contains``), the constant of its polynomial envelope
 (``envelope_constant``) and the survival of the scalarized claim vector for
-independent margins (``scalarized_survival``).  The module functions check
-their arguments and call through.  Weighted sums add the columns left to
-right, so a value does not depend on the memory order of the batch.
+independent margins (``scalarized_survival``, which returns the values and
+the mask of those whose quadrature did not converge, None for a closed
+form).  The module functions check their arguments and call through.
+Weighted sums add the columns left to right, so a value does not depend on
+the memory order of the batch.
 
 Ruin sets (open, decreasing, scale-insensitive sets touching the origin) map
 onto this catalog through :func:`from_ruin_set`.
@@ -86,7 +88,7 @@ class MaxExceed:
         cdf_prod = np.ones_like(x)
         for m, b in zip(margins, self.b):
             cdf_prod = cdf_prod * (1.0 - m.survival(x * b))
-        return 1.0 - cdf_prod
+        return 1.0 - cdf_prod, None
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ class HalfSpace:
         active = np.flatnonzero(l > 0)
         if active.size == 1:
             j = active[0]
-            return np.asarray(margins[j].survival(x * self.b / l[j]))
+            return np.asarray(margins[j].survival(x * self.b / l[j])), None
         if active.size == 2 and self.dim == 2:
             return _weighted_sum_survival(margins, l, self.b * x)
         raise UnsupportedModelError(
@@ -170,7 +172,7 @@ class Ray:
         return float(cs[0] * self.b**-alpha)
 
     def scalarized_survival(self, margins, x):
-        return np.asarray(margins[0].survival(x * self.b))
+        return np.asarray(margins[0].survival(x * self.b)), None
 
 
 @dataclass(frozen=True)

@@ -182,8 +182,8 @@ def _check_premium_finiteness(model: RuinModel, T: float) -> None:
 def asymptotic_ruin(model: RuinModel, x: float, T: float, unsafe: bool = False):
     """First-order ruin approximation: the entrance value on the mapped set.
 
-    Finite horizons return a float; ``T = math.inf`` returns an
-    :class:`~ruinflow.estimators.InfiniteHorizonEstimate`.
+    Returns a :class:`~ruinflow.estimators.HorizonEstimate`; ``T`` may be
+    ``math.inf``.
     """
     entrance = model.entrance_model()
     _check_premium_finiteness(model, T)

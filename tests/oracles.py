@@ -120,6 +120,81 @@ def deterministic_pareto_entrance_integral(alpha: float, scale: float, lam: floa
 
 
 # ---------------------------------------------------------------------------
+# nested quadrature of the first-order horizon integral
+#
+# ``integral_0^T E[S_A(x exp(xi(s)))] u(s) ds`` by nested ``integrate.quad``
+# at epsrel 1e-12, with the law of ``xi(s)`` integrated by its own density.
+
+NESTED_EPSREL = 1e-12
+
+
+def _quad(f, a, b, **kw):
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=NESTED_EPSREL, limit=500, **kw)[0]
+
+
+def deterministic_horizon_integral(sa, density, r: float, x: float, T: float) -> float:
+    """``xi(s) = r s``: one quadrature over the lag against the renewal density."""
+    return _quad(lambda s: sa(x * math.exp(r * s)) * density(s), 0.0, T)
+
+
+def brownian_occupation_density(y: float, mu: float, sigma: float, T: float) -> float:
+    """``integral_0^T`` of the normal density of ``mu s + sigma B(s)`` at ``y``, ``mu != 0``.
+
+    With ``a = |y|/sigma`` and ``b = |mu|/sigma``, the Laplace-transform pair
+    of the inverse Gaussian law gives ``e^{y mu/sigma^2} / (2 b sigma)`` times
+    ``e^{-ab} erfc((a - bT)/sqrt(2T)) - e^{ab} erfc((a + bT)/sqrt(2T))``; the
+    second term goes through ``erfcx`` so that it cannot overflow.
+    """
+    from scipy import special
+
+    a, b = abs(y) / sigma, abs(mu) / sigma
+    z1, z2 = (a - b * T) / math.sqrt(2.0 * T), (a + b * T) / math.sqrt(2.0 * T)
+    bracket = math.exp(-a * b) * special.erfc(z1) - math.exp(a * b - z2 * z2) * special.erfcx(z2)
+    return math.exp(y * mu / sigma**2) * bracket / (2.0 * b * sigma)
+
+
+def brownian_horizon_integral(sa, rate: float, mu: float, sigma: float, x: float,
+                              T: float) -> float:
+    """``xi(s) = mu s + sigma B(s)`` under Poisson(rate) arrivals, for a set whose
+    ``S_A`` is one below a unit floor.
+
+    The order is swapped: the lag integral of the density of ``xi(s)`` is the
+    occupation density above, and ``S_A(x e^y)`` is integrated against it,
+    split at ``y = -ln x`` (below it ``S_A`` is one) and at the kernel's kink
+    ``y = 0``.
+    """
+    kernel = lambda y: rate * brownian_occupation_density(y, mu, sigma, T)
+    cut = -math.log(x)
+    reach = abs(mu) * T + 40.0 * sigma * math.sqrt(T)
+    edges = sorted({cut, cut + reach} | ({0.0} if cut < 0.0 else set()))
+    total = _quad(kernel, cut - reach, cut)
+    for lo, hi in zip(edges, edges[1:]):
+        total += _quad(lambda y: sa(x * math.exp(y)) * kernel(y), lo, hi)
+    return total
+
+
+def compound_poisson_horizon_integral(sa, rate: float, drift: float, jump_rate: float,
+                                      jump_mean: float, x: float, T: float) -> float:
+    """``xi(s)`` a drift plus Poisson(jump_rate s) exponential jumps (mean ``jump_mean``),
+    under Poisson(rate) arrivals: the jump sum's law is the Poisson mixture of
+    gamma densities, each integrated by quadrature, summed until the Poisson
+    weight is below 1e-16 past the mean."""
+    def mean_sa(s):
+        m, base = jump_rate * s, x * math.exp(drift * s)
+        total, k, pk = math.exp(-m) * sa(base), 0, math.exp(-m)
+        while k < m or pk > 1e-16:
+            k += 1
+            pk *= m / k
+            log_norm = math.lgamma(k) + k * math.log(jump_mean)
+            gamma = lambda g, k=k, c=log_norm: math.exp((k - 1) * math.log(g) - g / jump_mean - c)
+            top = jump_mean * (k + 40.0 * math.sqrt(k) + 40.0)
+            total += pk * _quad(lambda g: sa(base * math.exp(g)) * gamma(g), 0.0, top)
+        return total
+
+    return rate * _quad(mean_sa, 0.0, T)
+
+
+# ---------------------------------------------------------------------------
 # conditional Monte Carlo (Asmussen–Kroese) for entrance probabilities
 #
 # The estimators below share with the library only the margins' ``survival``

@@ -398,6 +398,20 @@ class TestGates:
         report = out.with_suffix(".report.txt").read_text()
         assert "hypotheses not verified" in report
 
+    def test_unconverged_rows_are_named(self, tmp_path):
+        # heavy-Weibull margins under Brownian returns: the convolution behind the
+        # survival table does not converge, and every row of the column says so
+        cfg = json.loads((DEMOS / "configs" / "reference_entrance.json").read_text())
+        cfg["model"]["claim"]["margins"] = [{"type": "heavy_weibull", "shape": 0.5}] * 2
+        cfg["model"]["return"] = {"type": "brownian", "mu": 0.1, "sigma": 0.2}
+        cfg["sim"]["n_paths"] = 2000
+        out = tmp_path / "weibull"
+        with pytest.warns(RuntimeWarning, match="unconverged"):
+            assert run(write(tmp_path, cfg), {"unsafe": True, "out": str(out)}) == 0
+        lines = out.with_suffix(".report.txt").read_text().splitlines()
+        grid = [float(x) for x in cfg["sim"]["x_grid"]]
+        assert f"asymptotic column not converged at x = {grid}" in lines
+
     def test_assumption_report_pass_and_fail(self, tmp_path):
         ok = base_config(tmp_path / "rep_ok", experiment="assumption_report")
         assert run(write(tmp_path, ok, "ok.json")) == 0
@@ -543,6 +557,7 @@ def test_demo_config_runs(config, tmp_path):
     assert [t.exists() for t in tables] == [code == 0] * 2
     if code == 0:
         assert tables[0].read_bytes() == tables[1].read_bytes()
+        assert "not converged" not in out.with_suffix(".report.txt").read_text()
 
 
 @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.name)

@@ -281,12 +281,15 @@ class TestScalarizedSurvival:
         assert got == pytest.approx(want, rel=1e-7)
 
     def test_unconverged_quadrature_is_signalled(self):
-        # an interior jump defeats the endpoint-clustered rule
+        # an interior jump defeats the endpoint-clustered rule; the smooth entry
+        # beside it converges, and the returned mask tells the two apart
         from ruinflow._util import _left_concentrated_quad
 
-        with pytest.warns(RuntimeWarning, match="unconverged"):
-            _left_concentrated_quad(lambda y, s: (y < s).astype(float),
-                                    0.0, np.array([5.0]), np.array([math.pi]))
+        with pytest.warns(RuntimeWarning, match="unconverged at 1 threshold"):
+            _, unconverged = _left_concentrated_quad(
+                lambda y, s: np.where(s > 3.0, (y < s).astype(float), np.exp(-y)),
+                0.0, np.array([5.0, 5.0]), np.array([math.pi, 1.0]))
+        assert unconverged.tolist() == [True, False]
 
     def test_half_space_pareto_one_against_large_monte_carlo(self):
         # quadrature vs a 1e7-sample empirical survival at x = 100

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ruinflow._util import adaptive_simpson
-from ruinflow.dependence import ClaimModel, UnsupportedModelError
+from ruinflow import _util, estimators
+from ruinflow._util import gauss_kronrod
+from ruinflow.dependence import ClaimModel, UnsupportedModelError, scalarized_survival
 from ruinflow.estimators import (
     HypothesisError,
     ModelSpec,
@@ -32,7 +33,13 @@ from ruinflow.processes import (
 )
 from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, Ray
 
-from oracles import deterministic_pareto_entrance_integral
+from oracles import (
+    brownian_horizon_integral,
+    compound_poisson_horizon_integral,
+    convolution_survival,
+    deterministic_horizon_integral,
+    deterministic_pareto_entrance_integral,
+)
 
 
 def pareto_ray_model(alpha=1.0, r=0.05, lam=1.0):
@@ -139,78 +146,106 @@ class TestSingleClaimEntrance:
             assert abs(got - vals.mean()) < 3 * se, (jumps, got, vals.mean(), se)
 
 
-class TestAdaptiveSimpson:
+class TestGaussKronrod:
     def test_depth_limited_panel_is_signalled(self):
-        # a kink at an irrational point is never resolved in two halvings
-        kink = lambda x: abs(x - 1.0 / math.pi)
+        # an integrable singularity at an irrational point: the panel holding it
+        # keeps an error near the square root of its width, far over its share at
+        # every depth
+        spike = lambda x, live: np.abs(x - 1.0 / math.pi)[None, :] ** -0.5
         with pytest.warns(RuntimeWarning, match="unconverged"):
-            adaptive_simpson(kink, 0.0, 1.0, rel_tol=1e-10, max_depth=2)
+            value, err = gauss_kronrod(spike, 0.0, 1.0, 1)
+        assert err[0] > _util.GK_REL_TOL * value[0]
+
+    def test_done_rows_leave_the_later_rounds(self):
+        # a cubic is done after one panel; only the spike beside it is refined
+        seen = []
+
+        def f(x, live):
+            seen.append(live.tolist())
+            return np.vstack((x**3, np.abs(x - 1.0 / math.pi) ** -0.5))[live]
+
+        with pytest.warns(RuntimeWarning, match="unconverged"):
+            value, _ = gauss_kronrod(f, 0.0, 2.0, 2)
+        assert seen[0] == [0, 1] and all(live == [1] for live in seen[1:])
+        assert value[0] == pytest.approx(4.0, rel=1e-14)
 
     def test_converged_integral_is_silent(self):
+        # a cubic is integrated exactly
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = adaptive_simpson(lambda x: x**3, 0.0, 2.0, rel_tol=1e-10)
-        assert val == pytest.approx(4.0, rel=1e-12)
+            value, err = gauss_kronrod(lambda x, live: np.vstack((x**3, 3.0 * x**2))[live],
+                                       0.0, 2.0, 2)
+        assert value == pytest.approx([4.0, 8.0], rel=1e-14)
+        assert np.all(err <= 1e-13)
 
-    @pytest.mark.parametrize("nan_on", [lambda x: True, lambda x: 0.7 < x < 0.8],
+    @pytest.mark.parametrize("nan_on", [lambda x: np.ones(x.shape, bool),
+                                        lambda x: (0.7 < x) & (x < 0.8)],
                              ids=["everywhere", "subinterval"])
     def test_nan_integrand_raises_at_once(self, nan_on):
-        # a NaN error estimate never converges; bisecting on to max_depth
-        # would take about 2**30 calls
+        # a NaN error estimate never converges; bisecting on to the depth limit
+        # would take about 2**30 panels
         calls = []
 
-        def f(x):
+        def f(x, live):
             calls.append(x)
-            return math.nan if nan_on(x) else math.sqrt(x)
+            return np.where(nan_on(x), math.nan, np.sqrt(x))[None, :]
 
         with pytest.raises(ArithmeticError, match="not finite"):
-            adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-10)
+            gauss_kronrod(f, 0.0, 1.0, 1)
         assert len(calls) <= 10
 
 
 class TestFiniteHorizonIntegral:
     def test_zero_horizon(self):
-        assert asymptotic_entrance_finite(pareto_ray_model(), 10.0, 0.0) == 0.0
+        assert asymptotic_entrance_finite(pareto_ray_model(), 10.0, 0.0).value == 0.0
 
     def test_antiderivative_oracle(self):
         spec = pareto_ray_model(alpha=1.0, r=0.05, lam=1.0)
         x, T = 100.0, 10.0
-        got = asymptotic_entrance_finite(spec, x, T, rel_tol=1e-8)
+        got = asymptotic_entrance_finite(spec, x, T)
         want = deterministic_pareto_entrance_integral(1.0, 1.0, 1.0, 0.05, x, T)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got.converged and got.rel_error <= 1e-6
+        assert abs(got.value - want) <= got.rel_error * want
 
     def test_linearity_in_intensity(self):
         x, T = 80.0, 10.0
-        v1 = asymptotic_entrance_finite(pareto_ray_model(lam=1.0), x, T)
-        v2 = asymptotic_entrance_finite(pareto_ray_model(lam=2.0), x, T)
+        v1 = asymptotic_entrance_finite(pareto_ray_model(lam=1.0), x, T).value
+        v2 = asymptotic_entrance_finite(pareto_ray_model(lam=2.0), x, T).value
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
     def test_monotone_in_threshold_and_horizon(self):
         spec = pareto_ray_model(alpha=1.5)
-        vals_x = [asymptotic_entrance_finite(spec, x, 10.0) for x in (10, 30, 90)]
+        vals_x = asymptotic_entrance_finite(spec, np.array([10.0, 30.0, 90.0]), 10.0).value
         assert vals_x[0] > vals_x[1] > vals_x[2]
-        vals_t = [asymptotic_entrance_finite(spec, 50.0, T) for T in (2.0, 5.0, 10.0)]
+        vals_t = [asymptotic_entrance_finite(spec, 50.0, T).value for T in (2.0, 5.0, 10.0)]
         assert vals_t[0] < vals_t[1] < vals_t[2]
 
-    def test_quadrature_converges_under_tolerance_halving(self):
+    def test_quadrature_converges_under_tolerance_halving(self, monkeypatch):
+        # the recorded error bounds the distance to a run with half the quadrature
+        # tolerance and twice the survival table's nodes
         spec = ModelSpec(ClaimModel.iid((Pareto(1.5), Pareto(1.5))),
                          HalfSpace((0.5, 0.5), 1.0), Poisson(1.0), Deterministic(0.05))
-        coarse = asymptotic_entrance_finite(spec, 50.0, 10.0, rel_tol=1e-4)
-        fine = asymptotic_entrance_finite(spec, 50.0, 10.0, rel_tol=5e-5)
-        assert abs(coarse - fine) / fine < 1e-4
+        coarse = asymptotic_entrance_finite(spec, 50.0, 10.0)
+        monkeypatch.setattr(_util, "GK_REL_TOL", _util.GK_REL_TOL / 2)
+        monkeypatch.setattr(estimators, "TABLE_NODES_PER_DECADE",
+                            2 * estimators.TABLE_NODES_PER_DECADE)
+        fine = asymptotic_entrance_finite(spec, 50.0, 10.0)
+        assert coarse.converged and fine.converged
+        assert abs(coarse.value - fine.value) <= coarse.rel_error * fine.value
+        assert coarse.rel_error < 1e-6
 
     def test_gate_enforced_unless_unsafe(self):
         spec = ModelSpec(ClaimModel.iid((HeavyWeibull(0.5),)), Ray(1.0),
                          Poisson(1.0), BrownianDrift(0.1, 0.2))
         with pytest.raises(HypothesisError):
             asymptotic_entrance_finite(spec, 30.0, 5.0)
-        val = asymptotic_entrance_finite(spec, 30.0, 5.0, unsafe=True)
+        val = asymptotic_entrance_finite(spec, 30.0, 5.0, unsafe=True).value
         assert 0 < val < 1
 
     def test_erlang_renewal_density_route(self):
         spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
                          RenewalIID(Erlang(2, 2.0)), Deterministic(0.05))
-        got = asymptotic_entrance_finite(spec, 50.0, 10.0)
+        got = asymptotic_entrance_finite(spec, 50.0, 10.0).value
         # oracle: renewal-series integral, term by term against the gamma laws
         from scipy import integrate, stats as sps
 
@@ -232,13 +267,13 @@ class TestInfiniteHorizon:
         spec = self.make_spec()
         est = asymptotic_entrance_infinite(spec, 500.0)
         for T in (5.0, 20.0, est.horizon / 2):
-            assert asymptotic_entrance_finite(spec, 500.0, T, unsafe=True) <= est.value
+            assert asymptotic_entrance_finite(spec, 500.0, T, unsafe=True).value <= est.value
 
     def test_truncation_self_consistency(self):
         spec = self.make_spec()
         est = asymptotic_entrance_infinite(spec, 500.0)
         assert est.tail_bound_rel < 1e-3
-        far = asymptotic_entrance_finite(spec, 500.0, 10 * est.horizon, unsafe=True)
+        far = asymptotic_entrance_finite(spec, 500.0, 10 * est.horizon, unsafe=True).value
         assert abs(far - est.value) / far < 1e-3
 
     def test_larger_interest_shrinks_value(self):
@@ -347,8 +382,92 @@ class TestMrv:
         claim = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(1.5, 1.0)))
         spec = ModelSpec(claim, MaxExceed((1.0, 1.0)), Poisson(1.0), Deterministic(0.05))
         x = float(Pareto(1.5).quantile(1e-6))
-        ratio = asymptotic_entrance_finite(spec, x, 10.0) / mrv_closed_form(spec, x, 10.0)
+        ratio = asymptotic_entrance_finite(spec, x, 10.0).value / mrv_closed_form(spec, x, 10.0)
         assert 0.95 < ratio < 1.05
+
+
+def brownian_half_space_model():
+    """The ``entrance-brownian-inf`` benchmark model."""
+    return ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),) * 2), HalfSpace((0.5, 0.5), 1.0),
+                     Poisson(1.0), BrownianDrift(0.1, 0.2))
+
+
+def pareto_pair_half_space_survival(alpha=1.5):
+    """``S_A`` of an IID unit Pareto pair on ``HalfSpace((0.5, 0.5), 1)``, by the oracle's
+    own convolution quadrature."""
+    sf = lambda y: max(y, 1.0) ** -alpha
+    pdf = lambda y: alpha * y ** -(alpha + 1.0) if y > 1.0 else 0.0
+    return lambda v: convolution_survival(sf, sf, pdf, 1.0, 1.0, 2.0 * v)
+
+
+def _nan_cases():
+    from ruinflow.ruin import asymptotic_ruin
+
+    from test_ruin import two_line_model
+
+    pair = ClaimModel.iid((Pareto(1.5),) * 2)
+    half = brownian_half_space_model()
+    return {
+        "survival-halfspace": lambda: scalarized_survival(pair, HalfSpace((0.5, 0.5), 1.0),
+                                                          math.nan),
+        "survival-maxexceed": lambda: scalarized_survival(pair, MaxExceed((1.0, 1.0)), math.nan),
+        "survival-ray": lambda: scalarized_survival(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
+                                                    [1.0, math.nan]),
+        "single-claim-x": lambda: single_claim_entrance(half, math.nan, 5.0),
+        "single-claim-s": lambda: single_claim_entrance(half, 100.0, math.nan),
+        "finite-x": lambda: asymptotic_entrance_finite(half, math.nan, 10.0, unsafe=True),
+        "finite-x-in-grid": lambda: asymptotic_entrance_finite(
+            half, np.array([10.0, math.nan]), 10.0, unsafe=True),
+        "finite-T-nan": lambda: asymptotic_entrance_finite(half, 10.0, math.nan, unsafe=True),
+        "finite-T-inf": lambda: asymptotic_entrance_finite(half, 10.0, math.inf, unsafe=True),
+        "infinite-x": lambda: asymptotic_entrance_infinite(half, math.nan),
+        "ruin-x": lambda: asymptotic_ruin(two_line_model(), math.nan, 10.0),
+        "ruin-T": lambda: asymptotic_ruin(two_line_model(), 50.0, math.nan),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_nan_cases()))
+def test_nan_input_raises_at_the_boundary(case):
+    # NaN thresholds and horizons once gave a probability (1.0, or 10.0 for a
+    # finite horizon), a NaN for some sets and not others, or 60 horizon steps
+    # ending in an unrelated RuntimeError
+    with pytest.raises(ValueError):
+        _nan_cases()[case]()
+
+
+class TestNestedQuadratureOracle:
+    """The column against nested ``scipy.integrate.quad`` at epsrel 1e-12 (oracles.py)."""
+
+    def test_brownian_half_space(self):
+        # the entrance-brownian-inf model over its truncation horizon
+        model, T = brownian_half_space_model(), 76.85
+        x = np.array([100.0, 447.2, 2000.0])
+        got = asymptotic_entrance_finite(model, x, T, unsafe=True)
+        sa = pareto_pair_half_space_survival()
+        want = [brownian_horizon_integral(sa, 1.0, 0.1, 0.2, xv, T) for xv in x]
+        assert np.all(got.converged) and np.all(got.rel_error <= 1e-6)
+        np.testing.assert_allclose(got.value, want, rtol=1e-7)
+
+    def test_erlang_renewals(self):
+        model = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),) * 2), HalfSpace((0.5, 0.5), 1.0),
+                          RenewalIID(Erlang(2, 2.0)), Deterministic(0.05))
+        x = np.array([10.0, 50.0, 250.0])
+        got = asymptotic_entrance_finite(model, x, 10.0)
+        density = lambda s: 1.0 - math.exp(-4.0 * s)  # Erlang(2, 2): (rate/2)(1 - e^{-2 rate s})
+        sa = pareto_pair_half_space_survival()
+        want = [deterministic_horizon_integral(sa, density, 0.05, xv, 10.0) for xv in x]
+        assert np.all(got.converged) and np.all(got.rel_error <= 1e-6)
+        np.testing.assert_allclose(got.value, want, rtol=1e-7)
+
+    def test_ray_under_compound_poisson(self):
+        model = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0), Poisson(1.0),
+                          CompoundPoissonDrift(0.02, 0.5, ExponentialJumps(0.05)))
+        x = np.array([10.0, 50.0, 250.0])
+        got = asymptotic_entrance_finite(model, x, 10.0)
+        sa = lambda v: max(v, 1.0) ** -1.5
+        want = [compound_poisson_horizon_integral(sa, 1.0, 0.02, 0.5, 0.05, xv, 10.0) for xv in x]
+        assert np.all(got.converged) and np.all(got.rel_error <= 1e-6)
+        np.testing.assert_allclose(got.value, want, rtol=1e-7)
 
 
 class TestEntranceTimeLaw:

@@ -192,8 +192,8 @@ class TestAsymptoticRuin:
         entrance = model.entrance_model()
         assert entrance.rare_set == MaxExceed((0.5, 0.5))
         x, T = 50.0, 10.0
-        assert asymptotic_ruin(model, x, T) == \
-            pytest.approx(asymptotic_entrance_finite(entrance, x, T))
+        assert asymptotic_ruin(model, x, T).value == \
+            pytest.approx(asymptotic_entrance_finite(entrance, x, T).value)
 
     def test_classical_one_dimensional_tail_integral(self):
         model = RuinModel(
@@ -204,13 +204,13 @@ class TestAsymptoticRuin:
         assert model.mapped_set == Ray(1.0)
         x, T = 100.0, 10.0
         want = deterministic_pareto_entrance_integral(1.0, 1.0, 1.0, 0.05, x, T)
-        assert asymptotic_ruin(model, x, T) == pytest.approx(want, rel=1e-4)
+        assert asymptotic_ruin(model, x, T).value == pytest.approx(want, rel=1e-4)
 
     def test_mrv_mode_equals_closed_form_with_mapped_set(self):
         model = two_line_model(alpha=2.0)
         spec = model.entrance_model()
         x = float(Pareto(2.0).quantile(1e-6))
-        got = asymptotic_ruin(model, x, 10.0)
+        got = asymptotic_ruin(model, x, 10.0).value
         want = mrv_closed_form(spec, x, 10.0)
         assert got == pytest.approx(want, rel=0.02)
 

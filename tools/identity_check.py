@@ -7,7 +7,11 @@ Usage, from the repository root::
 ``--src`` names the ``src`` directory of the ruinflow to import (default:
 this repository's).  The experiments come from this repository whatever
 ``--src`` says, so two source trees, say a commit and its parent, run the
-same list and their outputs compare with ``cmp``:
+same list and their outputs compare with ``cmp``.  The record made from
+this repository is committed as ``tools/identity.json``, and
+``tests/test_identity.py`` regenerates and compares it.  It opens with the
+numpy version and the CPU features numpy dispatches to, since the bit stream
+depends on numpy's variate algorithms and its float kernels.  It holds:
 
 * each workload in ``perfbench/workloads.py`` (imported, never edited) at a
   little over two chunks of paths on 1 and on 2 workers, plus the big-jump
@@ -35,8 +39,8 @@ same list and their outputs compare with ``cmp``:
   ``Deterministic(0.05)`` at index 1.5, and ``mrv_closed_form`` of an IID
   ``Pareto(1.5)`` pair on ``HalfSpace((0.5, 0.5), 1)`` at T = 10 and T = inf;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
-  worker, in both table formats, recording the exit code, the sha256 of the
-  table file, its rows (CSV rows as their text lines), the report without
+  worker, in both table formats, recording the exit code, the table's rows
+  (CSV rows as their text lines, JSON rows parsed), the report without
   its ``elapsed`` line and the ``.config.json`` echo as its text lines, the
   temporary directory written as ``<tmp>``; and,
   recorded alike, ``reference_entrance.json`` with heavy-Weibull margins and
@@ -57,7 +61,6 @@ worker count, else 0.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -259,12 +262,10 @@ def demo_configs() -> dict:
                 code = cli.run(cfg_path, {"threads": 1, "out": str(base), "format": fmt,
                                           **overrides})
                 table = Path(f"{base}.{fmt}")
-                entry = {"exit_code": code, "sha256": None, "rows": None}
+                entry = {"exit_code": code, "rows": None}
                 if table.exists():
-                    text = table.read_bytes()
-                    entry["sha256"] = hashlib.sha256(text).hexdigest()
-                    entry["rows"] = (json.loads(text) if fmt == "json"
-                                     else text.decode().splitlines())
+                    text = table.read_text()
+                    entry["rows"] = json.loads(text) if fmt == "json" else text.splitlines()
                 for key, suffix in (("report", "report.txt"), ("echo", "config.json")):
                     path = Path(f"{base}.{suffix}")
                     entry[key] = [line.replace(tmp, "<tmp>")
@@ -272,6 +273,15 @@ def demo_configs() -> dict:
                                   if not line.startswith("elapsed:")] if path.exists() else None
                 out[f"{name} {fmt}"] = entry
     return out
+
+
+def environment() -> dict:
+    """numpy's version, its CPU baseline and the dispatched features this CPU has."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    return {"numpy": np.__version__, "cpu_baseline": list(umath.__cpu_baseline__),
+            "cpu_dispatch": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]}
 
 
 def main(argv=None) -> int:
@@ -284,7 +294,8 @@ def main(argv=None) -> int:
     import ruinflow
 
     print(f"ruinflow from {Path(ruinflow.__file__).parent}", file=sys.stderr)
-    result = {"workloads": workloads(), "mrv_closed_form": mrv_columns(),
+    result = {"environment": environment(), "workloads": workloads(),
+              "mrv_closed_form": mrv_columns(),
               "renewals": renewal_columns(), "demo_configs": demo_configs()}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     variant = [k for k, v in result["workloads"].items() if not v["worker_invariant"]]
