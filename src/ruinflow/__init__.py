@@ -60,6 +60,7 @@ from .processes import (
     Erlang,
     ExponentialJumps,
     FixedJumps,
+    LevyReturns,
     Poisson,
     RenewalIID,
     check_discount_summability,

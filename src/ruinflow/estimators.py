@@ -44,10 +44,9 @@ from .dependence import (
 from .heavy_tails import Pareto, TailDistribution
 from .processes import (
     TAIL_REL_BOUND,
+    LevyReturns,
     RenewalIID,
-    ReturnProcess,
     check_discount_summability,
-    discount_integral_tail_bound,
     truncation_horizon,
 )
 from .rare_sets import RareSet, z_index
@@ -105,7 +104,7 @@ class ModelSpec:
     claim: ClaimModel
     rare_set: RareSet
     renewal: RenewalIID
-    ret: ReturnProcess
+    ret: LevyReturns
 
     def __post_init__(self):
         if self.claim.d != self.rare_set.dim:
@@ -424,9 +423,9 @@ def asymptotic_entrance_infinite(model: ModelSpec, x, unsafe: bool = False) -> H
     n = column.x.size
     live, reach, bound = np.arange(n), np.full(n, T), np.zeros(n)
     column.add(live, 0.0, T)
+    phi = model.ret.laplace_exponent(alpha)
     for _ in range(60):
-        bound[live] = c_env * column.x[live] ** -alpha * discount_integral_tail_bound(
-            model.ret, model.renewal, alpha, T)
+        bound[live] = c_env * column.x[live] ** -alpha * model.renewal.discounted_tail_bound(phi, T)
         live = live[bound[live] > TAIL_REL_BOUND * column.value[live]]
         if not live.size:
             return column.estimate(x, reach, bound)

@@ -61,7 +61,7 @@ from .estimators import (
     resolve_finite_mode,
     resolve_infinite_mode,
 )
-from .processes import RenewalIID, ReturnProcess
+from .processes import LevyReturns, RenewalIID
 from .rare_sets import RareSet, z_index_signed
 
 __all__ = [
@@ -200,7 +200,7 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 class _AggregateTask:
     claim: ClaimModel
     renewal: RenewalIID
-    ret: ReturnProcess
+    ret: LevyReturns
     horizon: float
     seed: int
     chunk: int

@@ -2,9 +2,10 @@
 
 The renewal side is one renewal process with Erlang interarrivals, whose
 renewal measure is a finite sum of exponentials, so its discounted integrals
-are exact; Poisson arrivals are its k = 1 case.  The return side covers a
-deterministic force of interest, Brownian motion with drift, and a compound
-Poisson process with drift.  Each return process exposes its exact
+are exact; Poisson arrivals are its k = 1 case.  The return side is one Levy
+process, a drift plus Brownian volatility plus compound Poisson jumps; a
+deterministic force of interest, Brownian motion with drift and a compound
+Poisson process with drift are its constructors.  It exposes its exact
 Laplace exponent ``phi(k) = log E[exp(-k * xi(1))]``, which drives both the
 hypothesis checkers and the infinite-horizon truncation rule, and the law of
 ``xi(s)`` at one time as a finite quadrature rule (``xi_rule``), which drives
@@ -12,7 +13,7 @@ the asymptotic estimators.
 
 Returns are only ever sampled at claim-arrival epochs: the discounted
 aggregate vector depends on the paths solely through those values, and the
-increments used are exact (Gaussian or compound Poisson over each
+increments used are exact (Gaussian plus compound Poisson over each
 inter-arrival gap), so there is no discretization error.
 """
 
@@ -29,20 +30,19 @@ __all__ = [
     "Poisson",
     "Erlang",
     "RenewalIID",
+    "LevyReturns",
     "Deterministic",
     "BrownianDrift",
     "ExponentialJumps",
     "FixedJumps",
     "CompoundPoissonDrift",
-    "ReturnProcess",
     "SummabilityResult",
     "check_discount_summability",
     "truncation_horizon",
-    "discount_integral_tail_bound",
 ]
 
 #: quadrature for ``xi(s)``: Gauss-Hermite nodes, Gauss nodes per jump count of an
-#: exponential jump sum, and the Poisson cut of ``CompoundPoissonDrift.xi_rule``
+#: exponential jump sum, and the Poisson cut of ``LevyReturns.xi_rule``
 GH_NODES = 64
 LAGUERRE_NODES = 32
 POISSON_TAIL = 1e-15
@@ -95,9 +95,6 @@ class RenewalIID:
         roots = (cmath.exp(2j * math.pi * j / k) for j in range(1, k))
         return tuple((w, (1.0 - w) * rate) for w in roots)
 
-    def interarrival_laplace(self, s: float) -> float:
-        return self.interarrival.laplace(s)
-
     def interarrivals(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Interarrival gaps of the given shape, drawn from ``rng``.  Exponential gaps
         use numpy's exponential draw: the stream of its shape-1 gamma draw, but faster."""
@@ -141,80 +138,6 @@ def _require_decay(phi: float) -> None:
 
 # ---------------------------------------------------------------------------
 # return processes
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """Constant force of interest: ``xi(t) = rate * t`` with ``rate >= 0``."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not 0 <= self.rate < math.inf:
-            raise ValueError("deterministic force of interest must be finite and nonnegative")
-
-    nondecreasing_paths = True
-
-    @property
-    def constant_force(self) -> float:
-        """The force of interest when ``xi`` is deterministic and linear, else None."""
-        return self.rate
-
-    def laplace_exponent(self, k: float) -> float:
-        return -k * self.rate
-
-    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, shaped like
-        ``dtau`` and drawn from ``rng`` (a deterministic force draws nothing)."""
-        return self.rate * dtau
-
-    def xi_rule(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Law of ``xi(s)`` as a quadrature rule ``(nodes, weights)``."""
-        return np.array([self.rate * s]), np.ones(1)
-
-    def bounded_below(self, T: float) -> float | None:
-        """The floor ``K`` with ``inf_{t <= T} xi(t) >= -K`` almost surely (``|drift| T``
-        for a negative drift, else 0), or None when the paths are unbounded below."""
-        return 0.0
-
-
-@dataclass(frozen=True)
-class BrownianDrift:
-    """Arithmetic Brownian log-returns: ``xi(t) = mu t + sigma B(t)``."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
-            raise ValueError("Brownian returns need a finite drift and a finite volatility >= 0")
-
-    @property
-    def nondecreasing_paths(self) -> bool:
-        return self.sigma == 0.0 and self.mu >= 0.0
-
-    @property
-    def constant_force(self) -> float | None:
-        return self.mu if self.sigma == 0.0 else None
-
-    def laplace_exponent(self, k: float) -> float:
-        return -k * self.mu + 0.5 * k * k * self.sigma * self.sigma
-
-    def xi_at(self, tau, dtau, rng):
-        inc = rng.standard_normal(dtau.shape)
-        inc *= np.sqrt(dtau)
-        inc *= self.sigma
-        inc += self.mu * dtau
-        return inc
-
-    def xi_rule(self, s):
-        nodes, weights = _gauss_hermite()
-        return self.mu * s + self.sigma * math.sqrt(2.0 * s) * nodes, weights
-
-    def bounded_below(self, T):
-        if self.sigma > 0:  # Brownian paths are unbounded below on every interval
-            return None
-        return max(0.0, -self.mu * T)
 
 
 @dataclass(frozen=True)
@@ -271,51 +194,111 @@ class FixedJumps:
 
 
 @dataclass(frozen=True)
-class CompoundPoissonDrift:
-    """Drift plus compound Poisson jumps: ``xi(t) = drift*t + sum of jumps``."""
+class LevyReturns:
+    """Levy log-returns: ``xi(t) = drift t + sigma B(t) + J_1 + ... + J_N(t)``, with ``N``
+    a Poisson process of rate ``jump_rate`` and i.i.d. jumps of law ``jumps``.
+
+    Its Laplace exponent is ``phi(k) = -k drift + k^2 sigma^2 / 2 + jump_rate
+    (E[exp(-k J)] - 1)``.  Every method adds these three parts, or chooses between
+    them, and a part that is zero draws and adds nothing."""
 
     drift: float
-    jump_rate: float
-    jumps: ExponentialJumps | FixedJumps
+    sigma: float = 0.0
+    jump_rate: float = 0.0
+    jumps: ExponentialJumps | FixedJumps | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.drift) and 0 < self.jump_rate < math.inf):
-            raise ValueError("compound Poisson returns need a finite drift and a finite jump rate > 0")
+        if not (math.isfinite(self.drift) and 0 <= self.sigma < math.inf
+                and 0 <= self.jump_rate < math.inf):
+            raise ValueError("Levy returns need a finite drift, volatility >= 0 and jump rate >= 0")
+        if (self.jump_rate > 0) != (self.jumps is not None):
+            raise ValueError("a positive jump rate and a jump law go together")
 
     @property
     def nondecreasing_paths(self) -> bool:
-        return self.drift >= 0 and self.jumps.nonnegative
+        return (self.sigma == 0 and self.drift >= 0
+                and (self.jumps is None or self.jumps.nonnegative))
 
-    constant_force = None
+    @property
+    def constant_force(self) -> float | None:
+        """The force of interest when ``xi`` is deterministic and linear, else None."""
+        return self.drift if self.sigma == 0 and self.jumps is None else None
 
     def laplace_exponent(self, k: float) -> float:
-        return -k * self.drift + self.jump_rate * (self.jumps.mgf_neg(k) - 1.0)
+        phi = -k * self.drift + 0.5 * k * k * self.sigma * self.sigma
+        return phi if self.jumps is None else phi + self.jump_rate * (self.jumps.mgf_neg(k) - 1.0)
 
-    def xi_at(self, tau, dtau, rng):
-        counts = rng.poisson(self.jump_rate * dtau)
-        return self.drift * dtau + self.jumps.block_sum(counts, rng)
+    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, shaped like
+        ``dtau`` and drawn from ``rng``: normals when ``sigma > 0``, then jump counts and
+        jump sums when ``jump_rate > 0`` (a deterministic force draws nothing)."""
+        inc = self.drift * dtau
+        if self.sigma > 0:
+            noise = rng.standard_normal(dtau.shape)
+            noise *= np.sqrt(dtau)
+            noise *= self.sigma
+            inc += noise
+        if self.jumps is not None:
+            inc += self.jumps.block_sum(rng.poisson(self.jump_rate * dtau), rng)
+        return inc
 
-    def xi_rule(self, s):
-        """Poisson mixture of the rules for ``drift*s + J_1 + ... + J_k``, cut at the
-        first ``K`` with ``P(N > K) <= POISSON_TAIL * P(N = 0)``.  As ``0 <= S_A <= 1``,
-        the cut moves ``E[S_A(x exp(xi(s)))]`` by at most that mass; for nonnegative
-        jumps (``S_A`` falls as ``xi`` grows) by at most ``POISSON_TAIL`` times the k = 0 term."""
-        from scipy import special  # here, not at import: it costs ruinflow's import time
-        mean = self.jump_rate * s
-        k = np.arange(int(4.0 * mean) + 64)  # by the Chernoff bound, K < 4 mean + 64
-        k = k[:np.argmax(special.pdtrc(k, mean) <= POISSON_TAIL * math.exp(-mean)) + 1]
-        pois = np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
-        sums, weights = self.jumps.sum_rule(k.size - 1)
-        nodes = self.drift * s + np.concatenate(([0.0], sums.ravel()))
-        return nodes, np.concatenate((pois[:1], (pois[1:, None] * weights).ravel()))
+    def xi_rule(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Law of ``xi(s)`` as a quadrature rule ``(nodes, weights)``: the drift's one node,
+        spread by the Gauss-Hermite rule of ``sigma B(s)`` when ``sigma > 0``, then summed
+        with the Poisson mixture of the rules for ``J_1 + ... + J_k`` when ``jump_rate > 0``.
 
-    def bounded_below(self, T):
-        if not self.jumps.nonnegative:
-            return None
-        return max(0.0, -self.drift * T)
+        The mixture is cut at the first ``K`` with ``P(N > K) <= POISSON_TAIL * P(N = 0)``.
+        As ``0 <= S_A <= 1``, the cut moves ``E[S_A(x exp(xi(s)))]`` by at most that mass;
+        for nonnegative jumps (``S_A`` falls as ``xi`` grows) by at most ``POISSON_TAIL``
+        times the k = 0 term."""
+        if self.sigma > 0:
+            normal, weights = _gauss_hermite()
+            nodes = self.drift * s + self.sigma * math.sqrt(2.0 * s) * normal
+        else:
+            nodes, weights = np.array([self.drift * s]), np.ones(1)
+        if self.jumps is not None:
+            from scipy import special  # here, not at import: it costs ruinflow's import time
+            mean = self.jump_rate * s
+            k = np.arange(int(4.0 * mean) + 64)  # by the Chernoff bound, K < 4 mean + 64
+            k = k[:np.argmax(special.pdtrc(k, mean) <= POISSON_TAIL * math.exp(-mean)) + 1]
+            pois = np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
+            sums, sum_weights = self.jumps.sum_rule(k.size - 1)
+            jump_nodes = np.concatenate(([0.0], sums.ravel()))
+            jump_weights = np.concatenate((pois[:1], (pois[1:, None] * sum_weights).ravel()))
+            # the rule of a sum of independent parts: every pair of nodes
+            nodes = np.add.outer(nodes, jump_nodes).ravel()
+            weights = np.multiply.outer(weights, jump_weights).ravel()
+        return nodes, weights
+
+    def bounded_below(self, T: float) -> float | None:
+        """The floor ``K`` with ``inf_{t <= T} xi(t) >= -K`` almost surely (``|drift| T``
+        for a negative drift, else 0), or None when the paths are unbounded below:
+        under volatility, and under jumps that can be negative."""
+        unbounded = self.sigma > 0 or not (self.jumps is None or self.jumps.nonnegative)
+        return None if unbounded else max(0.0, -self.drift * T)
 
 
-ReturnProcess = Deterministic | BrownianDrift | CompoundPoissonDrift
+def Deterministic(rate: float) -> LevyReturns:
+    """Constant force of interest: ``xi(t) = rate * t`` with ``rate >= 0``."""
+    if not 0 <= rate < math.inf:
+        raise ValueError("deterministic force of interest must be finite and nonnegative")
+    return LevyReturns(rate)
+
+
+def BrownianDrift(mu: float, sigma: float) -> LevyReturns:
+    """Arithmetic Brownian log-returns: ``xi(t) = mu t + sigma B(t)``; ``sigma = 0`` is
+    the deterministic force ``mu``."""
+    if not (math.isfinite(mu) and 0 <= sigma < math.inf):
+        raise ValueError("Brownian returns need a finite drift and a finite volatility >= 0")
+    return LevyReturns(mu, sigma)
+
+
+def CompoundPoissonDrift(drift: float, jump_rate: float,
+                         jumps: ExponentialJumps | FixedJumps) -> LevyReturns:
+    """Drift plus compound Poisson jumps: ``xi(t) = drift*t + sum of jumps``."""
+    if not (math.isfinite(drift) and 0 < jump_rate < math.inf):
+        raise ValueError("compound Poisson returns need a finite drift and a finite jump rate > 0")
+    return LevyReturns(drift, 0.0, jump_rate, jumps)
 
 
 @functools.cache
@@ -357,7 +340,7 @@ class SummabilityResult:
     phi_p2: float
 
 
-def check_discount_summability(proc: ReturnProcess, renewal: RenewalIID,
+def check_discount_summability(proc: LevyReturns, renewal: RenewalIID,
                                p1: float, p2: float,
                                tail_index_upper: float) -> SummabilityResult:
     """Verify geometric summability of discounted exceedance moments.
@@ -379,19 +362,12 @@ def check_discount_summability(proc: ReturnProcess, renewal: RenewalIID,
     phi2 = proc.laplace_exponent(p2)
     if phi1 >= 0 or phi2 >= 0:
         return SummabilityResult(False, rho, None, phi1, phi2)
-    q = max(renewal.interarrival_laplace(-phi1), renewal.interarrival_laplace(-phi2))
+    q = max(renewal.interarrival.laplace(-phi1), renewal.interarrival.laplace(-phi2))
     qr = q ** (1.0 / rho)
     return SummabilityResult(True, rho, qr / (1.0 - qr), phi1, phi2)
 
 
-def discount_integral_tail_bound(proc: ReturnProcess, renewal: RenewalIID,
-                                 alpha: float, T: float) -> float:
-    """``integral_T^inf E[exp(-alpha xi(s))] d(renewal measure)``, exact: the integrand
-    is ``exp(s phi(alpha))``.  Requires ``phi(alpha) < 0``."""
-    return renewal.discounted_tail_bound(proc.laplace_exponent(alpha), T)
-
-
-def truncation_horizon(proc: ReturnProcess, renewal: RenewalIID, alpha: float) -> float:
+def truncation_horizon(proc: LevyReturns, renewal: RenewalIID, alpha: float) -> float:
     """Horizon ``T*`` past which the discounted tail is below :data:`TAIL_REL_BOUND`
     of the total discounted integral."""
     phi = proc.laplace_exponent(alpha)
@@ -400,7 +376,7 @@ def truncation_horizon(proc: ReturnProcess, renewal: RenewalIID, alpha: float) -
     total = renewal.discounted_integral(phi, math.inf)
     T = max(1.0, -math.log(2.0) / phi)
     for _ in range(200):
-        tail = discount_integral_tail_bound(proc, renewal, alpha, T)
+        tail = renewal.discounted_tail_bound(phi, T)
         if tail <= TAIL_REL_BOUND * max(total - tail, 1e-300):
             return T
         T *= 1.25

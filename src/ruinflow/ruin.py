@@ -39,7 +39,7 @@ from .montecarlo import (
     _Ruin,
     _run_statistics,
 )
-from .processes import RenewalIID, ReturnProcess
+from .processes import LevyReturns, RenewalIID
 from .rare_sets import RareSet, RuinSet, from_ruin_set
 
 __all__ = [
@@ -106,7 +106,7 @@ class RuinModel:
 
     claim: ClaimModel
     renewal: RenewalIID
-    ret: ReturnProcess
+    ret: LevyReturns
     alloc: tuple[float, ...]
     ruin_set: RuinSet
     premiums: PremiumSchedule | None = None

@@ -28,6 +28,7 @@ from ruinflow.processes import (
     Erlang,
     ExponentialJumps,
     FixedJumps,
+    LevyReturns,
     Poisson,
     RenewalIID,
 )
@@ -122,7 +123,9 @@ class TestSingleClaimEntrance:
     def test_xi_rule_matches_laplace_transform(self):
         procs = (Deterministic(0.05), BrownianDrift(0.1, 0.2),
                  CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)),
-                 CompoundPoissonDrift(0.02, 1.0, FixedJumps(-0.2)))
+                 CompoundPoissonDrift(0.02, 1.0, FixedJumps(-0.2)),
+                 LevyReturns(0.02, 0.2, 1.0, ExponentialJumps(0.3)),
+                 LevyReturns(0.02, 0.2, 1.0, FixedJumps(-0.2)))
         for proc in procs:
             for s in (0.5, 4.0, 40.0):
                 nodes, weights = proc.xi_rule(s)
@@ -133,17 +136,22 @@ class TestSingleClaimEntrance:
 
     def test_compound_poisson_matches_monte_carlo(self):
         x, s, n = 30.0, 4.0, 1_000_000
-        for jumps in (ExponentialJumps(0.3), FixedJumps(0.1), FixedJumps(-0.2)):
-            ret = CompoundPoissonDrift(0.02, 1.0, jumps)
+        for ret in (CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)),
+                    CompoundPoissonDrift(0.02, 1.0, FixedJumps(0.1)),
+                    CompoundPoissonDrift(0.02, 1.0, FixedJumps(-0.2)),
+                    LevyReturns(0.02, 0.2, 1.0, ExponentialJumps(0.3)),
+                    LevyReturns(0.02, 0.2, 1.0, FixedJumps(-0.2))):
+            jumps = ret.jumps
             spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0), Poisson(1.0), ret)
             got = single_claim_entrance(spec, x, s)
             rng = np.random.default_rng(32)
             counts = rng.poisson(ret.jump_rate * s, n)
             sums = rng.gamma(counts, jumps.mean) if isinstance(jumps, ExponentialJumps) \
                 else jumps.size * counts
-            vals = np.asarray(Pareto(1.5).survival(x * np.exp(ret.drift * s + sums)))
+            noise = ret.sigma * math.sqrt(s) * rng.standard_normal(n)
+            vals = np.asarray(Pareto(1.5).survival(x * np.exp(ret.drift * s + sums + noise)))
             se = vals.std(ddof=1) / math.sqrt(n)
-            assert abs(got - vals.mean()) < 3 * se, (jumps, got, vals.mean(), se)
+            assert abs(got - vals.mean()) < 3 * se, (ret, got, vals.mean(), se)
 
 
 class TestGaussKronrod:

@@ -15,10 +15,10 @@ from ruinflow.processes import (
     Erlang,
     ExponentialJumps,
     FixedJumps,
+    LevyReturns,
     Poisson,
     RenewalIID,
     check_discount_summability,
-    discount_integral_tail_bound,
     truncation_horizon,
 )
 
@@ -104,7 +104,7 @@ class TestDiscountedIntegrals:
     @pytest.mark.parametrize("phi", [-0.4, -0.02])
     def test_infinite_horizon_and_tail_match_quad(self, spec, phi):
         f = lambda s: math.exp(phi * s) * spec.renewal_density(s)
-        q = spec.interarrival_laplace(-phi)
+        q = spec.interarrival.laplace(-phi)
         total = spec.discounted_integral(phi, math.inf)
         assert total == pytest.approx(q / (1.0 - q), rel=1e-12)
         assert total == pytest.approx(_quad(f, 0.0, math.inf), rel=1e-9)
@@ -237,7 +237,7 @@ class TestNativeDraws:
         dtau = np.full((2, n // 2), dt)
         inc = proc.xi_at(np.cumsum(dtau, axis=0), dtau, np.random.default_rng(33)).ravel()
         var = proc.sigma**2 * dt
-        assert abs(inc.mean() - proc.mu * dt) < 4 * math.sqrt(var / n)
+        assert abs(inc.mean() - proc.drift * dt) < 4 * math.sqrt(var / n)
         # the sample variance of normals has standard error var * sqrt(2 / n)
         assert abs(inc.var(ddof=1) - var) < 4 * var * math.sqrt(2.0 / n)
 
@@ -248,6 +248,9 @@ class TestNativeDraws:
         (CompoundPoissonDrift(0.05, 2.0, FixedJumps(-0.05)), 1.0),
         # a jump mean of 2000 per gap, past where exp(-mean) underflows
         (CompoundPoissonDrift(0.0, 2000.0, FixedJumps(1e-3)), 1.0),
+        # jump-diffusions: normals, then jump counts and sums
+        (LevyReturns(0.02, 0.2, 1.0, ExponentialJumps(0.3)), 1.0),
+        (LevyReturns(0.02, 0.2, 1.0, FixedJumps(-0.2)), 1.0),
     ])
     def test_compound_poisson_increment_laplace(self, proc, dt):
         # E[exp(-k dxi)] = exp(dt * phi(k)) for the increment over one gap
@@ -283,6 +286,8 @@ class TestLaplaceExponent:
         BrownianDrift(0.1, 0.2),
         CompoundPoissonDrift(0.02, 1.0, ExponentialJumps(0.3)),
         CompoundPoissonDrift(-0.01, 2.0, FixedJumps(0.1)),
+        LevyReturns(0.02, 0.2, 1.0, ExponentialJumps(0.3)),
+        LevyReturns(0.02, 0.2, 1.0, FixedJumps(-0.2)),
     ])
     def test_zero_and_convexity(self, proc):
         assert proc.laplace_exponent(0.0) == 0.0
@@ -303,7 +308,7 @@ class TestMomentIdentity:
         t, k = 3.0, 1.5
         rng = np.random.default_rng(26)
         n = 1_000_000
-        xi = proc.mu * t + proc.sigma * math.sqrt(t) * rng.standard_normal(n)
+        xi = proc.drift * t + proc.sigma * math.sqrt(t) * rng.standard_normal(n)
         vals = np.exp(-k * xi)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - math.exp(t * proc.laplace_exponent(k))) < 3 * se
@@ -329,6 +334,28 @@ class TestMomentIdentity:
         for j, t in enumerate(times):
             assert xi[:, j].mean() == pytest.approx(0.1 * t, abs=3 * 0.2 * math.sqrt(t / n) + 1e-4)
             assert xi[:, j].var() == pytest.approx(0.04 * t, rel=0.02)
+
+
+class TestLevyReturns:
+    @pytest.mark.parametrize("make", [
+        lambda: CompoundPoissonDrift(0.0, 1.0, None),
+        lambda: LevyReturns(0.0, 0.2, 1.0),
+        lambda: LevyReturns(0.0, 0.2, 0.0, FixedJumps(0.1)),
+        lambda: LevyReturns(0.0, 0.0, -1.0, FixedJumps(0.1)),
+    ], ids=["compound poisson without law", "rate without law", "law without rate",
+            "negative rate"])
+    def test_jump_rate_and_jump_law_come_together(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_zero_volatility_is_the_deterministic_force(self):
+        proc = BrownianDrift(0.05, 0.0)
+        assert proc == Deterministic(0.05)
+        nodes, weights = proc.xi_rule(3.0)
+        assert nodes.tolist() == [0.05 * 3.0] and weights.tolist() == [1.0]
+        dtau, rng = np.full((2, 8), 0.5), np.random.default_rng(36)
+        assert np.array_equal(proc.xi_at(dtau.cumsum(axis=0), dtau, rng), 0.05 * dtau)
+        assert rng.random() == np.random.default_rng(36).random()  # nothing was drawn
 
 
 class TestBoundedBelow:
@@ -385,8 +412,9 @@ class TestTruncation:
         assert math.exp(phi * T / 1.25) / (1 - math.exp(phi * T / 1.25)) > 1e-3 * 0.5
 
     def test_tail_bound_decreases(self):
-        b1 = discount_integral_tail_bound(BrownianDrift(0.1, 0.2), Poisson(1.0), 1.5, 40.0)
-        b2 = discount_integral_tail_bound(BrownianDrift(0.1, 0.2), Poisson(1.0), 1.5, 80.0)
+        phi = BrownianDrift(0.1, 0.2).laplace_exponent(1.5)
+        b1 = Poisson(1.0).discounted_tail_bound(phi, 40.0)
+        b2 = Poisson(1.0).discounted_tail_bound(phi, 80.0)
         assert b2 < b1
 
     def test_divergent_exponent_rejected(self):
