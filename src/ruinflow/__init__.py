@@ -63,7 +63,6 @@ from .processes import (
     LevyReturns,
     Poisson,
     RenewalIID,
-    check_discount_summability,
     truncation_horizon,
 )
 from .rare_sets import (

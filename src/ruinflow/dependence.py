@@ -226,16 +226,12 @@ class ClaimModel:
             idx.add(m.matuszewska[0])
         return idx.pop() if len(idx) == 1 else None
 
-    def scalarized_matuszewska(self) -> tuple[float, float] | None:
-        """Polynomial decay exponents of the scalarized law of any catalog set
-        (heaviest margin wins)."""
-        lows, ups = [], []
-        for m in self.margins:
-            if m.matuszewska is None:
-                return None
-            lows.append(m.matuszewska[0])
-            ups.append(m.matuszewska[1])
-        return (min(lows), min(ups))
+    def scalarized_matuszewska(self) -> float | None:
+        """Upper polynomial decay exponent ``J+`` of the scalarized law of any catalog
+        set (heaviest margin wins), or None when a margin has none."""
+        if any(m.matuszewska is None for m in self.margins):
+            return None
+        return min(m.matuszewska[1] for m in self.margins)
 
     def pareto_envelope(self, rare_set: RareSet) -> tuple[float, float] | None:
         """Global bound ``P[z_index(X) > v] <= C * v**-alpha``, if available.

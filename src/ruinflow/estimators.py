@@ -17,8 +17,9 @@ as hard gates unless explicitly bypassed:
 
 ``infinite-horizon`` (T = infinity)
     scalarized claim law consistently varying and positively decreasing,
-    quasi-asymptotic independence, and geometric summability of the
-    discounted moments (checked through the Laplace exponent).
+    quasi-asymptotic independence, and summable discounted moments, which for
+    Levy returns is the one condition ``phi(J+) < 0`` on the Laplace exponent
+    at the upper decay exponent.
 
 For claim vectors with a jointly regularly-varying (heaviest-tail) structure
 the right-hand side collapses to the closed form
@@ -46,7 +47,6 @@ from .processes import (
     TAIL_REL_BOUND,
     LevyReturns,
     RenewalIID,
-    check_discount_summability,
     truncation_horizon,
 )
 from .rare_sets import RareSet, z_index
@@ -91,7 +91,7 @@ class MrvSpec:
     mu_of_a: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("tail index must be positive")
         if not 0 <= self.mu_of_a < math.inf:
             raise ValueError("limit-measure mass must be finite and nonnegative")
@@ -162,8 +162,8 @@ def resolve_finite_mode(model: ModelSpec, T: float) -> ModeReport:
     ident, cv, _, qai, sub, rd = _claim_checks(model.claim)
     floor = model.ret.bounded_below(T)
     bounded = ("returns bounded below on [0, T]", floor is not None,
-               "paths are unbounded below (Brownian component)" if floor is None
-               else f"floor {floor:g}")
+               f"paths are unbounded below ({' and '.join(model.ret.unbounded_below_by)})"
+               if floor is None else f"floor {floor:g}")
     monotone = _check("non-decreasing return paths", model.ret.nondecreasing_paths,
                       "return paths can decrease")
     for mode, checks in (("consistent-variation", (ident, cv, qai, bounded)),
@@ -173,52 +173,25 @@ def resolve_finite_mode(model: ModelSpec, T: float) -> ModeReport:
     return ModeReport(None, (ident, cv, qai, bounded, sub, rd, monotone))
 
 
-def _pick_summability_exponents(model: ModelSpec) -> tuple[float, float] | None:
-    j = model.claim.scalarized_matuszewska()
-    if j is None:
-        return None
-    j_lo, j_up = j
-    p1 = 0.5 * j_lo
-    p2 = j_up + 1.0
-    if model.ret.laplace_exponent(p2) < 0:
-        return p1, p2
-    # the Laplace exponent turns nonnegative before j_up + 1: bisect for its
-    # positive root and aim halfway between the decay exponent and the root
-    lo, hi = j_up, j_up + 1.0
-    if model.ret.laplace_exponent(lo) >= 0:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model.ret.laplace_exponent(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9:
-            break
-    root = lo
-    if root <= j_up * (1 + 1e-9):
-        return None
-    return p1, 0.5 * (j_up + root)
-
-
 def resolve_infinite_mode(model: ModelSpec) -> ModeReport:
-    """Check the infinite-horizon hypotheses, including moment summability."""
+    """Check the infinite-horizon hypotheses, moment summability among them.
+
+    The theorem needs ``sum_i E[exp(-p xi(tau_i))]`` finite at some exponents
+    ``0 < p1 < J- <= J+ < p2``.  For Levy returns over renewal arrivals the
+    ``i``-th term is ``E[exp(tau_1 phi(p))]**i``, a geometric series that
+    converges exactly when ``phi(p) < 0`` (Paulsen 2008, *Probab. Surveys* 5).
+    ``phi`` is convex with ``phi(0) = 0``, so it is negative on ``(0, p]`` once
+    it is negative at ``p``: such ``p1`` and ``p2`` exist exactly when
+    ``phi(J+) < 0``, given the ``J- > 0`` of the positive-decrease check.
+    """
     ident, cv, pd, qai, _, _ = _claim_checks(model.claim)
-    j, exps = model.claim.scalarized_matuszewska(), _pick_summability_exponents(model)
-    if j is None:
+    j_up = model.claim.scalarized_matuszewska()
+    if j_up is None:
         moments = ("finite polynomial decay exponents", False,
                    "scalarized law decays faster than every power")
-    elif exps is None:
-        moments = ("discounted-moment summability", False,
-                   "no exponent above the upper decay exponent has a negative Laplace exponent")
     else:
-        p1, p2 = exps
-        summability = check_discount_summability(model.ret, model.renewal, p1, p2, j[1])
-        detail = (f"p1={p1:g}, p2={p2:g}, rho={summability.rho:g}, "
-                  f"phi(p1)={summability.phi_p1:.6g}, phi(p2)={summability.phi_p2:.6g}")
-        if summability.holds:
-            detail += f", series bound {summability.series_bound:.6g}"
-        moments = ("discounted-moment summability", summability.holds, detail)
+        phi = model.ret.laplace_exponent(j_up)
+        moments = ("discounted-moment summability", phi < 0, f"phi(J+={j_up})={phi:.6g}")
     checks = (ident, cv, pd, qai, moments)
     ok = all(flag for _, flag, _ in checks)
     return ModeReport("infinite-horizon" if ok else None, checks)
@@ -449,9 +422,9 @@ def mrv_mu(tail_weights, alpha: float, rare_set: RareSet) -> float:
     ``sum_i c_i z_index(A, e_i)**alpha`` for every set in the catalog.
     """
     c = np.asarray(tail_weights, dtype=float)
-    if np.any(c < 0):
+    if not np.all(c >= 0):
         raise ValueError("tail weights must be nonnegative")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("tail index must be positive")
     if c.size != rare_set.dim:
         raise ValueError("tail-weight dimension does not match the set")
@@ -491,9 +464,9 @@ def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
     with the description from :func:`derive_mrv` and the renewal integral in
     closed form; ``T`` may be ``math.inf`` when ``phi(alpha) < 0``.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("threshold must be positive")
-    if T < 0:
+    if not T >= 0:
         raise ValueError("horizon must be nonnegative")
     spec = derive_mrv(model.claim, model.rare_set)
     integral = model.renewal.discounted_integral(model.ret.laplace_exponent(spec.alpha), T)
@@ -507,8 +480,8 @@ def entrance_time_cdf(alpha: float, r: float, T: float) -> float:
     a constant force of interest ``r``, the first entrance time conditioned
     on being finite is asymptotically exponential with rate ``alpha * r``.
     """
-    if alpha <= 0 or r <= 0:
+    if not (alpha > 0 and r > 0):
         raise ValueError("need alpha > 0 and r > 0")
-    if T < 0:
+    if not T >= 0:
         raise ValueError("time must be nonnegative")
     return 1.0 - math.exp(-alpha * r * T)

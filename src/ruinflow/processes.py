@@ -36,8 +36,6 @@ __all__ = [
     "ExponentialJumps",
     "FixedJumps",
     "CompoundPoissonDrift",
-    "SummabilityResult",
-    "check_discount_summability",
     "truncation_horizon",
 ]
 
@@ -270,12 +268,16 @@ class LevyReturns:
             weights = np.multiply.outer(weights, jump_weights).ravel()
         return nodes, weights
 
+    @property
+    def unbounded_below_by(self) -> tuple[str, ...]:
+        """The parts that leave the paths unbounded below: volatility, negative jumps."""
+        return tuple(part for part, on in (("Brownian component", self.sigma > 0), (
+            "negative jumps", not (self.jumps is None or self.jumps.nonnegative))) if on)
+
     def bounded_below(self, T: float) -> float | None:
         """The floor ``K`` with ``inf_{t <= T} xi(t) >= -K`` almost surely (``|drift| T``
-        for a negative drift, else 0), or None when the paths are unbounded below:
-        under volatility, and under jumps that can be negative."""
-        unbounded = self.sigma > 0 or not (self.jumps is None or self.jumps.nonnegative)
-        return None if unbounded else max(0.0, -self.drift * T)
+        for a negative drift, else 0), or None when ``unbounded_below_by`` names a part."""
+        return None if self.unbounded_below_by else max(0.0, -self.drift * T)
 
 
 def Deterministic(rate: float) -> LevyReturns:
@@ -322,49 +324,6 @@ def _gamma_rules(k_max: int) -> tuple[np.ndarray, np.ndarray]:
         weights[k - 1] = vecs[0] ** 2
     nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
     return nodes, weights
-
-
-@dataclass(frozen=True)
-class SummabilityResult:
-    """Outcome of the discounted-moment summability check.
-
-    ``series_bound`` bounds ``sum_i (E[e^{-p1 xi(tau_i)}] v E[e^{-p2 xi(tau_i)}])^{1/rho}``
-    by the exact geometric sum available for Levy returns over a renewal
-    sequence.
-    """
-
-    holds: bool
-    rho: float
-    series_bound: float | None
-    phi_p1: float
-    phi_p2: float
-
-
-def check_discount_summability(proc: LevyReturns, renewal: RenewalIID,
-                               p1: float, p2: float,
-                               tail_index_upper: float) -> SummabilityResult:
-    """Verify geometric summability of discounted exceedance moments.
-
-    Requires exponents ``0 < p1 < p2`` bracketing the scalarized claim law's
-    polynomial decay exponents and a positive upper exponent.  The exponent
-    ``rho`` is 1 when the upper decay exponent is below one and ``p2``
-    otherwise.  The check passes when the Laplace exponent is negative at
-    both ``p1`` and ``p2``; the returned bound is
-    ``q^{1/rho} / (1 - q^{1/rho})`` with
-    ``q = max_j E[exp(tau_1 * phi(p_j))]``.
-    """
-    if not 0 < p1 < p2:
-        raise ValueError("need 0 < p1 < p2")
-    if tail_index_upper <= 0:
-        raise ValueError("upper decay exponent must be positive")
-    rho = 1.0 if tail_index_upper < 1.0 else p2
-    phi1 = proc.laplace_exponent(p1)
-    phi2 = proc.laplace_exponent(p2)
-    if phi1 >= 0 or phi2 >= 0:
-        return SummabilityResult(False, rho, None, phi1, phi2)
-    q = max(renewal.interarrival.laplace(-phi1), renewal.interarrival.laplace(-phi2))
-    qr = q ** (1.0 / rho)
-    return SummabilityResult(True, rho, qr / (1.0 - qr), phi1, phi2)
 
 
 def truncation_horizon(proc: LevyReturns, renewal: RenewalIID, alpha: float) -> float:

@@ -318,7 +318,7 @@ def contains(rare_set: RareSet, x: float, z) -> np.ndarray | bool:
     contained.  Equivalent to ``z_index(rare_set, z) > x`` but computed from
     the defining inequalities directly.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("scale x must be positive")
     z = _check_vectors(rare_set, z, require_nonneg=True)
     out = rare_set._contains(x, np.atleast_2d(z))

@@ -40,7 +40,7 @@ from ruinflow.montecarlo import (
     empirical_entrance_time,
     single_big_jump_check,
 )
-from ruinflow.processes import BrownianDrift, Deterministic, Poisson, check_discount_summability
+from ruinflow.processes import BrownianDrift, Deterministic, Poisson
 from ruinflow.rare_sets import AnyLineNegative, HalfSpace, MaxExceed, Ray, contains, z_index
 from ruinflow.ruin import PremiumSchedule, RuinModel, empirical_ruin
 
@@ -227,9 +227,9 @@ def test_criterion_06_subexponential_mode_weibull():
 def test_criterion_07_infinite_horizon_brownian():
     spec = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0),
                      Poisson(1.0), BrownianDrift(0.1, 0.2))
-    summ = check_discount_summability(spec.ret, spec.renewal, 1.0, 3.0, 1.5)
-    assert summ.holds and summ.phi_p2 < 0
-    assert resolve_infinite_mode(spec).mode == "infinite-horizon"
+    gate = resolve_infinite_mode(spec)
+    assert gate.mode == "infinite-horizon"
+    assert ("discounted-moment summability", True, "phi(J+=1.5)=-0.105") in gate.checks
     grid = tuple(np.geomspace(300.0, 4000.0, 9).round(1))
     sim = SimConfig(N_FULL, seed=2007, horizon=math.inf, x_grid=grid, n_workers=WORKERS)
     table = empirical_entrance(spec, sim)

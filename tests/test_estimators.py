@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from ruinflow.processes import (
     Poisson,
     RenewalIID,
 )
-from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, Ray
+from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, Ray, contains
 
 from oracles import (
     brownian_horizon_integral,
@@ -83,14 +84,36 @@ class TestModeResolution:
         assert resolve_finite_mode(spec, 10.0).mode is None
         assert resolve_infinite_mode(spec).mode is None
 
-    def test_infinite_mode_reports_summability(self):
-        spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
-                         Poisson(1.0), BrownianDrift(0.1, 0.2))
+    @pytest.mark.parametrize("ret, cause", [
+        (BrownianDrift(0.1, 0.2), "Brownian component"),
+        (CompoundPoissonDrift(0.02, 1.0, FixedJumps(-0.2)), "negative jumps"),
+        (LevyReturns(0.02, 0.2, 1.0, FixedJumps(-0.2)), "Brownian component and negative jumps"),
+    ])
+    def test_unbounded_below_names_its_cause(self, ret, cause):
+        spec = ModelSpec(ClaimModel.iid((Pareto(1.5),) * 2), MaxExceed((1, 1)), Poisson(1.0), ret)
+        assert ("returns bounded below on [0, T]", False,
+                f"paths are unbounded below ({cause})") in resolve_finite_mode(spec, 10.0).checks
+
+    # Brownian returns have phi(k) = -k mu + k^2 sigma^2 / 2, negative below the root
+    # 2 mu / sigma^2: the check passes exactly when the Pareto index J+ lies below it
+    @pytest.mark.parametrize("mu, sigma, alpha, holds", [
+        (0.1, 0.2, 1.5, True),  # root 5
+        (0.05, 0.5, 1.5, False),  # root 0.4
+        (0.1, 0.3, 1.5, True),  # root 2.22, below J+ + 1
+        (0.1, 0.3, 2.5, False),  # root 2.22
+        (1.0, 1.0, 2.0 - 1e-10, True),  # root 2: phi(J+) = -1e-10
+    ])
+    def test_infinite_mode_reports_summability(self, mu, sigma, alpha, holds):
+        spec = ModelSpec(ClaimModel.iid((Pareto(alpha),)), Ray(1.0),
+                         Poisson(1.0), BrownianDrift(mu, sigma))
         report = resolve_infinite_mode(spec)
         (ok, detail), = [(ok, detail) for name, ok, detail in report.checks
                          if name == "discounted-moment summability"]
-        assert ok
-        assert float(detail.split("phi(p2)=")[1].split(",")[0]) < 0
+        j_up, phi = (float(v) for v in re.fullmatch(r"phi\(J\+=(.+)\)=(.+)", detail).groups())
+        assert j_up == alpha
+        assert phi == pytest.approx(-alpha * mu + alpha**2 * sigma**2 / 2, rel=1e-5)
+        assert ok is holds and (phi < 0) is holds
+        assert (report.mode == "infinite-horizon") is holds
 
     def test_infinite_mode_fails_on_divergent_discounting(self):
         spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
@@ -431,6 +454,13 @@ def _nan_cases():
         "infinite-x": lambda: asymptotic_entrance_infinite(half, math.nan),
         "ruin-x": lambda: asymptotic_ruin(two_line_model(), math.nan, 10.0),
         "ruin-T": lambda: asymptotic_ruin(two_line_model(), 50.0, math.nan),
+        "mrv-mu-alpha": lambda: mrv_mu((1.0,), math.nan, Ray(1.0)),
+        "mrv-mu-weights": lambda: mrv_mu((1.0, math.nan), 1.5, MaxExceed((1.0, 1.0))),
+        "mrv-closed-form-x": lambda: mrv_closed_form(pareto_ray_model(), math.nan, 10.0),
+        "mrv-closed-form-T": lambda: mrv_closed_form(pareto_ray_model(), 10.0, math.nan),
+        "entrance-time-cdf-T": lambda: entrance_time_cdf(1.5, 0.05, math.nan),
+        "entrance-time-cdf-r": lambda: entrance_time_cdf(1.5, math.nan, 10.0),
+        "contains-x": lambda: contains(Ray(1.0), math.nan, [5.0]),
     }
 
 

@@ -18,7 +18,6 @@ from ruinflow.processes import (
     LevyReturns,
     Poisson,
     RenewalIID,
-    check_discount_summability,
     truncation_horizon,
 )
 
@@ -374,33 +373,6 @@ class TestBoundedBelow:
 
     def test_signed_jumps_fail(self):
         assert CompoundPoissonDrift(0.1, 1.0, FixedJumps(-0.2)).bounded_below(5.0) is None
-
-
-class TestSummability:
-    def test_deterministic_example(self):
-        out = check_discount_summability(Deterministic(0.05), Poisson(1.0), 1.0, 3.0, 1.5)
-        assert out.holds
-        assert out.rho == 3.0  # upper exponent >= 1 picks p2
-        assert out.series_bound is not None and out.series_bound < math.inf
-
-    def test_rho_is_one_below_unit_index(self):
-        out = check_discount_summability(Deterministic(0.05), Poisson(1.0), 0.2, 0.9, 0.5)
-        assert out.rho == 1.0
-
-    def test_brownian_negative_exponent_holds(self):
-        out = check_discount_summability(BrownianDrift(0.1, 0.2), Poisson(1.0), 1.0, 3.0, 1.5)
-        assert out.holds
-        assert out.phi_p2 == pytest.approx(-0.12)
-
-    def test_brownian_positive_exponent_fails(self):
-        out = check_discount_summability(BrownianDrift(0.05, 0.5), Poisson(1.0), 1.0, 2.0, 1.5)
-        assert not out.holds
-        assert out.phi_p2 == pytest.approx(0.4)
-        assert out.series_bound is None
-
-    def test_exponent_order_enforced(self):
-        with pytest.raises(ValueError):
-            check_discount_summability(Deterministic(0.05), Poisson(1.0), 3.0, 1.0, 1.5)
 
 
 class TestTruncation:

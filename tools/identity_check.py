@@ -45,8 +45,10 @@ depends on numpy's variate algorithms and its float kernels.  It holds:
   temporary directory written as ``<tmp>``; and,
   recorded alike, ``reference_entrance.json`` with heavy-Weibull margins and
   Brownian returns, a model no finite-horizon mode admits: once as it is (a
-  gate failure, exit 2) and once under ``--unsafe`` (exit 0); and three
-  claim blocks whose margins their dependence structure rejects (exit 3).
+  gate failure, exit 2) and once under ``--unsafe`` (exit 0);
+  ``infinite_horizon_brownian.json`` with ``mu`` 0.05 and ``sigma`` 0.5, whose
+  Laplace exponent is positive at the tail index (a gate failure, exit 2); and
+  three claim blocks whose margins their dependence structure rejects (exit 3).
 
 ``--src`` accepts the trees from commit 180905c on: their entrance-time
 tables give ``entered`` in ``meta``, and ``mrv_closed_form`` takes a model
@@ -224,7 +226,7 @@ def renewal_columns() -> dict:
 
 
 def _configs() -> dict:
-    """File name -> (config, CLI overrides): the demo configs, the two
+    """File name -> (config, CLI overrides): the demo configs, the three
     gate-failure runs and the three rejected claim blocks."""
     configs = ROOT / "demos" / "configs"
     out = {path.name: (json.loads(path.read_text()), {}) for path in configs.glob("*.json")}
@@ -234,6 +236,9 @@ def _configs() -> dict:
     cfg["model"]["return"] = {"type": "brownian", "mu": 0.1, "sigma": 0.2}
     out["gate_failure.json"] = (cfg, {})
     out["gate_failure_unsafe.json"] = (cfg, {"unsafe": True})
+    cfg = json.loads((configs / "infinite_horizon_brownian.json").read_text())
+    cfg["model"]["return"].update(mu=0.05, sigma=0.5)  # phi(1.5) = 0.206 >= 0
+    out["gate_failure_infinite.json"] = (cfg, {})
     pareto = {"type": "pareto", "alpha": 1.5}
     for name, claim in (
             ("iid_without_margins.json", {"dependence": {"type": "iid"}}),
