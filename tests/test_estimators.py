@@ -94,16 +94,22 @@ class TestModeResolution:
         assert ("returns bounded below on [0, T]", False,
                 f"paths are unbounded below ({cause})") in resolve_finite_mode(spec, 10.0).checks
 
+    def test_infinite_mode_reports_summability(self):
+        spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
+                         Poisson(1.0), BrownianDrift(0.1, 0.2))
+        report = resolve_infinite_mode(spec)
+        assert ("discounted-moment summability", True, "phi(J+=1.5)=-0.105") in report.checks
+        assert report.mode == "infinite-horizon"
+
     # Brownian returns have phi(k) = -k mu + k^2 sigma^2 / 2, negative below the root
     # 2 mu / sigma^2: the check passes exactly when the Pareto index J+ lies below it
     @pytest.mark.parametrize("mu, sigma, alpha, holds", [
-        (0.1, 0.2, 1.5, True),  # root 5
         (0.05, 0.5, 1.5, False),  # root 0.4
         (0.1, 0.3, 1.5, True),  # root 2.22, below J+ + 1
         (0.1, 0.3, 2.5, False),  # root 2.22
         (1.0, 1.0, 2.0 - 1e-10, True),  # root 2: phi(J+) = -1e-10
     ])
-    def test_infinite_mode_reports_summability(self, mu, sigma, alpha, holds):
+    def test_summability_check_is_phi_at_j_up(self, mu, sigma, alpha, holds):
         spec = ModelSpec(ClaimModel.iid((Pareto(alpha),)), Ray(1.0),
                          Poisson(1.0), BrownianDrift(mu, sigma))
         report = resolve_infinite_mode(spec)

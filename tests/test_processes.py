@@ -375,6 +375,23 @@ class TestBoundedBelow:
         assert CompoundPoissonDrift(0.1, 1.0, FixedJumps(-0.2)).bounded_below(5.0) is None
 
 
+class TestSummability:
+    # sum_i E[exp(-p xi(tau_i))] is the renewal measure integrated against exp(s phi(p)):
+    # a geometric series with ratio E[exp(tau_1 phi)] = rate / (rate - phi) for Poisson
+    def test_brownian_negative_exponent_holds(self):
+        phi = BrownianDrift(0.1, 0.2).laplace_exponent(3.0)
+        assert phi == pytest.approx(-0.12)
+        ratio = 1.0 / (1.0 - phi)
+        series = Poisson(1.0).discounted_integral(phi, math.inf)
+        assert series == pytest.approx(ratio / (1.0 - ratio), rel=1e-12)
+
+    def test_brownian_positive_exponent_fails(self):
+        phi = BrownianDrift(0.05, 0.5).laplace_exponent(2.0)
+        assert phi == pytest.approx(0.4)
+        with pytest.raises(ValueError, match="diverges"):
+            Poisson(1.0).discounted_integral(phi, math.inf)
+
+
 class TestTruncation:
     def test_poisson_deterministic_horizon(self):
         # tail/total < 1e-3 exactly when exp(phi T)/(1 - exp(phi T)) < 1e-3
