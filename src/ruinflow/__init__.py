@@ -23,10 +23,8 @@ from .estimators import (
     HorizonEstimate,
     HypothesisError,
     ModelSpec,
-    MrvSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
-    derive_mrv,
     entrance_time_cdf,
     mrv_closed_form,
     mrv_mu,

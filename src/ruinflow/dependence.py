@@ -233,12 +233,12 @@ class ClaimModel:
             return None
         return min(m.matuszewska[1] for m in self.margins)
 
-    def pareto_envelope(self, rare_set: RareSet) -> tuple[float, float] | None:
-        """Global bound ``P[z_index(X) > v] <= C * v**-alpha``, if available.
+    def tail_weights(self) -> tuple[np.ndarray, float] | None:
+        """Power-tail weights ``c_j`` with ``P[X_j > v] <= c_j v**-alpha`` and the
+        common index ``alpha``, or None without one index or one envelope per margin.
 
-        Requires a common regular-variation index across margins; built from
-        the per-margin envelopes by a union bound over the set's defining
-        inequalities.
+        A set turns them into the limit-measure mass (``mrv_mu``) or the global
+        bound ``P[z_index(X) > v] <= envelope_constant(cs, alpha) * v**-alpha``.
         """
         alpha = self.common_tail_index()
         if alpha is None:
@@ -246,8 +246,7 @@ class ClaimModel:
         envs = [m.pareto_envelope() for m in self.margins]
         if any(e is None for e in envs):
             return None
-        cs = np.array([e[0] for e in envs])
-        return (rare_set.envelope_constant(cs, alpha), alpha)
+        return np.array([e[0] for e in envs]), alpha
 
     def claims_from_uniforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform uniforms shaped ``(2, d, ...)`` into claim vectors of that shape.
@@ -365,6 +364,8 @@ class EmpiricalRatio:
 def _pair_exceedance(model: ClaimModel, rare_set: RareSet, x: float,
                      n: int | None, rng: np.random.Generator | None):
     """Analytic or empirical joint/marginal exceedance rates for one pair."""
+    if not x > 0:
+        raise ValueError("threshold must be positive")
     rates = model.inter.pair_rates(rare_set, x)
     if rates is not None:
         return (*rates, None)

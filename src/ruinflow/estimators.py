@@ -23,9 +23,9 @@ as hard gates unless explicitly bypassed:
 
 For claim vectors with a jointly regularly-varying (heaviest-tail) structure
 the right-hand side collapses to the closed form
-``mu(A) * S_ref(x) * integral e^{s phi(alpha)} d(renewal measure)`` exposed by
-:func:`mrv_closed_form`, with the limit-measure mass :func:`mrv_mu` available
-for independent components in the parametric set catalog.
+``mu(A) * max(x, 1)**-alpha * integral e^{s phi(alpha)} d(renewal measure)``
+exposed by :func:`mrv_closed_form`: the unit-Pareto survival times the
+limit-measure mass :func:`mrv_mu` of independent components.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .dependence import (
     _scalarized_survival,
     scalarized_survival,
 )
-from .heavy_tails import Pareto, TailDistribution
+from .heavy_tails import Pareto
 from .processes import (
     TAIL_REL_BOUND,
     LevyReturns,
@@ -52,7 +52,6 @@ from .processes import (
 from .rare_sets import RareSet, z_index
 
 __all__ = [
-    "MrvSpec",
     "ModelSpec",
     "HypothesisError",
     "ModeReport",
@@ -64,7 +63,6 @@ __all__ = [
     "HorizonEstimate",
     "mrv_mu",
     "mrv_closed_form",
-    "derive_mrv",
     "entrance_time_cdf",
 ]
 
@@ -75,26 +73,6 @@ class HypothesisError(ValueError):
         self.checks = tuple(checks)
         super().__init__("asymptotic mode unavailable: " + "; ".join(
             f"{name}: {detail}" for name, ok, detail in self.checks if not ok))
-
-
-@dataclass(frozen=True)
-class MrvSpec:
-    """Jointly regularly-varying description of the claim vector.
-
-    ``alpha`` is the common tail index, ``reference_tail`` the normalizing
-    survival function, and ``mu_of_a`` the limit-measure mass of the
-    configured target set (finite and positive).
-    """
-
-    alpha: float
-    reference_tail: TailDistribution
-    mu_of_a: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("tail index must be positive")
-        if not 0 <= self.mu_of_a < math.inf:
-            raise ValueError("limit-measure mass must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -387,11 +365,12 @@ def asymptotic_entrance_infinite(model: ModelSpec, x, unsafe: bool = False) -> H
     column = _Column(model, x)
     if not unsafe:
         resolve_infinite_mode(model).require()
-    env = model.claim.pareto_envelope(model.rare_set)
-    if env is None:
+    weights = model.claim.tail_weights()
+    if weights is None:
         raise UnsupportedModelError(
             "truncation bound needs a polynomial envelope with one shared tail index")
-    c_env, alpha = env
+    cs, alpha = weights
+    c_env = model.rare_set.envelope_constant(cs, alpha)
     T = truncation_horizon(model.ret, model.renewal, alpha)
     n = column.x.size
     live, reach, bound = np.arange(n), np.full(n, T), np.zeros(n)
@@ -431,46 +410,24 @@ def mrv_mu(tail_weights, alpha: float, rare_set: RareSet) -> float:
     return float(np.sum(c * z_index(rare_set, np.eye(c.size)) ** alpha))
 
 
-def derive_mrv(claim: ClaimModel, rare_set: RareSet) -> MrvSpec:
-    """Build the regular-variation description from independent catalog margins.
-
-    Requires every margin to be regularly varying with one common index and a
-    pure power envelope; the reference tail is the unit-scale Pareto of that
-    index, making each component's tail weight its envelope constant.
-    Dependence specs without identically distributed vectors are rejected.
-    """
-    if not claim.identically_distributed:
-        raise UnsupportedModelError(
-            "regular-variation description needs identically distributed vectors")
-    alpha = claim.common_tail_index()
-    if alpha is None:
-        raise UnsupportedModelError(
-            "margins must share one regular-variation index")
-    weights = []
-    for m in claim.margins:
-        env = m.pareto_envelope()
-        if env is None:
-            raise UnsupportedModelError(
-                f"margin {type(m).__name__} has no power-tail weight")
-        weights.append(env[0])
-    return MrvSpec(alpha=alpha, reference_tail=Pareto(alpha, 1.0),
-                   mu_of_a=mrv_mu(weights, alpha, rare_set))
-
-
 def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
     """Closed-form first-order entrance value for regularly-varying claims.
 
-    ``mu(A) * S_ref(x) * integral_0^T exp(s phi(alpha)) d(renewal measure)``
-    with the description from :func:`derive_mrv` and the renewal integral in
-    closed form; ``T`` may be ``math.inf`` when ``phi(alpha) < 0``.
+    ``mu(A) * max(x, 1)**-alpha * integral_0^T exp(s phi(alpha)) d(renewal measure)``
+    with ``mu(A) = mrv_mu(*claim.tail_weights(), A)`` and the renewal integral
+    in closed form; ``T`` may be ``math.inf`` when ``phi(alpha) < 0``.
     """
     if not x > 0:
         raise ValueError("threshold must be positive")
     if not T >= 0:
         raise ValueError("horizon must be nonnegative")
-    spec = derive_mrv(model.claim, model.rare_set)
-    integral = model.renewal.discounted_integral(model.ret.laplace_exponent(spec.alpha), T)
-    return spec.mu_of_a * float(spec.reference_tail.survival(x)) * integral
+    weights = model.claim.tail_weights()
+    if weights is None or not model.claim.identically_distributed:
+        raise UnsupportedModelError("closed form needs identically distributed vectors "
+                                    "whose margins share one index and have power-tail weights")
+    cs, alpha = weights
+    integral = model.renewal.discounted_integral(model.ret.laplace_exponent(alpha), T)
+    return mrv_mu(cs, alpha, model.rare_set) * float(Pareto(alpha, 1.0).survival(x)) * integral
 
 
 def entrance_time_cdf(alpha: float, r: float, T: float) -> float:

@@ -311,7 +311,7 @@ class HarmonicSurvival(TailDistribution):
 
 def _check_prob(u):
     u = np.array(u, dtype=float)  # a copy: the quantile is computed in place
-    if np.any(u <= 0) or np.any(u >= 1):
+    if not np.all((u > 0) & (u < 1)):
         raise ValueError("probability argument must lie strictly inside (0, 1)")
     return u
 
@@ -332,9 +332,9 @@ def matuszewska_bounds(dist: TailDistribution, y_grid, x_grid) -> tuple[float, f
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if y_grid.size == 0 or x_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    if np.any(y_grid <= 1):
+    if not np.all(y_grid > 1):
         raise ValueError("ratio grid must satisfy y > 1")
-    if np.any(np.diff(x_grid) <= 0):
+    if not np.all(np.diff(x_grid, prepend=-np.inf) > 0):  # a NaN anywhere fails
         raise ValueError("x grid must be strictly increasing")
     x_max = x_grid[-1]
     s_base = float(dist.survival(x_max))

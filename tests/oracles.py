@@ -86,23 +86,30 @@ def convolution_survival(sf1, sf2, pdf2, support_min1: float, support_min2: floa
     """``P[X1 + X2 > s]`` for independent components by direct quadrature.
 
     Conditions on the second component: beyond ``s - support_min1`` the first
-    component's floor alone pushes the sum over the level.  ``epsabs=0``
-    keeps the value accurate relative to itself however small it is.
+    component's floor alone pushes the sum over the level.  The range splits
+    at ``y = s/2``, and the upper half is integrated in ``t = s - y``, so the
+    first component's argument never comes from a cancelling difference.
+    ``epsabs=0`` keeps the value accurate relative to itself however small
+    it is.
     """
     if s <= support_min1 + support_min2:
         return 1.0
     y_hi = s - support_min1
+    y_mid = min(max(s / 2.0, support_min2), y_hi)
+    lower = _quad_from_floor(lambda y: sf1(s - y) * pdf2(y), support_min2, y_mid)
+    upper = _quad_from_floor(lambda t: sf1(t) * pdf2(s - t), support_min1, s - y_mid)
+    return min(1.0, float(sf2(y_hi)) + lower + upper)
 
-    def integrand(y):
-        return sf1(s - y) * pdf2(y)
 
-    # interior break hints keep the adaptive rule from skipping the narrow
-    # regions where either component dominates the sum
-    pts = sorted({min(y_hi, support_min2 + 10.0 ** e) for e in range(-2, 12)}
-                 | {y_hi / 2.0, max(support_min2, y_hi - 1.0)})
-    val, _ = integrate.quad(integrand, support_min2, y_hi, epsabs=0.0, limit=500,
-                            points=[p for p in pts if support_min2 < p < y_hi])
-    return min(1.0, float(sf2(y_hi)) + float(val))
+def _quad_from_floor(f, lo: float, hi: float) -> float:
+    """``integral_lo^hi f`` with break hints at decades above ``lo``, up to the
+    width: the mass of either piece sits near its lower end, on every scale."""
+    if not hi > lo:
+        return 0.0
+    pts = [lo + 10.0**e for e in range(-2, int(math.log10(hi - lo)) + 1)]
+    val, _ = integrate.quad(f, lo, hi, epsabs=0.0, limit=500,
+                            points=[p for p in pts if lo < p < hi])
+    return float(val)
 
 
 def erlang2_renewal_function(rate: float, t: float) -> float:

@@ -373,6 +373,15 @@ class TestPairDiagnostics:
         out = qai_ratio(model, UNIT_MAX, 40.0, n=20_000, rng=rng)
         assert not out.reliable
 
+    def test_nonpositive_threshold_rejected(self):
+        # on both routes: x = -5 gave the cubic pair a ratio of negative
+        # "probabilities", and every FGM pair exceeds x = -1, a reliable-looking 0.5
+        with pytest.raises(ValueError):
+            qai_ratio(ClaimModel.cubic_pair(), UNIT_MAX, -5.0)
+        with pytest.raises(ValueError):
+            qai_ratio(ClaimModel.fgm_chain(0.5, G), UNIT_MAX, -1.0,
+                      n=1000, rng=np.random.default_rng(12))
+
 
 class TestModelMetadata:
     def test_dependence_flags(self):
@@ -395,7 +404,8 @@ class TestModelMetadata:
 
     def test_envelope(self):
         model = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(1.5, 1.0)))
-        c, a = model.pareto_envelope(UNIT_MAX)
+        cs, a = model.tail_weights()
+        c = UNIT_MAX.envelope_constant(cs, a)
         assert a == 1.5 and c == pytest.approx(2.0)
         rng = np.random.default_rng(11)
         seq = model.sample_sequence(50_000, rng)

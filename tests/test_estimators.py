@@ -13,7 +13,6 @@ from ruinflow.estimators import (
     ModelSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
-    derive_mrv,
     entrance_time_cdf,
     mrv_closed_form,
     mrv_mu,
@@ -384,17 +383,17 @@ class TestMrv:
         assert mrv_mu([1.0, 1.0], alpha, union) == pytest.approx(p / x**-alpha, rel=1e-3)
 
     def test_derive_requires_common_index(self):
-        with pytest.raises(UnsupportedModelError):
-            derive_mrv(ClaimModel.iid((Pareto(1.5), Pareto(2.5))), MaxExceed((1, 1)))
-        with pytest.raises(UnsupportedModelError):
-            derive_mrv(ClaimModel.iid((HeavyWeibull(0.5),)), Ray(1.0))
-        with pytest.raises(UnsupportedModelError):
-            derive_mrv(ClaimModel.cubic_pair(), MaxExceed((1, 1)))
+        for claim, rare_set in ((ClaimModel.iid((Pareto(1.5), Pareto(2.5))), MaxExceed((1, 1))),
+                                (ClaimModel.iid((HeavyWeibull(0.5),)), Ray(1.0)),
+                                (ClaimModel.cubic_pair(), MaxExceed((1, 1)))):
+            spec = ModelSpec(claim, rare_set, Poisson(1.0), Deterministic(0.05))
+            with pytest.raises(UnsupportedModelError):
+                mrv_closed_form(spec, 100.0, 10.0)
 
     def test_closed_form_examples(self):
         claim = ClaimModel.iid((Pareto(2.0, 1.0),))
         spec = ModelSpec(claim, Ray(1.0), Poisson(1.0), Deterministic(0.05))
-        mu_of_a = derive_mrv(claim, Ray(1.0)).mu_of_a
+        mu_of_a = mrv_mu([1.0], 2.0, Ray(1.0))
         x = 100.0
         val = mrv_closed_form(spec, x, 10.0)
         factor = (1.0 - math.exp(-1.0)) / 0.1
@@ -438,6 +437,8 @@ def pareto_pair_half_space_survival(alpha=1.5):
 
 
 def _nan_cases():
+    from ruinflow.dependence import qai_ratio, rd_violation_ratio
+    from ruinflow.heavy_tails import matuszewska_bounds
     from ruinflow.ruin import asymptotic_ruin
 
     from test_ruin import two_line_model
@@ -467,6 +468,13 @@ def _nan_cases():
         "entrance-time-cdf-T": lambda: entrance_time_cdf(1.5, 0.05, math.nan),
         "entrance-time-cdf-r": lambda: entrance_time_cdf(1.5, math.nan, 10.0),
         "contains-x": lambda: contains(Ray(1.0), math.nan, [5.0]),
+        "quantile-u": lambda: Pareto(1.5).quantile(math.nan),
+        "quantile-u-in-grid": lambda: Pareto(1.5).quantile([0.5, math.nan]),
+        "matuszewska-y": lambda: matuszewska_bounds(Pareto(1.5), [math.nan, 2.0], [10.0, 100.0]),
+        "matuszewska-x": lambda: matuszewska_bounds(Pareto(1.5), [2.0], [10.0, math.nan]),
+        "qai-ratio-x": lambda: qai_ratio(ClaimModel.cubic_pair(), MaxExceed((1, 1)), math.nan),
+        "rd-violation-x": lambda: rd_violation_ratio(ClaimModel.cubic_pair(), MaxExceed((1, 1)),
+                                                     math.nan),
     }
 
 

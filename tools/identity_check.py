@@ -194,7 +194,7 @@ def workloads() -> dict:
 def mrv_columns() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
-    from ruinflow.estimators import derive_mrv, mrv_closed_form
+    from ruinflow.estimators import mrv_closed_form
 
     out = {}
     for name in MRV_WORKLOADS:
@@ -202,7 +202,7 @@ def mrv_columns() -> dict:
         model = w.build()
         if w.kind == "ruin":
             model = model.entrance_model()
-        alpha = derive_mrv(model.claim, model.rare_set).alpha
+        alpha = model.claim.common_tail_index()
         horizons = [10.0] + ([math.inf] if model.ret.laplace_exponent(alpha) < 0 else [])
         out[name] = {repr(T): [mrv_closed_form(model, x, T) for x in w.x_grid] for T in horizons}
     return out
