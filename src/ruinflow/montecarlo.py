@@ -31,15 +31,19 @@ does not grow with the horizon and no arrival-count cap exists.
 
 One chunk runner serves every experiment through per-path statistics
 (:class:`_Statistic`): entrance, entrance time and ruin (the entrance of the
-net claim process into the mapped set, read on the same paths), each finished
-once per chunk, on its paths in the order they leave the loop.  A run uses at
-most one worker per chunk (in-process for one).  A pool gets the chunks in
-blocks of consecutive chunks, about :data:`BLOCKS_PER_WORKER` blocks per
-worker (single chunks when there are fewer), and the results are merged in
-chunk order.  Claim transforms work in place: a marginal's ``_qf``
+net claim process into the mapped set, read on the same paths), each updated
+once per loop step on both its slots and finished once per chunk, on its paths
+in the order they leave the loop.  A run uses at most one worker per chunk
+(in-process for one).  Chunks run in blocks of consecutive chunks: one block
+on one worker, else about :data:`BLOCKS_PER_WORKER` blocks per worker (single
+chunks when there are fewer); the results are merged in chunk order.  Each
+block allocates one workspace that its aggregate chunks reuse: a loop step
+draws into views of it (numpy fills ``out=`` in the order of a fresh array),
+transforms and sums the claims there and compacts the staying paths into it,
+so a worker's memory is one fixed workspace and the step's own temporaries
+are masks and indices.  Claim transforms work in place: a marginal's ``_qf``
 overwrites the survival transforms it is given, and the big-jump chunk
-transforms the uniform block it draws where it lies (the aggregate engine's
-draws go to a new array: in place, they took more page faults, no less time).
+transforms the uniform block it draws where it lies.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -213,50 +219,64 @@ def _add_counts(into: dict, counts: dict) -> None:
         into[key] = into.get(key, 0) + val
 
 
-def _walk(start: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """``start`` plus the running sums of the two slot rows of ``inc``."""
-    out = np.empty_like(inc)
+def _walk(start: np.ndarray, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``start`` plus the running sums of the slot rows of ``inc``, into ``out`` (or ``inc``)."""
     np.add(start, inc[0], out=out[0])
     np.add(out[0], inc[1], out=out[1])
     return out
 
 
-def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
+def _views(buf: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of the flat ``buf``, one per shape."""
+    ends = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    return [buf[i:j].reshape(shape) for i, j, shape in zip(ends, ends[1:], shapes)]
+
+
+def _aggregate_floats(d: int) -> int:
+    """Workspace floats per path of an aggregate chunk: carry, final ``D`` and one loop step."""
+    return (d + 2) + d + 2 * (3 + d)
+
+
+def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray | None = None) -> dict:
     rng = _chunk_rng(task.seed, task.chunk)
-    d = task.claim.d
-    t, xi, D = np.zeros(task.count), np.zeros(task.count), np.zeros((d, task.count))
-    states = [stat.init(task.count) for stat in task.stats]
-    final = np.empty_like(D)  # D and states of the paths that left, in the order they left
-    final_states = [tuple(np.empty_like(a) for a in state) for state in states]
-    while t.size:
-        gaps = task.renewal.interarrivals(rng, (2, t.size))
-        tau = _walk(t, gaps)
-        xi_s = _walk(xi, task.ret.xi_at(tau, gaps, rng))
-        claims = task.claim.claims_from_uniforms(rng.random((2, d, t.size)))
-        w = np.negative(xi_s)
-        np.exp(w, out=w)
+    d, n = task.claim.d, task.count
+    carry, final, step = _views(np.empty(_aggregate_floats(d) * n) if ws is None else ws,
+                                ((d + 2) * n,), (d, n), (2 * (3 + d) * n,))
+    carry.fill(0.0)
+    t, xi, D = _views(carry, (n,), (n,), (d, n))
+    live = [stat.init(n) for stat in task.stats]  # the active paths' states lead these arrays
+    spare = [tuple(np.empty_like(a) for a in state) for state in live]
+    final_states = [tuple(np.empty_like(a) for a in state) for state in live]  # in leaving order
+    m = n
+    while m:
+        gaps, tau, xs, claims = _views(step, (2, m), (2, m), (2, m), (2, d, m))
+        _walk(t, task.renewal.interarrivals(rng, (2, m), out=gaps), tau)
+        _walk(xi, task.ret.xi_at(tau, gaps, rng, out=xs), xs)
+        task.claim.claims_from_uniforms(rng.random((2, d, m), out=claims), out=claims)
+        w = np.exp(np.negative(xs, out=gaps), out=gaps)
         inside = tau <= task.horizon
-        # slot 1 is the later one: when all of it is inside, so is slot 0
-        all_inside = inside[1].all()
-        if not all_inside:
-            w[~inside] = 0.0
-        for k in (0, 1):
-            claims[k] *= w[k]
-            D += claims[k]
-            for stat, state in zip(task.stats, states):
-                stat.step(state, tau[k], inside[k], D.T)
-        t, xi = tau[1], xi_s[1]
-        if not all_inside:  # a path whose slot 1 is past the horizon is done
-            keep = inside[1]
-            done = ~keep
-            rows = slice(task.count - t.size, task.count - np.count_nonzero(keep))
-            np.compress(done, D, axis=1, out=final[:, rows])
-            for state, buf in zip(states, final_states):
-                for a, b in zip(state, buf):
-                    np.compress(done, a, axis=0, out=b[rows])
-            t, xi = t[keep], xi[keep]
-            D = np.compress(keep, D, axis=1)
-            states = [tuple(np.compress(keep, a, axis=0) for a in state) for state in states]
+        if not inside[1].all():  # slot 1 is the later one: when all of it is inside, so is slot 0
+            np.copyto(w, 0.0, where=~inside)  # not w *= inside: exp(-xi) may be inf
+        claims *= w[:, None]
+        claims[0] += D  # the running sums after slot 0, then after slot 1
+        claims[1] += claims[0]
+        for stat, state in zip(task.stats, live):
+            stat.step(tuple(a[:m] for a in state), tau, inside, claims.transpose(0, 2, 1))
+        # a path whose slot 1 is past the horizon is done: its D and state go to ``rows``
+        # of the final arrays, the other paths' carry and state to the front of theirs.
+        # The indices are in range, and mode="clip" spares take() a copy of ``out``.
+        keep, done = np.flatnonzero(inside[1]), np.flatnonzero(~inside[1])
+        rows = slice(n - m, n - keep.size)
+        for j in range(d):
+            np.take(claims[1, j], done, out=final[j, rows], mode="clip")
+        for state, buf, into in zip(live, spare, final_states):
+            for a, b, c in zip(state, buf, into):
+                np.take(a[:m], done, axis=0, out=c[rows], mode="clip")
+                np.take(a[:m], keep, axis=0, out=b[:keep.size], mode="clip")
+        live, spare, m = spare, live, keep.size
+        t, xi, D = _views(carry, (m,), (m,), (d, m))
+        for src, dst in ((tau[1], t), (xs[1], xi), (claims[1], D)):
+            np.take(src, keep, axis=-1, out=dst, mode="clip")
     out: dict = {}
     for stat, state in zip(task.stats, final_states):
         _add_counts(out, stat.finish(state, final.T))
@@ -268,13 +288,14 @@ def _simulate_aggregate_chunk(task: _AggregateTask) -> dict:
 
 
 class _Statistic:
-    """A per-path statistic, updated arrival slot by arrival slot.
+    """A per-path statistic, updated once per loop step.
 
     ``init(n)`` returns the state of ``n`` fresh paths, a tuple of arrays
     with a leading path axis.  ``step(state, tau, inside, running)`` updates
-    it in place from one slot of the active paths: its epoch, whether that
-    lies within the horizon, and ``D`` after it (a slot past the horizon adds
-    nothing; the array is reused, so keep no reference to it).
+    it in place from both slots of one loop step of the ``m`` active paths:
+    their epochs and whether those lie within the horizon, ``(2, m)``, and
+    ``D`` after each slot, ``(2, m, d)`` (a slot past the horizon adds
+    nothing; the arrays are reused, so keep no reference to them).
     ``finish(state, final)`` reads the state and ``D`` at the horizon and
     returns int64 counts; it runs once per chunk, on all the chunk's paths
     in the order they leave the horizon, and counts are merged by addition.
@@ -323,8 +344,9 @@ class _EntranceTimes(_Statistic):
         return (np.full(n, np.inf),)
 
     def step(self, state, tau, inside, running):
-        hit = inside & (z_index_signed(self.rare_set, running) > self.x)
-        np.minimum(state[0], np.where(hit, tau, np.inf), out=state[0])
+        first = np.where(inside & (z_index_signed(self.rare_set, running) > self.x), tau, np.inf)
+        np.minimum(state[0], first[0], out=state[0])
+        np.minimum(state[0], first[1], out=state[0])
 
     def finish(self, state, final):
         t_entry = state[0]
@@ -354,9 +376,11 @@ class _Ruin(_Statistic):
         return (np.full(n, -np.inf),)
 
     def step(self, state, tau, inside, running):
-        net = running - _discounted_premium_at(tau, self.premiums.breaks, self._rates, self.rate)
-        z = np.where(inside, z_index_signed(self.rare_set, net), -np.inf)
-        np.maximum(state[0], z, out=state[0])
+        net = _discounted_premium_at(tau, self.premiums.breaks, self._rates, self.rate)
+        z = z_index_signed(self.rare_set, np.subtract(running, net, out=net))
+        np.copyto(z, -np.inf, where=~inside)
+        np.maximum(state[0], z[0], out=state[0])
+        np.maximum(state[0], z[1], out=state[0])
 
     def finish(self, state, final):
         return {"ruin_counts": _exceedances(state[0], self.x_grid)}
@@ -364,37 +388,48 @@ class _Ruin(_Statistic):
 
 def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
                            r: float) -> np.ndarray:
-    """Exact ``integral_0^t e^{-r s} p(s) ds`` at each entry of the 1-d ``tau``, shape ``(n, d)``.
+    """Exact ``integral_0^t e^{-r s} p(s) ds`` at each entry of ``tau``, shape ``tau.shape + (d,)``.
 
     ``rates`` has one row per piece ``[breaks[j], breaks[j+1])`` and one
     column per line of business; the last piece extends to infinity.  The
-    result is line-major (a ``(d, n)`` array's transpose), like ``D.T``.
+    result is line-major (its line axis is moved last), like the running sums.
     """
-    out = np.zeros((rates.shape[1], tau.size))
+    out = np.zeros((rates.shape[1],) + tau.shape)
+    lines = rates.reshape(rates.shape + (1,) * tau.ndim)
     edges = list(breaks) + [math.inf]
     for j in range(rates.shape[0]):
         a, b = edges[j], edges[j + 1]
-        upper = np.clip(tau, a, b)
+        seg = np.clip(tau, a, b)  # each piece's upper end, then its integral, in place
         if r == 0:
-            seg = np.maximum(upper - a, 0.0)
+            seg -= a
         else:
-            seg = (np.exp(-r * a) - np.exp(-r * upper)) / r
-            seg = np.maximum(seg, 0.0)
-        out += rates[j][:, None] * seg
-    return out.T
+            np.subtract(np.exp(-r * a), np.exp(np.multiply(-r, seg, out=seg), out=seg), out=seg)
+            seg /= r
+        out += lines[j] * np.maximum(seg, 0.0, out=seg)
+    return np.moveaxis(out, 0, -1)
 
 
-def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
+def _run_block(runner, floats_per_path: int, tasks: list) -> list:
+    """Run consecutive chunk tasks in order; with ``floats_per_path`` they share one workspace."""
+    if not floats_per_path:
+        return [runner(t) for t in tasks]
+    ws = np.empty(floats_per_path * max(t.count for t in tasks))
+    return [runner(t, ws) for t in tasks]
+
+
+def _run_chunks(task_proto, runner, n_paths: int, n_workers: int, floats_per_path: int = 0) -> dict:
     tasks = [replace(task_proto, chunk=c, count=min(CHUNK_PATHS, n_paths - s))
              for c, s in enumerate(range(0, n_paths, CHUNK_PATHS))]
     n_workers = min(n_workers, len(tasks))  # a worker without a chunk is a wasted fork
     if n_workers == 1:
-        results = [runner(t) for t in tasks]
+        results = _run_block(runner, floats_per_path, tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # here: 1 worker needs no pool
-        chunksize = max(1, len(tasks) // (BLOCKS_PER_WORKER * n_workers))
+        size = max(1, len(tasks) // (BLOCKS_PER_WORKER * n_workers))
+        blocks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(runner, tasks, chunksize=chunksize))
+            results = [res for block in pool.map(partial(_run_block, runner, floats_per_path),
+                                                 blocks) for res in block]
     merged: dict = {}
     for res in results:  # results arrive in chunk order: merge is deterministic
         _add_counts(merged, res)
@@ -407,7 +442,8 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
     proto = _AggregateTask(
         claim=model.claim, renewal=model.renewal, ret=model.ret, horizon=horizon,
         seed=sim.seed, chunk=0, count=0, stats=stats)
-    return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
+    return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers,
+                       _aggregate_floats(model.claim.d))
 
 
 # ---------------------------------------------------------------------------

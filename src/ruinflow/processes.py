@@ -93,11 +93,12 @@ class RenewalIID:
         roots = (cmath.exp(2j * math.pi * j / k) for j in range(1, k))
         return tuple((w, (1.0 - w) * rate) for w in roots)
 
-    def interarrivals(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Interarrival gaps of the given shape, drawn from ``rng``.  Exponential gaps
-        use numpy's exponential draw: the stream of its shape-1 gamma draw, but faster."""
+    def interarrivals(self, rng: np.random.Generator, shape, out=None) -> np.ndarray:
+        """Interarrival gaps of the given shape, drawn from ``rng`` (into ``out`` if given).
+        Exponential gaps use ``standard_exponential``: the stream of a shape-1 gamma, but faster."""
         k = self.interarrival.k
-        gaps = rng.standard_exponential(shape) if k == 1 else rng.standard_gamma(k, shape)
+        gaps = (rng.standard_exponential(shape, out=out) if k == 1
+                else rng.standard_gamma(k, shape, out=out))
         gaps /= self.interarrival.rate
         return gaps
 
@@ -226,16 +227,17 @@ class LevyReturns:
         phi = -k * self.drift + 0.5 * k * k * self.sigma * self.sigma
         return phi if self.jumps is None else phi + self.jump_rate * (self.jumps.mgf_neg(k) - 1.0)
 
-    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, shaped like
-        ``dtau`` and drawn from ``rng``: normals when ``sigma > 0``, then jump counts and
-        jump sums when ``jump_rate > 0`` (a deterministic force draws nothing)."""
-        inc = self.drift * dtau
-        if self.sigma > 0:
-            noise = rng.standard_normal(dtau.shape)
-            noise *= np.sqrt(dtau)
-            noise *= self.sigma
-            inc += noise
+    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, rng: np.random.Generator, out=None):
+        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, shaped like ``dtau``
+        (into ``out`` if given) and drawn from ``rng``: normals when ``sigma > 0``, then jump
+        counts and jump sums when ``jump_rate > 0`` (a deterministic force draws nothing)."""
+        if self.sigma > 0:  # the noise is drawn where it is summed: a + b == b + a
+            inc = rng.standard_normal(dtau.shape, out=out)
+            inc *= np.sqrt(dtau)
+            inc *= self.sigma
+            inc += self.drift * dtau
+        else:
+            inc = np.multiply(self.drift, dtau, out=out)
         if self.jumps is not None:
             inc += self.jumps.block_sum(rng.poisson(self.jump_rate * dtau), rng)
         return inc

@@ -2,6 +2,8 @@ import json
 import math
 import tracemalloc
 import concurrent.futures
+import gc
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -170,7 +172,7 @@ class _Sums:
 
     def step(self, state, tau, inside, running):
         arrivals, = state
-        arrivals += inside
+        arrivals += inside.sum(axis=0)  # both slots of the loop step
 
     def finish(self, state, final):
         return {"component_sums": final.sum(axis=0),
@@ -621,12 +623,15 @@ class TestBlockedDispatch:
 
     @pytest.fixture
     def block_sizes(self, monkeypatch):
+        # the length of the blocks of one run; each but the last is that long
         sizes = []
 
         class Pool(ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1, **kw):
-                sizes.append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize, **kw)
+            def map(self, fn, blocks, **kw):
+                lengths = [len(b) for b in blocks]
+                assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
+                sizes.append(lengths[0])
+                return super().map(fn, blocks, **kw)
 
         # the engine imports the pool when a run needs one, from ``concurrent.futures``
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -684,6 +689,13 @@ class TestWorkerCap:
         assert np.array_equal(eight.count, one.count)
 
 
+def _pareto_pair_ruin(premium: float) -> RuinModel:
+    """Any-line ruin of two Pareto(1.5) lines under a 5% force of interest."""
+    return RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),) * 2), renewal=Poisson(1.0),
+                     ret=Deterministic(0.05), alloc=(0.5, 0.5), ruin_set=AnyLineNegative(),
+                     premiums=PremiumSchedule.constant((premium, premium)))
+
+
 class TestMemory:
     def test_chunk_peak_flat_in_horizon(self):
         # a path carries O(d) state and draws only while inside the horizon,
@@ -703,6 +715,31 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[2] <= 1.5 * peaks[0], peaks
 
+    def test_ruin_peak_bounded_and_flat_in_horizon(self):
+        # one chunk of ruin with premiums, in units of CHUNK_PATHS * d * 8 bytes (d = 2):
+        # the block's workspace is 8, the ruin state with its spare and final copies
+        # 1.5, a ruin step's temporaries about 6; a tenfold horizon adds none
+        model = _pareto_pair_ruin(0.5)
+        unit = CHUNK_PATHS * 2 * 8
+        peaks = []
+        for T in (10.0, 100.0):
+            sim = SimConfig(CHUNK_PATHS, 7, T)
+            empirical_ruin(model, (20.0, 80.0, 320.0), T, sim)  # fills the caches first
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                table = empirical_ruin(model, (20.0, 80.0, 320.0), T, sim)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del table
+                gc.collect()
+                left = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert left < CHUNK_PATHS, left  # no path-sized array outlives the call
+        assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1, peaks
+        assert max(peaks) < 18 * unit, [p / unit for p in peaks]
+
     def test_big_jump_chunk_peak_below_two_blocks(self):
         # the chunk transforms its uniform block in place: a reintroduced
         # copy of the block (or of its claims) lifts the peak past 2 blocks
@@ -717,6 +754,34 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * block, peak / block
+
+
+class TestThreads:
+    def test_concurrent_runs_match_sequential_runs(self):
+        # each block owns its workspace: two runs at once in one process, with
+        # different models and seeds, give the counts they give one after the other
+        def run(premium, seed):
+            t = empirical_ruin(_pareto_pair_ruin(premium), (5.0, 20.0, 80.0), 10.0,
+                               SimConfig(3 * CHUNK_PATHS + 500, seed, 10.0))
+            return t.count.tolist(), t.meta["entrance_counts"].tolist()
+
+        args = [(0.5, 41), (2.0, 42)]
+        want = [run(*a) for a in args]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            got[i] = run(*args[i])
+
+        # daemon threads and a bounded join: paths corrupted by a shared buffer may never leave
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+        assert not any(th.is_alive() for th in threads), "a run did not finish"
+        assert got == want
 
 
 @st.composite

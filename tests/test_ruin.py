@@ -6,10 +6,17 @@ import pytest
 from ruinflow.dependence import ClaimModel
 from ruinflow.estimators import asymptotic_entrance_finite, mrv_closed_form
 from ruinflow.heavy_tails import Pareto
-from ruinflow.montecarlo import SimConfig, _discounted_premium_at, empirical_entrance
+from ruinflow.montecarlo import (
+    SimConfig,
+    _discounted_premium_at,
+    _EntranceTimes,
+    _Ruin,
+    empirical_entrance,
+)
 from ruinflow.processes import BrownianDrift, Deterministic, Poisson
 from ruinflow.rare_sets import (
     AnyLineNegative,
+    HalfSpace,
     MaxExceed,
     Ray,
     WeightedSumNegative,
@@ -99,6 +106,66 @@ class TestDiscountedPremiumLayout:
         assert got.shape == want.shape == (tau.size, 2)
         assert got.T.flags.c_contiguous  # line-major, like the running sums
         assert got.tobytes(order="C") == want.tobytes()
+
+
+THREE_PIECES = PremiumSchedule(breaks=(0.0, 2.0, 5.0),
+                               rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
+
+
+def _loop_step(m: int, horizon: float, seed: int):
+    """Random inputs of one two-slot loop step laid out as the engine lays them out:
+    epochs ``(2, m)`` that straddle the premium breaks and the horizon (some exactly
+    on them), the inside mask, and running sums ``(2, m, d)`` viewed from a
+    ``(2, d, m)`` block."""
+    rng = np.random.default_rng(seed)
+    tau = np.cumsum(rng.exponential(2.0, (2, m)), axis=0)
+    tau[0, :6] = (0.0, 2.0, 5.0, np.nextafter(2.0, 0.0), np.nextafter(5.0, 9.0), horizon)
+    claims = np.cumsum(rng.pareto(1.5, (2, 2, m)), axis=0)
+    return tau, tau <= horizon, claims.transpose(0, 2, 1)
+
+
+class TestTwoSlotStep:
+    """The statistics' two-slot step against the slot-by-slot formula it replaced."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
+    def test_premium_rows_are_the_one_slot_bytes(self, r):
+        tau, _, _ = _loop_step(999, 6.0, 11)
+        rates = np.asarray(THREE_PIECES.rates)
+        both = _discounted_premium_at(tau, THREE_PIECES.breaks, rates, r)
+        assert both.shape == (2, 999, 2)
+        for k in (0, 1):
+            one = _discounted_premium_at(tau[k], THREE_PIECES.breaks, rates, r)
+            assert both[k].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("rare_set", [MaxExceed((0.5, 0.5)), HalfSpace((0.3, 0.7), 1.0)],
+                             ids=["max", "halfspace"])
+    @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
+    def test_ruin_step_bit_identical_to_per_slot(self, rare_set, r):
+        tau, inside, running = _loop_step(999, 6.0, 12)
+        rates = np.asarray(THREE_PIECES.rates)
+        start = np.where(np.arange(999) % 3 == 0, -np.inf, np.linspace(-5.0, 40.0, 999))
+        want = start.copy()
+        for k in (0, 1):  # the step as it was, one slot at a time
+            net = running[k] - _outer_premium_at(tau[k], THREE_PIECES.breaks, rates, r)
+            z = np.where(inside[k], z_index_signed(rare_set, net), -np.inf)
+            np.maximum(want, z, out=want)
+        got = (start.copy(),)
+        _Ruin(rare_set, (1.0,), THREE_PIECES, r).step(got, tau, inside, running)
+        assert got[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rare_set", [MaxExceed((0.5, 0.5)), HalfSpace((0.3, 0.7), 1.0)],
+                             ids=["max", "halfspace"])
+    def test_entrance_time_step_bit_identical_to_per_slot(self, rare_set):
+        tau, inside, running = _loop_step(999, 6.0, 13)
+        start = np.where(np.arange(999) % 4 == 0, np.linspace(0.0, 6.0, 999), np.inf)
+        want = start.copy()
+        for k in (0, 1):
+            hit = inside[k] & (z_index_signed(rare_set, running[k]) > 8.0)
+            np.minimum(want, np.where(hit, tau[k], np.inf), out=want)
+        got = (start.copy(),)
+        _EntranceTimes(rare_set, 8.0, (1.0,)).step(got, tau, inside, running)
+        assert got[0].tobytes() == want.tobytes()
+        assert np.isfinite(got[0]).sum() > np.isfinite(start).sum()  # some paths entered
 
 
 class TestEmpiricalRuin:
