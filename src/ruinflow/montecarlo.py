@@ -39,11 +39,13 @@ on one worker, else about :data:`BLOCKS_PER_WORKER` blocks per worker (single
 chunks when there are fewer); the results are merged in chunk order.  Each
 block allocates one workspace that its aggregate chunks reuse: a loop step
 draws into views of it (numpy fills ``out=`` in the order of a fresh array),
-transforms and sums the claims there and compacts the staying paths into it,
-so a worker's memory is one fixed workspace and the step's own temporaries
-are masks and indices.  Claim transforms work in place: a marginal's ``_qf``
-overwrites the survival transforms it is given, and the big-jump chunk
-transforms the uniform block it draws where it lies.
+transforms and sums the claims there, hands the statistics the slots'
+discount factors and the scratch floats they declare, and compacts the
+staying paths into it, so a worker's memory is one fixed workspace and the
+step's own temporaries are masks, indices and scalarizations.  Claim
+transforms work in place: a marginal's ``_qf`` overwrites the survival
+transforms it is given, and the big-jump chunk transforms the uniform block
+it draws where it lies.
 """
 
 from __future__ import annotations
@@ -232,16 +234,19 @@ def _views(buf: np.ndarray, *shapes) -> list[np.ndarray]:
     return [buf[i:j].reshape(shape) for i, j, shape in zip(ends, ends[1:], shapes)]
 
 
-def _aggregate_floats(d: int) -> int:
-    """Workspace floats per path of an aggregate chunk: carry, final ``D`` and one loop step."""
-    return (d + 2) + d + 2 * (3 + d)
+def _aggregate_floats(d: int, stats: tuple) -> int:
+    """Workspace floats per path of an aggregate chunk: final ``D``, one loop step and the
+    carry, which the statistics' scratch overlaps and extends to the largest they declare."""
+    return d + 2 * (3 + d) + max([d + 2] + [s.scratch_floats(d) for s in stats])
 
 
 def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray | None = None) -> dict:
     rng = _chunk_rng(task.seed, task.chunk)
     d, n = task.claim.d, task.count
-    carry, final, step = _views(np.empty(_aggregate_floats(d) * n) if ws is None else ws,
-                                ((d + 2) * n,), (d, n), (2 * (3 + d) * n,))
+    ws = np.empty(_aggregate_floats(d, task.stats) * n) if ws is None else ws
+    final, step = _views(ws, (d, n), (2 * (3 + d) * n,))
+    scratch = ws[final.size + step.size:]  # the carry's floats are dead in the statistics' step
+    carry = scratch[:(d + 2) * n]
     carry.fill(0.0)
     t, xi, D = _views(carry, (n,), (n,), (d, n))
     live = [stat.init(n) for stat in task.stats]  # the active paths' states lead these arrays
@@ -261,7 +266,8 @@ def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray | None = None
         claims[0] += D  # the running sums after slot 0, then after slot 1
         claims[1] += claims[0]
         for stat, state in zip(task.stats, live):
-            stat.step(tuple(a[:m] for a in state), tau, inside, claims.transpose(0, 2, 1))
+            stat.step(tuple(a[:m] for a in state), tau, inside, claims.transpose(0, 2, 1), w,
+                      scratch)
         # a path whose slot 1 is past the horizon is done: its D and state go to ``rows``
         # of the final arrays, the other paths' carry and state to the front of theirs.
         # The indices are in range, and mode="clip" spares take() a copy of ``out``.
@@ -291,20 +297,27 @@ class _Statistic:
     """A per-path statistic, updated once per loop step.
 
     ``init(n)`` returns the state of ``n`` fresh paths, a tuple of arrays
-    with a leading path axis.  ``step(state, tau, inside, running)`` updates
-    it in place from both slots of one loop step of the ``m`` active paths:
-    their epochs and whether those lie within the horizon, ``(2, m)``, and
-    ``D`` after each slot, ``(2, m, d)`` (a slot past the horizon adds
-    nothing; the arrays are reused, so keep no reference to them).
-    ``finish(state, final)`` reads the state and ``D`` at the horizon and
-    returns int64 counts; it runs once per chunk, on all the chunk's paths
-    in the order they leave the horizon, and counts are merged by addition.
+    with a leading path axis.  ``step(state, tau, inside, running, w,
+    scratch)`` updates it in place from both slots of one loop step of the
+    ``m`` active paths: their epochs, whether those lie within the horizon
+    and their discount factors ``w = e^{-xi(tau)}`` (zero past the horizon
+    when some slot is past it), ``(2, m)``, and ``D`` after each slot,
+    ``(2, m, d)`` (a slot past the horizon adds nothing); ``scratch`` is a
+    flat view of the block workspace with ``scratch_floats(d)`` floats per
+    path, free to overwrite.  The arrays are reused, so keep no reference
+    to them.  ``finish(state, final)`` reads the state and ``D`` at the
+    horizon and returns int64 counts; it runs once per chunk, on all the
+    chunk's paths in the order they leave the horizon, and counts are
+    merged by addition.
     """
 
     def init(self, n: int) -> tuple:
         return ()
 
-    def step(self, state: tuple, tau, inside, running) -> None:
+    def scratch_floats(self, d: int) -> int:
+        return 0
+
+    def step(self, state: tuple, tau, inside, running, w, scratch) -> None:
         pass
 
 
@@ -343,7 +356,7 @@ class _EntranceTimes(_Statistic):
     def init(self, n):
         return (np.full(n, np.inf),)
 
-    def step(self, state, tau, inside, running):
+    def step(self, state, tau, inside, running, w, scratch):
         first = np.where(inside & (z_index_signed(self.rare_set, running) > self.x), tau, np.inf)
         np.minimum(state[0], first[0], out=state[0])
         np.minimum(state[0], first[1], out=state[0])
@@ -360,8 +373,12 @@ class _Ruin(_Statistic):
     """Paths whose net claims enter ``x*A`` at some arrival inside the horizon.
 
     Net claims are the running sums less the premiums (a piecewise-constant
-    schedule with ``breaks`` and ``rates``) discounted at force ``rate``; the
-    state is each path's largest scalarized net claim so far.
+    schedule with ``breaks`` and ``rates``) discounted at the constant force
+    ``rate``; the state is each path's largest scalarized net claim so far.
+    Piece ``[a, b)`` adds its rate times ``integral_a^{clip(tau, a, b)} e^{-r s}
+    ds``: for ``r != 0`` that is ``(e^{-r a} - clip(w, e^{-r b}, e^{-r a}))``
+    times ``rate / r``, read from the slot's ``w = e^{-r tau}`` with no
+    ``exp`` per path.
     """
 
     rare_set: RareSet
@@ -369,44 +386,40 @@ class _Ruin(_Statistic):
     premiums: object
     rate: float
 
-    def __post_init__(self):  # one array for every slot
-        object.__setattr__(self, "_rates", np.asarray(self.premiums.rates))
+    def __post_init__(self):  # per piece: clip bounds of w (of tau at r = 0), start, rates / r
+        r, edges = self.rate, self.premiums.breaks + (math.inf,)
+        ends = [(a, b) if r == 0 else (np.exp(-r * a), np.exp(-r * b))
+                for a, b in zip(edges, edges[1:])]  # one piece from 0 bounds every inside slot
+        object.__setattr__(self, "_pieces", tuple(  # at r = 0: (a - clip(tau, a, b)) * -rate
+            (sorted(e) if len(ends) > 1 else None, e[0], tuple(p / (r or -1.0) for p in row))
+            for e, row in zip(ends, self.premiums.rates)))
+
+    def scratch_floats(self, d):  # net claims, a piece and, with several pieces, a product
+        return 2 * (d + 1 + (len(self._pieces) > 1))
 
     def init(self, n):
         return (np.full(n, -np.inf),)
 
-    def step(self, state, tau, inside, running):
-        net = _discounted_premium_at(tau, self.premiums.breaks, self._rates, self.rate)
-        z = z_index_signed(self.rare_set, np.subtract(running, net, out=net))
-        np.copyto(z, -np.inf, where=~inside)
+    def step(self, state, tau, inside, running, w, scratch):
+        m, d = running.shape[1:]
+        net, piece, part = _views(scratch, (2, d, m), (2, m), (2, m * bool(self._pieces[1:])))
+        lines, x = net.transpose(1, 0, 2), w if self.rate else tau
+        for j, (bounds, start, row) in enumerate(self._pieces):  # each line's premiums
+            np.subtract(start, x if bounds is None else np.clip(x, *bounds, out=piece), out=piece)
+            for line, p in zip(lines, row):
+                np.multiply(piece, p, out=part if j else line)
+                if j:
+                    line += part
+        for i, line in enumerate(lines):  # then the net claims
+            np.subtract(running[..., i], line, out=line)
+        z = self.rare_set._scalarize(net.transpose(0, 2, 1))
+        if not inside[1].all():
+            np.copyto(z, -np.inf, where=~inside)
         np.maximum(state[0], z[0], out=state[0])
         np.maximum(state[0], z[1], out=state[0])
 
     def finish(self, state, final):
         return {"ruin_counts": _exceedances(state[0], self.x_grid)}
-
-
-def _discounted_premium_at(tau: np.ndarray, breaks: tuple, rates: np.ndarray,
-                           r: float) -> np.ndarray:
-    """Exact ``integral_0^t e^{-r s} p(s) ds`` at each entry of ``tau``, shape ``tau.shape + (d,)``.
-
-    ``rates`` has one row per piece ``[breaks[j], breaks[j+1])`` and one
-    column per line of business; the last piece extends to infinity.  The
-    result is line-major (its line axis is moved last), like the running sums.
-    """
-    out = np.zeros((rates.shape[1],) + tau.shape)
-    lines = rates.reshape(rates.shape + (1,) * tau.ndim)
-    edges = list(breaks) + [math.inf]
-    for j in range(rates.shape[0]):
-        a, b = edges[j], edges[j + 1]
-        seg = np.clip(tau, a, b)  # each piece's upper end, then its integral, in place
-        if r == 0:
-            seg -= a
-        else:
-            np.subtract(np.exp(-r * a), np.exp(np.multiply(-r, seg, out=seg), out=seg), out=seg)
-            seg /= r
-        out += lines[j] * np.maximum(seg, 0.0, out=seg)
-    return np.moveaxis(out, 0, -1)
 
 
 def _run_block(runner, floats_per_path: int, tasks: list) -> list:
@@ -443,7 +456,7 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
         claim=model.claim, renewal=model.renewal, ret=model.ret, horizon=horizon,
         seed=sim.seed, chunk=0, count=0, stats=stats)
     return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers,
-                       _aggregate_floats(model.claim.d))
+                       _aggregate_floats(model.claim.d, stats))
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,10 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if not (self.k >= 1 and self.k % 1 == 0 and 0 < self.rate < math.inf):
+        if isinstance(self.k, bool) or not (self.k >= 1 and self.k % 1 == 0
+                                            and 0 < self.rate < math.inf):
             raise ValueError("Erlang needs an integer k >= 1 and a finite rate > 0")
+        object.__setattr__(self, "k", int(self.k))
 
     def laplace(self, s: float) -> float:
         if s <= -self.rate:

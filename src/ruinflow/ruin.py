@@ -66,13 +66,12 @@ class PremiumSchedule:
         breaks = tuple(float(b) for b in self.breaks)
         rates = tuple(tuple(float(r) for r in row) for row in self.rates)
         if (not breaks or breaks[0] != 0.0 or not all(map(math.isfinite, breaks))
-                or list(breaks) != sorted(breaks)):
+                or any(a >= b for a, b in zip(breaks, breaks[1:]))):
             raise ValueError("piece boundaries must be finite, start at 0 and increase")
         if len(rates) != len(breaks):
             raise ValueError("need one rate row per piece")
-        widths = {len(row) for row in rates}
-        if len(widths) != 1:
-            raise ValueError("rate rows must share one dimension")
+        if len({len(row) for row in rates}) != 1 or not rates[0]:
+            raise ValueError("rate rows must share one positive dimension")
         if any(not 0 <= r < math.inf for row in rates for r in row):
             raise ValueError("premium densities must be finite and nonnegative")
         object.__setattr__(self, "breaks", breaks)

@@ -125,6 +125,13 @@ class TestDiscountedIntegrals:
         assert (truncation_horizon(ret, Poisson(1.0), 1.5)
                 == truncation_horizon(ret, RenewalIID(Erlang(1, 1.0)), 1.5))
 
+    def test_erlang_shape_rejects_bools_and_is_stored_as_an_int(self):
+        for k in (True, False):
+            with pytest.raises(ValueError, match="integer k"):
+                Erlang(k, 1.0)
+        assert type(Erlang(2.0, 1.0).k) is int
+        assert Erlang(2.0, 1.0) == Erlang(2, 1.0)
+
     def test_exponential_gaps_are_the_shape_one_gamma_stream(self):
         gaps = Poisson(2.0).interarrivals(np.random.default_rng(30), (2, 500))
         want = np.random.default_rng(30).standard_gamma(1.0, (2, 500)) / 2.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from ruinflow.estimators import asymptotic_entrance_finite, mrv_closed_form
 from ruinflow.heavy_tails import Pareto
 from ruinflow.montecarlo import (
     SimConfig,
-    _discounted_premium_at,
     _EntranceTimes,
     _Ruin,
     empirical_entrance,
@@ -58,100 +58,140 @@ class TestPremiumSchedule:
 
     def test_flat_discount_integral_is_linear(self):
         prem = two_line_model(premium=0.7, ret=Deterministic(0.0)).premiums
-        out = _discounted_premium_at(np.array([1.0, 4.0]), prem.breaks, np.asarray(prem.rates), 0.0)
+        out = _step_premiums(np.array([1.0, 4.0]), prem, 0.0)
         assert np.allclose(out, [[0.7, 0.7], [2.8, 2.8]])
 
     def test_deterministic_integral_matches_quadrature(self):
         from scipy import integrate
 
-        prem = PremiumSchedule(breaks=(0.0, 2.0, 5.0),
-                               rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
+        prem = THREE_PIECES
         edges = prem.breaks + (math.inf,)
-        for t in (1.0, 3.0, 8.0):
-            got = _discounted_premium_at(np.array([t]), prem.breaks, np.asarray(prem.rates), 0.07)[0]
+        for r, t in itertools.product((0.07, -0.02), (1.0, 2.0, 3.0, 5.0, 8.0)):
+            got = _step_premiums(np.array([t]), prem, r)[0]
             for j in range(2):
                 # one integral per piece, each at that piece's own rate
                 want = sum(
-                    integrate.quad(lambda s: math.exp(-0.07 * s) * rate[j], a, min(b, t))[0]
+                    integrate.quad(lambda s: math.exp(-r * s) * rate[j], a, min(b, t))[0]
                     for a, b, rate in zip(edges, edges[1:], prem.rates) if a < t)
                 assert got[j] == pytest.approx(want, rel=1e-10)
 
-
-def _outer_premium_at(tau, breaks, rates, r):
-    """The discounted premiums built ``(n, d)`` with ``np.multiply.outer``, piece by piece."""
-    out = np.zeros(tau.shape + (rates.shape[1],))
-    edges = list(breaks) + [math.inf]
-    for j in range(rates.shape[0]):
-        a, b = edges[j], edges[j + 1]
-        upper = np.clip(tau, a, b)
-        if r == 0:
-            seg = np.maximum(upper - a, 0.0)
-        else:
-            seg = np.maximum((np.exp(-r * a) - np.exp(-r * upper)) / r, 0.0)
-        out += np.multiply.outer(seg, rates[j])
-    return out
-
-
-class TestDiscountedPremiumLayout:
-    @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
-    def test_bit_identical_to_outer_formula(self, r):
-        prem = PremiumSchedule(breaks=(0.0, 2.0, 5.0),
-                               rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
-        rates = np.asarray(prem.rates)
-        edges = np.array([0.0, 2.0, 5.0])
-        tau = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, np.inf),
-                              np.random.default_rng(9).uniform(0.0, 12.0, 999)])
-        got = _discounted_premium_at(tau, prem.breaks, rates, r)
-        want = _outer_premium_at(tau, prem.breaks, rates, r)
-        assert got.shape == want.shape == (tau.size, 2)
-        assert got.T.flags.c_contiguous  # line-major, like the running sums
-        assert got.tobytes(order="C") == want.tobytes()
+    def test_rejects_repeated_breaks_and_empty_rows(self):
+        with pytest.raises(ValueError, match="increase"):
+            PremiumSchedule(breaks=(0.0, 2.0, 2.0), rates=((0.5,), (0.5,), (0.5,)))
+        with pytest.raises(ValueError, match="positive dimension"):
+            PremiumSchedule.constant(())
+        with pytest.raises(ValueError, match="positive dimension"):
+            PremiumSchedule(breaks=(0.0, 1.0), rates=((), ()))
 
 
 THREE_PIECES = PremiumSchedule(breaks=(0.0, 2.0, 5.0),
                                rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
 
 
+def _discount(tau, inside, r):
+    """The engine's slot discount factors ``e^{-r tau}``, zero past the horizon."""
+    return np.where(inside, np.exp(-r * tau), 0.0)
+
+
+def _step(stat, state, tau, inside, running):
+    """One two-slot step of ``stat`` as the engine makes it, on NaN-filled scratch."""
+    w = _discount(tau, inside, getattr(stat, "rate", 0.0))
+    scratch = np.full(stat.scratch_floats(running.shape[2]) * tau.shape[1], np.nan)
+    stat.step(state, tau, inside, running, w, scratch)
+
+
+def _step_premiums(tau, prem, r):
+    """Each line's discounted premiums at the 1-d epochs ``tau``, ``(n, d)``, read back
+    from one ``_Ruin.step`` on zero claims: on ``Ray(1)`` the state is minus the premium."""
+    out = []
+    for line in zip(*prem.rates):
+        state = (np.full(tau.size, -np.inf),)
+        one = PremiumSchedule(prem.breaks, tuple((p,) for p in line))
+        both = np.stack([tau, tau])
+        _step(_Ruin(Ray(1.0), (1.0,), one, r), state, both, np.ones(both.shape, bool),
+              np.zeros(both.shape + (1,)))
+        out.append(0.0 - state[0])  # a zero premium reads +0.0, like the reference's
+    return np.stack(out, axis=-1)
+
+
+def _premium_from_w(tau, w, breaks, rates, r):
+    """The discounted premiums of one slot, ``(n, d)``, piece by piece: from the epochs
+    at ``r = 0``, else from the discount factors ``w = e^{-r tau}`` clipped to the piece,
+    with each piece's rates divided by ``r``."""
+    out = np.zeros(tau.shape + (rates.shape[1],))
+    edges = list(breaks) + [math.inf]
+    for a, b, line in zip(edges, edges[1:], rates):
+        if r == 0:
+            out += np.multiply.outer(np.clip(tau, a, b) - a, line)
+        else:
+            ea, eb = np.exp(-r * a), np.exp(-r * b)
+            out += np.multiply.outer(ea - np.clip(w, min(ea, eb), max(ea, eb)), line / r)
+    return out
+
+
 def _loop_step(m: int, horizon: float, seed: int):
     """Random inputs of one two-slot loop step laid out as the engine lays them out:
     epochs ``(2, m)`` that straddle the premium breaks and the horizon (some exactly
-    on them), the inside mask, and running sums ``(2, m, d)`` viewed from a
-    ``(2, d, m)`` block."""
+    on them and one ulp to either side), the inside mask, and running sums ``(2, m, d)``
+    viewed from a ``(2, d, m)`` block."""
     rng = np.random.default_rng(seed)
     tau = np.cumsum(rng.exponential(2.0, (2, m)), axis=0)
-    tau[0, :6] = (0.0, 2.0, 5.0, np.nextafter(2.0, 0.0), np.nextafter(5.0, 9.0), horizon)
+    edges = np.array([2.0, 5.0, horizon])
+    tau[0, :10] = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0),
+                                  np.nextafter(edges, np.inf)])
     claims = np.cumsum(rng.pareto(1.5, (2, 2, m)), axis=0)
     return tau, tau <= horizon, claims.transpose(0, 2, 1)
 
 
 class TestTwoSlotStep:
-    """The statistics' two-slot step against the slot-by-slot formula it replaced."""
+    """The statistics' two-slot step against a slot-by-slot reference on the same inputs."""
 
     @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
     def test_premium_rows_are_the_one_slot_bytes(self, r):
-        tau, _, _ = _loop_step(999, 6.0, 11)
+        # the premiums that one step nets out, read back slot by slot, are the
+        # reference's from the same discount factors, on and beside every break
+        tau, inside, _ = _loop_step(999, 6.0, 11)
+        inside[:] = True
+        w = _discount(tau, inside, r)
         rates = np.asarray(THREE_PIECES.rates)
-        both = _discounted_premium_at(tau, THREE_PIECES.breaks, rates, r)
-        assert both.shape == (2, 999, 2)
         for k in (0, 1):
-            one = _discounted_premium_at(tau[k], THREE_PIECES.breaks, rates, r)
-            assert both[k].tobytes() == one.tobytes()
+            got = _step_premiums(tau[k], THREE_PIECES, r)
+            assert got.tobytes() == _premium_from_w(tau[k], w[k], THREE_PIECES.breaks,
+                                                    rates, r).tobytes()
 
     @pytest.mark.parametrize("rare_set", [MaxExceed((0.5, 0.5)), HalfSpace((0.3, 0.7), 1.0)],
                              ids=["max", "halfspace"])
     @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
     def test_ruin_step_bit_identical_to_per_slot(self, rare_set, r):
+        self._check_ruin_step(rare_set, THREE_PIECES, r)
+
+    @pytest.mark.parametrize("r", [0.07, -0.02])
+    def test_one_piece_ruin_step_bit_identical_to_per_slot(self, r):
+        # a one-piece schedule is not clipped: its bounds hold every inside slot's w
+        self._check_ruin_step(MaxExceed((0.5, 0.5)), PremiumSchedule.constant((0.5, 0.8)), r)
+
+    @staticmethod
+    def _check_ruin_step(rare_set, prem, r):
         tau, inside, running = _loop_step(999, 6.0, 12)
-        rates = np.asarray(THREE_PIECES.rates)
+        w = _discount(tau, inside, r)
+        if r:  # discount factors on the clip bounds themselves and one ulp beside them
+            bounds = np.exp(-r * np.array([2.0, 5.0]))
+            w[1, :6] = np.concatenate([bounds, np.nextafter(bounds, 0.0),
+                                       np.nextafter(bounds, 9.0)])
+            inside[1, :6] = True
+        rates = np.asarray(prem.rates)
         start = np.where(np.arange(999) % 3 == 0, -np.inf, np.linspace(-5.0, 40.0, 999))
         want = start.copy()
-        for k in (0, 1):  # the step as it was, one slot at a time
-            net = running[k] - _outer_premium_at(tau[k], THREE_PIECES.breaks, rates, r)
+        for k in (0, 1):  # the step slot by slot
+            net = running[k] - _premium_from_w(tau[k], w[k], prem.breaks, rates, r)
             z = np.where(inside[k], z_index_signed(rare_set, net), -np.inf)
             np.maximum(want, z, out=want)
         got = (start.copy(),)
-        _Ruin(rare_set, (1.0,), THREE_PIECES, r).step(got, tau, inside, running)
+        stat = _Ruin(rare_set, (1.0,), prem, r)
+        scratch = np.full(stat.scratch_floats(2) * 999, np.nan)
+        stat.step(got, tau, inside, running, w, scratch)
         assert got[0].tobytes() == want.tobytes()
+        assert not np.array_equal(got[0], start)  # the step moved some paths
 
     @pytest.mark.parametrize("rare_set", [MaxExceed((0.5, 0.5)), HalfSpace((0.3, 0.7), 1.0)],
                              ids=["max", "halfspace"])
@@ -163,7 +203,7 @@ class TestTwoSlotStep:
             hit = inside[k] & (z_index_signed(rare_set, running[k]) > 8.0)
             np.minimum(want, np.where(hit, tau[k], np.inf), out=want)
         got = (start.copy(),)
-        _EntranceTimes(rare_set, 8.0, (1.0,)).step(got, tau, inside, running)
+        _step(_EntranceTimes(rare_set, 8.0, (1.0,)), got, tau, inside, running)
         assert got[0].tobytes() == want.tobytes()
         assert np.isfinite(got[0]).sum() > np.isfinite(start).sum()  # some paths entered
 
