@@ -296,19 +296,17 @@ def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray | None = None
 class _Statistic:
     """A per-path statistic, updated once per loop step.
 
-    ``init(n)`` returns the state of ``n`` fresh paths, a tuple of arrays
-    with a leading path axis.  ``step(state, tau, inside, running, w,
-    scratch)`` updates it in place from both slots of one loop step of the
-    ``m`` active paths: their epochs, whether those lie within the horizon
-    and their discount factors ``w = e^{-xi(tau)}`` (zero past the horizon
-    when some slot is past it), ``(2, m)``, and ``D`` after each slot,
-    ``(2, m, d)`` (a slot past the horizon adds nothing); ``scratch`` is a
-    flat view of the block workspace with ``scratch_floats(d)`` floats per
-    path, free to overwrite.  The arrays are reused, so keep no reference
-    to them.  ``finish(state, final)`` reads the state and ``D`` at the
-    horizon and returns int64 counts; it runs once per chunk, on all the
-    chunk's paths in the order they leave the horizon, and counts are
-    merged by addition.
+    ``init(n)`` returns the state of ``n`` fresh paths, a tuple of arrays with a leading
+    path axis.  ``step(state, tau, inside, running, w, scratch)`` updates it in place
+    from both slots of one loop step of the ``m`` active paths: their epochs, whether
+    those lie within the horizon and their discount factors ``w = e^{-xi(tau)}`` (zero
+    past the horizon when some slot is past it), ``(2, m)``, and ``D`` after each slot,
+    ``(2, m, d)`` (a slot past the horizon adds nothing); ``scratch`` is a flat view of
+    the block workspace with ``scratch_floats(d)`` floats per path, free to overwrite.
+    The arrays are reused, so keep no reference to them.  ``finish(state, final)`` reads
+    the state and ``D`` at the horizon and returns int64 counts; it runs once per chunk,
+    on all the chunk's paths in the order they leave the horizon, and counts are merged
+    by addition.
     """
 
     def init(self, n: int) -> tuple:
@@ -375,10 +373,10 @@ class _Ruin(_Statistic):
     Net claims are the running sums less the premiums (a piecewise-constant
     schedule with ``breaks`` and ``rates``) discounted at the constant force
     ``rate``; the state is each path's largest scalarized net claim so far.
-    Piece ``[a, b)`` adds its rate times ``integral_a^{clip(tau, a, b)} e^{-r s}
-    ds``: for ``r != 0`` that is ``(e^{-r a} - clip(w, e^{-r b}, e^{-r a}))``
-    times ``rate / r``, read from the slot's ``w = e^{-r tau}`` with no
-    ``exp`` per path.
+    Piece ``[a, b)`` adds its rate times ``integral_a^{clip(tau, a, b)} e^{-r s} ds``,
+    ``(e^{-r a} - clip(w, e^{-r b}, e^{-r a})) * rate / r`` from the slot's ``w = e^{-r tau}``
+    with no ``exp`` per path; below ``|r| = 2**-26``, where that cancels, from ``tau`` as
+    at ``r = 0`` (either is within about ``1e-8 * max(1, t**2) * rate`` of the exact one).
     """
 
     rare_set: RareSet
@@ -386,12 +384,14 @@ class _Ruin(_Statistic):
     premiums: object
     rate: float
 
-    def __post_init__(self):  # per piece: clip bounds of w (of tau at r = 0), start, rates / r
-        r, edges = self.rate, self.premiums.breaks + (math.inf,)
+    def __post_init__(self):  # per piece: clip bounds of w (of tau at r ~ 0), start, rates / r
+        r = 0.0 if abs(self.rate) < 2**-26 else self.rate
+        edges = self.premiums.breaks + (math.inf,)
         ends = [(a, b) if r == 0 else (np.exp(-r * a), np.exp(-r * b))
-                for a, b in zip(edges, edges[1:])]  # one piece from 0 bounds every inside slot
+                for a, b in zip(edges, edges[1:])]
+        object.__setattr__(self, "_from_w", r != 0)
         object.__setattr__(self, "_pieces", tuple(  # at r = 0: (a - clip(tau, a, b)) * -rate
-            (sorted(e) if len(ends) > 1 else None, e[0], tuple(p / (r or -1.0) for p in row))
+            (sorted(e), e[0], tuple(p / (r or -1.0) for p in row))
             for e, row in zip(ends, self.premiums.rates)))
 
     def scratch_floats(self, d):  # net claims, a piece and, with several pieces, a product
@@ -403,9 +403,9 @@ class _Ruin(_Statistic):
     def step(self, state, tau, inside, running, w, scratch):
         m, d = running.shape[1:]
         net, piece, part = _views(scratch, (2, d, m), (2, m), (2, m * bool(self._pieces[1:])))
-        lines, x = net.transpose(1, 0, 2), w if self.rate else tau
+        lines, x = net.transpose(1, 0, 2), w if self._from_w else tau
         for j, (bounds, start, row) in enumerate(self._pieces):  # each line's premiums
-            np.subtract(start, x if bounds is None else np.clip(x, *bounds, out=piece), out=piece)
+            np.subtract(start, np.clip(x, *bounds, out=piece), out=piece)
             for line, p in zip(lines, row):
                 np.multiply(piece, p, out=part if j else line)
                 if j:

@@ -60,8 +60,7 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not (self.k >= 1 and self.k % 1 == 0
-                                            and 0 < self.rate < math.inf):
+        if self.k is True or not (self.k >= 1 and self.k % 1 == 0 and 0 < self.rate < math.inf):
             raise ValueError("Erlang needs an integer k >= 1 and a finite rate > 0")
         object.__setattr__(self, "k", int(self.k))
 

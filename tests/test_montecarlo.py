@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ruinflow import montecarlo
 from ruinflow.dependence import ClaimModel, NoExceedanceError
@@ -835,6 +835,10 @@ class TestEngineProperties:
            st.floats(0.0, 2.0), st.booleans(), st.floats(-0.1, 0.1), st.floats(0.5, 8.0),
            st.integers(0, 2**32))
     @settings(max_examples=15, deadline=None)
+    @example(2, WeightedSumNegative(), 2.0, True, 5e-324, 3.3, 0)  # subnormal and tiny forces
+    @example(1, AnyLineNegative(), 0.5, False, -1.3e-16, 1.0, 0)
+    @example(2, AnyLineNegative(), 0.5, True, 2.220446049250313e-16, 8.0, 1)
+    @example(2, WeightedSumNegative(), 0.5, False, -2.220446049250313e-16, 1.0, 2)
     def test_ruin_sandwiched_by_entrance(self, d, ruin_set, premium, pieces, r, horizon, seed):
         # entrance(x) >= ruin(x) >= entrance(x + u) on shared paths, with u the
         # scalarized bound p_max * T * max(1, e^{-rT}) on the discounted premiums,

@@ -116,12 +116,12 @@ def _step_premiums(tau, prem, r):
 
 def _premium_from_w(tau, w, breaks, rates, r):
     """The discounted premiums of one slot, ``(n, d)``, piece by piece: from the epochs
-    at ``r = 0``, else from the discount factors ``w = e^{-r tau}`` clipped to the piece,
-    with each piece's rates divided by ``r``."""
+    at ``|r| < 2**-26``, else from the discount factors ``w = e^{-r tau}`` clipped to the
+    piece, with each piece's rates divided by ``r``."""
     out = np.zeros(tau.shape + (rates.shape[1],))
     edges = list(breaks) + [math.inf]
     for a, b, line in zip(edges, edges[1:], rates):
-        if r == 0:
+        if abs(r) < 2**-26:
             out += np.multiply.outer(np.clip(tau, a, b) - a, line)
         else:
             ea, eb = np.exp(-r * a), np.exp(-r * b)
@@ -167,7 +167,7 @@ class TestTwoSlotStep:
 
     @pytest.mark.parametrize("r", [0.07, -0.02])
     def test_one_piece_ruin_step_bit_identical_to_per_slot(self, r):
-        # a one-piece schedule is not clipped: its bounds hold every inside slot's w
+        # a one-piece schedule from 0: its clip bounds hold every inside slot's w
         self._check_ruin_step(MaxExceed((0.5, 0.5)), PremiumSchedule.constant((0.5, 0.8)), r)
 
     @staticmethod
@@ -206,6 +206,34 @@ class TestTwoSlotStep:
         _step(_EntranceTimes(rare_set, 8.0, (1.0,)), got, tau, inside, running)
         assert got[0].tobytes() == want.tobytes()
         assert np.isfinite(got[0]).sum() > np.isfinite(start).sum()  # some paths entered
+
+
+class TestTinyForce:
+    """Premiums at forces so small that the closed form in ``w`` would cancel."""
+
+    @pytest.mark.parametrize("r", [5e-324, -5e-324, 2.220446049250313e-16,
+                                   -2.220446049250313e-16, 1e-15])
+    def test_tiny_force_nets_the_undiscounted_premiums(self, r):
+        # e^{-r a} - w cancels below |r| = 2**-26 (and rate / r overflows at a
+        # subnormal r): the step integrates from the epochs, as at r = 0
+        tau = _loop_step(999, 6.0, 14)[0].ravel()
+        got = _step_premiums(tau, THREE_PIECES, r)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == _step_premiums(tau, THREE_PIECES, 0.0).tobytes()
+
+    @pytest.mark.parametrize("prem", [THREE_PIECES, PremiumSchedule.constant((0.5, 0.8))],
+                             ids=["three", "one"])
+    @pytest.mark.parametrize("r", [1e-9, 2**-26 * (1 - 2**-40), 2**-26, 3e-8, 1e-6])
+    def test_premiums_near_the_tiny_force_switch(self, prem, r):
+        # on either side of the switch the error is about 1e-8 * rate * max(1, t^2)
+        tau = np.concatenate([np.geomspace(1e-3, 50.0, 400), _loop_step(999, 6.0, 14)[0].ravel()])
+        edges = prem.breaks + (math.inf,)
+        for f in (r, -r):  # each piece as e^{-f a} (1 - e^{-f s}) / f, with no cancellation
+            want = sum(np.multiply.outer(-np.expm1(-f * (np.clip(tau, a, b) - a)) / f,
+                                         math.exp(-f * a) * np.asarray(rate))
+                       for a, b, rate in zip(edges, edges[1:], prem.rates))
+            err = np.abs(_step_premiums(tau, prem, f) - want) / np.maximum(1.0, tau**2)[:, None]
+            assert err.max() < 1e-8 * prem.bound, (f, err.max())
 
 
 class TestEmpiricalRuin:
