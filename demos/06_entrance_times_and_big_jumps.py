@@ -36,8 +36,9 @@ x = 60.0
 et = empirical_entrance_time(spec, x, np.arange(2.0, 21.0, 2.0), sim)
 print(f"threshold x={x:g}, entered {et.meta['entered']} of {et.meta['n_paths']}, "
       f"horizon {et.meta['horizon']:.1f}")
-# Poisson arrivals and a constant force: the table carries the limit column
-print(f"  {'t':>4s} {'empirical cdf':>14s} {'exponential limit':>18s}")
+# the limit column is psi(x, t) / psi(x, H), the ratio of the first-order horizon
+# integrals over the simulated horizon H; here it is exponential, conditioned on H
+print(f"  {'t':>4s} {'empirical cdf':>14s} {'first-order law':>18s}")
 for row in et.rows():
     print(f"  {row['t']:4.0f} {row['cdf']:14.4f} {row['limit']:18.4f}")
 print("(x=60 is shallow: the discounted aggregate alone averages 40, so entrance\n"

@@ -25,7 +25,6 @@ from .estimators import (
     ModelSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
-    entrance_time_cdf,
     mrv_closed_form,
     mrv_mu,
     resolve_finite_mode,

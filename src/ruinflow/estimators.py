@@ -63,7 +63,6 @@ __all__ = [
     "HorizonEstimate",
     "mrv_mu",
     "mrv_closed_form",
-    "entrance_time_cdf",
 ]
 
 class HypothesisError(ValueError):
@@ -429,16 +428,3 @@ def mrv_closed_form(model: ModelSpec, x: float, T: float) -> float:
     integral = model.renewal.discounted_integral(model.ret.laplace_exponent(alpha), T)
     return mrv_mu(cs, alpha, model.rare_set) * float(Pareto(alpha, 1.0).survival(x)) * integral
 
-
-def entrance_time_cdf(alpha: float, r: float, T: float) -> float:
-    """Limiting conditional law of the first entrance time.
-
-    For regularly-varying claims with index ``alpha``, Poisson arrivals, and
-    a constant force of interest ``r``, the first entrance time conditioned
-    on being finite is asymptotically exponential with rate ``alpha * r``.
-    """
-    if not (alpha > 0 and r > 0):
-        raise ValueError("need alpha > 0 and r > 0")
-    if not T >= 0:
-        raise ValueError("time must be nonnegative")
-    return 1.0 - math.exp(-alpha * r * T)

@@ -50,6 +50,7 @@ it draws where it lies.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -60,12 +61,11 @@ from itertools import accumulate
 import numpy as np
 
 from ._util import wilson_interval
-from .dependence import ClaimModel, NoExceedanceError
+from .dependence import ClaimModel, NoExceedanceError, UnsupportedModelError
 from .estimators import (
     ModelSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
-    entrance_time_cdf,
     resolve_finite_mode,
     resolve_infinite_mode,
 )
@@ -377,16 +377,20 @@ class _Ruin(_Statistic):
     ``(e^{-r a} - clip(w, e^{-r b}, e^{-r a})) * rate / r`` from the slot's ``w = e^{-r tau}``
     with no ``exp`` per path; below ``|r| = 2**-26``, where that cancels, from ``tau`` as
     at ``r = 0`` (either is within about ``1e-8 * max(1, t**2) * rate`` of the exact one).
+    Pieces that start at or past ``horizon`` add zero to every slot inside it and are
+    dropped (at ``r < 0`` their ``e^{-r a}`` may overflow), and the last piece kept runs
+    on: its end, at or past the horizon, bounds no slot inside it.
     """
 
     rare_set: RareSet
     x_grid: tuple
     premiums: object
     rate: float
+    horizon: float
 
     def __post_init__(self):  # per piece: clip bounds of w (of tau at r ~ 0), start, rates / r
         r = 0.0 if abs(self.rate) < 2**-26 else self.rate
-        edges = self.premiums.breaks + (math.inf,)
+        edges = tuple(b for b in self.premiums.breaks if b < self.horizon) + (math.inf,)
         ends = [(a, b) if r == 0 else (np.exp(-r * a), np.exp(-r * b))
                 for a, b in zip(edges, edges[1:])]
         object.__setattr__(self, "_from_w", r != 0)
@@ -509,10 +513,15 @@ def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
     """Estimate ``P[tau(x) <= t | tau(x) <= horizon]`` over the time grid.
 
     Columns ``t, cdf, count`` (paths entered by ``t``), plus ``limit``, the
-    exponential limit law, where it applies: Poisson arrivals, a positive
-    constant force of interest and one tail index.  ``meta["entered"]``
-    counts the paths that enter by the horizon.  Raises
-    :class:`~ruinflow.dependence.NoExceedanceError` when none does.
+    first-order law ``psi(x, t) / psi(x, H)`` with ``psi`` the horizon integral
+    of :func:`~ruinflow.estimators.asymptotic_entrance_finite` and ``H`` the
+    simulated horizon (at ``horizon = inf`` the truncation horizon that ``cdf``
+    is conditioned on): ``D`` is nondecreasing and the set increasing, so
+    ``tau(x) <= t`` is ``D(t) in x*A``.  The column is there when a
+    finite-horizon mode holds at ``H``, or under ``unsafe``, and the set has a
+    scalarized survival.  ``meta["entered"]`` counts the paths that enter by
+    the horizon.  Raises :class:`~ruinflow.dependence.NoExceedanceError` when
+    none does.
     """
     if not 0 < x < math.inf:
         raise ValueError("threshold must be finite and positive")
@@ -531,9 +540,14 @@ def empirical_entrance_time(model: ModelSpec, x: float, t_grid, sim: SimConfig,
             f"no path entered the target at x={x:g}; lower x or raise n_paths")
     counts = merged["entry_time_counts"]
     columns = {"t": np.asarray(t_grid), "cdf": counts / entered, "count": counts}
-    alpha, r = model.claim.common_tail_index(), model.ret.constant_force
-    if model.renewal.is_poisson and r is not None and r > 0 and alpha is not None:
-        columns["limit"] = np.array([entrance_time_cdf(alpha, r, t) for t in t_grid])
+    H = meta["horizon"]
+    # the gate held unless unsafe, and a finite-horizon mode adds to either gate
+    # only that the returns are bounded below on [0, H]
+    if unsafe or model.ret.bounded_below(H) is not None:
+        with contextlib.suppress(UnsupportedModelError):  # no scalarized survival of the set
+            psi = [asymptotic_entrance_finite(model, x, t, unsafe=True).value
+                   for t in (*t_grid, H)]
+            columns["limit"] = np.array(psi[:-1]) / psi[-1]
     meta["entered"] = entered
     return ResultTable(columns, meta)
 

@@ -64,11 +64,6 @@ class Erlang:
             raise ValueError("Erlang needs an integer k >= 1 and a finite rate > 0")
         object.__setattr__(self, "k", int(self.k))
 
-    def laplace(self, s: float) -> float:
-        if s <= -self.rate:
-            raise ValueError("Laplace transform diverges at this argument")
-        return (self.rate / (self.rate + s)) ** self.k
-
 
 @dataclass(frozen=True)
 class RenewalIID:
@@ -81,11 +76,6 @@ class RenewalIID:
     """
 
     interarrival: Erlang
-
-    @property
-    def is_poisson(self) -> bool:
-        """Exponential interarrivals make a Poisson process."""
-        return self.interarrival.k == 1
 
     @functools.cached_property
     def _modes(self) -> tuple[tuple[complex, complex], ...]:

@@ -140,9 +140,15 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     ruin, ``sum`` for weighted-total ruin).  Its metadata is
     that of :func:`~ruinflow.montecarlo.empirical_entrance` on the mapped
     set, plus the entrance counts of ``D(T)`` on the same paths for sandwich
-    coupling checks.
+    coupling checks.  ``sim.horizon`` must equal ``T``, and ``sim.x_grid``
+    must be empty or equal to ``x_grid``.
     """
-    sim = replace(sim, x_grid=tuple(float(v) for v in x_grid), horizon=T)
+    x_grid = tuple(float(v) for v in x_grid)
+    if sim.horizon != T:
+        raise ValueError("sim.horizon differs from T; give the horizon once")
+    if sim.x_grid and sim.x_grid != x_grid:
+        raise ValueError("sim.x_grid differs from x_grid; give the grid once")
+    sim = replace(sim, x_grid=x_grid)  # validates the grid like every other
     if not sim.x_grid:
         raise ValueError("x grid must not be empty")
     if not model.premiums.is_zero and model.ret.constant_force is None:
@@ -154,7 +160,8 @@ def empirical_ruin(model: RuinModel, x_grid, T: float, sim: SimConfig,
     asym, meta = _gate(entrance, sim, unsafe)
     stats = [_Entrance(model.mapped_set, sim.x_grid)]
     if not model.premiums.is_zero:
-        stats.append(_Ruin(model.mapped_set, sim.x_grid, model.premiums, model.ret.constant_force))
+        stats.append(_Ruin(model.mapped_set, sim.x_grid, model.premiums, model.ret.constant_force,
+                           meta["horizon"]))
     merged = _run_statistics(entrance, meta["horizon"], sim, *stats)
     meta.update(entrance_counts=merged["entrance_counts"], premium_bound=model.premiums.bound)
     # without premiums the net claims only grow and the mapped set is increasing, so

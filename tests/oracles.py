@@ -117,6 +117,18 @@ def erlang2_renewal_function(rate: float, t: float) -> float:
     return rate * t / 2.0 - 0.25 + 0.25 * math.exp(-2.0 * rate * t)
 
 
+def erlang_laplace(k: int, rate: float, s: float) -> float:
+    """``E[exp(-s G)]`` for ``G`` an Erlang(k, rate) interarrival, ``s > -rate``."""
+    return (rate / (rate + s)) ** k
+
+
+def entrance_time_cdf(alpha: float, r: float, t: float) -> float:
+    """The ``x -> inf`` law of the first entrance time, conditioned on being finite,
+    for regularly varying claims of index ``alpha``, Poisson arrivals and a constant
+    force ``r > 0``: exponential with rate ``alpha * r``."""
+    return 1.0 - math.exp(-alpha * r * t)
+
+
 def deterministic_pareto_entrance_integral(alpha: float, scale: float, lam: float,
                                            r: float, x: float, T: float) -> float:
     """Antiderivative of ``lam * integral_0^T ((x e^{rs})/scale)^-alpha ds``

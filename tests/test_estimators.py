@@ -13,7 +13,6 @@ from ruinflow.estimators import (
     ModelSpec,
     asymptotic_entrance_finite,
     asymptotic_entrance_infinite,
-    entrance_time_cdf,
     mrv_closed_form,
     mrv_mu,
     resolve_finite_mode,
@@ -465,8 +464,6 @@ def _nan_cases():
         "mrv-mu-weights": lambda: mrv_mu((1.0, math.nan), 1.5, MaxExceed((1.0, 1.0))),
         "mrv-closed-form-x": lambda: mrv_closed_form(pareto_ray_model(), math.nan, 10.0),
         "mrv-closed-form-T": lambda: mrv_closed_form(pareto_ray_model(), 10.0, math.nan),
-        "entrance-time-cdf-T": lambda: entrance_time_cdf(1.5, 0.05, math.nan),
-        "entrance-time-cdf-r": lambda: entrance_time_cdf(1.5, math.nan, 10.0),
         "contains-x": lambda: contains(Ray(1.0), math.nan, [5.0]),
         "quantile-u": lambda: Pareto(1.5).quantile(math.nan),
         "quantile-u-in-grid": lambda: Pareto(1.5).quantile([0.5, math.nan]),
@@ -521,15 +518,3 @@ class TestNestedQuadratureOracle:
         assert np.all(got.converged) and np.all(got.rel_error <= 1e-6)
         np.testing.assert_allclose(got.value, want, rtol=1e-7)
 
-
-class TestEntranceTimeLaw:
-    def test_values(self):
-        assert entrance_time_cdf(2.0, 0.05, 0.0) == 0.0
-        assert entrance_time_cdf(2.0, 0.05, 10.0) == pytest.approx(1 - math.exp(-1.0))
-        assert entrance_time_cdf(2.0, 0.05, 1e9) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            entrance_time_cdf(0.0, 0.05, 1.0)
-        with pytest.raises(ValueError):
-            entrance_time_cdf(2.0, 0.05, -1.0)

@@ -15,7 +15,7 @@ from ruinflow import montecarlo
 from ruinflow.dependence import ClaimModel, NoExceedanceError
 from ruinflow.estimators import (
     ModelSpec,
-    entrance_time_cdf,
+    asymptotic_entrance_finite,
     resolve_finite_mode,
     resolve_infinite_mode,
 )
@@ -46,6 +46,7 @@ from ruinflow.processes import (
     FixedJumps,
     Poisson,
     RenewalIID,
+    TAIL_REL_BOUND,
 )
 from ruinflow.rare_sets import (
     AnyLineNegative,
@@ -60,7 +61,7 @@ from ruinflow.rare_sets import (
 )
 from ruinflow.ruin import PremiumSchedule, RuinModel, empirical_ruin
 
-from oracles import pareto1_sum_survival, reference_endpoint
+from oracles import entrance_time_cdf, pareto1_sum_survival, reference_endpoint
 
 
 def base_spec(alpha=1.5, d=2, ret=None):
@@ -316,18 +317,46 @@ class TestEntranceTime:
 
 
     def test_limit_column_where_the_law_applies(self):
-        # exponential limit law: Poisson arrivals, a positive constant force, one tail index
-        def columns(renewal=Poisson(1.0), ret=Deterministic(0.05)):
+        # the ratio psi(x, t) / psi(x, H) of the horizon integrals, present where a
+        # finite-horizon mode holds at the simulated horizon H: Poisson and Erlang
+        # arrivals and a zero force, not Brownian returns (unbounded below) at T = inf
+        t_grid = [5.0, 10.0, 20.0]
+        for renewal, ret, horizon in ((Poisson(1.0), Deterministic(0.05), 20.0),
+                                      (RenewalIID(Erlang(2, 2.0)), Deterministic(0.05), 20.0),
+                                      (Poisson(1.0), Deterministic(0.0), 20.0),
+                                      (Poisson(1.0), BrownianDrift(0.1, 0.2), math.inf)):
             spec = ModelSpec(ClaimModel.iid((Pareto(2.0, 1.0),)), Ray(1.0), renewal, ret)
-            et = empirical_entrance_time(spec, 5.0, [5.0, 20.0],
-                                         SimConfig(20_000, seed=32, horizon=20.0), unsafe=True)
-            return list(et.columns), et
-        names, et = columns()
-        assert names == ["t", "cdf", "count", "limit"]
-        assert et.limit.tolist() == [entrance_time_cdf(2.0, 0.05, t) for t in (5.0, 20.0)]
-        for kw in ({"ret": BrownianDrift(0.05, 0.2)}, {"renewal": RenewalIID(Erlang(2, 2.0))},
-                   {"ret": Deterministic(0.0)}):
-            assert columns(**kw)[0] == ["t", "cdf", "count"], kw
+            et = empirical_entrance_time(spec, 5.0, t_grid,
+                                         SimConfig(20_000, seed=32, horizon=horizon))
+            admitted = resolve_finite_mode(spec, et.meta["horizon"]).mode is not None
+            assert admitted == (horizon < math.inf), ret
+            assert list(et.columns) == ["t", "cdf", "count"] + ["limit"] * admitted
+            if admitted:
+                psi = [float(asymptotic_entrance_finite(spec, 5.0, t)) for t in t_grid]
+                assert et.limit.tolist() == [p / psi[-1] for p in psi]
+                assert et.limit[-1] == 1.0
+                assert np.all(np.diff(et.limit) >= 0) and 0.0 <= et.limit[0]
+
+    def test_limit_column_matches_the_poisson_law(self):
+        # the demo model at T = inf: psi(x, t) / psi(x, T*) is the exponential law
+        # conditioned on T*, off the x -> inf law by the truncation share alone
+        spec = ModelSpec(ClaimModel.iid((Pareto(2.0, 1.0),)), Ray(1.0), Poisson(1.0),
+                         Deterministic(0.05))
+        t_grid = [5.0, 10.0, 20.0, 40.0, 80.0]
+        et = empirical_entrance_time(spec, 60.0, t_grid,
+                                     SimConfig(20_000, seed=5, horizon=math.inf))
+        want = np.array([entrance_time_cdf(2.0, 0.05, t) for t in t_grid])
+        assert np.all(np.abs(et.limit / want - 1.0) <= TAIL_REL_BOUND)
+
+    @pytest.mark.parametrize("claim, rare_set", [
+        (ClaimModel.iid((Pareto(1.5, 1.0),) * 2),
+         PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0)))),
+        (ClaimModel.iid((Pareto(1.5, 1.0),) * 3), HalfSpace((0.2, 0.3, 0.5), 1.0)),
+    ], ids=["union-2d", "halfspace-3d"])
+    def test_sets_without_scalarized_survival_run_without_limit(self, claim, rare_set):
+        spec = ModelSpec(claim, rare_set, Poisson(1.0), Deterministic(0.05))
+        et = empirical_entrance_time(spec, 5.0, [5.0, 10.0], SimConfig(5_000, seed=1, horizon=10.0))
+        assert list(et.columns) == ["t", "cdf", "count"] and et.meta["entered"] > 0
 
 
 _ONE_LINE_RUIN = RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), renewal=Poisson(1.0),
@@ -825,7 +854,8 @@ class TestEngineProperties:
         spec, horizon = model_horizon
         zero = PremiumSchedule.zero(spec.claim.d)
         merged = _run_statistics(spec, horizon, SimConfig(3_000, seed, horizon),
-                                 _Entrance(spec.rare_set, GRID), _Ruin(spec.rare_set, GRID, zero, 0.0))
+                                 _Entrance(spec.rare_set, GRID),
+                                 _Ruin(spec.rare_set, GRID, zero, 0.0, horizon))
         for key in ("entrance_counts", "ruin_counts"):
             assert np.all(np.diff(merged[key]) <= 0), key
         # without premiums the running sums peak at the horizon
@@ -856,7 +886,7 @@ class TestEngineProperties:
         merged = _run_statistics(
             model.entrance_model(), horizon, SimConfig(3_000, seed, horizon),
             _Entrance(model.mapped_set, grid),
-            _Ruin(model.mapped_set, grid, model.premiums, r))
+            _Ruin(model.mapped_set, grid, model.premiums, r, horizon))
         entrance, ruin = merged["entrance_counts"], merged["ruin_counts"]
         for x in GRID:
             i, j = grid.index(x), grid.index(x + shift)

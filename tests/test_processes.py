@@ -21,7 +21,7 @@ from ruinflow.processes import (
     truncation_horizon,
 )
 
-from oracles import arrival_times, erlang2_renewal_function
+from oracles import arrival_times, erlang2_renewal_function, erlang_laplace
 
 
 def integrated_density(spec, t: float) -> float:
@@ -103,7 +103,7 @@ class TestDiscountedIntegrals:
     @pytest.mark.parametrize("phi", [-0.4, -0.02])
     def test_infinite_horizon_and_tail_match_quad(self, spec, phi):
         f = lambda s: math.exp(phi * s) * spec.renewal_density(s)
-        q = spec.interarrival.laplace(-phi)
+        q = erlang_laplace(spec.interarrival.k, spec.interarrival.rate, -phi)
         total = spec.discounted_integral(phi, math.inf)
         assert total == pytest.approx(q / (1.0 - q), rel=1e-12)
         assert total == pytest.approx(_quad(f, 0.0, math.inf), rel=1e-9)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ def _step_premiums(tau, prem, r):
         state = (np.full(tau.size, -np.inf),)
         one = PremiumSchedule(prem.breaks, tuple((p,) for p in line))
         both = np.stack([tau, tau])
-        _step(_Ruin(Ray(1.0), (1.0,), one, r), state, both, np.ones(both.shape, bool),
+        _step(_Ruin(Ray(1.0), (1.0,), one, r, math.inf), state, both, np.ones(both.shape, bool),
               np.zeros(both.shape + (1,)))
         out.append(0.0 - state[0])  # a zero premium reads +0.0, like the reference's
     return np.stack(out, axis=-1)
@@ -187,7 +189,7 @@ class TestTwoSlotStep:
             z = np.where(inside[k], z_index_signed(rare_set, net), -np.inf)
             np.maximum(want, z, out=want)
         got = (start.copy(),)
-        stat = _Ruin(rare_set, (1.0,), prem, r)
+        stat = _Ruin(rare_set, (1.0,), prem, r, math.inf)
         scratch = np.full(stat.scratch_floats(2) * 999, np.nan)
         stat.step(got, tau, inside, running, w, scratch)
         assert got[0].tobytes() == want.tobytes()
@@ -304,6 +306,31 @@ class TestEmpiricalRuin:
         sim = SimConfig(1_000, seed=45, horizon=10.0, x_grid=())
         with pytest.raises(NotImplementedError):
             empirical_ruin(model, (10.0,), 10.0, sim, unsafe=True)
+
+    def test_grid_and_horizon_given_once(self):
+        # sim's horizon and a nonempty sim grid must agree with T and x_grid, not be
+        # overwritten by them
+        model, sim = two_line_model(), SimConfig(1_000, seed=49, horizon=10.0)
+        with pytest.raises(ValueError, match="horizon"):
+            empirical_ruin(model, (10.0,), 20.0, sim)
+        with pytest.raises(ValueError, match="x_grid"):
+            empirical_ruin(model, (10.0,), 10.0, replace(sim, x_grid=(20.0,)))
+        same = empirical_ruin(model, (10.0,), 10.0, replace(sim, x_grid=(10.0,)))
+        assert same.count.tolist() == empirical_ruin(model, (10.0,), 10.0, sim).count.tolist()
+
+    def test_pieces_past_the_horizon_under_a_negative_force(self):
+        # a piece starting past the horizon once made e^{-r a} overflow at r < 0, and
+        # inf - inf turned every premium into NaN and every count into 0
+        def counts(premiums):
+            model = RuinModel(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), renewal=Poisson(1.0),
+                              ret=BrownianDrift(-0.02, 0.0), alloc=(1.0,),
+                              ruin_set=AnyLineNegative(), premiums=premiums)
+            return empirical_ruin(model, (5.0, 20.0), 10.0, SimConfig(2_000, seed=1, horizon=10.0)
+                                  ).count.tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            late = counts(PremiumSchedule((0.0, 40_000.0), ((0.5,), (0.5,))))
+        assert late == counts(PremiumSchedule.constant((0.5,))) == [1936, 1085]
 
 
 class TestScaleInsensitivity:

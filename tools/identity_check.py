@@ -15,7 +15,8 @@ depends on numpy's variate algorithms and its float kernels.  It holds:
 
 * each workload in ``perfbench/workloads.py`` (imported, never edited) at a
   little over two chunks of paths on 1 and on 2 workers, plus the big-jump
-  marginal column and an entrance-time table on the same models and seeds;
+  marginal column and an entrance-time table on the same models and seeds,
+  with its ``limit`` column where the table has one;
 * big-jump runs, sized and recorded like the workloads, on the sets that no
   workload scalarizes (a 2-d polyhedral union and a 3-d half-space), and on
   the weight counts and models it leaves out: 2 and 4 weights on the FGM
@@ -109,6 +110,8 @@ def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
             SimConfig(n_paths, SEED, w.horizon, (), workers))
         out["entered"] = int(t.meta["entered"])
         out["entry_time_counts"] = [row["count"] for row in t.rows()]
+        if "limit" in t.columns:
+            out["limit"] = _floats(t.limit)
     return out
 
 
