@@ -315,8 +315,8 @@ def fgm_joint_survival(theta: float, marginal: TailDistribution, x1, x2, y1, y2)
 def scalarized_survival(model: ClaimModel, rare_set: RareSet, x):
     """Survival ``P[z_index(X) > x]`` of the scalarized single-vector law.
 
-    Closed forms exist for max-type sets and rays (products of marginal
-    distribution functions); weighted-sum sets in dimension two are handled
+    Closed forms exist for max-type sets (the union of independent marginal
+    exceedances); weighted-sum sets in dimension two are handled
     by adaptive quadrature of the convolution.  Anything else raises
     :class:`UnsupportedModelError` directing the caller to Monte Carlo.
     """

@@ -240,10 +240,9 @@ def _aggregate_floats(d: int, stats: tuple) -> int:
     return d + 2 * (3 + d) + max([d + 2] + [s.scratch_floats(d) for s in stats])
 
 
-def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray | None = None) -> dict:
+def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
     rng = _chunk_rng(task.seed, task.chunk)
     d, n = task.claim.d, task.count
-    ws = np.empty(_aggregate_floats(d, task.stats) * n) if ws is None else ws
     final, step = _views(ws, (d, n), (2 * (3 + d) * n,))
     scratch = ws[final.size + step.size:]  # the carry's floats are dead in the statistics' step
     carry = scratch[:(d + 2) * n]

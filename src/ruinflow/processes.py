@@ -283,16 +283,12 @@ def Deterministic(rate: float) -> LevyReturns:
 def BrownianDrift(mu: float, sigma: float) -> LevyReturns:
     """Arithmetic Brownian log-returns: ``xi(t) = mu t + sigma B(t)``; ``sigma = 0`` is
     the deterministic force ``mu``."""
-    if not (math.isfinite(mu) and 0 <= sigma < math.inf):
-        raise ValueError("Brownian returns need a finite drift and a finite volatility >= 0")
     return LevyReturns(mu, sigma)
 
 
 def CompoundPoissonDrift(drift: float, jump_rate: float,
                          jumps: ExponentialJumps | FixedJumps) -> LevyReturns:
     """Drift plus compound Poisson jumps: ``xi(t) = drift*t + sum of jumps``."""
-    if not (math.isfinite(drift) and 0 < jump_rate < math.inf):
-        raise ValueError("compound Poisson returns need a finite drift and a finite jump rate > 0")
     return LevyReturns(drift, 0.0, jump_rate, jumps)
 
 

@@ -7,9 +7,10 @@ homogeneous of degree one, so the entrance event ``z in x*A`` is equivalent to
 ``z_index(A, z) > x``.  Only a parametric catalog with closed-form
 scalarizations is supported:
 
-* :class:`MaxExceed`  -- some coordinate ``i`` exceeds its threshold ``b_i``
+* :class:`MaxExceed`  -- some coordinate ``i`` exceeds its threshold ``b_i``;
+  :func:`Ray` builds the one-dimensional exceedance set ``(b, inf)``, the
+  max-type set of one threshold
 * :class:`HalfSpace`  -- a convex combination of coordinates exceeds ``b``
-* :class:`Ray`        -- the one-dimensional exceedance set ``(b, inf)``
 * :class:`PolyhedralUnion` -- a finite union of half-space sets
 
 Each set class carries everything that depends on its shape: the
@@ -85,10 +86,13 @@ class MaxExceed:
         return float(np.sum(cs * np.asarray(self.b) ** -alpha))
 
     def scalarized_survival(self, margins, x):
-        cdf_prod = np.ones_like(x)
-        for m, b in zip(margins, self.b):
-            cdf_prod = cdf_prod * (1.0 - m.survival(x * b))
-        return 1.0 - cdf_prod, None
+        # the union of independent exceedances, one margin at a time:
+        # ``1 - prod(1 - S_j)`` would cancel once the survivals fall below an ulp of 1
+        out = np.asarray(margins[0].survival(x * self.b[0]))
+        for m, b in zip(margins[1:], self.b[1:]):
+            s = m.survival(x * b)
+            out = out + s * (1.0 - out)
+        return out, None
 
 
 @dataclass(frozen=True)
@@ -147,32 +151,9 @@ class HalfSpace:
             "weighted-sum scalarization is analytic only in dimension two; use Monte Carlo")
 
 
-@dataclass(frozen=True)
-class Ray:
-    """One-dimensional exceedance set ``(b, inf)``."""
-
-    b: float
-
-    def __post_init__(self):
-        if not 0 < self.b < math.inf:
-            raise ValueError("Ray level must be finite and positive")
-        object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def _scalarize(self, z):
-        return z[..., 0] / self.b
-
-    def _contains(self, x, z):
-        return z[..., 0] > x * self.b
-
-    def envelope_constant(self, cs, alpha):
-        return float(cs[0] * self.b**-alpha)
-
-    def scalarized_survival(self, margins, x):
-        return np.asarray(margins[0].survival(x * self.b)), None
+def Ray(b: float) -> MaxExceed:
+    """One-dimensional exceedance set ``(b, inf)``: the max-type set of one threshold."""
+    return MaxExceed((b,))
 
 
 @dataclass(frozen=True)
@@ -218,7 +199,7 @@ class PolyhedralUnion:
             "no analytic scalarized survival for PolyhedralUnion; use Monte Carlo")
 
 
-RareSet = MaxExceed | HalfSpace | Ray | PolyhedralUnion
+RareSet = MaxExceed | HalfSpace | PolyhedralUnion
 
 
 @dataclass(frozen=True)
@@ -230,8 +211,6 @@ class AnyLineNegative:
         return "or"
 
     def entrance_set(self, alloc: np.ndarray) -> "RareSet":
-        if alloc.size == 1:
-            return Ray(b=float(alloc[0]))
         return MaxExceed(b=tuple(alloc))
 
 
@@ -302,9 +281,8 @@ def z_index(rare_set: RareSet, z) -> np.ndarray | float:
 
     Closed forms
     ------------
-    MaxExceed       ``max_i z_i / b_i``
+    MaxExceed       ``max_i z_i / b_i`` (``z / b`` for a ``Ray``)
     HalfSpace       ``(sum_i l_i z_i) / b``
-    Ray             ``z / b``
     PolyhedralUnion  max over the member half-space values
     """
     z = _check_vectors(rare_set, z, require_nonneg=True)
@@ -332,7 +310,7 @@ def from_ruin_set(ruin_set: RuinSet, alloc) -> RareSet:
     exactly when the net claim vector enters ``x*(l - L)``:
 
     * ``AnyLineNegative``  ->  ``MaxExceed`` with thresholds ``alloc``
-      (``Ray`` in dimension one);
+      (``Ray(alloc[0])`` in dimension one);
     * ``WeightedSumNegative`` with weights ``w``  ->  ``HalfSpace`` with the
       same weights and level ``sum_i w_i * alloc_i``.
     """

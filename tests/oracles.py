@@ -18,7 +18,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from ruinflow.dependence import ClaimModel
-from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, Ray
+from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion
 
 
 def member_from_definition(rare_set, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -28,8 +28,6 @@ def member_from_definition(rare_set, z: np.ndarray, u: np.ndarray) -> np.ndarray
         return (z[None, :] > u[:, None] * np.asarray(rare_set.b)[None, :]).any(axis=1)
     if isinstance(rare_set, HalfSpace):
         return float(np.dot(rare_set.l, z)) > u * rare_set.b
-    if isinstance(rare_set, Ray):
-        return float(z[0]) > u * rare_set.b
     if isinstance(rare_set, PolyhedralUnion):
         out = np.zeros(u.shape, dtype=bool)
         for p in rare_set.parts:
@@ -63,7 +61,7 @@ def grid_search_scalarization(rare_set, z, step: float = 1e-4) -> float:
 def _min_scale(rare_set) -> float:
     if isinstance(rare_set, MaxExceed):
         return min(rare_set.b)
-    if isinstance(rare_set, (HalfSpace, Ray)):
+    if isinstance(rare_set, HalfSpace):
         return rare_set.b
     if isinstance(rare_set, PolyhedralUnion):
         return min(p.b for p in rare_set.parts)

@@ -247,6 +247,16 @@ class TestScalarizedSurvival:
         x = float(G.quantile(0.5))
         assert scalarized_survival(model, UNIT_MAX, x) == pytest.approx(0.75)
 
+    def test_max_type_union_does_not_cancel(self):
+        # ``1 - (1 - s)^2`` loses every digit once ``s`` falls below an ulp of 1;
+        # the union of two independent exceedances is ``2s - s^2``
+        m = Pareto(1.5)
+        x = np.logspace(4.0, 12.0, 9)
+        s = m.survival(x)
+        want = 2.0 * s - s * s
+        got = scalarized_survival(ClaimModel.iid((m, m)), UNIT_MAX, x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), (got - want) / np.spacing(want)
+
     def test_ray_is_margin_survival(self):
         model = ClaimModel.iid((Pareto(1.5),))
         assert scalarized_survival(model, Ray(b=1.0), 7.0) == \

@@ -420,6 +420,16 @@ class TestMrv:
         ratio = asymptotic_entrance_finite(spec, x, 10.0).value / mrv_closed_form(spec, x, 10.0)
         assert 0.95 < ratio < 1.05
 
+    @pytest.mark.parametrize("x", [1e8, 1e12])
+    def test_max_type_integral_deep_in_the_tail(self, x):
+        # the union survival once cancelled here: 7.7e-6 off and unconverged at 1e8,
+        # 1e-304 flagged converged at 1e12
+        claim = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(1.5, 1.0)))
+        spec = ModelSpec(claim, MaxExceed((1.0, 1.0)), Poisson(1.0), Deterministic(0.05))
+        est = asymptotic_entrance_finite(spec, x, 10.0)
+        assert est.value == pytest.approx(mrv_closed_form(spec, x, 10.0), rel=1e-6, abs=0.0)
+        assert est.converged
+
 
 def brownian_half_space_model():
     """The ``entrance-brownian-inf`` benchmark model."""

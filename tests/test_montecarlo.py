@@ -71,6 +71,11 @@ def base_spec(alpha=1.5, d=2, ret=None):
                      ret or Deterministic(0.05))
 
 
+def _workspace(task: _AggregateTask) -> np.ndarray:
+    """The workspace a block of chunks shares, sized for this one chunk."""
+    return np.empty(montecarlo._aggregate_floats(task.claim.d, task.stats) * task.count)
+
+
 class TestWilson:
     def test_bounds_and_order(self):
         lo, hi = wilson_interval(5, 100)
@@ -153,7 +158,7 @@ class TestReproducibility:
         total = 0
         for c in reversed(range(3)):
             task = replace(proto, chunk=c, count=min(CHUNK_PATHS, n - c * CHUNK_PATHS))
-            total = total + _simulate_aggregate_chunk(task)["entrance_counts"]
+            total = total + _simulate_aggregate_chunk(task, _workspace(task))["entrance_counts"]
         assert np.array_equal(whole["entrance_counts"], total)
 
     def test_same_seed_same_table_different_seed_differs(self):
@@ -262,6 +267,14 @@ class TestEmpiricalEntrance:
         se = math.sqrt(table.p_hat[0] * (1 - table.p_hat[0])
                        * (1 / n_slow + 1 / sim.n_paths))
         assert abs(p_slow - table.p_hat[0]) < 4 * se
+
+    def test_infinite_horizon_is_the_largest_truncation_horizon(self):
+        # a threshold deep in the tail adds no horizon: the truncation horizon of
+        # 1e12 is that of 1e4, where a cancelling union survival once made it 9,332
+        spec = base_spec()
+        horizons = [montecarlo._gate(spec, SimConfig(100, seed=1, horizon=math.inf, x_grid=grid),
+                                     False)[1]["horizon"] for grid in ((1e4,), (100.0, 1e12))]
+        assert horizons[0] == horizons[1] == pytest.approx(107.5906, rel=1e-6)
 
     def test_csv_and_json_round_trip(self, tmp_path):
         spec = base_spec()
@@ -738,7 +751,7 @@ class TestMemory:
                                   stats=(_Entrance(spec.rare_set, (10.0, 100.0)),))
             tracemalloc.start()
             try:
-                _simulate_aggregate_chunk(task)
+                _simulate_aggregate_chunk(task, _workspace(task))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -905,5 +918,5 @@ class TestEngineProperties:
         total = 0
         for c in order:
             task = replace(proto, chunk=c, count=min(CHUNK_PATHS, n - c * CHUNK_PATHS))
-            total = total + _simulate_aggregate_chunk(task)["entrance_counts"]
+            total = total + _simulate_aggregate_chunk(task, _workspace(task))["entrance_counts"]
         assert np.array_equal(whole["entrance_counts"], total)

@@ -354,6 +354,22 @@ class TestLevyReturns:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: BrownianDrift(math.nan, 0.2),
+        lambda: BrownianDrift(math.inf, 0.2),
+        lambda: BrownianDrift(0.1, -0.2),
+        lambda: BrownianDrift(0.1, math.inf),
+        lambda: CompoundPoissonDrift(0.0, 0.0, ExponentialJumps(0.5)),
+        lambda: CompoundPoissonDrift(0.0, math.inf, ExponentialJumps(0.5)),
+        lambda: CompoundPoissonDrift(0.0, math.nan, ExponentialJumps(0.5)),
+    ], ids=["brownian nan drift", "brownian infinite drift", "negative volatility",
+            "infinite volatility", "zero jump rate", "infinite jump rate", "nan jump rate"])
+    def test_constructors_are_checked_by_levy_returns(self, make):
+        # the named constructors add no check of their own: each bad input fails in
+        # LevyReturns.__post_init__
+        with pytest.raises(ValueError):
+            make()
+
     def test_zero_volatility_is_the_deterministic_force(self):
         proc = BrownianDrift(0.05, 0.0)
         assert proc == Deterministic(0.05)

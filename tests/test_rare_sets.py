@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,15 @@ class TestValidation:
     def test_union_members_must_be_half_spaces(self):
         with pytest.raises(TypeError):
             PolyhedralUnion(parts=(Ray(b=1.0),))
+
+    def test_ray_is_max_exceed_of_one_threshold(self):
+        assert Ray(2.0) == MaxExceed((2.0,))
+        assert Ray(b=2.0).dim == 1
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan, math.inf])
+    def test_ray_needs_finite_positive_level(self, b):
+        with pytest.raises(ValueError):
+            Ray(b)
 
 
 class TestRuinSetMapping:

@@ -28,7 +28,8 @@ depends on numpy's variate algorithms and its float kernels.  It holds:
   paths the ``ruin-premium`` workload leaves out: a three-piece schedule
   under ``Deterministic(0.07)``, a negative constant force
   (``BrownianDrift(-0.02, 0.0)``), the weighted-total ruin set (a
-  ``HalfSpace`` target) and one line of business (a ``Ray`` target);
+  ``HalfSpace`` target) and one line of business (a one-threshold
+  ``MaxExceed`` target);
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
   workers, enough that the pool gets blocks of several chunks, the last one
   partial;
