@@ -41,11 +41,14 @@ block allocates one workspace that its aggregate chunks reuse: a loop step
 draws into views of it (numpy fills ``out=`` in the order of a fresh array),
 transforms and sums the claims there, hands the statistics the slots'
 discount factors and the scratch floats they declare, and compacts the
-staying paths into it, so a worker's memory is one fixed workspace and the
-step's own temporaries are masks, indices and scalarizations.  Claim
-transforms work in place: a marginal's ``_qf`` overwrites the survival
-transforms it is given, and the big-jump chunk transforms the uniform block
-it draws where it lies.
+staying paths into it, so a worker's memory is one fixed workspace.  A step
+finds the paths past the horizon once, as index arrays the size of those
+paths, which its discounting, statistics and compaction share (a step that
+loses no path only copies its slot 1 into the carry); its other temporaries
+are the horizon comparisons and the scalarizations.  Claim transforms work
+in place: a marginal's ``_qf`` overwrites the survival transforms it is
+given, and the big-jump chunk transforms the uniform block it draws where it
+lies.
 """
 
 from __future__ import annotations
@@ -258,30 +261,39 @@ def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
         _walk(xi, task.ret.xi_at(tau, gaps, rng, out=xs), xs)
         task.claim.claims_from_uniforms(rng.random((2, d, m), out=claims), out=claims)
         w = np.exp(np.negative(xs, out=gaps), out=gaps)
-        inside = tau <= task.horizon
-        if not inside[1].all():  # slot 1 is the later one: when all of it is inside, so is slot 0
-            np.copyto(w, 0.0, where=~inside)  # not w *= inside: exp(-xi) may be inf
+        # a path whose slot 1 (the later one) is past the horizon is done; slot 0 can be
+        # past it only on such a path
+        done = np.flatnonzero(tau[1] > task.horizon)
+        past = (done[tau[0, done] > task.horizon], done)
+        w[0, past[0]] = 0.0  # zeroed, not multiplied by a mask: exp(-xi) may be inf
+        w[1, done] = 0.0
         claims *= w[:, None]
         claims[0] += D  # the running sums after slot 0, then after slot 1
         claims[1] += claims[0]
         for stat, state in zip(task.stats, live):
-            stat.step(tuple(a[:m] for a in state), tau, inside, claims.transpose(0, 2, 1), w,
+            stat.step(tuple(a[:m] for a in state), tau, past, claims.transpose(0, 2, 1), w,
                       scratch)
-        # a path whose slot 1 is past the horizon is done: its D and state go to ``rows``
-        # of the final arrays, the other paths' carry and state to the front of theirs.
-        # The indices are in range, and mode="clip" spares take() a copy of ``out``.
-        keep, done = np.flatnonzero(inside[1]), np.flatnonzero(~inside[1])
-        rows = slice(n - m, n - keep.size)
-        for j in range(d):
-            np.take(claims[1, j], done, out=final[j, rows], mode="clip")
-        for state, buf, into in zip(live, spare, final_states):
-            for a, b, c in zip(state, buf, into):
-                np.take(a[:m], done, axis=0, out=c[rows], mode="clip")
-                np.take(a[:m], keep, axis=0, out=b[:keep.size], mode="clip")
-        live, spare, m = spare, live, keep.size
-        t, xi, D = _views(carry, (m,), (m,), (d, m))
+        if done.size:
+            # the done paths' D and state go to ``rows`` of the final arrays, the other
+            # paths' state to the front of theirs.  The indices are in range, and
+            # mode="clip" spares take() a copy of ``out``.
+            keep = np.flatnonzero(tau[1] <= task.horizon)
+            rows = slice(n - m, n - keep.size)
+            for j in range(d):
+                np.take(claims[1, j], done, out=final[j, rows], mode="clip")
+            for state, buf, into in zip(live, spare, final_states):
+                for a, b, c in zip(state, buf, into):
+                    np.take(a[:m], done, axis=0, out=c[rows], mode="clip")
+                    np.take(a[:m], keep, axis=0, out=b[:keep.size], mode="clip")
+            live, spare, m = spare, live, keep.size
+            t, xi, D = _views(carry, (m,), (m,), (d, m))
+        # the staying paths' carry is their slot 1, rewritten even when nobody left:
+        # the statistics' scratch overlaps it
         for src, dst in ((tau[1], t), (xs[1], xi), (claims[1], D)):
-            np.take(src, keep, axis=-1, out=dst, mode="clip")
+            if done.size:
+                np.take(src, keep, axis=-1, out=dst, mode="clip")
+            else:
+                np.copyto(dst, src)
     out: dict = {}
     for stat, state in zip(task.stats, final_states):
         _add_counts(out, stat.finish(state, final.T))
@@ -296,13 +308,14 @@ class _Statistic:
     """A per-path statistic, updated once per loop step.
 
     ``init(n)`` returns the state of ``n`` fresh paths, a tuple of arrays with a leading
-    path axis.  ``step(state, tau, inside, running, w, scratch)`` updates it in place
-    from both slots of one loop step of the ``m`` active paths: their epochs, whether
-    those lie within the horizon and their discount factors ``w = e^{-xi(tau)}`` (zero
-    past the horizon when some slot is past it), ``(2, m)``, and ``D`` after each slot,
-    ``(2, m, d)`` (a slot past the horizon adds nothing); ``scratch`` is a flat view of
-    the block workspace with ``scratch_floats(d)`` floats per path, free to overwrite.
-    The arrays are reused, so keep no reference to them.  ``finish(state, final)`` reads
+    path axis.  ``step(state, tau, past, running, w, scratch)`` updates it in place
+    from both slots of one loop step of the ``m`` active paths: their epochs and their
+    discount factors ``w = e^{-xi(tau)}`` (zero past the horizon), ``(2, m)``, and ``D``
+    after each slot, ``(2, m, d)`` (a slot past the horizon adds nothing).  ``past[k]``
+    indexes, in increasing order, the paths whose slot ``k`` lies past the horizon
+    (``past[0]`` is a subset of ``past[1]``); a statistic masks those entries.
+    ``scratch`` is a flat view of the block workspace with ``scratch_floats(d)`` floats
+    per path, free to overwrite.  The arrays are reused, so keep no reference to them.  ``finish(state, final)`` reads
     the state and ``D`` at the horizon and returns int64 counts; it runs once per chunk,
     on all the chunk's paths in the order they leave the horizon, and counts are merged
     by addition.
@@ -314,7 +327,7 @@ class _Statistic:
     def scratch_floats(self, d: int) -> int:
         return 0
 
-    def step(self, state: tuple, tau, inside, running, w, scratch) -> None:
+    def step(self, state: tuple, tau, past, running, w, scratch) -> None:
         pass
 
 
@@ -343,7 +356,8 @@ class _EntranceTimes(_Statistic):
 
     Entrance can only happen at arrival epochs (claims are nonnegative jumps
     and the target set is increasing), so the first entrance time is the
-    first slot inside the horizon whose running sum lies in the set.
+    first slot inside the horizon whose running sum lies in the set (a slot
+    of ``past`` counts as ``inf``).
     """
 
     rare_set: RareSet
@@ -353,8 +367,10 @@ class _EntranceTimes(_Statistic):
     def init(self, n):
         return (np.full(n, np.inf),)
 
-    def step(self, state, tau, inside, running, w, scratch):
-        first = np.where(inside & (z_index_signed(self.rare_set, running) > self.x), tau, np.inf)
+    def step(self, state, tau, past, running, w, scratch):
+        first = np.where(z_index_signed(self.rare_set, running) > self.x, tau, np.inf)
+        for row, gone in zip(first, past):
+            row[gone] = np.inf
         np.minimum(state[0], first[0], out=state[0])
         np.minimum(state[0], first[1], out=state[0])
 
@@ -371,7 +387,8 @@ class _Ruin(_Statistic):
 
     Net claims are the running sums less the premiums (a piecewise-constant
     schedule with ``breaks`` and ``rates``) discounted at the constant force
-    ``rate``; the state is each path's largest scalarized net claim so far.
+    ``rate``; the state is each path's largest scalarized net claim so far,
+    a slot of ``past`` counting as ``-inf``.
     Piece ``[a, b)`` adds its rate times ``integral_a^{clip(tau, a, b)} e^{-r s} ds``,
     ``(e^{-r a} - clip(w, e^{-r b}, e^{-r a})) * rate / r`` from the slot's ``w = e^{-r tau}``
     with no ``exp`` per path; below ``|r| = 2**-26``, where that cancels, from ``tau`` as
@@ -403,7 +420,7 @@ class _Ruin(_Statistic):
     def init(self, n):
         return (np.full(n, -np.inf),)
 
-    def step(self, state, tau, inside, running, w, scratch):
+    def step(self, state, tau, past, running, w, scratch):
         m, d = running.shape[1:]
         net, piece, part = _views(scratch, (2, d, m), (2, m), (2, m * bool(self._pieces[1:])))
         lines, x = net.transpose(1, 0, 2), w if self._from_w else tau
@@ -416,8 +433,8 @@ class _Ruin(_Statistic):
         for i, line in enumerate(lines):  # then the net claims
             np.subtract(running[..., i], line, out=line)
         z = self.rare_set._scalarize(net.transpose(0, 2, 1))
-        if not inside[1].all():
-            np.copyto(z, -np.inf, where=~inside)
+        for row, gone in zip(z, past):
+            row[gone] = -np.inf
         np.maximum(state[0], z[0], out=state[0])
         np.maximum(state[0], z[1], out=state[0])
 

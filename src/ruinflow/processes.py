@@ -104,7 +104,7 @@ class RenewalIID:
         if math.isinf(T):
             _require_decay(phi)
             return lam / (-phi) + lam * sum(w / (d - phi) for w, d in self._modes).real
-        head = lam * T if phi == 0 else lam * (1.0 - math.exp(T * phi)) / (-phi)
+        head = lam * T if phi == 0 else lam * -math.expm1(T * phi) / (-phi)
         return head + lam * sum(w * (1.0 - cmath.exp((phi - d) * T)) / (d - phi)
                                 for w, d in self._modes).real
 

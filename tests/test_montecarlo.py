@@ -176,9 +176,11 @@ class _Sums(montecarlo._Statistic):
     def init(self, n):
         return (np.zeros(n, dtype=np.int64),)
 
-    def step(self, state, tau, inside, running, w, scratch):
+    def step(self, state, tau, past, running, w, scratch):
         arrivals, = state
-        arrivals += inside.sum(axis=0)  # both slots of the loop step
+        arrivals += 2  # both slots of the loop step, less those past the horizon
+        for gone in past:
+            arrivals[gone] -= 1
 
     def finish(self, state, final):
         return {"component_sums": final.sum(axis=0),
@@ -221,6 +223,69 @@ class TestSimulateAggregate:
             steps = (arrivals + 2) // 2
             assert np.unique(steps).size > 3
             assert np.all(np.diff(steps) >= 0)
+
+
+class TestPastTheHorizon:
+    """The slots past the horizon, as a loop step discounts them and hands them on."""
+
+    def test_slots_past_the_horizon_add_nothing_where_the_discount_overflows(self):
+        # xi(t) = -800 t, so e^{-xi(t)} overflows from t ~ 0.89 on: a slot past the
+        # horizon 0.5 must have its factor zeroed, not multiplied by a mask (inf * 0 is NaN)
+        records = []
+
+        class LastInside(montecarlo._Statistic):
+            # each path's D after its last slot inside the horizon, and its latest epoch
+            def init(self, n):
+                return np.zeros((n, 2)), np.zeros(n)
+
+            def step(self, state, tau, past, running, w, scratch):
+                last, latest = state
+                for k, gone in enumerate(past):
+                    inside = np.ones(tau.shape[1], dtype=bool)
+                    inside[gone] = False
+                    last[inside] = running[k, inside]
+                latest[:] = tau[1]
+
+            def finish(self, state, final):
+                records.append((state[0].copy(), state[1].copy(), final.copy()))
+                return {}
+
+        spec = base_spec(ret=BrownianDrift(-800.0, 0.0))
+        with np.errstate(over="ignore"):  # e^{-xi} of the slots past the horizon
+            _run_statistics(spec, 0.5, SimConfig(3_000, seed=31, horizon=0.5), LastInside())
+        (last, latest, final), = records
+        assert (latest > 0.9).mean() > 0.5  # most paths left on a slot whose factor is inf
+        assert np.isfinite(final).all()
+        assert (final > 1e100).any()  # slots inside the horizon carry factors up to e^400
+        assert final.tobytes() == last.tobytes()
+
+    @pytest.mark.parametrize("horizon", [1e-6, 80.0, 10.0], ids=["all-leave", "none-leave",
+                                                                  "mixed"])
+    def test_past_indexes_the_slots_past_the_horizon(self, horizon):
+        steps = []
+
+        class Recording(montecarlo._Statistic):
+            def step(self, state, tau, past, running, w, scratch):
+                steps.append((tau.copy(), tuple(p.copy() for p in past)))
+
+            def finish(self, state, final):
+                return {}
+
+        _run_statistics(base_spec(), horizon, SimConfig(2_000, seed=32, horizon=horizon),
+                        Recording())
+        for tau, past in steps:
+            assert np.isin(past[0], past[1]).all()
+            for row, gone in zip(tau, past):
+                outside = np.zeros(row.size, dtype=bool)
+                outside[gone] = True
+                assert (row[outside] > horizon).all() and (row[~outside] <= horizon).all()
+        sizes = [(past[0].size, past[1].size) for _, past in steps]
+        if horizon == 1e-6:  # every path leaves at its first step, on both slots
+            assert sizes == [(2_000, 2_000)]
+        elif horizon == 80.0:  # 20 arrivals take about 20, far short of 80
+            assert sizes[:10] == [(0, 0)] * 10
+        else:  # some steps lose paths on slot 1 alone
+            assert any(0 < p1 and p0 < p1 for p0, p1 in sizes)
 
 
 class TestEmpiricalEntrance:

@@ -99,6 +99,17 @@ class TestDiscountedIntegrals:
             want = _quad(lambda s: math.exp(phi * s) * spec.renewal_density(s), 0.0, T)
             assert spec.discounted_integral(phi, T) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("spec, density", [
+        (Poisson(1.0), lambda s: 1.0),
+        (RenewalIID(Erlang(2, 2.0)), lambda s: 1.0 - math.exp(-4.0 * s)),  # (b/2)(1 - e^{-2bs})
+    ], ids=["poisson", "erlang2"])
+    @pytest.mark.parametrize("phi", [-1e-15, -1e-12, -1e-9])
+    def test_finite_horizon_at_a_tiny_exponent(self, spec, density, phi):
+        # the Poisson head lam (1 - e^{T phi}) / -phi cancels here: at phi = -1e-15 it
+        # read 9.99201 for Poisson(1) at T = 10, where the integral is 10 - 5e-14
+        want = _quad(lambda s: math.exp(phi * s) * density(s), 0.0, 10.0)
+        assert spec.discounted_integral(phi, 10.0) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("spec", _RENEWALS, ids=_name)
     @pytest.mark.parametrize("phi", [-0.4, -0.02])
     def test_infinite_horizon_and_tail_match_quad(self, spec, phi):

@@ -95,11 +95,16 @@ def _discount(tau, inside, r):
     return np.where(inside, np.exp(-r * tau), 0.0)
 
 
+def _past(inside):
+    """The step's ``past`` from a ``(2, m)`` inside mask: per slot, the paths past the horizon."""
+    return tuple(np.flatnonzero(~row) for row in inside)
+
+
 def _step(stat, state, tau, inside, running):
     """One two-slot step of ``stat`` as the engine makes it, on NaN-filled scratch."""
     w = _discount(tau, inside, getattr(stat, "rate", 0.0))
     scratch = np.full(stat.scratch_floats(running.shape[2]) * tau.shape[1], np.nan)
-    stat.step(state, tau, inside, running, w, scratch)
+    stat.step(state, tau, _past(inside), running, w, scratch)
 
 
 def _step_premiums(tau, prem, r):
@@ -191,7 +196,7 @@ class TestTwoSlotStep:
         got = (start.copy(),)
         stat = _Ruin(rare_set, (1.0,), prem, r, math.inf)
         scratch = np.full(stat.scratch_floats(2) * 999, np.nan)
-        stat.step(got, tau, inside, running, w, scratch)
+        stat.step(got, tau, _past(inside), running, w, scratch)
         assert got[0].tobytes() == want.tobytes()
         assert not np.array_equal(got[0], start)  # the step moved some paths
 
