@@ -33,14 +33,14 @@ One chunk runner serves every experiment through per-path statistics
 (:class:`_Statistic`): entrance, entrance time and ruin (the entrance of the
 net claim process into the mapped set, read on the same paths), each updated
 once per loop step on both its slots and finished once per chunk, on its paths
-in the order they leave the loop.  A run uses at most one worker per chunk
-(in-process for one).  Chunks run in blocks of consecutive chunks: one block
-on one worker, else about :data:`BLOCKS_PER_WORKER` blocks per worker (single
-chunks when there are fewer); the results are merged in chunk order.  Each
-block allocates one workspace that its aggregate chunks reuse: a loop step
-draws into views of it (numpy fills ``out=`` in the order of a fresh array),
-transforms and sums the claims there, hands the statistics the slots'
-discount factors and the scratch floats they declare, and compacts the
+in the order they leave the loop.  A run uses at most one worker per chunk.
+``n`` workers split the chunks into ``n`` contiguous shares of near-equal
+length: the calling process runs share 0 and starts one helper process for
+each other share (none for one worker), and the results are merged in chunk
+order.  Each share allocates one workspace that its aggregate chunks reuse:
+a loop step draws into views of it (numpy fills ``out=`` in the order of a
+fresh array), transforms and sums the claims there, hands the statistics the
+slots' discount factors and the scratch floats they declare, and compacts the
 staying paths into it, so a worker's memory is one fixed workspace.  A step
 finds the paths past the horizon once, as index arrays the size of those
 paths, which its discounting, statistics and compaction share (a step that
@@ -58,7 +58,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -86,8 +85,6 @@ __all__ = [
 
 #: paths per chunk; part of the layout (each chunk draws its own stream), not a tuning knob
 CHUNK_PATHS = 16_384
-#: pool tasks per worker; a block holds ``n_chunks // (8 * n_workers)`` chunks, at least one
-BLOCKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,7 @@ class _Statistic:
     after each slot, ``(2, m, d)`` (a slot past the horizon adds nothing).  ``past[k]``
     indexes, in increasing order, the paths whose slot ``k`` lies past the horizon
     (``past[0]`` is a subset of ``past[1]``); a statistic masks those entries.
-    ``scratch`` is a flat view of the block workspace with ``scratch_floats(d)`` floats
+    ``scratch`` is a flat view of the share's workspace with ``scratch_floats(d)`` floats
     per path, free to overwrite.  The arrays are reused, so keep no reference to them.  ``finish(state, final)`` reads
     the state and ``D`` at the horizon and returns int64 counts; it runs once per chunk,
     on all the chunk's paths in the order they leave the horizon, and counts are merged
@@ -443,26 +440,60 @@ class _Ruin(_Statistic):
 
 
 def _run_block(runner, floats_per_path: int, tasks: list) -> list:
-    """Run consecutive chunk tasks in order; with ``floats_per_path`` they share one workspace."""
+    """Run a share's chunk tasks in order; with ``floats_per_path`` they share one workspace."""
     if not floats_per_path:
         return [runner(t) for t in tasks]
     ws = np.empty(floats_per_path * max(t.count for t in tasks))
     return [runner(t, ws) for t in tasks]
 
 
+def _helper(conn, runner, floats_per_path: int, tasks: list) -> None:
+    """A helper process's share: sends ``(True, counts)`` or ``(False, exception)``."""
+    try:
+        out = (True, _run_block(runner, floats_per_path, tasks))
+    except Exception as exc:
+        out = (False, exc)
+    conn.send(out)
+
+
 def _run_chunks(task_proto, runner, n_paths: int, n_workers: int, floats_per_path: int = 0) -> dict:
+    """Sum the chunks' counts in chunk order.  ``n`` workers split the chunks into ``n``
+    contiguous shares of near-equal length: the caller runs share 0, and one helper
+    process runs each other share and sends its counts back over a pipe."""
     tasks = [replace(task_proto, chunk=c, count=min(CHUNK_PATHS, n_paths - s))
              for c, s in enumerate(range(0, n_paths, CHUNK_PATHS))]
-    n_workers = min(n_workers, len(tasks))  # a worker without a chunk is a wasted fork
-    if n_workers == 1:
+    n = min(n_workers, len(tasks))  # a worker without a chunk is a wasted fork
+    if n == 1:
         results = _run_block(runner, floats_per_path, tasks)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # here: 1 worker needs no pool
-        size = max(1, len(tasks) // (BLOCKS_PER_WORKER * n_workers))
-        blocks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = [res for block in pool.map(partial(_run_block, runner, floats_per_path),
-                                                 blocks) for res in block]
+        import multiprocessing  # here: one worker needs no helper
+        shares = [tasks[k * len(tasks) // n:(k + 1) * len(tasks) // n] for k in range(n)]
+        helpers = []
+        try:
+            for share in shares[1:]:
+                recv, send = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(target=_helper, daemon=True,
+                                               args=(send, runner, floats_per_path, share))
+                proc.start()
+                send.close()  # the helper's end: a helper that dies unreported reads as EOF
+                helpers.append((proc, recv))
+            results = _run_block(runner, floats_per_path, shares[0])
+            for proc, recv in helpers:  # receive before joining: a result may outgrow the pipe
+                try:
+                    ok, out = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"a chunk helper exited with code {proc.exitcode} "
+                                       "without reporting") from None
+                proc.join()
+                if not ok:
+                    raise out
+                results += out
+        finally:  # a failed share or receive stops the helpers still running
+            for proc, recv in helpers:
+                proc.terminate()  # a no-op on a helper already joined
+                proc.join()
+                recv.close()
     merged: dict = {}
     for res in results:  # results arrive in chunk order: merge is deterministic
         _add_counts(merged, res)

@@ -1,14 +1,15 @@
 import json
 import math
 import tracemalloc
-import concurrent.futures
 import gc
+import multiprocessing
+import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from hypothesis import example, given, settings, strategies as st
 
 from ruinflow import montecarlo
@@ -72,7 +73,7 @@ def base_spec(alpha=1.5, d=2, ret=None):
 
 
 def _workspace(task: _AggregateTask) -> np.ndarray:
-    """The workspace a block of chunks shares, sized for this one chunk."""
+    """The workspace a share of chunks reuses, sized for this one chunk."""
     return np.empty(montecarlo._aggregate_floats(task.claim.d, task.stats) * task.count)
 
 
@@ -723,77 +724,140 @@ class TestBigJumpChunk:
         assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
 
 
+@pytest.fixture
+def shares(monkeypatch):
+    """Each share one run hands out, in order, as ``(who, chunks)``: a run on more than
+    one worker builds its helpers (``"helper"``) before the caller runs its own share."""
+    events = []
+    caller, run_block, process = os.getpid(), montecarlo._run_block, multiprocessing.Process
+
+    def record_share(runner, floats_per_path, tasks):
+        if os.getpid() == caller:  # a forked helper runs this wrapper too
+            events.append(("caller", [t.chunk for t in tasks]))
+        return run_block(runner, floats_per_path, tasks)
+
+    def record_helper(*args, **kw):
+        events.append(("helper", [t.chunk for t in kw["args"][-1]]))
+        return process(*args, **kw)
+
+    monkeypatch.setattr(montecarlo, "_run_block", record_share)
+    # the engine imports ``multiprocessing`` when a run needs a helper
+    monkeypatch.setattr(multiprocessing, "Process", record_helper)
+    return events
+
+
+def _chunks(a: int, b: int) -> list:
+    return list(range(a, b))
+
+
 class TestBlockedDispatch:
-    # 53 chunks: blocks of 53 // 16 = 3 on two workers and 53 // 24 = 2 on
-    # three, the last block partial either way
+    # 53 chunks: contiguous shares of 26 and 27 on two workers and of 17, 18
+    # and 18 on three; share k is chunks [k * 53 // n, (k + 1) * 53 // n)
     N_PATHS = 52 * CHUNK_PATHS + 999
+    SHARES = [("caller", _chunks(0, 53)),
+              ("helper", _chunks(26, 53)), ("caller", _chunks(0, 26)),
+              ("helper", _chunks(17, 35)), ("helper", _chunks(35, 53)), ("caller", _chunks(0, 17))]
 
-    @pytest.fixture
-    def block_sizes(self, monkeypatch):
-        # the length of the blocks of one run; each but the last is that long
-        sizes = []
-
-        class Pool(ProcessPoolExecutor):
-            def map(self, fn, blocks, **kw):
-                lengths = [len(b) for b in blocks]
-                assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
-                sizes.append(lengths[0])
-                return super().map(fn, blocks, **kw)
-
-        # the engine imports the pool when a run needs one, from ``concurrent.futures``
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        return sizes
-
-    def test_big_jump_bit_identical_across_workers(self, block_sizes):
+    def test_big_jump_bit_identical_across_workers(self, shares):
         grid = (5.0, 20.0, 80.0)
         tables = [single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 0.5, 2.0), grid,
                                         SimConfig(self.N_PATHS, 83, 1.0, (), workers))
                   for workers in (1, 2, 3)]
-        assert block_sizes == [3, 2]
+        assert shares == self.SHARES
         for t in tables[1:]:
             assert np.array_equal(t.sum_count, tables[0].sum_count)
             assert np.array_equal(t.marginal_p_total, tables[0].marginal_p_total)
 
-    def test_entrance_bit_identical_across_workers(self, block_sizes):
+    def test_entrance_bit_identical_across_workers(self, shares):
         cfg = SimConfig(self.N_PATHS, 84, 0.5, (1.0, 4.0, 30.0))
         tables = [empirical_entrance(base_spec(), replace(cfg, n_workers=w)) for w in (1, 2, 3)]
-        assert block_sizes == [3, 2]
+        assert shares == self.SHARES
         for t in tables[1:]:
             assert np.array_equal(t.count, tables[0].count)
 
-    def test_few_chunks_go_one_by_one(self, block_sizes):
-        single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0,), (5.0,),
-                              SimConfig(25 * CHUNK_PATHS, 85, 1.0, (), 2))
-        assert block_sizes == [1]
+    def test_few_chunks_go_one_by_one(self, shares):
+        # three chunks on three workers: one chunk each for the caller and two helpers
+        cfg = SimConfig(2 * CHUNK_PATHS + 1, 85, 1.0, ())
+        one, three = (single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0,), (5.0,),
+                                            replace(cfg, n_workers=w)) for w in (1, 3))
+        assert shares == [("caller", [0, 1, 2]), ("helper", [1]), ("helper", [2]), ("caller", [0])]
+        assert np.array_equal(three.sum_count, one.sum_count)
 
 
 class TestWorkerCap:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-
-        class Pool(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kw):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kw)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        return sizes
-
     CFG = SimConfig(1_000, 86, 0.5, (1.0, 4.0, 30.0))
 
-    def test_one_chunk_builds_no_pool(self, pool_sizes):
+    def test_one_chunk_builds_no_pool(self, shares):
         one = empirical_entrance(base_spec(), self.CFG)
         three = empirical_entrance(base_spec(), replace(self.CFG, n_workers=3))
-        assert pool_sizes == []
+        assert shares == [("caller", [0]), ("caller", [0])]  # no helper either time
         assert np.array_equal(three.count, one.count)
 
-    def test_pool_has_at_most_one_worker_per_chunk(self, pool_sizes):
+    def test_pool_has_at_most_one_worker_per_chunk(self, shares):
         cfg = replace(self.CFG, n_paths=CHUNK_PATHS + 1000)
         one = empirical_entrance(base_spec(), cfg)
         eight = empirical_entrance(base_spec(), replace(cfg, n_workers=8))
-        assert pool_sizes == [2]
+        assert shares == [("caller", [0, 1]), ("helper", [1]), ("caller", [0])]
         assert np.array_equal(eight.count, one.count)
+
+
+@dataclass(frozen=True)
+class _ProbeTask:
+    """A chunk task whose runner fails at ``fail`` (raising, or exiting the process
+    at once with ``exit_code``) and sleeps through the chunks of ``slow``."""
+
+    chunk: int = 0
+    count: int = 0
+    fail: int = -1
+    exit_code: int = 0
+    slow: tuple = ()
+
+
+def _probe_chunk(task: _ProbeTask) -> dict:
+    if task.chunk in task.slow:
+        time.sleep(60.0)
+    if task.chunk == task.fail:
+        if task.exit_code:
+            os._exit(task.exit_code)
+        raise ValueError(f"chunk {task.chunk} failed")
+    return {}
+
+
+class TestHelperFailures:
+    """A failure anywhere ends the run with an error, and no helper outlives it."""
+
+    N_PATHS = 5 * CHUNK_PATHS  # on two workers: the caller runs chunks 0-1, the helper 2-4
+
+    def _run(self, task: _ProbeTask):
+        """The run's error, from a daemon thread with a bounded join: a helper left
+        running would hang the run."""
+        out = {}
+
+        def call():
+            try:
+                montecarlo._run_chunks(task, _probe_chunk, self.N_PATHS, 2)
+            except Exception as exc:
+                out["error"] = exc
+
+        th = threading.Thread(target=call, daemon=True)
+        th.start()
+        th.join(timeout=30.0)
+        assert not th.is_alive(), "the run did not return"
+        assert multiprocessing.active_children() == []
+        return out.get("error")
+
+    def test_helper_exception_reaches_the_caller(self):
+        err = self._run(_ProbeTask(fail=3))
+        assert type(err) is ValueError and str(err) == "chunk 3 failed"
+
+    def test_helper_that_dies_unreported_raises(self):
+        err = self._run(_ProbeTask(fail=2, exit_code=3))
+        assert type(err) is RuntimeError and "exited with code 3" in str(err)
+
+    def test_caller_failure_stops_the_helpers(self):
+        # the helper sleeps 60 s in its first chunk: the run returns only if it is stopped
+        err = self._run(_ProbeTask(fail=1, slow=(2,)))
+        assert type(err) is ValueError and str(err) == "chunk 1 failed"
 
 
 def _pareto_pair_ruin(premium: float) -> RuinModel:
@@ -869,7 +933,7 @@ class TestMemory:
 
 class TestThreads:
     def test_concurrent_runs_match_sequential_runs(self):
-        # each block owns its workspace: two runs at once in one process, with
+        # each share owns its workspace: two runs at once in one process, with
         # different models and seeds, give the counts they give one after the other
         def run(premium, seed):
             t = empirical_ruin(_pareto_pair_ruin(premium), (5.0, 20.0, 80.0), 10.0,

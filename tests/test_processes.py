@@ -188,7 +188,8 @@ single_big_jump_check(ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0)), MaxExceed((1.
 
 class TestImportFootprint:
     """SciPy costs about half of a cold start, and the canonical models never call it;
-    the process pool's modules load only for a run on more than one worker."""
+    ``multiprocessing`` loads only for a run on more than one worker, and no run loads
+    the process pool of ``concurrent.futures``."""
 
     def test_import_leaves_scipy_out(self):
         assert _modules_after("import ruinflow") == "[]"
