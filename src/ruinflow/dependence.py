@@ -253,9 +253,10 @@ class ClaimModel:
 
         ``u[k]`` is slot ``k`` of a pair, with component ``j`` in ``u[k, j]``;
         the paired structures couple slot 0 with slot 1 entry by entry over
-        the trailing axes.  A truncated pair's first vector keeps its
-        marginal law: component ``j`` of slot 0 is ``margins[j]._qf(1 - u)``
-        whatever the structure, so it can be transformed alone.  The claims
+        the trailing axes.  Slot 0 keeps its marginal law: component ``j`` is
+        ``margins[j]._qf(1 - u)`` whatever the structure, so a vector with no
+        partner, like the big-jump chunk's last vector for an odd number of
+        weights, is drawn on its own and transformed by the margins.  The claims
         are written to ``out``, which may be ``u`` itself; by default they go
         to a new array and ``u`` is only read.
         """

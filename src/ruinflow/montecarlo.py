@@ -47,8 +47,10 @@ paths, which its discounting, statistics and compaction share (a step that
 loses no path only copies its slot 1 into the carry); its other temporaries
 are the horizon comparisons and the scalarizations.  Claim transforms work
 in place: a marginal's ``_qf`` overwrites the survival transforms it is
-given, and the big-jump chunk transforms the uniform block it draws where it
-lies.
+given.  The big-jump chunk draws only the claim vectors it reads, in one
+draw: its pairs as a ``(2, d, n // 2, count)`` block, then, for an odd
+number ``n`` of weights, the last vector as a ``(d, count)`` block of its
+own, and it transforms each block where it lies.
 """
 
 from __future__ import annotations
@@ -615,17 +617,22 @@ class _BigJumpTask:
 
 
 def _big_jump_chunk(task: _BigJumpTask) -> dict:
-    n, h = len(task.weights), len(task.weights) // 2
-    # vectors (2j, 2j+1) are the two slots of pair j, transformed in place in
-    # the chunk's own block; an odd n's last pair has only its slot 0
-    # transformed, by its margins, and its slot 1 drawn but never read
-    blk = _chunk_rng(task.seed, task.chunk).random((2, task.claim.d, (n + 1) // 2, task.count))
-    task.claim.claims_from_uniforms(blk[:, :, :h], out=blk[:, :, :h])
+    n, h, d, count = len(task.weights), len(task.weights) // 2, task.claim.d, task.count
+    # vectors (2j, 2j+1) are the two slots of pair j, a (2, d, h, count)
+    # block transformed in place; an odd n's last vector follows it as a
+    # (d, count) block, transformed in place by its margins.  One draw fills
+    # both: glibc trims its heap above twice the largest block it has freed,
+    # and two smaller draws let it trim and re-fault about 1 MB every chunk
+    u = _chunk_rng(task.seed, task.chunk).random((2 * h + n % 2) * d * count)
+    pairs = u[:2 * h * d * count].reshape(2, d, h, count)
+    task.claim.claims_from_uniforms(pairs, out=pairs)
+    vectors = [pairs[i % 2, :, i // 2].T for i in range(2 * h)]  # (count, d) views
     if n % 2:
-        lone = np.subtract(1.0, blk[0, :, h], out=blk[0, :, h])
+        lone = u[2 * h * d * count:].reshape(d, count)
+        np.subtract(1.0, lone, out=lone)
         for j, m in enumerate(task.claim.margins):
             m._qf(lone[j])
-    vectors = [blk[i % 2, :, i // 2].T for i in range(n)]  # (count, d) views of (d, count) blocks
+        vectors.append(lone.T)
     w = task.weights
     total = vectors[0] * w[0]
     for i in range(1, n):  # left to right, the order of a sum over the vector axis

@@ -678,17 +678,22 @@ class TestExceedances:
 
 def _big_jump_reference(task: _BigJumpTask):
     """``(z_sum, z_each)`` of one big-jump chunk by the stacked formula on the
-    same chunk stream: one ``(2, d, ceil(n/2), count)`` draw, in which vector
-    ``i`` of a path is slot ``i % 2`` of pair ``i // 2``, restacked as an
-    ``(n, d, count)`` copy; the weighted stack is summed over its vector axis.
-    Each value is scalarized on a ``(count, d)`` view of a ``(d, count)``
+    same chunk stream: one ``(2, d, n // 2, count)`` draw of the pairs, in
+    which vector ``i`` of a path is slot ``i % 2`` of pair ``i // 2``, then,
+    for odd ``n``, one ``(d, count)`` draw of the last vector, transformed as
+    slot 0 of a pair whose slot 1 is a constant; all restacked as an
+    ``(n, d, count)`` copy, and the weighted stack is summed over its vector
+    axis.  Each value is scalarized on a ``(count, d)`` view of a ``(d, count)``
     block, the layout the chunk uses, since BLAS may round a weighted sum
     differently for row- and column-major matrices."""
     n, d = len(task.weights), task.claim.d
-    half = (n + 1) // 2
-    u = _chunk_rng(task.seed, task.chunk).random((2, d, half, task.count))
-    claims = task.claim.claims_from_uniforms(u)
-    stack = claims.transpose(2, 0, 1, 3).reshape(2 * half, d, task.count)[:n]
+    half = n // 2
+    rng = _chunk_rng(task.seed, task.chunk)
+    claims = task.claim.claims_from_uniforms(rng.random((2, d, half, task.count)))
+    stack = claims.transpose(2, 0, 1, 3).reshape(2 * half, d, task.count)
+    if n % 2:
+        pair = np.stack([rng.random((d, 1, task.count)), np.full((d, 1, task.count), 0.5)])
+        stack = np.concatenate([stack, task.claim.claims_from_uniforms(pair)[0].transpose(1, 0, 2)])
     w = np.asarray(task.weights)
     z_sum = z_index_signed(task.rare_set, (stack * w[:, None, None]).sum(axis=0).T)
     z_each = np.stack([z_index_signed(task.rare_set, v.T) for v in stack], axis=1) * w
@@ -722,6 +727,35 @@ class TestBigJumpChunk:
         got = _big_jump_chunk(replace(task, x_grid=grid))
         assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
         assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
+
+    # (sum_count, marginal_p_total * n_paths) of the first k weights on two chunks:
+    # 1, 2 and 4 weights give the counts of one stacked (2, d, ceil(k/2), count)
+    # draw, whose odd k left slot 1 of its last pair unread; 3 and 5 weights give
+    # those of the pairs block followed by the last vector's own block
+    LAYOUT_COUNTS = {1: ([380, 26, 3], [380, 26, 3]),
+                     2: ([631, 41, 5], [481, 39, 4]),
+                     3: ([3918, 162, 11], [1921, 133, 10]),
+                     4: ([7339, 214, 14], [2340, 158, 14]),
+                     5: ([14299, 346, 17], [3163, 201, 17])}
+
+    @pytest.mark.parametrize("k", sorted(LAYOUT_COUNTS))
+    def test_layout_counts(self, k):
+        n_paths = CHUNK_PATHS + 2000
+        t = single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 0.5, 2.0, 1.0, 1.5)[:k],
+                                  (10.0, 40.0, 160.0), SimConfig(n_paths, 97, 1.0))
+        sums, marginals = self.LAYOUT_COUNTS[k]
+        assert t.sum_count.tolist() == sums
+        assert [round(p * n_paths) for p in t.marginal_p_total] == marginals
+
+    def test_five_weights_bit_identical_across_workers(self):
+        # four chunks, the last partial: both blocks of every chunk on 1, 2 and 3 workers
+        sim = SimConfig(3 * CHUNK_PATHS + 500, 98, 1.0)
+        one, two, three = (single_big_jump_check(FGM_PARETO2, MaxExceed((1.0, 1.0)),
+                                                 (1.0, 0.5, 2.0, 1.0, 1.5), (5.0, 20.0, 80.0),
+                                                 replace(sim, n_workers=w)) for w in (1, 2, 3))
+        for t in (two, three):
+            assert np.array_equal(t.sum_count, one.sum_count)
+            assert np.array_equal(t.marginal_p_total, one.marginal_p_total)
 
 
 @pytest.fixture
@@ -916,12 +950,14 @@ class TestMemory:
         assert max(peaks) < 14 * unit, [p / unit for p in peaks]
 
     def test_big_jump_chunk_peak_below_two_blocks(self):
-        # the chunk transforms its uniform block in place: a reintroduced
-        # copy of the block (or of its claims) lifts the peak past 2 blocks
+        # the chunk draws only the vectors it reads and transforms them in
+        # place: claims copied out of either block while it lives, or a
+        # stacked draw with an unread slot, lift the peak past 2 blocks
         task = _BigJumpTask(claim=FGM_PARETO2, rare_set=MaxExceed((1.0, 1.0)),
                             weights=(1.0, 1.0, 1.0), seed=5, chunk=0, count=CHUNK_PATHS,
                             x_grid=(40.0, 86.2, 400.0))
-        block = 2 * task.claim.d * 2 * CHUNK_PATHS * 8  # (2, d, ceil(3/2), count) float64
+        d = task.claim.d
+        block = (2 * d * 1 + d) * CHUNK_PATHS * 8  # (2, d, 3 // 2, count) and (d, count) float64
         tracemalloc.start()
         try:
             _big_jump_chunk(task)

@@ -19,8 +19,9 @@ depends on numpy's variate algorithms and its float kernels.  It holds:
   with its ``limit`` column where the table has one;
 * big-jump runs, sized and recorded like the workloads, on the sets that no
   workload scalarizes (a 2-d polyhedral union and a 3-d half-space), and on
-  the weight counts and models it leaves out: 2 and 4 weights on the FGM
-  chain (no lone last vector) and 3 on the cubic pair (a cubic lone vector);
+  the weight counts and models it leaves out: 1 and 5 weights on the FGM
+  chain (a lone vector alone, and after two pairs), 2 and 4 (no lone last
+  vector) and 3 on the cubic pair (a cubic lone vector);
 * entrance runs at T = 10, sized and recorded like the workloads, on the
   models the workloads leave out: lognormal claims, Erlang renewals
   (``renewal_density``) and compound-Poisson returns (``xi_rule``);
@@ -31,8 +32,8 @@ depends on numpy's variate algorithms and its float kernels.  It holds:
   ``HalfSpace`` target) and one line of business (a one-threshold
   ``MaxExceed`` target);
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
-  workers, enough that the pool gets blocks of several chunks, the last one
-  partial;
+  workers: on 2 workers the caller runs its own share of 21 chunks and one
+  helper a contiguous share of 22, the last chunk partial;
 * ``mrv_closed_form`` on the regularly varying workload models (for ruin, the
   entrance model of the mapped set) at every grid point, at T = 10 and, where
   ``phi(alpha) < 0``, at T = inf;
@@ -79,7 +80,8 @@ CONFIG_PATHS = 2_000
 SEED = 20_240
 #: entrance-time grid, as fractions of the horizon (or of a fixed 10 at an infinite one)
 T_FRACTIONS = (0.25, 0.5, 1.0)
-#: chunks of the blocked big-jump run: blocks of 43 // 16 = 2 chunks on 2 workers
+#: chunks of the long big-jump run: on 2 workers the caller runs chunks 0-20 (21)
+#: and one helper chunks 21-42 (22), the last partial
 BLOCK_CHUNKS = 43
 #: workloads whose models are regularly varying, for the closed-form column
 MRV_WORKLOADS = ("entrance-ref", "entrance-brownian-inf", "ruin-premium")
@@ -126,8 +128,10 @@ def _big_jumps() -> dict:
     return {"bigjump-union-2d": (pair, union, (1.0, 1.0, 1.0)),
             "bigjump-halfspace-3d": (ClaimModel.iid((Pareto(1.5, 1.0),) * 3),
                                      HalfSpace((0.2, 0.3, 0.5), 1.0), (1.0, 1.0, 1.0)),
+            "bigjump-fgm-1w": (fgm, unit_max, (2.0,)),
             "bigjump-fgm-2w": (fgm, unit_max, (1.0, 0.5)),
             "bigjump-fgm-4w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0)),
+            "bigjump-fgm-5w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0, 1.5)),
             "bigjump-cubic-3w": (ClaimModel.cubic_pair(), unit_max, (1.0, 0.5, 2.0))}
 
 
