@@ -254,16 +254,17 @@ class ClaimModel:
         ``u[k]`` is slot ``k`` of a pair, with component ``j`` in ``u[k, j]``;
         the paired structures couple slot 0 with slot 1 entry by entry over
         the trailing axes.  Slot 0 keeps its marginal law: component ``j`` is
-        ``margins[j]._qf(1 - u)`` whatever the structure, so a vector with no
-        partner, like the big-jump chunk's last vector for an odd number of
-        weights, is drawn on its own and transformed by the margins.  The claims
-        are written to ``out``, which may be ``u`` itself; by default they go
-        to a new array and ``u`` is only read.
+        ``margins[j]._qf(1 - u)`` whatever the structure, so a ``(1, d, ...)``
+        block, a lone slot 0 like the big-jump chunk's last vector for an odd
+        number of weights, is transformed by the margins.  The claims are
+        written to ``out``, which may be ``u`` itself; by default they go to a
+        new array and ``u`` is only read.
         """
         u = np.asarray(u, dtype=float)
-        if u.shape[:2] != (2, self.d):
-            raise ValueError(f"expected uniforms of shape (2, {self.d}, ...)")
-        return self.inter.claims(self.margins, np.subtract(1.0, u, out=out))
+        if u.shape[:1] not in ((1,), (2,)) or u.shape[1:2] != (self.d,):
+            raise ValueError(f"expected uniforms of shape (2, {self.d}, ...) or (1, {self.d}, ...)")
+        v = np.subtract(1.0, u, out=out)
+        return (self.inter if len(v) == 2 else IID()).claims(self.margins, v)
 
     def sample_sequence(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` claim vectors as an ``(n, d)`` array.

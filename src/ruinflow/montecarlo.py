@@ -37,20 +37,22 @@ in the order they leave the loop.  A run uses at most one worker per chunk.
 ``n`` workers split the chunks into ``n`` contiguous shares of near-equal
 length: the calling process runs share 0 and starts one helper process for
 each other share (none for one worker), and the results are merged in chunk
-order.  Each share allocates one workspace that its aggregate chunks reuse:
-a loop step draws into views of it (numpy fills ``out=`` in the order of a
+order.  Every chunk runner is ``runner(task, ws)``: a share allocates one
+workspace, the largest of its tasks' ``workspace_floats``, that all its
+chunks reuse, so a worker's memory is one fixed workspace.  An aggregate
+loop step draws into views of it (numpy fills ``out=`` in the order of a
 fresh array), transforms and sums the claims there, hands the statistics the
-slots' discount factors and the scratch floats they declare, and compacts the
-staying paths into it, so a worker's memory is one fixed workspace.  A step
-finds the paths past the horizon once, as index arrays the size of those
-paths, which its discounting, statistics and compaction share (a step that
-loses no path only copies its slot 1 into the carry); its other temporaries
-are the horizon comparisons and the scalarizations.  Claim transforms work
-in place: a marginal's ``_qf`` overwrites the survival transforms it is
-given.  The big-jump chunk draws only the claim vectors it reads, in one
-draw: its pairs as a ``(2, d, n // 2, count)`` block, then, for an odd
-number ``n`` of weights, the last vector as a ``(d, count)`` block of its
-own, and it transforms each block where it lies.
+slots' discount factors and the scratch floats they declare, and compacts
+the staying paths into it.  A step finds the paths past the horizon once,
+as index arrays the size of those paths, which its discounting, statistics
+and compaction share (a step that loses no path only copies its slot 1 into
+the carry); its other temporaries are the horizon comparisons and the
+scalarizations.  Claim transforms work in place: a marginal's ``_qf``
+overwrites the survival transforms it is given.  The big-jump chunk draws
+only the claim vectors it reads, in one draw into its workspace: its pairs
+as a ``(2, d, n // 2, count)`` block, then, for an odd number ``n`` of
+weights, the last vector as a lone ``(1, d, count)`` block, and it
+transforms each block where it lies.
 """
 
 from __future__ import annotations
@@ -217,6 +219,14 @@ class _AggregateTask:
     count: int
     stats: tuple
 
+    @property
+    def workspace_floats(self) -> int:
+        """Floats of the chunk's workspace: per path, final ``D``, one loop step and the
+        carry, which the statistics' scratch overlaps and extends to the largest they declare."""
+        d = self.claim.d
+        scratch = max([d + 2] + [s.scratch_floats(d) for s in self.stats])
+        return self.count * (d + 2 * (3 + d) + scratch)
+
 
 def _add_counts(into: dict, counts: dict) -> None:
     for key, val in counts.items():
@@ -236,12 +246,6 @@ def _views(buf: np.ndarray, *shapes) -> list[np.ndarray]:
     return [buf[i:j].reshape(shape) for i, j, shape in zip(ends, ends[1:], shapes)]
 
 
-def _aggregate_floats(d: int, stats: tuple) -> int:
-    """Workspace floats per path of an aggregate chunk: final ``D``, one loop step and the
-    carry, which the statistics' scratch overlaps and extends to the largest they declare."""
-    return d + 2 * (3 + d) + max([d + 2] + [s.scratch_floats(d) for s in stats])
-
-
 def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
     rng = _chunk_rng(task.seed, task.chunk)
     d, n = task.claim.d, task.count
@@ -257,7 +261,7 @@ def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
     while m:
         gaps, tau, xs, claims = _views(step, (2, m), (2, m), (2, m), (2, d, m))
         _walk(t, task.renewal.interarrivals(rng, (2, m), out=gaps), tau)
-        _walk(xi, task.ret.xi_at(tau, gaps, rng, out=xs), xs)
+        _walk(xi, task.ret.xi_at(gaps, rng, out=xs), xs)
         task.claim.claims_from_uniforms(rng.random((2, d, m), out=claims), out=claims)
         w = np.exp(np.negative(xs, out=gaps), out=gaps)
         # a path whose slot 1 (the later one) is past the horizon is done; slot 0 can be
@@ -441,24 +445,22 @@ class _Ruin(_Statistic):
         return {"ruin_counts": _exceedances(state[0], self.x_grid)}
 
 
-def _run_block(runner, floats_per_path: int, tasks: list) -> list:
-    """Run a share's chunk tasks in order; with ``floats_per_path`` they share one workspace."""
-    if not floats_per_path:
-        return [runner(t) for t in tasks]
-    ws = np.empty(floats_per_path * max(t.count for t in tasks))
+def _run_block(runner, tasks: list) -> list:
+    """Run a share's chunk tasks in order in one workspace, as large as the largest asks."""
+    ws = np.empty(max(t.workspace_floats for t in tasks))
     return [runner(t, ws) for t in tasks]
 
 
-def _helper(conn, runner, floats_per_path: int, tasks: list) -> None:
+def _helper(conn, runner, tasks: list) -> None:
     """A helper process's share: sends ``(True, counts)`` or ``(False, exception)``."""
     try:
-        out = (True, _run_block(runner, floats_per_path, tasks))
+        out = (True, _run_block(runner, tasks))
     except Exception as exc:
         out = (False, exc)
     conn.send(out)
 
 
-def _run_chunks(task_proto, runner, n_paths: int, n_workers: int, floats_per_path: int = 0) -> dict:
+def _run_chunks(task_proto, runner, n_paths: int, n_workers: int) -> dict:
     """Sum the chunks' counts in chunk order.  ``n`` workers split the chunks into ``n``
     contiguous shares of near-equal length: the caller runs share 0, and one helper
     process runs each other share and sends its counts back over a pipe."""
@@ -466,7 +468,7 @@ def _run_chunks(task_proto, runner, n_paths: int, n_workers: int, floats_per_pat
              for c, s in enumerate(range(0, n_paths, CHUNK_PATHS))]
     n = min(n_workers, len(tasks))  # a worker without a chunk is a wasted fork
     if n == 1:
-        results = _run_block(runner, floats_per_path, tasks)
+        results = _run_block(runner, tasks)
     else:
         import multiprocessing  # here: one worker needs no helper
         shares = [tasks[k * len(tasks) // n:(k + 1) * len(tasks) // n] for k in range(n)]
@@ -475,11 +477,11 @@ def _run_chunks(task_proto, runner, n_paths: int, n_workers: int, floats_per_pat
             for share in shares[1:]:
                 recv, send = multiprocessing.Pipe(duplex=False)
                 proc = multiprocessing.Process(target=_helper, daemon=True,
-                                               args=(send, runner, floats_per_path, share))
+                                               args=(send, runner, share))
                 proc.start()
                 send.close()  # the helper's end: a helper that dies unreported reads as EOF
                 helpers.append((proc, recv))
-            results = _run_block(runner, floats_per_path, shares[0])
+            results = _run_block(runner, shares[0])
             for proc, recv in helpers:  # receive before joining: a result may outgrow the pipe
                 try:
                     ok, out = recv.recv()
@@ -508,8 +510,7 @@ def _run_statistics(model: ModelSpec, horizon: float, sim: SimConfig, *stats) ->
     proto = _AggregateTask(
         claim=model.claim, renewal=model.renewal, ret=model.ret, horizon=horizon,
         seed=sim.seed, chunk=0, count=0, stats=stats)
-    return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers,
-                       _aggregate_floats(model.claim.d, stats))
+    return _run_chunks(proto, _simulate_aggregate_chunk, sim.n_paths, sim.n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -615,24 +616,21 @@ class _BigJumpTask:
     count: int
     x_grid: tuple[float, ...]
 
+    @property
+    def workspace_floats(self) -> int:  # the uniforms of the chunk's claim vectors
+        return self.count * len(self.weights) * self.claim.d
 
-def _big_jump_chunk(task: _BigJumpTask) -> dict:
+
+def _big_jump_chunk(task: _BigJumpTask, ws: np.ndarray) -> dict:
     n, h, d, count = len(task.weights), len(task.weights) // 2, task.claim.d, task.count
-    # vectors (2j, 2j+1) are the two slots of pair j, a (2, d, h, count)
-    # block transformed in place; an odd n's last vector follows it as a
-    # (d, count) block, transformed in place by its margins.  One draw fills
-    # both: glibc trims its heap above twice the largest block it has freed,
-    # and two smaller draws let it trim and re-fault about 1 MB every chunk
-    u = _chunk_rng(task.seed, task.chunk).random((2 * h + n % 2) * d * count)
-    pairs = u[:2 * h * d * count].reshape(2, d, h, count)
+    # vectors (2j, 2j+1) are the slots of pair j in a (2, d, h, count) block, and an odd n's
+    # last vector a lone (1, d, count) block after it: one draw, transformed where it lies
+    u = _chunk_rng(task.seed, task.chunk).random(out=ws[:n * d * count])
+    pairs, lone = _views(u, (2, d, h, count), (n % 2, d, count))
     task.claim.claims_from_uniforms(pairs, out=pairs)
     vectors = [pairs[i % 2, :, i // 2].T for i in range(2 * h)]  # (count, d) views
     if n % 2:
-        lone = u[2 * h * d * count:].reshape(d, count)
-        np.subtract(1.0, lone, out=lone)
-        for j, m in enumerate(task.claim.margins):
-            m._qf(lone[j])
-        vectors.append(lone.T)
+        vectors.append(task.claim.claims_from_uniforms(lone, out=lone)[0].T)
     w = task.weights
     total = vectors[0] * w[0]
     for i in range(1, n):  # left to right, the order of a sum over the vector axis

@@ -218,10 +218,10 @@ class LevyReturns:
         phi = -k * self.drift + 0.5 * k * k * self.sigma * self.sigma
         return phi if self.jumps is None else phi + self.jump_rate * (self.jumps.mgf_neg(k) - 1.0)
 
-    def xi_at(self, tau: np.ndarray, dtau: np.ndarray, rng: np.random.Generator, out=None):
-        """Increments of ``xi`` over the gaps ``dtau`` that end at ``tau``, shaped like ``dtau``
-        (into ``out`` if given) and drawn from ``rng``: normals when ``sigma > 0``, then jump
-        counts and jump sums when ``jump_rate > 0`` (a deterministic force draws nothing)."""
+    def xi_at(self, dtau: np.ndarray, rng: np.random.Generator, out=None):
+        """Increments of ``xi`` over the gaps ``dtau``, shaped like ``dtau`` (into ``out`` if
+        given) and drawn from ``rng``: normals when ``sigma > 0``, then jump counts and jump
+        sums when ``jump_rate > 0`` (a deterministic force draws nothing)."""
         if self.sigma > 0:  # the noise is drawn where it is summed: a + b == b + a
             inc = rng.standard_normal(dtau.shape, out=out)
             inc *= np.sqrt(dtau)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.interpolate import CubicSpline
 
 from ruinflow.dependence import ClaimModel
+from ruinflow.heavy_tails import CubicSurvival, HarmonicSurvival, Lognormal, Pareto
 from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion
 
 
@@ -97,6 +98,30 @@ def convolution_survival(sf1, sf2, pdf2, support_min1: float, support_min2: floa
     lower = _quad_from_floor(lambda y: sf1(s - y) * pdf2(y), support_min2, y_mid)
     upper = _quad_from_floor(lambda t: sf1(t) * pdf2(s - t), support_min1, s - y_mid)
     return min(1.0, float(sf2(y_hi)) + lower + upper)
+
+
+def scipy_law(margin):
+    """The margin's law as a frozen ``scipy.stats`` distribution, from its parameters alone:
+    a cubic survival ``(1 + x**3)**-1`` is Burr XII with ``c = 3, d = 1``, a harmonic one
+    ``(1 + x)**-1`` is Lomax with ``c = 1``."""
+    if isinstance(margin, Pareto):
+        return stats.pareto(margin.alpha, scale=margin.scale)
+    if isinstance(margin, Lognormal):
+        return stats.lognorm(margin.sigma, scale=math.exp(margin.mu))
+    if isinstance(margin, CubicSurvival):
+        return stats.burr12(3.0, 1.0)
+    if isinstance(margin, HarmonicSurvival):
+        return stats.lomax(1.0)
+    raise TypeError(type(margin).__name__)
+
+
+def weighted_sum_survival(margins, l, s: float) -> float:
+    """``P[l1 X1 + l2 X2 > s]`` for independent margins, convolving the densities and
+    survivals of their ``scipy.stats`` laws: no library survival or density is read."""
+    (a, b), (l1, l2) = (scipy_law(m) for m in margins), l
+    return convolution_survival(lambda v: a.sf(v / l1), lambda v: b.sf(v / l2),
+                                lambda v: b.pdf(v / l2) / l2, l1 * a.support()[0],
+                                l2 * b.support()[0], s)
 
 
 def _quad_from_floor(f, lo: float, hi: float) -> float:
@@ -278,7 +303,7 @@ def reference_endpoint(model, T: float, rng) -> np.ndarray:
     tau = arrival_times(model.renewal, T, rng)
     if tau.size == 0:
         return np.zeros(model.claim.d)
-    xi = np.cumsum(model.ret.xi_at(tau, np.diff(tau, prepend=0.0), rng))
+    xi = np.cumsum(model.ret.xi_at(np.diff(tau, prepend=0.0), rng))
     return np.exp(-xi) @ model.claim.sample_sequence(tau.size, rng)
 
 

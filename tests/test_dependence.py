@@ -20,7 +20,7 @@ from ruinflow.dependence import (
 from ruinflow.heavy_tails import CubicSurvival, HarmonicSurvival, HeavyWeibull, Lognormal, Pareto
 from ruinflow.rare_sets import HalfSpace, MaxExceed, Ray, contains, z_index
 
-from oracles import convolution_survival
+from oracles import convolution_survival, weighted_sum_survival
 
 
 G = Pareto(2.0, 1.0)
@@ -155,13 +155,12 @@ class TestClaimTransform:
 
     @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=["iid-3", "fgm", "cubic"])
     def test_lone_first_vector_is_slot_zero(self, model):
-        # a truncated pair's first vector, transformed alone by its margins in
-        # place, is slot 0 of the full pair transform bit for bit
+        # a truncated pair's first vector, transformed alone as a (1, d, ...)
+        # block in place, is slot 0 of the full pair transform bit for bit
         u = np.random.default_rng(76).random((2, model.d, 2, 2001))
         want = model.claims_from_uniforms(u)[0, :, 1]
-        lone = np.subtract(1.0, u[0, :, 1], out=u[0, :, 1])
-        for j, m in enumerate(model.margins):
-            m._qf(lone[j])
+        lone = u[:1, :, 1]
+        assert model.claims_from_uniforms(lone, out=lone) is lone
         assert np.array_equal(u[0, :, 1], want)
 
     def test_trailing_axes_and_shape_check(self):
@@ -170,9 +169,17 @@ class TestClaimTransform:
         got = model.claims_from_uniforms(u)
         for i in range(3):
             assert np.array_equal(got[:, :, i], model.claims_from_uniforms(u[:, :, i]))
-        for shape in ((2, 3, 10), (4, 2, 10), (1, 2, 10), (2,)):
-            with pytest.raises(ValueError):
-                model.claims_from_uniforms(np.full(shape, 0.5))
+        # a (1, d, n) block is a lone slot 0: each component by its margin, whatever
+        # the structure; any other slot count, or a wrong d, is refused
+        for model in TRANSFORM_MODELS:
+            d = model.d
+            lone = np.random.default_rng(73).random((1, d, 40))
+            want = [m.from_survival_uniform(lone[0, j]) for j, m in enumerate(model.margins)]
+            assert np.array_equal(model.claims_from_uniforms(lone), [want])
+            for shape in ((2, d + 1, 10), (1, d + 1, 10), (1, d - 1, 10), (3, d, 10),
+                          (4, d, 10), (0, d, 10), (2,)):
+                with pytest.raises(ValueError):
+                    model.claims_from_uniforms(np.full(shape, 0.5))
 
 
 class TestSampling:
@@ -278,6 +285,34 @@ class TestScalarizedSurvival:
                     lambda v: m2.pdf(v / l2) / l2, l1 * m1.support_min, l2 * m2.support_min, x)
                 assert scalarized_survival(model, hs, x) == pytest.approx(want, rel=1e-6)
 
+    def test_half_space_one_active_weight_is_that_margin(self):
+        # weights sum to one, so only component j counts: X_j > x b, whose Pareto
+        # survival is (x b / scale)**-alpha
+        x = np.array([0.1, 3.0, 40.0, 1e4])
+        for model, hs, (alpha, scale) in [
+            (ClaimModel.iid((Pareto(1.5), Pareto(2.5, 2.0))), HalfSpace((0.0, 1.0), 2.0),
+             (2.5, 2.0)),
+            (ClaimModel.iid((HeavyWeibull(0.5), Pareto(1.2, 0.5), Lognormal(0.0, 1.0))),
+             HalfSpace((0.0, 1.0, 0.0), 1.0), (1.2, 0.5)),
+        ]:
+            want = np.minimum(1.0, (x * hs.b / scale) ** -alpha)
+            np.testing.assert_allclose(scalarized_survival(model, hs, x), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("margins", [
+        (Lognormal(0.0, 1.0), CubicSurvival()),
+        (CubicSurvival(), HarmonicSurvival()),
+        (HarmonicSurvival(), Lognormal(0.5, 0.8)),
+    ], ids=["lognormal-cubic", "cubic-harmonic", "harmonic-lognormal"])
+    def test_half_space_densities_match_scipy_convolution(self, margins):
+        # the weighted-sum quadrature reads both margins' pdf; the oracle convolves
+        # scipy.stats densities and survivals of the same laws
+        l = (0.3, 0.7)
+        hs = HalfSpace(l=l, b=1.0)
+        for x in (0.5, 3.0, 20.0, 300.0):
+            want = weighted_sum_survival(margins, l, x)
+            assert scalarized_survival(ClaimModel.iid(margins), hs, x) == \
+                pytest.approx(want, rel=1e-6)
+
     @pytest.mark.parametrize("v", [200.0, 1e3, 4e3])
     def test_half_space_weibull_deep_tail_relative_accuracy(self, v):
         # far below the absolute scale of a default quadrature tolerance
@@ -362,6 +397,27 @@ class TestPairDiagnostics:
         q3 = qai_ratio(model, UNIT_MAX, 1e3)
         assert q3 < q2
         assert q3 < 0.01
+
+    def test_cubic_rd_violation_monte_carlo(self):
+        # off the unit set the ratio is sampled.  On MaxExceed((2, 2)) a vector
+        # exceeds x when a component passes u = 2x; components pair up
+        # independently, with P[X > s, Y > t] = 1 / (1 + s**3 + t), so with
+        # Sx, Sy, J the first's, second's and joint survivals at (u, u):
+        # P[first] = 1 - (1 - Sx)**2 and, by inclusion-exclusion,
+        # P[both] = 1 - (1 - Sx)**2 - (1 - Sy)**2 + (1 - Sx - Sy + J)**2
+        x, n = 1.0, 200_000
+        u = 2.0 * x
+        sx, sy, joint = 1.0 / (1.0 + u**3), 1.0 / (1.0 + u), 1.0 / (1.0 + u**3 + u)
+        first = 1.0 - (1.0 - sx) ** 2
+        ratio = (first - (1.0 - sy) ** 2 + (1.0 - sx - sy + joint) ** 2) / first
+        out = rd_violation_ratio(ClaimModel.cubic_pair(), MaxExceed((2.0, 2.0)), x,
+                                 n=n, rng=np.random.default_rng(13))
+        assert isinstance(out, EmpiricalRatio) and out.reliable
+        assert out.ci_lo <= out.value <= out.ci_hi
+        assert out.value == out.joint_count / n / out.denominator
+        # given the first exceeds, the second does with probability ``ratio``
+        se = math.sqrt(ratio * (1.0 - ratio) / (n * first))
+        assert abs(out.value - ratio) < 4 * se, (out.value, ratio, se)
 
     def test_fgm_empirical_ratio(self):
         model = ClaimModel.fgm_chain(0.8, G)

@@ -253,7 +253,7 @@ class TestNativeDraws:
         proc = BrownianDrift(0.1, 0.3)
         n = 200_000
         dtau = np.full((2, n // 2), dt)
-        inc = proc.xi_at(np.cumsum(dtau, axis=0), dtau, np.random.default_rng(33)).ravel()
+        inc = proc.xi_at(dtau, np.random.default_rng(33)).ravel()
         var = proc.sigma**2 * dt
         assert abs(inc.mean() - proc.drift * dt) < 4 * math.sqrt(var / n)
         # the sample variance of normals has standard error var * sqrt(2 / n)
@@ -274,7 +274,7 @@ class TestNativeDraws:
         # E[exp(-k dxi)] = exp(dt * phi(k)) for the increment over one gap
         n = 200_000
         dtau = np.full((2, n // 2), dt)
-        inc = proc.xi_at(np.cumsum(dtau, axis=0), dtau, np.random.default_rng(34)).ravel()
+        inc = proc.xi_at(dtau, np.random.default_rng(34)).ravel()
         for k in (0.5, 1.5):
             vals = np.exp(-k * inc)
             se = vals.std(ddof=1) / math.sqrt(n)
@@ -337,7 +337,7 @@ class TestMomentIdentity:
         rng = np.random.default_rng(27)
         n = 500_000
         dtau = np.full(n, t)
-        xi = proc.xi_at(dtau, dtau, rng)
+        xi = proc.xi_at(dtau, rng)
         vals = np.exp(-k * xi)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - math.exp(t * proc.laplace_exponent(k))) < 3 * se
@@ -348,7 +348,7 @@ class TestMomentIdentity:
         times = np.array([0.5, 1.5, 4.0])
         n = 200_000
         tau = np.tile(times, (n, 1))
-        xi = np.cumsum(proc.xi_at(tau, np.diff(tau, prepend=0.0), rng), axis=1)
+        xi = np.cumsum(proc.xi_at(np.diff(tau, prepend=0.0), rng), axis=1)
         for j, t in enumerate(times):
             assert xi[:, j].mean() == pytest.approx(0.1 * t, abs=3 * 0.2 * math.sqrt(t / n) + 1e-4)
             assert xi[:, j].var() == pytest.approx(0.04 * t, rel=0.02)
@@ -388,7 +388,7 @@ class TestLevyReturns:
         nodes, weights = proc.xi_rule(3.0)
         assert nodes.tolist() == [0.05 * 3.0] and weights.tolist() == [1.0]
         dtau, rng = np.full((2, 8), 0.5), np.random.default_rng(36)
-        assert np.array_equal(proc.xi_at(dtau.cumsum(axis=0), dtau, rng), 0.05 * dtau)
+        assert np.array_equal(proc.xi_at(dtau, rng), 0.05 * dtau)
         assert rng.random() == np.random.default_rng(36).random()  # nothing was drawn
 
 

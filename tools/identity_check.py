@@ -7,11 +7,15 @@ Usage, from the repository root::
 ``--src`` names the ``src`` directory of the ruinflow to import (default:
 this repository's).  The experiments come from this repository whatever
 ``--src`` says, so two source trees, say a commit and its parent, run the
-same list and their outputs compare with ``cmp``.  The record made from
-this repository is committed as ``tools/identity.json``, and
-``tests/test_identity.py`` regenerates and compares it.  It opens with the
-numpy version and the CPU features numpy dispatches to, since the bit stream
-depends on numpy's variate algorithms and its float kernels.  It holds:
+same list.  The record made from this repository is committed as
+``tools/identity.json``, and ``tests/test_identity.py`` regenerates and
+compares it: ints, bools, text and report lines exactly, floats within 8
+units in the last place.  Compare two outputs the same way: ``cmp`` holds
+only between runs on one host.  The record opens with what its bits depend
+on beyond the source: the numpy version and the CPU features numpy
+dispatches to (its variate algorithms and float kernels), and the C library
+(Python's ``math`` and ``cmath`` call its ``exp``, ``expm1`` and ``log``,
+which are not correctly rounded).  It holds:
 
 * each workload in ``perfbench/workloads.py`` (imported, never edited) at a
   little over two chunks of paths on 1 and on 2 workers, plus the big-jump
@@ -289,12 +293,16 @@ def demo_configs() -> dict:
 
 
 def environment() -> dict:
-    """numpy's version, its CPU baseline and the dispatched features this CPU has."""
+    """numpy's version, its CPU baseline, the dispatched features this CPU has and the
+    C library behind Python's ``math``."""
+    import platform
+
     import numpy as np
     from numpy._core import _multiarray_umath as umath
 
     return {"numpy": np.__version__, "cpu_baseline": list(umath.__cpu_baseline__),
-            "cpu_dispatch": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]}
+            "cpu_dispatch": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+            "libc": " ".join(platform.libc_ver())}
 
 
 def main(argv=None) -> int:
