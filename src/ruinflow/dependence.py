@@ -65,9 +65,13 @@ class NoExceedanceError(RuntimeError):
 class _Dependence:
     """Defaults of the dependence structures: every vector has the law of the margins.
 
-    Each structure's ``claims(margins, v)`` turns survival transforms ``1 - u``
-    shaped ``(2, d, ...)`` into claim vectors in place; ``v[k]`` is slot ``k``
-    of a pair, with component ``j`` in ``v[k, j]``.
+    A structure turns survival transforms ``1 - u`` shaped ``(2, d, ...)`` into
+    claim vectors in two in-place phases; ``v[k]`` is slot ``k`` of a pair, with
+    component ``j`` in ``v[k, j]``.  ``couple(v)`` replaces the transforms by the
+    coupled ones (the identity by default), and ``quantiles(margins, v)`` maps
+    those to claims, nonincreasing in every coupled transform.
+    ``survival_cut(margins, t)`` is an ``eps`` such that a pair whose coupled
+    transforms are all at least ``eps`` has every claim at most ``t``.
     """
 
     identically_distributed = True
@@ -86,10 +90,20 @@ class _Dependence:
         """Closed-form ``(joint, first, second)`` exceedance rates of a pair, or None."""
         return None
 
+    def couple(self, v):
+        return v
+
+    def survival_cut(self, margins, t: float) -> float:
+        # a transform of at least S_j(t) has a quantile of at most t, unless t lies
+        # below the support, where a transform of 1 still maps to the floor
+        if any(t < m.support_min for m in margins):
+            return np.inf
+        return max(float(m.survival(t)) for m in margins)
+
 
 @dataclass(frozen=True)
 class IID(_Dependence):
-    def claims(self, margins, v):
+    def quantiles(self, margins, v):
         for j, m in enumerate(margins):
             m._qf(v[:, j])
         return v
@@ -107,11 +121,14 @@ class FgmChain(_Dependence):
         if len(margins) != 2 or margins[0] != margins[1]:
             raise ValueError("FGM chain couples two components sharing one marginal")
 
-    def claims(self, margins, v):
+    def couple(self, v):
         # survival transforms of the four coupled components: the first
         # three are independent uniforms, the fourth is conditional with
         # the closed-form FGM quadratic inverse; all share the marginal
-        v[1, 1] = fgm_conditional_inverse(self.theta, v[0, 0], v[0, 1], v[1, 0], v[1, 1])
+        fgm_conditional_inverse(self.theta, v[0, 0], v[0, 1], v[1, 0], v[1, 1], out=v[1, 1])
+        return v
+
+    def quantiles(self, margins, v):
         return margins[0]._qf(v)
 
 
@@ -137,7 +154,12 @@ class CubicPair(_Dependence):
         a, b, c = 1.0 / (1.0 + x**3 + x), 1.0 / (1.0 + x**3), 1.0 / (1.0 + x)
         return 2 * a + 2 * b * c - 2 * a * c - 2 * b * a + a * a, 2 * b - b * b, 2 * c - c * c
 
-    def claims(self, margins, v):
+    def survival_cut(self, margins, t):
+        # slot 1's claim is (v1**-0.5 - 1) / v0, at most t - t**(2/3) when both
+        # transforms are at least t**(-2/3); the margins alone do not bound it
+        return max(super().survival_cut(margins, t), t ** (-2.0 / 3.0)) if t > 0 else np.inf
+
+    def quantiles(self, margins, v):
         xv, yv = margins[0]._qf(v[0]), v[1]
         # P[Y > y | X = x] = ((1+x^3)/(1+x^3+y))^2, inverted in closed form
         yv **= -0.5
@@ -154,6 +176,12 @@ class ClaimModel:
     block; components are independent within a vector.  Claim vectors are
     nonnegative and never almost-surely zero.  The structure ``inter`` checks
     the margins; empty margins take those it fixes, if any.
+
+    Uniforms become claims in two in-place phases, :meth:`survival_transforms`
+    and :meth:`quantiles`.  Transforms all at least :meth:`survival_cut` of
+    ``t`` give claims all at most ``t`` (in exact arithmetic; rounding adds a
+    few units in the last place), so the big-jump check skips the quantiles of
+    paths that cannot reach its grid.
     """
 
     margins: tuple[TailDistribution, ...]
@@ -258,13 +286,31 @@ class ClaimModel:
         block, a lone slot 0 like the big-jump chunk's last vector for an odd
         number of weights, is transformed by the margins.  The claims are
         written to ``out``, which may be ``u`` itself; by default they go to a
-        new array and ``u`` is only read.
+        new array and ``u`` is only read.  The transform is
+        ``quantiles(survival_transforms(u, out))``.
         """
+        return self.quantiles(self.survival_transforms(u, out))
+
+    def survival_transforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The first phase of :meth:`claims_from_uniforms`: ``1 - u`` into ``out``, then
+        the structure's coupling of a pair's transforms (none for a lone slot 0)."""
         u = np.asarray(u, dtype=float)
         if u.shape[:1] not in ((1,), (2,)) or u.shape[1:2] != (self.d,):
             raise ValueError(f"expected uniforms of shape (2, {self.d}, ...) or (1, {self.d}, ...)")
         v = np.subtract(1.0, u, out=out)
-        return (self.inter if len(v) == 2 else IID()).claims(self.margins, v)
+        return self.inter.couple(v) if len(v) == 2 else v
+
+    def quantiles(self, v: np.ndarray) -> np.ndarray:
+        """The second phase of :meth:`claims_from_uniforms`: coupled transforms shaped
+        ``(2, d, ...)`` or ``(1, d, ...)`` into claims in place, each claim
+        nonincreasing in every transform."""
+        return (self.inter if len(v) == 2 else IID()).quantiles(self.margins, v)
+
+    def survival_cut(self, t: float) -> float:
+        """An ``eps`` such that claims whose coupled transforms are all at least ``eps``
+        are all at most ``t``: ``max_j S_j(t)``, at least ``t**(-2/3)`` for the cubic
+        pair, and ``inf`` when ``t`` lies below a margin's support."""
+        return self.inter.survival_cut(self.margins, t)
 
     def sample_sequence(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` claim vectors as an ``(n, d)`` array.
@@ -279,24 +325,27 @@ class ClaimModel:
         return self.claims_from_uniforms(u).transpose(2, 0, 1).reshape(2 * half, self.d)[:n]
 
 
-def fgm_conditional_inverse(theta: float, v1, v2, v3, w):
+def fgm_conditional_inverse(theta: float, v1, v2, v3, w, out=None):
     """Invert the conditional survival transform of the fourth FGM variable.
 
     Given the first three survival transforms ``v1, v2, v3`` and a uniform
     ``w``, solves ``v + a*v*(1 - v) = w`` with
     ``a = theta * (1 - 2 v1)(1 - 2 v2)(1 - 2 v3)`` using the numerically
-    stable root of the quadratic (exact for ``a = 0``).  Two scratch arrays
-    hold the intermediate values; the inputs are only read.
+    stable root of the quadratic (exact for ``a = 0``).  Three scratch
+    arrays hold the intermediate values.  The root is written to ``out``,
+    which may be ``w`` itself; by default it goes to a new array and the
+    inputs are only read.
     """
     shape = np.broadcast(v1, v2, v3, w).shape
-    a, b, out = np.full(shape, theta, dtype=float), np.empty(shape), np.empty(shape)
+    a, b, c = np.full(shape, theta, dtype=float), np.empty(shape), np.empty(shape)
     for v in (v1, v2, v3):
         a *= np.subtract(1.0, np.multiply(2.0, v, out=b), out=b)
-    np.square(np.add(1.0, a, out=b), out=out)  # (1 + a)^2; b keeps 1 + a
+    np.square(np.add(1.0, a, out=b), out=c)  # (1 + a)^2; b keeps 1 + a
     a *= 4.0
-    out -= np.multiply(a, w, out=a)
-    np.add(b, np.sqrt(out, out=out), out=out)
-    return np.divide(np.multiply(2.0, w, out=a), out, out=out)
+    c -= np.multiply(a, w, out=a)
+    np.add(b, np.sqrt(c, out=c), out=c)
+    out = np.multiply(2.0, w, out=np.empty(shape) if out is None else out)
+    return np.divide(out, c, out=out)
 
 
 def fgm_joint_survival(theta: float, marginal: TailDistribution, x1, x2, y1, y2):

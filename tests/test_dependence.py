@@ -72,6 +72,19 @@ class TestFgmConditionalInverse:
             assert 0.0 <= v <= 1.0
             assert v + a * v * (1 - v) == pytest.approx(w, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [-1.0, -0.3, 0.0, 0.5, 1.0])
+    def test_out_may_be_w(self, theta):
+        # the root written over w is the root returned fresh, bit for bit
+        v = 1.0 - np.random.default_rng(3).random((4, 5001))
+        v[:, :4] = [[1.0, 0.5, 2.0**-53, 0.25]] * 4
+        keep = v.copy()
+        want = fgm_conditional_inverse(theta, *v)
+        assert np.array_equal(v, keep)  # without out=, the inputs are only read
+        w = v[3]
+        assert fgm_conditional_inverse(theta, v[0], v[1], v[2], w, out=w) is w
+        assert w.tobytes() == want.tobytes()
+        assert np.array_equal(v[:3], keep[:3])
+
 
 def _row_formula(model: ClaimModel, u: np.ndarray) -> np.ndarray:
     """The row-wise claim transform: row ``i`` of ``u`` gives claim vector ``i``,
@@ -163,6 +176,20 @@ class TestClaimTransform:
         assert model.claims_from_uniforms(lone, out=lone) is lone
         assert np.array_equal(u[0, :, 1], want)
 
+    @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=["iid-3", "fgm", "cubic"])
+    def test_phases_compose_to_transform(self, model):
+        # survival transforms, then quantiles, both in place, give the claims bit for bit;
+        # the first phase leaves u alone without out=
+        u = np.random.default_rng(77).random((2, model.d, 3001))
+        keep = u.copy()
+        v = model.survival_transforms(u)
+        assert np.array_equal(u, keep)
+        assert model.quantiles(v) is v
+        assert v.tobytes() == model.claims_from_uniforms(u).tobytes()
+        lone = u[:1].copy()
+        assert model.quantiles(model.survival_transforms(lone, out=lone)) is lone
+        assert lone.tobytes() == model.claims_from_uniforms(u[:1]).tobytes()
+
     def test_trailing_axes_and_shape_check(self):
         model = ClaimModel.fgm_chain(-0.4, Pareto(1.5))
         u = np.random.default_rng(73).random((2, 2, 3, 40))
@@ -180,6 +207,53 @@ class TestClaimTransform:
                           (4, d, 10), (0, d, 10), (2,)):
                 with pytest.raises(ValueError):
                     model.claims_from_uniforms(np.full(shape, 0.5))
+
+
+class TestSurvivalCut:
+    """``survival_cut(t)``: coupled transforms all at least the cut give claims at most ``t``."""
+
+    MODELS = {
+        "iid-unlike": ClaimModel.iid((Pareto(1.5, 1.0), Pareto(3.0, 2.0), Lognormal(0.0, 1.0),
+                                      HeavyWeibull(0.5, 2.0), CubicSurvival())),
+        "fgm+1": ClaimModel.fgm_chain(1.0, Pareto(2.0, 1.0)),
+        "fgm-1": ClaimModel.fgm_chain(-1.0, Lognormal(0.5, 0.8)),
+        "cubic": ClaimModel.cubic_pair(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_transforms_above_cut_give_claims_below_level(self, name):
+        model, rng = self.MODELS[name], np.random.default_rng(91)
+        for t in (0.5, 2.5, 40.0, 400.0, 1e5):
+            eps = model.survival_cut(t)
+            if not eps < 1.0:  # every path may exceed t: nothing to check
+                continue
+            v = eps + (1.0 - eps) * rng.random((2, model.d, 4000)) ** 4  # dense near eps
+            v[:, :, 0] = eps  # the all-eps corner, the largest claims the cut allows
+            v[0, :, 1], v[1, :, 2] = eps, eps  # one slot at eps, the other anywhere
+            claims = model.quantiles(v)
+            # at most t up to rounding, 20 units in the last place at worst here
+            assert claims.max() <= t * (1.0 + 1e-12), (t, claims.max() / t)
+
+    def test_cubic_pair_needs_more_than_its_margins(self):
+        # slot 1's claim is (v1**-0.5 - 1) / v0, so a cut from the cubic and harmonic
+        # margins alone lets the all-eps corner reach about 19 t at t = 400
+        model, t = ClaimModel.cubic_pair(), 400.0
+        margins_only = max(float(m.survival(t)) for m in model.margins + model.second_margins())
+        corner = model.quantiles(np.full((2, 2, 1), margins_only))
+        assert corner.max() > 18.0 * t
+        assert model.survival_cut(t) == pytest.approx(t ** (-2.0 / 3.0))
+        assert model.quantiles(np.full((2, 2, 1), model.survival_cut(t))).max() <= t
+        assert model.survival_cut(0.0) == model.survival_cut(-1.0) == math.inf
+
+    def test_level_below_a_support_floor_cuts_nothing(self):
+        # below Pareto(3, scale=2)'s floor even a transform of 1 gives a claim of 2, above
+        # t = 1.5 (1.33 t): no transform bounds the claims, and the cut is inf
+        model = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(3.0, 2.0)))
+        assert model.survival_cut(1.5) == math.inf
+        assert model.quantiles(np.ones((2, 2, 1))).max() == pytest.approx(1.5 * 4 / 3)
+        assert model.survival_cut(2.0) == 1.0  # at the floor a transform of 1 maps to 2
+        assert ClaimModel.fgm_chain(0.5, Pareto(2.0, 3.0)).survival_cut(2.9) == math.inf
+        assert model.survival_cut(8.0) == pytest.approx(8.0**-1.5)
 
 
 class TestSampling:

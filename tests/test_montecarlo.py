@@ -20,7 +20,7 @@ from ruinflow.estimators import (
     resolve_finite_mode,
     resolve_infinite_mode,
 )
-from ruinflow.heavy_tails import HeavyWeibull, Pareto
+from ruinflow.heavy_tails import HeavyWeibull, Lognormal, Pareto
 from ruinflow.montecarlo import (
     CHUNK_PATHS,
     SimConfig,
@@ -29,6 +29,7 @@ from ruinflow.montecarlo import (
     _Entrance,
     _Ruin,
     _big_jump_chunk,
+    _candidate_cut,
     _chunk_rng,
     _exceedances,
     _run_statistics,
@@ -702,21 +703,54 @@ def _big_jump_reference(task: _BigJumpTask):
 
 FGM_PARETO2 = ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0))
 IID_PAIR = ClaimModel.iid((Pareto(1.5, 1.0), Pareto(2.5, 1.0)))
+#: (claim, set, weights) of the chunk-level big-jump checks
+BIG_JUMP_CASES = {
+    "iid-ray-odd": (ClaimModel.iid((Pareto(1.0, 1.0),)), Ray(2.0), (1.0, 0.5, 2.0)),
+    "fgm-max-odd": (FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 1.0, 1.0)),
+    "fgm-halfspace-zero-weight": (FGM_PARETO2, HalfSpace((0.3, 0.7), 1.0), (0.5, 0.0, 2.0, 1.0)),
+    "iid-ray-single": (ClaimModel.iid((Pareto(1.0, 1.0),)), Ray(1.5), (2.0,)),
+    "iid-halfspace-five": (IID_PAIR, HalfSpace((0.5, 0.5), 1.0), (1.0, 0.0, 3.0, 0.7, 1.2)),
+    "iid-max-zero-weight": (IID_PAIR, MaxExceed((1.0, 2.0)), (0.0, 1.0)),
+    "iid-union": (IID_PAIR, PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0),
+                                             HalfSpace((0.9, 0.1), 1.0))), (1.3, 0.4, 2.0)),
+    "fgm+1-halfspace": (ClaimModel.fgm_chain(1.0, Pareto(2.0, 1.0)), HalfSpace((0.3, 0.7), 1.0),
+                        (1.0, 0.5, 2.0)),
+    "fgm-1-lognormal": (ClaimModel.fgm_chain(-1.0, Lognormal(0.0, 1.0)), MaxExceed((1.0, 2.0)),
+                        (1.0, 0.5)),
+    "iid-floor-zero-weight": (ClaimModel.iid((Pareto(1.5, 1.0), Pareto(3.0, 2.0))),
+                              MaxExceed((1.0, 2.0)), (0.0, 1.0, 0.4)),
+    "iid-halfspace-3d": (ClaimModel.iid((Pareto(1.5, 1.0), HeavyWeibull(0.5, 1.0),
+                                         Pareto(2.5, 1.0))),
+                         HalfSpace((0.2, 0.3, 0.5), 1.0), (1.0, 1.0, 1.0)),
+    "cubic-pair": (ClaimModel.cubic_pair(), MaxExceed((1.0, 1.0)), (1.0, 0.5, 2.0)),
+}
+
+
+def _tail_grid(z_sum, z_each, lowest):
+    """Thresholds at sampled values of ``z_sum`` and ``z_each`` from ``lowest`` on, and
+    one ulp below each: a one-ulp change in any sampled path's value changes a count."""
+    z = np.concatenate([z_sum, z_each.ravel()])
+    picks = np.concatenate([[lowest], np.sort(z[z >= lowest])[::7]])
+    return tuple(np.unique(np.concatenate([picks, np.nextafter(picks, -np.inf)])))
+
+
+@pytest.fixture
+def transformed(monkeypatch):
+    """The path count of each quantile phase run, in order."""
+    seen, quantiles = [], ClaimModel.quantiles
+
+    def record(model, v):
+        seen.append(v.shape[-1])
+        return quantiles(model, v)
+
+    monkeypatch.setattr(ClaimModel, "quantiles", record)
+    return seen
 
 
 class TestBigJumpChunk:
-    @pytest.mark.parametrize("claim, rare_set, weights", [
-        (ClaimModel.iid((Pareto(1.0, 1.0),)), Ray(2.0), (1.0, 0.5, 2.0)),
-        (FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 1.0, 1.0)),
-        (FGM_PARETO2, HalfSpace((0.3, 0.7), 1.0), (0.5, 0.0, 2.0, 1.0)),
-        (ClaimModel.iid((Pareto(1.0, 1.0),)), Ray(1.5), (2.0,)),
-        (IID_PAIR, HalfSpace((0.5, 0.5), 1.0), (1.0, 0.0, 3.0, 0.7, 1.2)),
-        (IID_PAIR, MaxExceed((1.0, 2.0)), (0.0, 1.0)),
-        (IID_PAIR, PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0))),
-         (1.3, 0.4, 2.0)),
-    ], ids=["iid-ray-odd", "fgm-max-odd", "fgm-halfspace-zero-weight", "iid-ray-single",
-            "iid-halfspace-five", "iid-max-zero-weight", "iid-union"])
-    def test_counts_match_stacked_formula(self, claim, rare_set, weights):
+    @pytest.mark.parametrize("name", list(BIG_JUMP_CASES))
+    def test_counts_match_stacked_formula(self, name, transformed):
+        claim, rare_set, weights = BIG_JUMP_CASES[name]
         task = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
                             seed=61, chunk=2, count=3001, x_grid=())
         z_sum, z_each = _big_jump_reference(task)
@@ -724,9 +758,46 @@ class TestBigJumpChunk:
         # change in any sampled path's value changes a count
         picks = np.concatenate([z_sum[::300], z_each[::300].ravel()])
         grid = tuple(np.unique(np.concatenate([picks, np.nextafter(picks, -np.inf)])))
+        transformed.clear()  # the reference's phases
         got = _big_jump_chunk(replace(task, x_grid=grid), _workspace(task))
         assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
         assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
+        # most paths may exceed the lowest threshold: the chunk transforms them all
+        assert transformed == [task.count] * (1 + len(weights) % 2)
+
+    @pytest.mark.parametrize("name", list(BIG_JUMP_CASES))
+    def test_pruned_counts_match_stacked_formula(self, name, transformed):
+        # from one ulp below the sum's 99% point on, the chunk transforms only the
+        # candidates of the cut, and counts what the stacked formula counts on all paths
+        claim, rare_set, weights = BIG_JUMP_CASES[name]
+        task = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
+                            seed=62, chunk=1, count=3001, x_grid=())
+        z_sum, z_each = _big_jump_reference(task)
+        grid = _tail_grid(z_sum, z_each, np.nextafter(np.quantile(z_sum, 0.99), -np.inf))
+        assert _candidate_cut(claim, rare_set, weights, grid[0]) < math.inf
+        transformed.clear()
+        got = _big_jump_chunk(replace(task, x_grid=grid), _workspace(task))
+        assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
+        assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
+        # the pairs' phase, then an odd count's lone vector, on the same candidates
+        assert len(transformed) == 1 + len(weights) % 2 and len(set(transformed)) == 1
+        assert 0 < transformed[0] < task.count
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pruned_runs_match_stacked_formula(self, workers):
+        # three chunks, the last partial, on 1, 2 and 3 workers
+        claim, rare_set, weights = FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 0.5, 2.0, 1.0, 1.5)
+        counts = (CHUNK_PATHS, CHUNK_PATHS, 700)
+        refs = [_big_jump_reference(_BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
+                                                 seed=63, chunk=c, count=k, x_grid=()))
+                for c, k in enumerate(counts)]
+        z_sum, z_each = (np.concatenate(z) for z in zip(*refs))
+        grid = _tail_grid(z_sum, z_each, np.nextafter(np.quantile(z_sum, 0.995), -np.inf))
+        assert _candidate_cut(claim, rare_set, weights, grid[0]) < math.inf
+        n = sum(counts)
+        t = single_big_jump_check(claim, rare_set, weights, grid, SimConfig(n, 63, 1.0, (), workers))
+        assert np.array_equal(t.sum_count, _strict_counts(z_sum, grid))
+        assert np.array_equal(t.marginal_p_total, _strict_counts(z_each, grid).sum(axis=0) / n)
 
     # (sum_count, marginal_p_total * n_paths) of the first k weights on two chunks:
     # 1, 2 and 4 weights give the counts of one stacked (2, d, ceil(k/2), count)

@@ -9,8 +9,9 @@ this repository's).  The experiments come from this repository whatever
 ``--src`` says, so two source trees, say a commit and its parent, run the
 same list.  The record made from this repository is committed as
 ``tools/identity.json``, and ``tests/test_identity.py`` regenerates and
-compares it: ints, bools, text and report lines exactly, floats within 8
-units in the last place.  Compare two outputs the same way: ``cmp`` holds
+compares it: ints, bools, text and report lines exactly, floats exactly
+where the two ``environment`` blocks agree and within 8 units in the last
+place where they do not.  Compare two outputs the same way: ``cmp`` holds
 only between runs on one host.  The record opens with what its bits depend
 on beyond the source: the numpy version and the CPU features numpy
 dispatches to (its variate algorithms and float kernels), and the C library
@@ -25,7 +26,12 @@ which are not correctly rounded).  It holds:
   workload scalarizes (a 2-d polyhedral union and a 3-d half-space), and on
   the weight counts and models it leaves out: 1 and 5 weights on the FGM
   chain (a lone vector alone, and after two pairs), 2 and 4 (no lone last
-  vector) and 3 on the cubic pair (a cubic lone vector);
+  vector) and 3 on the cubic pair (a cubic lone vector); and two runs on grids
+  of their own whose big-jump chunks transform every path: the FGM chain at
+  weights (1, 0.5, 0.25) on the low grid (2, 4, 8), where most paths could
+  reach the lowest threshold, and an IID pair with a ``Pareto(3, scale=2)``
+  margin on (3, 12, 48), whose claim level for the lowest threshold lies
+  below that margin's support;
 * entrance runs at T = 10, sized and recorded like the workloads, on the
   models the workloads leave out: lognormal claims, Erlang renewals
   (``renewal_density``) and compound-Poisson returns (``xi_rule``);
@@ -123,20 +129,24 @@ def _workload_columns(w, model, n_paths: int, workers: int) -> dict:
 
 
 def _big_jumps() -> dict:
-    """(claim, set, weights) of each extra big-jump run, built from the imported ruinflow."""
+    """(claim, set, weights, grid) of each extra big-jump run, built from the imported
+    ruinflow; a grid of None is the workload's."""
     from ruinflow import ClaimModel, HalfSpace, MaxExceed, Pareto, PolyhedralUnion
 
     pair = ClaimModel.iid((Pareto(1.5, 1.0),) * 2)
     union = PolyhedralUnion((HalfSpace((0.5, 0.5), 1.0), HalfSpace((0.9, 0.1), 1.0)))
     fgm, unit_max = ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0)), MaxExceed((1.0, 1.0))
-    return {"bigjump-union-2d": (pair, union, (1.0, 1.0, 1.0)),
+    return {"bigjump-union-2d": (pair, union, (1.0, 1.0, 1.0), None),
             "bigjump-halfspace-3d": (ClaimModel.iid((Pareto(1.5, 1.0),) * 3),
-                                     HalfSpace((0.2, 0.3, 0.5), 1.0), (1.0, 1.0, 1.0)),
-            "bigjump-fgm-1w": (fgm, unit_max, (2.0,)),
-            "bigjump-fgm-2w": (fgm, unit_max, (1.0, 0.5)),
-            "bigjump-fgm-4w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0)),
-            "bigjump-fgm-5w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0, 1.5)),
-            "bigjump-cubic-3w": (ClaimModel.cubic_pair(), unit_max, (1.0, 0.5, 2.0))}
+                                     HalfSpace((0.2, 0.3, 0.5), 1.0), (1.0, 1.0, 1.0), None),
+            "bigjump-fgm-1w": (fgm, unit_max, (2.0,), None),
+            "bigjump-fgm-2w": (fgm, unit_max, (1.0, 0.5), None),
+            "bigjump-fgm-4w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0), None),
+            "bigjump-fgm-5w": (fgm, unit_max, (1.0, 0.5, 2.0, 1.0, 1.5), None),
+            "bigjump-cubic-3w": (ClaimModel.cubic_pair(), unit_max, (1.0, 0.5, 2.0), None),
+            "bigjump-fgm-low": (fgm, unit_max, (1.0, 0.5, 0.25), (2.0, 4.0, 8.0)),
+            "bigjump-iid-floor": (ClaimModel.iid((Pareto(1.5, 1.0), Pareto(3.0, 2.0))), unit_max,
+                                  (1.0, 1.0, 1.0), (3.0, 12.0, 48.0))}
 
 
 def _entrances() -> dict:
@@ -188,8 +198,9 @@ def workloads() -> dict:
     n_paths = 2 * CHUNK_PATHS + 100  # two whole chunks and part of a third
     bigjump = WORKLOADS["bigjump-fgm"]
     runs = {name: (w, w.build(), n_paths) for name, w in WORKLOADS.items()}
-    runs.update((name, (replace(bigjump, weights=weights), (claim, rare_set), n_paths))
-                for name, (claim, rare_set, weights) in _big_jumps().items())
+    runs.update((name, (replace(bigjump, weights=weights, x_grid=grid or bigjump.x_grid),
+                        (claim, rare_set), n_paths))
+                for name, (claim, rare_set, weights, grid) in _big_jumps().items())
     runs.update((name, (replace(WORKLOADS["entrance-ref"], x_grid=grid), model, n_paths))
                 for name, (model, grid) in _entrances().items())
     runs.update((name, (replace(WORKLOADS["ruin-premium"], x_grid=grid), model, n_paths))
