@@ -153,7 +153,7 @@ class Pareto(TailDistribution):
 
     def _qf(self, v):
         v **= -1.0 / self.alpha
-        return np.multiply(v, self.scale, out=v)
+        return v if self.scale == 1.0 else np.multiply(v, self.scale, out=v)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -198,7 +198,7 @@ class HeavyWeibull(TailDistribution):
     def _qf(self, v):
         v = np.negative(np.log(v, out=v), out=v)
         v **= 1.0 / self.shape
-        return np.multiply(v, self.scale, out=v)
+        return v if self.scale == 1.0 else np.multiply(v, self.scale, out=v)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -43,12 +43,14 @@ chunks reuse, so a worker's memory is one fixed workspace.  An aggregate
 loop step draws into views of it (numpy fills ``out=`` in the order of a
 fresh array), transforms and sums the claims there, hands the statistics the
 slots' discount factors and the scratch floats they declare, and compacts
-the staying paths into it.  A step finds the paths past the horizon once,
-as index arrays the size of those paths, which its discounting, statistics
-and compaction share (a step that loses no path only copies its slot 1 into
-the carry); its other temporaries are the horizon comparisons and the
-scalarizations.  Claim transforms work in place: a marginal's ``_qf``
-overwrites the survival transforms it is given.  The big-jump chunk draws
+the staying paths into it.  A step compares its slot 1 with the horizon
+once: that mask gives the paths past it and the staying ones as index arrays,
+which its discounting, statistics and compaction share (a step that loses no
+path only copies its slot 1 into the carry); its other temporaries are the
+mask, slot 0's comparison on the done paths and the scalarizations.  Claim
+transforms work in place: a marginal's ``_qf`` overwrites the survival
+transforms it is given, and equal IID margins take one ``_qf`` call over the
+whole block.  The big-jump chunk draws
 only the claim vectors it reads, in one draw into its workspace: its pairs
 as a ``(2, d, n // 2, count)`` block, then, for an odd number ``n`` of
 weights, the last vector as a lone ``(1, d, count)`` block, and it computes
@@ -72,7 +74,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -252,8 +253,11 @@ def _walk(start: np.ndarray, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _views(buf: np.ndarray, *shapes) -> list[np.ndarray]:
     """Consecutive C-contiguous views of the flat ``buf``, one per shape."""
-    ends = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
-    return [buf[i:j].reshape(shape) for i, j, shape in zip(ends, ends[1:], shapes)]
+    views, i = [], 0
+    for shape in shapes:
+        views.append(buf[i:i + math.prod(shape)].reshape(shape))
+        i += views[-1].size
+    return views
 
 
 def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
@@ -276,8 +280,9 @@ def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
         w = np.exp(np.negative(xs, out=gaps), out=gaps)
         # a path whose slot 1 (the later one) is past the horizon is done; slot 0 can be
         # past it only on such a path
-        done = np.flatnonzero(tau[1] > task.horizon)
-        past = (done[tau[0, done] > task.horizon], done)
+        leaving = tau[1] > task.horizon
+        done = np.flatnonzero(leaving)
+        past = (done[tau[0].take(done) > task.horizon], done)
         w[0, past[0]] = 0.0  # zeroed, not multiplied by a mask: exp(-xi) may be inf
         w[1, done] = 0.0
         claims *= w[:, None]
@@ -290,21 +295,21 @@ def _simulate_aggregate_chunk(task: _AggregateTask, ws: np.ndarray) -> dict:
             # the done paths' D and state go to ``rows`` of the final arrays, the other
             # paths' state to the front of theirs.  The indices are in range, and
             # mode="clip" spares take() a copy of ``out``.
-            keep = np.flatnonzero(tau[1] <= task.horizon)
+            keep = np.flatnonzero(np.logical_not(leaving, out=leaving))
             rows = slice(n - m, n - keep.size)
             for j in range(d):
-                np.take(claims[1, j], done, out=final[j, rows], mode="clip")
+                claims[1, j].take(done, out=final[j, rows], mode="clip")
             for state, buf, into in zip(live, spare, final_states):
                 for a, b, c in zip(state, buf, into):
-                    np.take(a[:m], done, axis=0, out=c[rows], mode="clip")
-                    np.take(a[:m], keep, axis=0, out=b[:keep.size], mode="clip")
+                    a[:m].take(done, axis=0, out=c[rows], mode="clip")
+                    a[:m].take(keep, axis=0, out=b[:keep.size], mode="clip")
             live, spare, m = spare, live, keep.size
             t, xi, D = _views(carry, (m,), (m,), (d, m))
         # the staying paths' carry is their slot 1, rewritten even when nobody left:
         # the statistics' scratch overlaps it
         for src, dst in ((tau[1], t), (xs[1], xi), (claims[1], D)):
             if done.size:
-                np.take(src, keep, axis=-1, out=dst, mode="clip")
+                src.take(keep, axis=-1, out=dst, mode="clip")
             else:
                 np.copyto(dst, src)
     out: dict = {}
@@ -345,10 +350,17 @@ class _Statistic:
 
 
 def _exceedances(z: np.ndarray, x_grid) -> np.ndarray:
-    """Per threshold, the entries of the 1-d ``z`` above it (NaN never is), in ``O(n*k)``
-    for ``k`` thresholds: at 16,384 entries, sorting ``z`` once and binary-searching wins
-    only from about 20-25 thresholds (2 vCPUs); demo configs use 3-6, the benchmark 7-14."""
-    return np.array([np.count_nonzero(z > x) for x in x_grid], dtype=np.int64)
+    """Per threshold of the increasing ``x_grid``, the entries of the 1-d ``z`` above it
+    (NaN never is).  Where under 1/16 lie above the first, the others count among those
+    alone (the gather broke even at shares of 0.07-0.12 for 7-14 thresholds; the bench's
+    entrance and big-jump counts see 0.02-0.14, its ruin counts 0.9).  Sorting ``z`` once
+    and binary-searching wins only from about 20 thresholds, or 80 after a gather at a
+    share of 0.02 (16,384 entries, 2 vCPUs); demo configs use 3-6, the bench 7-14."""
+    above = z > x_grid[0]
+    first = np.count_nonzero(above)
+    if 16 * first < z.size:
+        z = z[above]
+    return np.array([first] + [np.count_nonzero(z > x) for x in x_grid[1:]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -408,7 +420,8 @@ class _Ruin(_Statistic):
     at ``r = 0`` (either is within about ``1e-8 * max(1, t**2) * rate`` of the exact one).
     Pieces that start at or past ``horizon`` add zero to every slot inside it and are
     dropped (at ``r < 0`` their ``e^{-r a}`` may overflow), and the last piece kept runs
-    on: its end, at or past the horizon, bounds no slot inside it.
+    on: its end, at or past the horizon, bounds no slot inside it.  So a lone piece,
+    ``[0, inf)``, skips its clip: its bounds hold every slot inside the horizon.
     """
 
     rare_set: RareSet
@@ -438,7 +451,8 @@ class _Ruin(_Statistic):
         net, piece, part = _views(scratch, (2, d, m), (2, m), (2, m * bool(self._pieces[1:])))
         lines, x = net.transpose(1, 0, 2), w if self._from_w else tau
         for j, (bounds, start, row) in enumerate(self._pieces):  # each line's premiums
-            np.subtract(start, np.clip(x, *bounds, out=piece), out=piece)
+            np.subtract(start, np.clip(x, *bounds, out=piece) if self._pieces[1:] else x,
+                        out=piece)
             for line, p in zip(lines, row):
                 np.multiply(piece, p, out=part if j else line)
                 if j:

@@ -87,10 +87,11 @@ class RenewalIID:
     def interarrivals(self, rng: np.random.Generator, shape, out=None) -> np.ndarray:
         """Interarrival gaps of the given shape, drawn from ``rng`` (into ``out`` if given).
         Exponential gaps use ``standard_exponential``: the stream of a shape-1 gamma, but faster."""
-        k = self.interarrival.k
+        k, rate = self.interarrival.k, self.interarrival.rate
         gaps = (rng.standard_exponential(shape, out=out) if k == 1
                 else rng.standard_gamma(k, shape, out=out))
-        gaps /= self.interarrival.rate
+        if rate != 1.0:
+            gaps /= rate
         return gaps
 
     def renewal_density(self, t: float) -> float:

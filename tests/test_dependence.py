@@ -209,6 +209,52 @@ class TestClaimTransform:
                     model.claims_from_uniforms(np.full(shape, 0.5))
 
 
+class TestEqualMarginQuantiles:
+    """IID quantiles over equal margins: one ``_qf`` call on the whole block."""
+
+    @staticmethod
+    def _calls(monkeypatch, cls) -> list:
+        shapes = []
+        qf = cls._qf
+
+        def spy(self, v):
+            shapes.append(v.shape)
+            return qf(self, v)
+
+        monkeypatch.setattr(cls, "_qf", spy)
+        return shapes
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 16384])
+    @pytest.mark.parametrize("make", [lambda: Pareto(1.5), lambda: HeavyWeibull(0.5, 3.0),
+                                      lambda: Lognormal(0.0, 1.0)],
+                             ids=["pareto", "weibull", "lognormal"])
+    def test_one_call_is_the_per_component_bytes(self, make, m):
+        # m covers the SIMD kernels' tails; the margins are equal, not the same object
+        margins = (make(), make(), make())
+        v = 1.0 - np.random.default_rng(78).random((2, 3, m))
+        want = v.copy()
+        for j, margin in enumerate(margins):
+            margin._qf(want[:, j])
+        got = ClaimModel.iid(margins).quantiles(v)
+        assert got is v
+        assert got.tobytes() == want.tobytes()
+
+    def test_equal_margins_take_one_call(self, monkeypatch):
+        shapes = self._calls(monkeypatch, Pareto)
+        ClaimModel.iid((Pareto(1.5), Pareto(1.5))).quantiles(np.full((2, 2, 5), 0.5))
+        assert shapes == [(2, 2, 5)]
+
+    def test_unequal_margins_take_one_call_each(self, monkeypatch):
+        shapes = self._calls(monkeypatch, Pareto)
+        v = 1.0 - np.random.default_rng(79).random((2, 2, 5))
+        want = v.copy()
+        Pareto(1.5)._qf(want[:, 0])
+        Pareto(2.0)._qf(want[:, 1])
+        shapes.clear()
+        assert ClaimModel.iid((Pareto(1.5), Pareto(2.0))).quantiles(v).tobytes() == want.tobytes()
+        assert shapes == [(2, 5), (2, 5)]
+
+
 class TestSurvivalCut:
     """``survival_cut(t)``: coupled transforms all at least the cut give claims at most ``t``."""
 

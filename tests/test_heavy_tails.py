@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ class TestQuantile:
         for got in (want, dist.quantile(u)):
             assert not np.shares_memory(got, u)
         assert np.array_equal(u, keep)
+
+    @pytest.mark.parametrize("dist", [Pareto(1.5, 1.0), Pareto(1.5, 3.0), HeavyWeibull(0.5, 1.0),
+                                      HeavyWeibull(0.5, 3.0)], ids=repr)
+    def test_qf_is_the_unit_scale_qf_times_the_scale(self, dist):
+        # a unit scale skips its multiplication: either way the bytes are the unit-scale
+        # law's quantiles multiplied by the scale
+        v = 1.0 - np.random.default_rng(8).random(1001)
+        want = np.multiply(replace(dist, scale=1.0)._qf(v.copy()), dist.scale)
+        assert dist._qf(v).tobytes() == want.tobytes()
 
     def test_domain_enforced(self):
         for bad in (0.0, 1.0, -0.2, 1.3):

@@ -248,6 +248,18 @@ class TestNativeDraws:
         assert gaps.shape == (2, 20_000)
         assert stats.kstest(gaps.ravel(), stats.gamma(a=3, scale=0.5).cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("rate", [1.0, 2.5])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gaps_are_the_standard_draw_over_the_rate(self, k, rate):
+        # a unit rate skips its division: its gaps are the standard variates' own bytes
+        out = np.empty((2, 4097))
+        got = RenewalIID(Erlang(k, rate)).interarrivals(np.random.default_rng(36), (2, 4097),
+                                                          out=out)
+        ref = np.random.default_rng(36)
+        std = ref.standard_exponential((2, 4097)) if k == 1 else ref.standard_gamma(k, (2, 4097))
+        assert got is out
+        assert got.tobytes() == (std if rate == 1.0 else std / rate).tobytes()
+
     @pytest.mark.parametrize("dt", [0.05, 1.0, 7.0])
     def test_brownian_increment_moments(self, dt):
         proc = BrownianDrift(0.1, 0.3)

@@ -172,9 +172,10 @@ class TestTwoSlotStep:
     def test_ruin_step_bit_identical_to_per_slot(self, rare_set, r):
         self._check_ruin_step(rare_set, THREE_PIECES, r)
 
-    @pytest.mark.parametrize("r", [0.07, -0.02])
+    @pytest.mark.parametrize("r", [0.0, 0.07, -0.02])
     def test_one_piece_ruin_step_bit_identical_to_per_slot(self, r):
-        # a one-piece schedule from 0: its clip bounds hold every inside slot's w
+        # a one-piece schedule from 0 skips its clip: the bounds hold every inside
+        # slot's w, or its tau at r = 0; the reference clips
         self._check_ruin_step(MaxExceed((0.5, 0.5)), PremiumSchedule.constant((0.5, 0.8)), r)
 
     @staticmethod

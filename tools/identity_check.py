@@ -34,13 +34,16 @@ which are not correctly rounded).  It holds:
   below that margin's support;
 * entrance runs at T = 10, sized and recorded like the workloads, on the
   models the workloads leave out: lognormal claims, Erlang renewals
-  (``renewal_density``) and compound-Poisson returns (``xi_rule``);
+  (``renewal_density``), compound-Poisson returns (``xi_rule``), and a
+  ``Poisson(2)`` renewal with an IID ``Pareto(1.5, scale=2)`` pair (every
+  workload has unit arrival rate and unit Pareto scale);
 * ruin runs at T = 10, sized and recorded like the workloads, on the premium
   paths the ``ruin-premium`` workload leaves out: a three-piece schedule
   under ``Deterministic(0.07)``, a negative constant force
   (``BrownianDrift(-0.02, 0.0)``), the weighted-total ruin set (a
-  ``HalfSpace`` target) and one line of business (a one-threshold
-  ``MaxExceed`` target);
+  ``HalfSpace`` target), one line of business (a one-threshold
+  ``MaxExceed`` target), and the one-piece premiums under a ``Poisson(2)``
+  renewal with an IID ``Pareto(1.5, scale=2)`` pair;
 * the ``bigjump-fgm`` workload at :data:`BLOCK_CHUNKS` chunks on 1 and on 2
   workers: on 2 workers the caller runs its own share of 21 chunks and one
   helper a contiguous share of 22, the last chunk partial;
@@ -164,7 +167,10 @@ def _entrances() -> dict:
                                           Deterministic(0.05)), grid),
             "entrance-compound-poisson": (ModelSpec(
                 pair, half, Poisson(1.0), CompoundPoissonDrift(0.02, 0.5, ExponentialJumps(0.05))),
-                grid)}
+                grid),
+            "entrance-rate-scale": (ModelSpec(ClaimModel.iid((Pareto(1.5, 2.0),) * 2), half,
+                                              Poisson(2.0), Deterministic(0.05)),
+                                    (50.0, 200.0, 800.0))}
 
 
 def _ruins() -> dict:
@@ -177,9 +183,9 @@ def _ruins() -> dict:
     pieces = PremiumSchedule(breaks=(0.0, 2.0, 5.0), rates=((0.4, 0.0), (1.0, 0.3), (0.2, 0.6)))
     grid = (5.0, 20.0, 80.0, 320.0)
 
-    def model(claim=pair, ret=Deterministic(0.05), alloc=(0.5, 0.5), ruin_set=AnyLineNegative(),
-              premiums=flat):
-        return RuinModel(claim=claim, renewal=Poisson(1.0), ret=ret, alloc=alloc,
+    def model(claim=pair, renewal=Poisson(1.0), ret=Deterministic(0.05), alloc=(0.5, 0.5),
+              ruin_set=AnyLineNegative(), premiums=flat):
+        return RuinModel(claim=claim, renewal=renewal, ret=ret, alloc=alloc,
                          ruin_set=ruin_set, premiums=premiums)
 
     return {"ruin-pieces": (model(ret=Deterministic(0.07), premiums=pieces), grid),
@@ -187,7 +193,9 @@ def _ruins() -> dict:
             "ruin-weighted-sum": (model(ruin_set=WeightedSumNegative(), premiums=pieces), grid),
             "ruin-1d": (model(claim=ClaimModel.iid((Pareto(1.5, 1.0),)), alloc=(1.0,),
                               premiums=PremiumSchedule(breaks=(0.0, 2.0, 5.0),
-                                                       rates=((0.4,), (1.0,), (0.2,)))), grid)}
+                                                       rates=((0.4,), (1.0,), (0.2,)))), grid),
+            "ruin-rate-scale": (model(claim=ClaimModel.iid((Pareto(1.5, 2.0),) * 2),
+                                      renewal=Poisson(2.0)), (80.0, 320.0, 1280.0, 5120.0))}
 
 
 def workloads() -> dict:
