@@ -55,7 +55,7 @@ spec_inf = ModelSpec(ClaimModel.iid((Pareto(1.5, 1.0),)), Ray(1.0),
 sim_inf = SimConfig(n_paths=500_000, seed=43, horizon=math.inf,
                     x_grid=(100.0, 400.0, 1600.0))
 table_inf = empirical_entrance(spec_inf, sim_inf)
-print(f"truncation horizon {table_inf.meta['truncation_horizon']:.1f}, "
+print(f"truncation horizon {table_inf.meta['horizon']:.1f}, "
       f"tail bound {table_inf.meta['tail_bound_rel']:.2e} relative")
 for row in table_inf.rows():
     ratio = f"{row['ratio']:.3f}" if row["ratio"] is not None else "-"

@@ -60,7 +60,6 @@ from .processes import (
     LevyReturns,
     Poisson,
     RenewalIID,
-    truncation_horizon,
 )
 from .rare_sets import (
     AnyLineNegative,

@@ -173,7 +173,7 @@ def _entrance(cfg, spec, sim):
     if last.size == 3:
         lines.append(f"final-three-point ratio spread: {float(last.max() - last.min()):.4f}")
     if math.isinf(sim.horizon):
-        lines.append(f"truncation horizon: {table.meta['truncation_horizon']:.4g}; "
+        lines.append(f"truncation horizon: {table.meta['horizon']:.4g}; "
                      f"tail bound (relative): {table.meta['tail_bound_rel']:.3e}")
     return table, lines, 0
 

@@ -43,12 +43,7 @@ from .dependence import (
     scalarized_survival,
 )
 from .heavy_tails import Pareto
-from .processes import (
-    TAIL_REL_BOUND,
-    LevyReturns,
-    RenewalIID,
-    truncation_horizon,
-)
+from .processes import LevyReturns, RenewalIID
 from .rare_sets import RareSet, z_index
 
 __all__ = [
@@ -196,6 +191,8 @@ def single_claim_entrance(model: ModelSpec, x: float, s: float) -> float:
 #: survival-table nodes per decade of ``v - floor``, the table's node cap, and the
 #: largest table error (averaged over a row's integrand) of a converged row
 TABLE_NODES_PER_DECADE, TABLE_MAX_NODES, TABLE_REL_TOL = 20, 1200, 1e-6
+#: largest share of an infinite-horizon value that the tail past its truncation horizon may carry
+TAIL_REL_BOUND = 1e-3
 _PAD = 3  # table nodes past the points on each side: their cells' slopes are 4th order
 
 
@@ -354,12 +351,14 @@ def asymptotic_entrance_infinite(model: ModelSpec, x, unsafe: bool = False) -> H
     """First-order entrance approximation with ``T = infinity``, at one threshold or
     a 1-d array of them.
 
-    Each threshold runs to its own truncation horizon: from
-    ``truncation_horizon`` it grows by 1.25, integrating only the added
-    stretch, until the analytic bound on the neglected tail is at most
-    :data:`~ruinflow.processes.TAIL_REL_BOUND` of the value.  The bound
-    combines the global polynomial envelope of the scalarized claim law with
-    the geometric decay of the discounted moments.
+    Each threshold runs to its own truncation horizon, the first on the grid
+    ``T0 * 1.25**k``, ``T0 = max(1, ln 2 / |phi(alpha)|)``, where the analytic
+    bound on its neglected tail is at most :data:`TAIL_REL_BOUND` of its value.
+    The bound combines the global polynomial envelope of the scalarized claim
+    law with the geometric decay of the discounted moments, so it cannot hold
+    before the discounted renewal integral's own tail share does: the walk
+    only steps until then, and from there integrates only the added stretch
+    of the thresholds still open.
     """
     column = _Column(model, x)
     if not unsafe:
@@ -370,19 +369,23 @@ def asymptotic_entrance_infinite(model: ModelSpec, x, unsafe: bool = False) -> H
             "truncation bound needs a polynomial envelope with one shared tail index")
     cs, alpha = weights
     c_env = model.rare_set.envelope_constant(cs, alpha)
-    T = truncation_horizon(model.ret, model.renewal, alpha)
-    n = column.x.size
-    live, reach, bound = np.arange(n), np.full(n, T), np.zeros(n)
-    column.add(live, 0.0, T)
     phi = model.ret.laplace_exponent(alpha)
-    for _ in range(60):
-        bound[live] = c_env * column.x[live] ** -alpha * model.renewal.discounted_tail_bound(phi, T)
-        live = live[bound[live] > TAIL_REL_BOUND * column.value[live]]
-        if not live.size:
-            return column.estimate(x, reach, bound)
-        column.add(live, T, 1.25 * T)
+    if phi >= 0:
+        raise ValueError("no finite truncation horizon: Laplace exponent is nonnegative")
+    total = model.renewal.discounted_integral(phi, math.inf)
+    n = column.x.size
+    live, reach, bound = np.arange(n), np.zeros(n), np.zeros(n)
+    a, T = 0.0, max(1.0, -math.log(2.0) / phi)
+    for _ in range(260):
+        tail = model.renewal.discounted_tail_bound(phi, T)
+        if tail <= TAIL_REL_BOUND * max(total - tail, 1e-300):
+            column.add(live, a, T)
+            a = reach[live] = T
+            bound[live] = c_env * column.x[live] ** -alpha * tail
+            live = live[bound[live] > TAIL_REL_BOUND * column.value[live]]
+            if not live.size:
+                return column.estimate(x, reach, bound)
         T *= 1.25
-        reach[live] = T
     raise RuntimeError("truncation horizon search did not converge")  # pragma: no cover
 
 

@@ -62,15 +62,14 @@ a path whose transforms all lie at or above the cut of the level
 zero to every count.  The chunk gathers the other paths, the candidates,
 and runs the quantiles, the weighted sum, the scalarizations and the counts
 on them alone; where the expected candidate share is 0.6 or more it runs
-them on the whole block where it lies (``_candidate_cut``).  The counts are
-the same bits either way.
+them on the whole block where it lies (``_candidate_cut``, once a run).  The
+counts are the same bits either way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -400,10 +399,9 @@ class _EntranceTimes(_Statistic):
         np.minimum(state[0], first[1], out=state[0])
 
     def finish(self, state, final):
-        t_entry = state[0]
-        return {"entered": np.int64(np.isfinite(t_entry).sum()),
-                "entry_time_counts": (t_entry[:, None] <= np.asarray(self.t_grid)).sum(
-                    axis=0).astype(np.int64)}
+        t_entry, n = state[0], state[0].size
+        return {"entered": np.int64(n - np.count_nonzero(t_entry == np.inf)),
+                "entry_time_counts": n - _exceedances(t_entry, self.t_grid)}
 
 
 @dataclass(frozen=True)
@@ -557,8 +555,7 @@ def _gate(model: ModelSpec, sim: SimConfig, unsafe: bool) -> tuple[np.ndarray, d
     if math.isinf(sim.horizon):
         est = asymptotic_entrance_infinite(model, x, unsafe=True)
         horizon = float(est.horizon.max())
-        meta = _run_meta(sim, report, horizon, truncation_horizon=horizon,
-                         tail_bound_rel=float(est.tail_bound_rel.max()))
+        meta = _run_meta(sim, report, horizon, tail_bound_rel=float(est.tail_bound_rel.max()))
     else:
         est = asymptotic_entrance_finite(model, x, sim.horizon, unsafe=True)
         meta = _run_meta(sim, report, sim.horizon)
@@ -639,6 +636,7 @@ class _BigJumpTask:
     chunk: int
     count: int
     x_grid: tuple[float, ...]
+    cut: float  # _candidate_cut of the lowest threshold
 
     @property
     def workspace_floats(self) -> int:  # the uniforms of the chunk's claim vectors
@@ -654,7 +652,6 @@ _CUT_MARGIN = 1e-9
 _WHOLE_BLOCK_SHARE = 0.6
 
 
-@functools.lru_cache(maxsize=16)  # a run asks once per chunk, always the same
 def _candidate_cut(claim: ClaimModel, rare_set: RareSet, weights: tuple, x1: float) -> float:
     """The cut ``eps`` of the level ``x1 / (z(1) sum(w))`` (see the module docstring), or
     ``inf`` where the expected candidate share ``1 - (1 - eps)**(n*d)`` is at least
@@ -676,11 +673,9 @@ def _big_jump_chunk(task: _BigJumpTask, ws: np.ndarray) -> dict:
     task.claim.survival_transforms(pairs, out=pairs)
     if n % 2:
         task.claim.survival_transforms(lone, out=lone)
-    eps = _candidate_cut(task.claim, task.rare_set, task.weights,
-                         min(task.x_grid, default=math.inf))
-    if eps < math.inf:  # gather the candidates: a path is a column of the (n*d, count) block
+    if task.cut < math.inf:  # gather the candidates: a path is a column of the (n*d, count) block
         rows = u.reshape(n * d, count)
-        u = rows.take(np.flatnonzero(rows.min(axis=0) < eps), axis=1).ravel()
+        u = rows.take(np.flatnonzero(rows.min(axis=0) < task.cut), axis=1).ravel()
         count = u.size // (n * d)
         pairs, lone = _views(u, (2, d, h, count), (n % 2, d, count))
     task.claim.quantiles(pairs)
@@ -727,9 +722,12 @@ def single_big_jump_check(claim: ClaimModel, rare_set: RareSet, weights,
         raise ValueError("x grid must not be empty")
     if sim.x_grid and sim.x_grid != x_grid:
         raise ValueError("sim.x_grid differs from x_grid; give the grid once")
+    if claim.d != rare_set.dim:
+        raise ValueError("claim dimension does not match set dimension")
     sim = replace(sim, x_grid=x_grid)  # validates the grid like every other
     proto = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
-                         seed=sim.seed, chunk=0, count=0, x_grid=x_grid)
+                         seed=sim.seed, chunk=0, count=0, x_grid=x_grid,
+                         cut=_candidate_cut(claim, rare_set, weights, x_grid[0]))
     merged = _run_chunks(proto, _big_jump_chunk, sim.n_paths, sim.n_workers)
     sum_counts = merged["sum_counts"]
     n = sim.n_paths

@@ -7,7 +7,8 @@ process, a drift plus Brownian volatility plus compound Poisson jumps; a
 deterministic force of interest, Brownian motion with drift and a compound
 Poisson process with drift are its constructors.  It exposes its exact
 Laplace exponent ``phi(k) = log E[exp(-k * xi(1))]``, which drives both the
-hypothesis checkers and the infinite-horizon truncation rule, and the law of
+hypothesis checkers and the truncation rule of the infinite-horizon asymptotic
+(``estimators.asymptotic_entrance_infinite``), and the law of
 ``xi(s)`` at one time as a finite quadrature rule (``xi_rule``), which drives
 the asymptotic estimators.
 
@@ -36,7 +37,6 @@ __all__ = [
     "ExponentialJumps",
     "FixedJumps",
     "CompoundPoissonDrift",
-    "truncation_horizon",
 ]
 
 #: quadrature for ``xi(s)``: Gauss-Hermite nodes, Gauss nodes per jump count of an
@@ -44,8 +44,6 @@ __all__ = [
 GH_NODES = 64
 LAGUERRE_NODES = 32
 POISSON_TAIL = 1e-15
-#: largest share of an infinite-horizon value that the tail past its truncation horizon may carry
-TAIL_REL_BOUND = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +312,3 @@ def _gamma_rules(k_max: int) -> tuple[np.ndarray, np.ndarray]:
         weights[k - 1] = vecs[0] ** 2
     nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
     return nodes, weights
-
-
-def truncation_horizon(proc: LevyReturns, renewal: RenewalIID, alpha: float) -> float:
-    """Horizon ``T*`` past which the discounted tail is below :data:`TAIL_REL_BOUND`
-    of the total discounted integral."""
-    phi = proc.laplace_exponent(alpha)
-    if phi >= 0:
-        raise ValueError("no finite truncation horizon: Laplace exponent is nonnegative")
-    total = renewal.discounted_integral(phi, math.inf)
-    T = max(1.0, -math.log(2.0) / phi)
-    for _ in range(200):
-        tail = renewal.discounted_tail_bound(phi, T)
-        if tail <= TAIL_REL_BOUND * max(total - tail, 1e-300):
-            return T
-        T *= 1.25
-    raise RuntimeError("truncation horizon search did not converge")  # pragma: no cover

@@ -237,7 +237,7 @@ def test_criterion_07_infinite_horizon_brownian():
     bound_rel = float(table.meta["tail_bound_rel"])
     ok = 0.8 <= ratio <= 1.2 and bound_rel < 1e-3
     report(7, ok, f"x={table.x[idx]:g} (p_hat={table.p_hat[idx]:.2e}): "
-                  f"ratio {ratio:.3f} in [0.8, 1.2]; truncation T*={table.meta['truncation_horizon']:.1f} "
+                  f"ratio {ratio:.3f} in [0.8, 1.2]; truncation T*={table.meta['horizon']:.1f} "
                   f"with tail bound {bound_rel:.2e} relative (< 1e-3)")
 
 

@@ -9,6 +9,7 @@ from ruinflow import _util, estimators
 from ruinflow._util import gauss_kronrod
 from ruinflow.dependence import ClaimModel, UnsupportedModelError, scalarized_survival
 from ruinflow.estimators import (
+    TAIL_REL_BOUND,
     HypothesisError,
     ModelSpec,
     asymptotic_entrance_finite,
@@ -30,8 +31,6 @@ from ruinflow.processes import (
     LevyReturns,
     Poisson,
     RenewalIID,
-    TAIL_REL_BOUND,
-    truncation_horizon,
 )
 from ruinflow.rare_sets import HalfSpace, MaxExceed, PolyhedralUnion, Ray, contains
 
@@ -314,14 +313,15 @@ class TestInfiniteHorizon:
         assert abs(far - est.value) / far < 1e-3
 
     def test_rows_grow_to_their_own_horizons(self):
-        # a row whose tail bound at the truncation horizon is above TAIL_REL_BOUND of
-        # its value grows its horizon by 1.25, integrating only the added stretch;
-        # here x = 20 and 1000 grow once and x = 5 stays
+        # every row reaches the renewal integral's own truncation horizon (80.69 here);
+        # a row whose tail bound there is above TAIL_REL_BOUND of its value grows its
+        # horizon by 1.25, integrating only the added stretch; here x = 20 and 1000
+        # grow once and x = 5 stays
         spec = ModelSpec(ClaimModel.iid((Pareto(2.0),) * 2), HalfSpace((0.5, 0.5), 1.0),
                          Poisson(1.0), Deterministic(0.05))
         x = np.array([5.0, 20.0, 1000.0])
         est = asymptotic_entrance_infinite(spec, x)
-        T = truncation_horizon(spec.ret, spec.renewal, 2.0)
+        T = est.horizon[0]
         assert T == pytest.approx(80.69, abs=0.01)
         assert est.horizon.tolist() == [T, 1.25 * T, 1.25 * T]
         assert np.all(est.tail_bound_rel <= TAIL_REL_BOUND), est.tail_bound_rel

@@ -15,8 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from ruinflow import montecarlo
 from ruinflow.dependence import ClaimModel, NoExceedanceError
 from ruinflow.estimators import (
+    TAIL_REL_BOUND,
     ModelSpec,
     asymptotic_entrance_finite,
+    asymptotic_entrance_infinite,
     resolve_finite_mode,
     resolve_infinite_mode,
 )
@@ -48,7 +50,6 @@ from ruinflow.processes import (
     FixedJumps,
     Poisson,
     RenewalIID,
-    TAIL_REL_BOUND,
 )
 from ruinflow.rare_sets import (
     AnyLineNegative,
@@ -481,7 +482,9 @@ class TestResultTable:
             assert table.meta["mode"] is None and table.meta["horizon"] is None
         else:
             assert table.meta["mode"] in ("consistent-variation", "infinite-horizon")
-            assert table.meta["horizon"] == table.meta.get("truncation_horizon", 10.0)
+            want = (asymptotic_entrance_infinite(base_spec(d=1), (50.0,)).horizon.max()
+                    if front_end == "entrance infinite" else 10.0)
+            assert table.meta["horizon"] == want
         lengths = {len(col) for col in table.columns.values()}
         assert lengths == {len(table.rows())}
 
@@ -634,6 +637,18 @@ class TestBigJump:
         with pytest.raises(ValueError):
             single_big_jump_check(claim, Ray(1.0), (0.0,), (10.0,), sim)
 
+    @pytest.mark.parametrize("d, rare_set", [(1, MaxExceed((1.0, 1.0))),
+                                             (3, HalfSpace((0.5, 0.5), 1.0))],
+                             ids=["1-d claims, 2-d set", "3-d claims, 2-d set"])
+    def test_claim_and_set_dimensions_must_agree(self, d, rare_set):
+        # rejected before any chunk runs: the cut's scalarization of a
+        # 1-d vector raises IndexError on a 2-d set, and a 3-d sum only fails
+        # inside a chunk, after its draw and transforms
+        claim = ClaimModel.iid((Pareto(1.5, 1.0),) * d)
+        with pytest.raises(ValueError, match="claim dimension does not match set dimension"):
+            single_big_jump_check(claim, rare_set, (1.0,), (10.0,),
+                                  SimConfig(100, seed=1, horizon=1.0))
+
 
 def _strict_counts(z, x_grid):
     """Brute force: per threshold, the rows of ``z`` with ``z > x``."""
@@ -726,6 +741,12 @@ BIG_JUMP_CASES = {
 }
 
 
+def _on_grid(task: _BigJumpTask, grid) -> _BigJumpTask:
+    """``task`` on ``grid``, with the cut ``single_big_jump_check`` gives that grid."""
+    return replace(task, x_grid=grid,
+                   cut=_candidate_cut(task.claim, task.rare_set, task.weights, grid[0]))
+
+
 def _tail_grid(z_sum, z_each, lowest):
     """Thresholds at sampled values of ``z_sum`` and ``z_each`` from ``lowest`` on, and
     one ulp below each: a one-ulp change in any sampled path's value changes a count."""
@@ -752,14 +773,14 @@ class TestBigJumpChunk:
     def test_counts_match_stacked_formula(self, name, transformed):
         claim, rare_set, weights = BIG_JUMP_CASES[name]
         task = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
-                            seed=61, chunk=2, count=3001, x_grid=())
+                            seed=61, chunk=2, count=3001, x_grid=(), cut=math.inf)
         z_sum, z_each = _big_jump_reference(task)
         # thresholds at sampled z values and one ulp below them: a one-ulp
         # change in any sampled path's value changes a count
         picks = np.concatenate([z_sum[::300], z_each[::300].ravel()])
         grid = tuple(np.unique(np.concatenate([picks, np.nextafter(picks, -np.inf)])))
         transformed.clear()  # the reference's phases
-        got = _big_jump_chunk(replace(task, x_grid=grid), _workspace(task))
+        got = _big_jump_chunk(_on_grid(task, grid), _workspace(task))
         assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
         assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
         # most paths may exceed the lowest threshold: the chunk transforms them all
@@ -771,12 +792,13 @@ class TestBigJumpChunk:
         # candidates of the cut, and counts what the stacked formula counts on all paths
         claim, rare_set, weights = BIG_JUMP_CASES[name]
         task = _BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
-                            seed=62, chunk=1, count=3001, x_grid=())
+                            seed=62, chunk=1, count=3001, x_grid=(), cut=math.inf)
         z_sum, z_each = _big_jump_reference(task)
         grid = _tail_grid(z_sum, z_each, np.nextafter(np.quantile(z_sum, 0.99), -np.inf))
-        assert _candidate_cut(claim, rare_set, weights, grid[0]) < math.inf
+        pruned = _on_grid(task, grid)
+        assert pruned.cut < math.inf
         transformed.clear()
-        got = _big_jump_chunk(replace(task, x_grid=grid), _workspace(task))
+        got = _big_jump_chunk(pruned, _workspace(task))
         assert np.array_equal(got["sum_counts"], _strict_counts(z_sum, grid))
         assert np.array_equal(got["marginal_counts"], _strict_counts(z_each, grid))
         # the pairs' phase, then an odd count's lone vector, on the same candidates
@@ -789,7 +811,8 @@ class TestBigJumpChunk:
         claim, rare_set, weights = FGM_PARETO2, MaxExceed((1.0, 1.0)), (1.0, 0.5, 2.0, 1.0, 1.5)
         counts = (CHUNK_PATHS, CHUNK_PATHS, 700)
         refs = [_big_jump_reference(_BigJumpTask(claim=claim, rare_set=rare_set, weights=weights,
-                                                 seed=63, chunk=c, count=k, x_grid=()))
+                                                 seed=63, chunk=c, count=k, x_grid=(),
+                                                 cut=math.inf))
                 for c, k in enumerate(counts)]
         z_sum, z_each = (np.concatenate(z) for z in zip(*refs))
         grid = _tail_grid(z_sum, z_each, np.nextafter(np.quantile(z_sum, 0.995), -np.inf))
@@ -1029,9 +1052,10 @@ class TestMemory:
         # one block made here outside the trace, and transforms them there: its
         # own allocations stay below one more block, and claims copied out of
         # the block, or a draw of its own, lift them past it
-        task = _BigJumpTask(claim=FGM_PARETO2, rare_set=MaxExceed((1.0, 1.0)),
-                            weights=(1.0, 1.0, 1.0), seed=5, chunk=0, count=CHUNK_PATHS,
-                            x_grid=(40.0, 86.2, 400.0))
+        task = _on_grid(_BigJumpTask(claim=FGM_PARETO2, rare_set=MaxExceed((1.0, 1.0)),
+                                     weights=(1.0, 1.0, 1.0), seed=5, chunk=0,
+                                     count=CHUNK_PATHS, x_grid=(), cut=math.inf),
+                        (40.0, 86.2, 400.0))
         d = task.claim.d
         ws = _workspace(task)
         block = ws.nbytes

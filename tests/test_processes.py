@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ruinflow.dependence import ClaimModel
+from ruinflow.estimators import ModelSpec, asymptotic_entrance_infinite
+from ruinflow.heavy_tails import Pareto
 from ruinflow.processes import (
     BrownianDrift,
     CompoundPoissonDrift,
@@ -18,10 +21,18 @@ from ruinflow.processes import (
     LevyReturns,
     Poisson,
     RenewalIID,
-    truncation_horizon,
 )
+from ruinflow.rare_sets import HalfSpace
 
 from oracles import arrival_times, erlang2_renewal_function, erlang_laplace
+
+
+def column_horizons(renewal, ret=Deterministic(0.05), alpha=1.5) -> np.ndarray:
+    """Per-threshold truncation horizons of the infinite-horizon asymptotic column of
+    an IID Pareto(alpha) pair on ``HalfSpace((0.5, 0.5), 1)`` at x = 10, 50, 250."""
+    model = ModelSpec(ClaimModel.iid((Pareto(alpha, 1.0),) * 2), HalfSpace((0.5, 0.5), 1.0),
+                      renewal, ret)
+    return asymptotic_entrance_infinite(model, (10.0, 50.0, 250.0), unsafe=True).horizon
 
 
 def integrated_density(spec, t: float) -> float:
@@ -132,9 +143,8 @@ class TestDiscountedIntegrals:
 
     def test_poisson_is_erlang_one(self):
         assert Poisson(2.5) == RenewalIID(Erlang(1, 2.5))
-        ret = Deterministic(0.05)
-        assert (truncation_horizon(ret, Poisson(1.0), 1.5)
-                == truncation_horizon(ret, RenewalIID(Erlang(1, 1.0)), 1.5))
+        assert np.array_equal(column_horizons(Poisson(1.0)),
+                              column_horizons(RenewalIID(Erlang(1, 1.0))))
 
     def test_erlang_shape_rejects_bools_and_is_stored_as_an_int(self):
         for k in (True, False):
@@ -441,10 +451,13 @@ class TestSummability:
 
 class TestTruncation:
     def test_poisson_deterministic_horizon(self):
-        # tail/total < 1e-3 exactly when exp(phi T)/(1 - exp(phi T)) < 1e-3
-        T = truncation_horizon(Deterministic(0.05), Poisson(1.0), 1.5)
+        # tail/total < 1e-3 exactly when exp(phi T)/(1 - exp(phi T)) < 1e-3: every row
+        # runs at least that far, and here the first row stops at the first such T
+        horizons = column_horizons(Poisson(1.0))
         phi = -1.5 * 0.05
-        assert math.exp(phi * T) / (1 - math.exp(phi * T)) <= 1e-3
+        for T in horizons:
+            assert math.exp(phi * T) / (1 - math.exp(phi * T)) <= 1e-3
+        T = horizons.min()
         assert math.exp(phi * T / 1.25) / (1 - math.exp(phi * T / 1.25)) > 1e-3 * 0.5
 
     def test_tail_bound_decreases(self):
@@ -454,5 +467,5 @@ class TestTruncation:
         assert b2 < b1
 
     def test_divergent_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            truncation_horizon(BrownianDrift(0.05, 0.5), Poisson(1.0), 2.0)
+        with pytest.raises(ValueError, match="no finite truncation horizon"):
+            column_horizons(Poisson(1.0), BrownianDrift(0.05, 0.5), alpha=2.0)

@@ -51,9 +51,11 @@ which are not correctly rounded).  It holds:
   entrance model of the mapped set) at every grid point, at T = 10 and, where
   ``phi(alpha) < 0``, at T = inf;
 * for ``Poisson(1)``, the same law spelled ``RenewalIID(Erlang(1, 1))``, and
-  Erlang(2, 2) and Erlang(3, 1) renewals: the ``truncation_horizon`` under
-  ``Deterministic(0.05)`` at index 1.5, and ``mrv_closed_form`` of an IID
-  ``Pareto(1.5)`` pair on ``HalfSpace((0.5, 0.5), 1)`` at T = 10 and T = inf;
+  Erlang(2, 2) and Erlang(3, 1) renewals, with an IID ``Pareto(1.5)`` pair on
+  ``HalfSpace((0.5, 0.5), 1)`` under ``Deterministic(0.05)``: the largest
+  truncation horizon of ``asymptotic_entrance_infinite`` at x = 10, 50, 250
+  (recorded as ``truncation_horizon``), and ``mrv_closed_form`` at those
+  thresholds at T = 10 and T = inf;
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, in both table formats, recording the exit code, the table's rows
   (CSV rows as their text lines, JSON rows parsed), the report without
@@ -241,17 +243,19 @@ def mrv_columns() -> dict:
 
 def renewal_columns() -> dict:
     from ruinflow import (ClaimModel, Deterministic, Erlang, HalfSpace, ModelSpec, Pareto,
-                          Poisson, RenewalIID, truncation_horizon)
-    from ruinflow.estimators import mrv_closed_form
+                          Poisson, RenewalIID)
+    from ruinflow.estimators import asymptotic_entrance_infinite, mrv_closed_form
 
     ret, pair = Deterministic(0.05), ClaimModel.iid((Pareto(1.5, 1.0),) * 2)
     renewals = {"poisson-1": Poisson(1.0), "erlang-1-1": RenewalIID(Erlang(1, 1.0)),
                 "erlang-2-2": RenewalIID(Erlang(2, 2.0)), "erlang-3-1": RenewalIID(Erlang(3, 1.0))}
-    out = {}
+    xs, out = (10.0, 50.0, 250.0), {}
     for name, renewal in renewals.items():
         model = ModelSpec(pair, HalfSpace((0.5, 0.5), 1.0), renewal, ret)
-        out[name] = {"truncation_horizon": truncation_horizon(ret, renewal, 1.5),
-                     **{repr(T): [mrv_closed_form(model, x, T) for x in (10.0, 50.0, 250.0)]
+        # one threshold a call: trees before fdc0e87 take no array of them
+        horizon = max(float(asymptotic_entrance_infinite(model, x).horizon) for x in xs)
+        out[name] = {"truncation_horizon": horizon,
+                     **{repr(T): [mrv_closed_form(model, x, T) for x in xs]
                         for T in (10.0, math.inf)}}
     return out
 
