@@ -69,7 +69,8 @@ class _Dependence:
     claim vectors in two in-place phases; ``v[k]`` is slot ``k`` of a pair, with
     component ``j`` in ``v[k, j]``.  ``couple(v)`` replaces the transforms by the
     coupled ones (the identity by default), and ``quantiles(margins, v)`` maps
-    those to claims, nonincreasing in every coupled transform.
+    those to claims, nonincreasing in every coupled transform (by default each
+    component's margin quantile, one call over equal margins).
     ``survival_cut(margins, t)`` is an ``eps`` such that a pair whose coupled
     transforms are all at least ``eps`` has every claim at most ``t``.
     """
@@ -93,6 +94,13 @@ class _Dependence:
     def couple(self, v):
         return v
 
+    def quantiles(self, margins, v):
+        if margins.count(margins[0]) == len(margins):  # one call on the contiguous block
+            return margins[0]._qf(v)
+        for j, m in enumerate(margins):
+            m._qf(v[:, j])
+        return v
+
     def survival_cut(self, margins, t: float) -> float:
         # a transform of at least S_j(t) has a quantile of at most t, unless t lies
         # below the support, where a transform of 1 still maps to the floor
@@ -103,12 +111,7 @@ class _Dependence:
 
 @dataclass(frozen=True)
 class IID(_Dependence):
-    def quantiles(self, margins, v):
-        if margins.count(margins[0]) == len(margins):  # one call on the contiguous block
-            return margins[0]._qf(v)
-        for j, m in enumerate(margins):
-            m._qf(v[:, j])
-        return v
+    """Independent vectors, each with the law of the margins: the defaults throughout."""
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,6 @@ class FgmChain(_Dependence):
         # the closed-form FGM quadratic inverse; all share the marginal
         fgm_conditional_inverse(self.theta, v[0, 0], v[0, 1], v[1, 0], v[1, 1], out=v[1, 1])
         return v
-
-    def quantiles(self, margins, v):
-        return margins[0]._qf(v)
 
 
 @dataclass(frozen=True)
@@ -414,28 +414,31 @@ class EmpiricalRatio:
         return self.joint_count >= RELIABLE_COUNT
 
 
-def _pair_exceedance(model: ClaimModel, rare_set: RareSet, x: float,
-                     n: int | None, rng: np.random.Generator | None):
-    """Analytic or empirical joint/marginal exceedance rates for one pair."""
+def _pair_ratio(model: ClaimModel, rare_set: RareSet, x: float, n: int | None,
+                rng: np.random.Generator | None, first_only: bool):
+    """``P[both > x]`` over ``P[first > x]`` (``first_only``) or over ``P[first > x] +
+    P[second > x]``, from the analytic pair rates or as an :class:`EmpiricalRatio`
+    over ``n`` sampled pairs."""
     if not x > 0:
         raise ValueError("threshold must be positive")
-    rates = model.inter.pair_rates(rare_set, x)
-    if rates is not None:
-        return (*rates, None)
-    if n is None or rng is None:
-        raise UnsupportedModelError(
-            "no analytic pair formulas for this (model, set); pass n and rng for Monte Carlo")
-    seq = model.sample_sequence(2 * n, rng)
-    z = z_index(rare_set, seq)
-    z1 = z[0::2]
-    z2 = z[1::2]
-    joint_count = int(np.count_nonzero((z1 > x) & (z2 > x)))
-    c1 = int(np.count_nonzero(z1 > x))
-    c2 = int(np.count_nonzero(z2 > x))
-    if c1 == 0 and c2 == 0:
-        raise NoExceedanceError(
-            f"no exceedances at x={x:g} over {n} pairs; lower x or raise n")
-    return joint_count / n, c1 / n, c2 / n, (joint_count, n)
+    rates, joint_count = model.inter.pair_rates(rare_set, x), None
+    if rates is None:
+        if n is None or rng is None:
+            raise UnsupportedModelError(
+                "no analytic pair formulas for this (model, set); pass n and rng for Monte Carlo")
+        z = z_index(rare_set, model.sample_sequence(2 * n, rng))
+        first, second = z[0::2] > x, z[1::2] > x
+        joint_count = int(np.count_nonzero(first & second))
+        rates = (joint_count / n, int(np.count_nonzero(first)) / n,
+                 int(np.count_nonzero(second)) / n)
+    joint, sf1, sf2 = rates
+    den = sf1 if first_only else sf1 + sf2
+    if den == 0:
+        raise NoExceedanceError(f"no exceedances at x={x:g} over {n} pairs; lower x or raise n")
+    if joint_count is None:
+        return joint / den
+    lo, hi = wilson_interval(joint_count, n)
+    return EmpiricalRatio(joint / den, lo / den, hi / den, joint_count, den)
 
 
 def qai_ratio(model: ClaimModel, rare_set: RareSet, x: float,
@@ -447,12 +450,7 @@ def qai_ratio(model: ClaimModel, rare_set: RareSet, x: float,
     on the unit max-type set; empirical otherwise (``n`` pairs, explicit
     ``rng``), returning an :class:`EmpiricalRatio`.
     """
-    joint, sf1, sf2, counts = _pair_exceedance(model, rare_set, x, n, rng)
-    value = joint / (sf1 + sf2)
-    if counts is None:
-        return value
-    lo, hi = wilson_interval(counts[0], counts[1])
-    return EmpiricalRatio(value, lo / (sf1 + sf2), hi / (sf1 + sf2), counts[0], sf1 + sf2)
+    return _pair_ratio(model, rare_set, x, n, rng, first_only=False)
 
 
 def rd_violation_ratio(model: ClaimModel, rare_set: RareSet, x: float,
@@ -463,9 +461,4 @@ def rd_violation_ratio(model: ClaimModel, rare_set: RareSet, x: float,
     cubic pair's limit is 3/4) even when the pair is quasi-asymptotically
     independent.
     """
-    joint, sf1, _, counts = _pair_exceedance(model, rare_set, x, n, rng)
-    value = joint / sf1
-    if counts is None:
-        return value
-    lo, hi = wilson_interval(counts[0], counts[1])
-    return EmpiricalRatio(value, lo / sf1, hi / sf1, counts[0], sf1)
+    return _pair_ratio(model, rare_set, x, n, rng, first_only=True)

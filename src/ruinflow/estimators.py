@@ -194,6 +194,7 @@ TABLE_NODES_PER_DECADE, TABLE_MAX_NODES, TABLE_REL_TOL = 20, 1200, 1e-6
 #: largest share of an infinite-horizon value that the tail past its truncation horizon may carry
 TAIL_REL_BOUND = 1e-3
 _PAD = 3  # table nodes past the points on each side: their cells' slopes are 4th order
+_LN_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -270,11 +271,12 @@ class _Column:
         """``S_A`` at each entry of ``v``, its relative error bound, and whether a
         quadrature behind it did not converge."""
         surv, err, bad = np.ones_like(v), np.zeros_like(v), np.zeros(v.shape, dtype=bool)
-        above = v > self.floor
+        surv[v == np.inf] = 0.0  # the limit, not a table point
+        above = (v > self.floor) & (v < np.inf)
         if not above.any():
             return surv, err, bad
         t = np.log(v[above] - self.floor) / self.h
-        k_hi = math.ceil(t.max()) + _PAD
+        k_hi = min(math.ceil(t.max()) + _PAD, int(_LN_MAX / self.h))  # exp(k h) is a float
         self._cover(2 * max(math.floor(t.min()) - _PAD, k_hi + 1 - TABLE_MAX_NODES), 2 * k_hi)
         t -= self.j0 // 2
         gap = t < 0.0
@@ -303,7 +305,9 @@ class _Column:
             nodes = np.concatenate([nodes for nodes, _ in rules])
             weights = np.concatenate([w * self.model.renewal.renewal_density(t)
                                       for t, (_, w) in zip(s, rules)])
-            surv, err, bad = self.survival(self.x[rows[live], None] * np.exp(nodes))
+            with np.errstate(over="ignore"):  # a claim level past the float range is inf
+                v = self.x[rows[live], None] * np.exp(nodes)
+            surv, err, bad = self.survival(v)
             self.unconverged[rows[live]] |= bad.any(axis=1)
             if not first:  # the first round: every row on one panel, the nodes of kronrod_weights
                 first.extend((surv * weights, err, starts))

@@ -99,17 +99,17 @@ class RenewalIID:
 
     def discounted_integral(self, phi: float, T: float) -> float:
         """``integral_0^T exp(s phi) d(renewal measure)``; ``T = inf`` needs ``phi < 0``."""
+        if math.isinf(T):  # the whole integral is the tail from 0
+            return self.discounted_tail_bound(phi, 0.0)
         lam = self.interarrival.rate / self.interarrival.k
-        if math.isinf(T):
-            _require_decay(phi)
-            return lam / (-phi) + lam * sum(w / (d - phi) for w, d in self._modes).real
         head = lam * T if phi == 0 else lam * -math.expm1(T * phi) / (-phi)
         return head + lam * sum(w * (1.0 - cmath.exp((phi - d) * T)) / (d - phi)
                                 for w, d in self._modes).real
 
     def discounted_tail_bound(self, phi: float, T: float) -> float:
         """``integral_T^inf exp(s phi) d(renewal measure)`` (exact); needs ``phi < 0``."""
-        _require_decay(phi)
+        if not phi < 0:
+            raise ValueError("discounted renewal integral diverges: the exponent is not negative")
         lam = self.interarrival.rate / self.interarrival.k
         return (lam * math.exp(T * phi) / (-phi)
                 + lam * sum(w * cmath.exp((phi - d) * T) / (d - phi) for w, d in self._modes).real)
@@ -118,11 +118,6 @@ class RenewalIID:
 def Poisson(rate: float) -> RenewalIID:
     """Homogeneous Poisson arrivals with intensity ``rate``: exponential interarrivals."""
     return RenewalIID(Erlang(1, rate))
-
-
-def _require_decay(phi: float) -> None:
-    if not phi < 0:
-        raise ValueError("discounted renewal integral diverges: the exponent is not negative")
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,18 @@ class TestGates:
         grid = [float(x) for x in cfg["sim"]["x_grid"]]
         assert f"asymptotic column not converged at x = {grid}" in lines
 
+    def test_volatile_infinite_horizon_exits_0(self, tmp_path):
+        # phi(1.5) = -0.015 passes the gate, and the column's walk reaches claim
+        # levels past the float range: the run ends with named rows, not a traceback
+        cfg = json.loads((DEMOS / "configs" / "infinite_horizon_brownian.json").read_text())
+        cfg["model"]["return"].update(mu=0.76, sigma=1.0)
+        cfg["sim"]["n_paths"] = 2000
+        out = tmp_path / "volatile"
+        assert run(write(tmp_path, cfg), {"threads": 1, "out": str(out)}) == 0
+        lines = out.with_suffix(".report.txt").read_text().splitlines()
+        grid = [float(x) for x in cfg["sim"]["x_grid"]]
+        assert f"asymptotic column not converged at x = {grid}" in lines
+
     def test_assumption_report_pass_and_fail(self, tmp_path):
         ok = base_config(tmp_path / "rep_ok", experiment="assumption_report")
         assert run(write(tmp_path, ok, "ok.json")) == 0

@@ -553,6 +553,19 @@ class TestPairDiagnostics:
         with pytest.raises(NoExceedanceError):
             qai_ratio(model, UNIT_MAX, 1e9, n=1000, rng=rng)
 
+    def test_no_first_exceedance_signalled(self):
+        # these 50 pairs hold no first-vector exceedance at x = 60 and one
+        # second-vector one: the conditional ratio has no denominator, the sum
+        # ratio has one
+        model, n = ClaimModel.iid((Pareto(1.5),) * 2), 50
+        with pytest.raises(NoExceedanceError):
+            rd_violation_ratio(model, UNIT_MAX, 60.0, n=n, rng=np.random.default_rng(1))
+        out = qai_ratio(model, UNIT_MAX, 60.0, n=n, rng=np.random.default_rng(1))
+        assert isinstance(out, EmpiricalRatio)
+        assert out.denominator == 1 / n and out.value == 0.0 and math.isfinite(out.ci_hi)
+        with pytest.raises(NoExceedanceError):
+            qai_ratio(model, UNIT_MAX, 1e9, n=n, rng=np.random.default_rng(1))
+
     def test_small_counts_flagged_unreliable(self):
         model = ClaimModel.fgm_chain(0.5, G)
         rng = np.random.default_rng(10)

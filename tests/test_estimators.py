@@ -355,6 +355,31 @@ class TestInfiniteHorizon:
         with pytest.raises(HypothesisError):
             asymptotic_entrance_infinite(spec, 100.0)
 
+    def test_survival_table_stops_at_the_float_range(self):
+        # a level near the largest float needs table nodes past it, where exp(k h)
+        # overflows: the table stops at the last float node, and +inf reads S_A's limit
+        column = estimators._Column(pareto_ray_model(alpha=1.5), 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            surv, err, bad = column.survival(np.array([1e300, 1.7e308, np.inf]))
+        assert np.all(np.isfinite(column.ln)) and not bad.any()
+        assert surv[2] == 0.0 and err[2] == 0.0
+        assert np.all((surv >= 0.0) & (surv < 1e-300))
+
+    def test_claim_levels_past_the_float_range(self):
+        # phi(1.5) = -0.015 admits the model, but its walk reaches lags whose rule
+        # nodes put x e^{xi(s)} past the largest float, where S_A reads its limit 0.
+        # Accuracy under this volatility is open: the rows at x = 1000 and 2000 differ
+        # by a factor 1.44, not the 2**1.5 of the tail, so every row must be flagged.
+        spec = ModelSpec(ClaimModel.iid((Pareto(1.5),)), Ray(1.0),
+                         Poisson(1.0), BrownianDrift(0.76, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = asymptotic_entrance_infinite(spec, np.array([250.0, 500.0, 1000.0, 2000.0]))
+        assert np.all(np.isfinite(est.value) & (est.value > 0))
+        assert np.all(np.isfinite(est.horizon)) and np.all(est.tail_bound_rel <= TAIL_REL_BOUND)
+        assert not est.converged.any()
+
 
 class TestMrv:
     def test_mu_examples(self):

@@ -56,6 +56,14 @@ which are not correctly rounded).  It holds:
   truncation horizon of ``asymptotic_entrance_infinite`` at x = 10, 50, 250
   (recorded as ``truncation_horizon``), and ``mrv_closed_form`` at those
   thresholds at T = 10 and T = inf;
+* the pair diagnostics ``qai_ratio`` and ``rd_violation_ratio``: the cubic
+  pair's analytic values at x = 10, 100, 1e3 and 1e5, and on an IID
+  ``Pareto(1.5)`` pair, ``FgmChain(0.5)`` on ``Pareto(2)`` and the cubic pair,
+  over ``MaxExceed((1, 1))``, ``HalfSpace((0.5, 0.5), 1)`` and
+  ``MaxExceed((2, 2))`` at x = 2, 5 and 20, every ``EmpiricalRatio`` field
+  from 20,000 pairs drawn by a fresh ``default_rng(11)`` per call (the cubic
+  pair on the unit max-type set is analytic there too, and records its
+  float);
 * every ``demos/configs/*.json`` through ``cli.run`` at 2,000 paths on one
   worker, in both table formats, recording the exit code, the table's rows
   (CSV rows as their text lines, JSON rows parsed), the report without
@@ -85,7 +93,7 @@ import json
 import math
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +108,8 @@ T_FRACTIONS = (0.25, 0.5, 1.0)
 BLOCK_CHUNKS = 43
 #: workloads whose models are regularly varying, for the closed-form column
 MRV_WORKLOADS = ("entrance-ref", "entrance-brownian-inf", "ruin-premium")
+#: sampled pairs and seed of each Monte Carlo pair diagnostic
+PAIR_N, PAIR_SEED = 20_000, 11
 
 
 def _floats(a) -> list:
@@ -260,6 +270,37 @@ def renewal_columns() -> dict:
     return out
 
 
+def pair_diagnostics() -> dict:
+    """``qai_ratio`` and ``rd_violation_ratio``: the cubic pair's analytic values, and
+    every ``EmpiricalRatio`` field of the sampled pairs, each call on a fresh
+    ``default_rng(PAIR_SEED)``."""
+    import numpy as np
+    from ruinflow import ClaimModel, HalfSpace, MaxExceed, Pareto
+    from ruinflow.dependence import qai_ratio, rd_violation_ratio
+
+    ratios = {"qai": qai_ratio, "rd": rd_violation_ratio}
+    cubic, unit_max = ClaimModel.cubic_pair(), MaxExceed((1.0, 1.0))
+    out = {"cubic-analytic": {repr(x): {name: f(cubic, unit_max, x) for name, f in ratios.items()}
+                              for x in (10.0, 100.0, 1e3, 1e5)}}
+    models = {"iid-pareto-1.5": ClaimModel.iid((Pareto(1.5, 1.0),) * 2),
+              "fgm-0.5-pareto-2": ClaimModel.fgm_chain(0.5, Pareto(2.0, 1.0)), "cubic": cubic}
+    sets = {"max-1-1": unit_max, "half-space": HalfSpace((0.5, 0.5), 1.0),
+            "max-2-2": MaxExceed((2.0, 2.0))}
+
+    def sampled(f, model, rare_set, x):
+        r = f(model, rare_set, x, n=PAIR_N, rng=np.random.default_rng(PAIR_SEED))
+        if isinstance(r, float):  # the cubic pair on the unit max-type set is analytic
+            return r
+        return {**asdict(r), "reliable": r.reliable}
+
+    for model_name, model in models.items():
+        for set_name, rare_set in sets.items():
+            out[f"{model_name} {set_name}"] = {
+                repr(x): {name: sampled(f, model, rare_set, x) for name, f in ratios.items()}
+                for x in (2.0, 5.0, 20.0)}
+    return out
+
+
 def _configs() -> dict:
     """File name -> (config, CLI overrides): the demo configs, the three
     gate-failure runs and the three rejected claim blocks."""
@@ -340,7 +381,8 @@ def main(argv=None) -> int:
     print(f"ruinflow from {Path(ruinflow.__file__).parent}", file=sys.stderr)
     result = {"environment": environment(), "workloads": workloads(),
               "mrv_closed_form": mrv_columns(),
-              "renewals": renewal_columns(), "demo_configs": demo_configs()}
+              "renewals": renewal_columns(), "pair_diagnostics": pair_diagnostics(),
+              "demo_configs": demo_configs()}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     variant = [k for k, v in result["workloads"].items() if not v["worker_invariant"]]
     for name in variant:
